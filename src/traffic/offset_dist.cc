@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <vector>
 
 namespace pddl {
 namespace traffic {
@@ -30,7 +32,91 @@ parseDouble(const std::string &text, double &out)
  */
 constexpr uint64_t kScrambleSeed = 0x7ea75c4a1b0ffeedULL;
 
+/** `sum` plus zeta terms first..last, added one at a time in order. */
+double
+addZetaTerms(double sum, int64_t first, int64_t last, double theta)
+{
+    for (int64_t i = first; i <= last; ++i)
+        sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    return sum;
+}
+
+/** Terms between two memo checkpoints. */
+constexpr int64_t kZetaStride = 4096;
+/** Distinct thetas memoized; further thetas are summed directly. */
+constexpr size_t kZetaMemoThetas = 16;
+
+/**
+ * Checkpointed partial sums of the zeta series for one theta:
+ * `sums[k]` is the running sum after k * kZetaStride terms, exactly
+ * as the reference loop holds it at that index.
+ */
+struct ZetaPrefixes
+{
+    double theta;
+    std::vector<double> sums;
+};
+
+struct ZetaMemo
+{
+    std::mutex mutex;
+    std::vector<ZetaPrefixes> entries;
+};
+
+ZetaMemo &
+zetaMemo()
+{
+    static ZetaMemo memo;
+    return memo;
+}
+
 } // namespace
+
+double
+zipfZetaReference(int64_t n, double theta)
+{
+    return addZetaTerms(0.0, 1, n, theta);
+}
+
+double
+zipfZeta(int64_t n, double theta)
+{
+    const int64_t blocks = n / kZetaStride;
+    // The running sum after `done` terms, taken from the memo.
+    double prefix = 0.0;
+    int64_t done = 0;
+    {
+        ZetaMemo &memo = zetaMemo();
+        const std::lock_guard<std::mutex> lock(memo.mutex);
+        ZetaPrefixes *entry = nullptr;
+        for (ZetaPrefixes &candidate : memo.entries) {
+            if (candidate.theta == theta)
+                entry = &candidate;
+        }
+        if (entry == nullptr && memo.entries.size() < kZetaMemoThetas) {
+            memo.entries.push_back({theta, {0.0}});
+            entry = &memo.entries.back();
+        }
+        if (entry != nullptr) {
+            std::vector<double> &sums = entry->sums;
+            const size_t needed = static_cast<size_t>(blocks) + 1;
+            // Room for a domain four times larger, so a tuner that
+            // halves the stripe unit or drops parity extends the
+            // checkpoints without another allocation.
+            if (sums.capacity() < needed)
+                sums.reserve(4 * needed);
+            while (sums.size() < needed) {
+                const int64_t from =
+                    static_cast<int64_t>(sums.size() - 1) * kZetaStride;
+                sums.push_back(addZetaTerms(sums.back(), from + 1,
+                                            from + kZetaStride, theta));
+            }
+            prefix = sums[static_cast<size_t>(blocks)];
+            done = blocks * kZetaStride;
+        }
+    }
+    return addZetaTerms(prefix, done + 1, n, theta);
+}
 
 bool
 parseOffsetSpec(const std::string &text, OffsetSpec &spec,
@@ -104,14 +190,11 @@ OffsetSampler::OffsetSampler(const OffsetSpec &spec,
         return;
     assert(spec_.theta > 0.0 && spec_.theta < 1.0);
     // Gray et al. "Quickly generating billion-record synthetic
-    // databases" (the YCSB ZipfianGenerator): one O(n) harmonic
-    // precompute, then one uniform draw per sample.
+    // databases" (the YCSB ZipfianGenerator): one harmonic precompute
+    // (memoized across samplers), then one uniform draw per sample.
     const double theta = spec_.theta;
     const double n = static_cast<double>(domain_);
-    double zeta = 0.0;
-    for (int64_t i = 1; i <= domain_; ++i)
-        zeta += 1.0 / std::pow(static_cast<double>(i), theta);
-    zeta_n_ = zeta;
+    zeta_n_ = zipfZeta(domain_, theta);
     alpha_ = 1.0 / (1.0 - theta);
     const double zeta2 = 1.0 + std::pow(0.5, theta);
     eta_ = (1.0 - std::pow(2.0 / n, 1.0 - theta)) /

@@ -17,7 +17,9 @@
  *  - Zipf: rank-frequency skew with exponent theta in (0, 1) (the
  *    YCSB convention; 0.99 is the classic "zipfian" workload),
  *    sampled with the Gray et al. closed-form generator -- one
- *    uniform draw per sample, O(domain) one-time zeta precompute.
+ *    uniform draw per sample after a zeta precompute that is memoized
+ *    per theta (zipfZeta): O(domain) once, then at most 4095 terms
+ *    for each later sampler over a domain no larger.
  *    Ranks are scrambled across the address space with a stateless
  *    hash so the hot set is spread over the volume (and over its
  *    shards) instead of clustered at offset zero.
@@ -69,6 +71,23 @@ bool parseOffsetSpec(const std::string &text, OffsetSpec &spec,
 
 /** Canonical spec label ("uniform", "zipf:0.99", "hot:0.1,0.9"). */
 std::string offsetSpecName(const OffsetSpec &spec);
+
+/**
+ * The generalized harmonic number zeta(n, theta) = sum of 1 / i^theta
+ * over i = 1..n, which every zipf sampler over n units needs.
+ *
+ * Memoized process-wide and bit-identical to zipfZetaReference(): the
+ * memo keeps, per theta, the running sum every 4096 terms exactly as
+ * the reference loop holds it there, and a lookup resumes the same
+ * loop from the checkpoint at or below n. The first call for a theta
+ * costs the reference's O(n); later calls, for any n up to the largest
+ * seen, add at most 4095 terms. The first 16 distinct thetas are
+ * memoized; later ones are summed directly. Thread-safe.
+ */
+double zipfZeta(int64_t n, double theta);
+
+/** zeta(n, theta) by the plain loop over i = 1..n, in index order. */
+double zipfZetaReference(int64_t n, double theta);
 
 /**
  * Seeded sampler of start offsets over a fixed domain of

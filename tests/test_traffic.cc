@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -17,6 +18,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "array/controller.hh"
@@ -137,6 +140,94 @@ TEST(OffsetSamplerTest, ZipfIsSkewedBoundedAndDeterministic)
     // Skew concentrates the draws: far fewer distinct units than a
     // uniform workload touches in the same number of draws.
     EXPECT_LT(zipf_distinct.size() * 2, uniform_distinct.size());
+}
+
+/** zipfZeta(n, theta) equals the reference loop to the last bit. */
+void
+expectExactZeta(int64_t n, double theta)
+{
+    EXPECT_EQ(std::bit_cast<uint64_t>(traffic::zipfZeta(n, theta)),
+              std::bit_cast<uint64_t>(traffic::zipfZetaReference(n, theta)))
+        << "theta " << theta << " n " << n;
+}
+
+TEST(ZipfZetaTest, MemoIsBitIdenticalToTheReferenceLoop)
+{
+    // Domains on and around the memo's 4096-term checkpoints. Large
+    // first: one extension, then resumes from inner checkpoints.
+    // Small first: every query extends the memo a little.
+    for (double theta : {0.99, 0.5, 0.123}) {
+        for (int64_t n : {100003, 65536, 8193, 8192, 4097, 4096, 4095, 1})
+            expectExactZeta(n, theta);
+    }
+    for (double theta : {0.25, 0.75}) {
+        for (int64_t n : {1, 4095, 4096, 4097, 8192, 8193, 65536, 100003})
+            expectExactZeta(n, theta);
+    }
+}
+
+TEST(ZipfZetaTest, ThetasPastTheMemoCapacityStayExact)
+{
+    for (int k = 1; k <= 40; ++k)
+        expectExactZeta(5000 + 97 * k, 0.01 + 0.02 * k);
+}
+
+TEST(ZipfZetaTest, ConcurrentLookupsAgreeWithTheReference)
+{
+    // A theta no other test uses, so the threads race to build its
+    // checkpoints from nothing, each in a different order.
+    const double theta = 0.777;
+    const std::vector<int64_t> domains = {30001, 9000, 70000, 4096, 123457};
+    const size_t count = domains.size();
+    std::vector<double> got(4 * count);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (size_t i = 0; i < count; ++i) {
+                const size_t which = (i + t) % count;
+                got[t * count + which] =
+                    traffic::zipfZeta(domains[which], theta);
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (size_t i = 0; i < got.size(); ++i) {
+        const int64_t n = domains[i % count];
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i]),
+                  std::bit_cast<uint64_t>(
+                      traffic::zipfZetaReference(n, theta)))
+            << "thread " << i / count << " n " << n;
+    }
+}
+
+TEST(OffsetSamplerTest, ZipfDrawsMatchThePreMemoSampler)
+{
+    // FNV-1a over the first 20000 draws (seed 42, theta 0.99), pinned
+    // from the sampler that summed zeta directly in its constructor.
+    const std::pair<int64_t, uint64_t> pinned[] = {
+        {1, 0x0ed9e7ee21f20da5ULL},
+        {4096, 0x22c8d594d6733d42ULL},
+        {4097, 0x826dca340f09ccc3ULL},
+        {2300017, 0x5060c01148faad7fULL},
+    };
+    OffsetSpec spec;
+    spec.kind = OffsetSpec::Kind::Zipf;
+    spec.theta = 0.99;
+    // Twice: the first pass may fill the memo, the second reads it.
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const auto &[domain, digest] : pinned) {
+            const OffsetSampler sampler(spec, domain);
+            Rng rng(42);
+            uint64_t hash = 0xcbf29ce484222325ULL;
+            for (int i = 0; i < 20000; ++i) {
+                hash ^= static_cast<uint64_t>(
+                    sampler.sample(rng, domain - 1));
+                hash *= 0x100000001b3ULL;
+            }
+            EXPECT_EQ(hash, digest) << "domain " << domain;
+        }
+    }
 }
 
 TEST(OffsetSamplerTest, HotSpotPutsTheWeightOnTheHotRegion)
