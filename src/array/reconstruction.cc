@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <memory>
 
 namespace pddl {
 
@@ -84,8 +83,18 @@ ReconstructionEngine::rebuildStripe(int64_t stripe)
     PhysAddr home = layout_.relocatedAddress(failed_disk_, lost.unit);
 
     ++in_flight_;
-    const double launch_ms = events_.now();
-    auto outstanding = std::make_shared<int>(width - 1);
+    uint32_t slot = free_slot_;
+    if (slot != kNilSlot) {
+        free_slot_ = slots_[slot].next_free;
+    } else {
+        slot = static_cast<uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    StripeRebuild &rebuild = slots_[slot];
+    rebuild.outstanding = width - 1;
+    rebuild.home = home;
+    rebuild.stripe = stripe;
+    rebuild.launch_ms = events_.now();
     for (int pos = 0; pos < width; ++pos) {
         if (pos == failed_pos)
             continue;
@@ -93,32 +102,37 @@ ReconstructionEngine::rebuildStripe(int64_t stripe)
         ++reads_issued_;
         probe_.count("rebuild.reads");
         array_.submitUnit(addr.disk, addr.unit, false,
-                          [this, outstanding, home, stripe,
-                           launch_ms] {
-                              if (--*outstanding > 0)
-                                  return;
-                              // All survivors read: XOR is free,
-                              // write the rebuilt unit to its spare
-                              // home.
-                              array_.submitUnit(
-                                  home.disk, home.unit, true,
-                                  [this, stripe, launch_ms] {
-                                      ++units_rebuilt_;
-                                      --in_flight_;
-                                      probe_.count(
-                                          "rebuild.units_rebuilt");
-                                      probe_.complete(
-                                          "stripe", "rebuild",
-                                          obs::kLaneRebuild,
-                                          launch_ms,
-                                          events_.now() - launch_ms,
-                                          {{"stripe",
-                                            static_cast<double>(
-                                                stripe)}});
-                                      pump();
-                                  });
-                          });
+                          [this, slot] { survivorRead(slot); });
     }
+}
+
+void
+ReconstructionEngine::survivorRead(uint32_t slot)
+{
+    StripeRebuild &rebuild = slots_[slot];
+    if (--rebuild.outstanding > 0)
+        return;
+    // All survivors read: XOR is free, write the rebuilt unit to its
+    // spare home.
+    array_.submitUnit(rebuild.home.disk, rebuild.home.unit, true,
+                      [this, slot] { spareWritten(slot); });
+}
+
+void
+ReconstructionEngine::spareWritten(uint32_t slot)
+{
+    StripeRebuild &rebuild = slots_[slot];
+    const int64_t stripe = rebuild.stripe;
+    const double launch_ms = rebuild.launch_ms;
+    rebuild.next_free = free_slot_;
+    free_slot_ = slot;
+    ++units_rebuilt_;
+    --in_flight_;
+    probe_.count("rebuild.units_rebuilt");
+    probe_.complete("stripe", "rebuild", obs::kLaneRebuild, launch_ms,
+                    events_.now() - launch_ms,
+                    {{"stripe", static_cast<double>(stripe)}});
+    pump();
 }
 
 } // namespace pddl

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "array/controller.hh"
 #include "layout/layout.hh"
@@ -77,6 +78,29 @@ class ReconstructionEngine
     /** Rebuild the failed unit of one stripe (if any). */
     void rebuildStripe(int64_t stripe);
 
+    /** One survivor read of slot's stripe completed. */
+    void survivorRead(uint32_t slot);
+
+    /** The rebuilt unit of slot's stripe reached its spare home. */
+    void spareWritten(uint32_t slot);
+
+    static constexpr uint32_t kNilSlot = ~uint32_t{0};
+
+    /**
+     * One stripe rebuild in flight, pooled in a free-list arena (the
+     * ArrayController::Pending pattern): op callbacks carry {engine,
+     * slot}, so launching a stripe allocates nothing once the arena
+     * has grown to max_parallel slots.
+     */
+    struct StripeRebuild
+    {
+        int outstanding = 0; ///< survivor reads still in flight
+        PhysAddr home;       ///< spare home of the rebuilt unit
+        int64_t stripe = 0;
+        double launch_ms = 0.0;
+        uint32_t next_free = kNilSlot;
+    };
+
     EventQueue &events_;
     ArrayController &array_;
     const Layout &layout_;
@@ -94,6 +118,9 @@ class ReconstructionEngine
     SimTime start_time_ = 0.0;
     SimTime finish_time_ = 0.0;
     std::function<void()> done_;
+
+    std::vector<StripeRebuild> slots_;
+    uint32_t free_slot_ = kNilSlot;
 };
 
 } // namespace pddl

@@ -162,12 +162,32 @@ CacheTier::serveRead(int64_t start, int count, InlineCallback done)
     // install on completion.
     ++stats_.read_misses;
     config_.probe.count("cache.read_miss");
-    backend_.access(
-        start, count, AccessType::Read,
-        [this, start, count, finish = std::move(done)]() mutable {
-            installRange(start, count);
-            finish();
-        });
+    uint32_t slot = free_read_miss_;
+    if (slot != kNilReadMiss) {
+        free_read_miss_ = read_misses_[slot].next_free;
+    } else {
+        slot = static_cast<uint32_t>(read_misses_.size());
+        read_misses_.emplace_back();
+    }
+    ReadMiss &wait = read_misses_[slot];
+    wait.start = start;
+    wait.count = count;
+    wait.done = std::move(done);
+    backend_.access(start, count, AccessType::Read,
+                    [this, slot] { readMissComplete(slot); });
+}
+
+void
+CacheTier::readMissComplete(uint32_t slot)
+{
+    ReadMiss &wait = read_misses_[slot];
+    const int64_t start = wait.start;
+    const int count = wait.count;
+    InlineCallback finish = std::move(wait.done);
+    wait.next_free = free_read_miss_;
+    free_read_miss_ = slot;
+    installRange(start, count);
+    finish();
 }
 
 void

@@ -33,13 +33,14 @@
 #define PDDL_CACHE_CACHE_TIER_HH
 
 #include <cstdint>
-#include <deque>
+#include <memory_resource>
 #include <set>
 #include <vector>
 
 #include "array/target.hh"
 #include "obs/probe.hh"
 #include "sim/event_queue.hh"
+#include "util/ring_queue.hh"
 
 namespace pddl {
 namespace cache {
@@ -136,9 +137,25 @@ class CacheTier : public Target
 
     struct StalledWrite
     {
-        int64_t start;
-        int count;
+        int64_t start = 0;
+        int count = 0;
         InlineCallback done;
+    };
+
+    static constexpr uint32_t kNilReadMiss = ~uint32_t{0};
+
+    /**
+     * A read miss waiting on its backend fetch, pooled in a free-list
+     * arena: the fetch's completion carries {tier, slot}, which fits
+     * InlineCallback's inline buffer where {start, count, done} would
+     * not.
+     */
+    struct ReadMiss
+    {
+        int64_t start = 0;
+        int count = 0;
+        InlineCallback done;
+        uint32_t next_free = kNilReadMiss;
     };
 
     Line *find(int64_t unit);
@@ -148,6 +165,7 @@ class CacheTier : public Target
     void installRange(int64_t start, int count);
 
     void serveRead(int64_t start, int count, InlineCallback done);
+    void readMissComplete(uint32_t slot);
     void serveWrite(int64_t start, int count, InlineCallback done);
 
     void maybePump();
@@ -163,8 +181,13 @@ class CacheTier : public Target
     int64_t low_units_;
 
     std::vector<Line> lines_;
+    /**
+     * Recycles dirty_'s nodes, so the set stops allocating once it
+     * has reached its peak size (at most capacity_units).
+     */
+    std::pmr::unsynchronized_pool_resource dirty_pool_;
     /** Dirty units, ordered -- the coalescer walks runs off it. */
-    std::set<int64_t> dirty_;
+    std::pmr::set<int64_t> dirty_{&dirty_pool_};
     int64_t dirty_units_ = 0;
     /** Round-robin scan position of the destage coalescer. */
     int64_t cursor_ = 0;
@@ -172,7 +195,11 @@ class CacheTier : public Target
     bool pump_active_ = false;
     bool releasing_ = false;
 
-    std::deque<StalledWrite> stalled_;
+    RingQueue<StalledWrite> stalled_;
+
+    /** Arena of read misses in flight (see ReadMiss). */
+    std::vector<ReadMiss> read_misses_;
+    uint32_t free_read_miss_ = kNilReadMiss;
 
     uint64_t tick_ = 0;
     uint64_t accesses_ = 0;

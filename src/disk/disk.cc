@@ -94,8 +94,7 @@ Disk::startNext()
         }
     }
 
-    in_service_ = std::move(queue_[best]);
-    queue_.erase(queue_.begin() + best);
+    in_service_ = queue_.take(best);
     busy_ = true;
     const DiskRequest &request = in_service_;
 

@@ -16,7 +16,6 @@
 #define PDDL_DISK_DISK_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <set>
@@ -27,6 +26,7 @@
 #include "obs/probe.hh"
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
+#include "util/ring_queue.hh"
 
 namespace pddl {
 
@@ -128,7 +128,8 @@ class Disk
     obs::Probe probe_;
     int lane_;
 
-    std::deque<DiskRequest> queue_;
+    /** Arrival-ordered waiting requests (capacity kept for reuse). */
+    RingQueue<DiskRequest> queue_;
     bool busy_ = false;
     /** The request the arm is serving; valid only while busy_. */
     DiskRequest in_service_;

@@ -1,8 +1,11 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
+#include <cstring>
+#include <string_view>
 
 namespace pddl {
 namespace obs {
@@ -183,7 +186,87 @@ namespace {
 /** Instance identity that survives address reuse (see localShard). */
 std::atomic<uint64_t> next_registry_id{1};
 
+/** Per-thread writer identity; never reused, unlike thread ids. */
+std::atomic<uint64_t> next_thread_token{1};
+thread_local const uint64_t this_thread_token = next_thread_token++;
+
+constexpr size_t kInitialSlots = 64;
+
+size_t
+slotOf(const char *name, size_t mask)
+{
+    // Fibonacci hashing of the address: literals are only byte
+    // aligned, so every bit of the pointer must take part.
+    const uint64_t hash =
+        reinterpret_cast<uintptr_t>(name) * 0x9E3779B97F4A7C15ULL;
+    return static_cast<size_t>(hash >> 32) & mask;
+}
+
 } // namespace
+
+MetricsRegistry::NameIndex::NameIndex() : slots_(kInitialSlots) {}
+
+uint32_t
+MetricsRegistry::NameIndex::resolve(const char *name, bool &created)
+{
+    created = false;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = slotOf(name, mask);; i = (i + 1) & mask) {
+        Slot &slot = slots_[i];
+        if (slot.key == nullptr)
+            break;
+        if (slot.key != name)
+            continue;
+        if (std::strcmp(name, names_[slot.id]->c_str()) == 0)
+            return slot.id;
+        // The address was recycled for different text: rebind it.
+        slot.id = intern(name, created);
+        return slot.id;
+    }
+    const uint32_t id = intern(name, created);
+    remember(name, id);
+    return id;
+}
+
+uint32_t
+MetricsRegistry::NameIndex::intern(const char *name, bool &created)
+{
+    auto it = by_text_.find(std::string_view(name));
+    if (it != by_text_.end())
+        return it->second;
+    const auto id = static_cast<uint32_t>(names_.size());
+    it = by_text_.emplace(name, id).first;
+    names_.push_back(&it->first);
+    created = true;
+    return id;
+}
+
+void
+MetricsRegistry::NameIndex::remember(const char *name, uint32_t id)
+{
+    if (2 * (used_ + 1) > slots_.size()) {
+        // Half full. Mostly stale addresses (callers that build names
+        // in transient buffers) just start over -- every name stays
+        // resolvable by content -- otherwise the table doubles.
+        std::vector<Slot> old;
+        old.swap(slots_);
+        const bool stale = old.size() >= 8 * (names_.size() + 8);
+        slots_.assign(stale ? kInitialSlots : 2 * old.size(), Slot{});
+        used_ = 0;
+        if (!stale) {
+            for (const Slot &slot : old) {
+                if (slot.key != nullptr)
+                    remember(slot.key, slot.id);
+            }
+        }
+    }
+    const size_t mask = slots_.size() - 1;
+    size_t i = slotOf(name, mask);
+    while (slots_[i].key != nullptr)
+        i = (i + 1) & mask;
+    slots_[i] = {name, id};
+    ++used_;
+}
 
 MetricsRegistry::MetricsRegistry() : id_(next_registry_id++) {}
 
@@ -192,54 +275,83 @@ MetricsRegistry::~MetricsRegistry() = default;
 MetricsRegistry::Shard &
 MetricsRegistry::localShard()
 {
-    // Per-thread cache of (registry identity -> shard). The id check
-    // makes a cache hit safe even when a destroyed registry's address
-    // is recycled by a later one on the same worker thread.
+    // Per-thread cache of (registry identity -> shard), newest first.
+    // Keying on the id makes a hit safe even when a destroyed
+    // registry's address is recycled by a later one. A miss looks the
+    // thread up among the registry's shards before creating one, so a
+    // thread owns exactly one shard per registry however many
+    // registries it writes round-robin.
     struct CacheEntry
     {
-        const MetricsRegistry *owner;
         uint64_t id;
         Shard *shard;
     };
-    thread_local std::vector<CacheEntry> cache;
-    for (const CacheEntry &entry : cache) {
-        if (entry.owner == this && entry.id == id_)
-            return *entry.shard;
+    constexpr size_t kCacheEntries = 16;
+    thread_local std::array<CacheEntry, kCacheEntries> cache{};
+    thread_local size_t cached = 0;
+    for (size_t i = 0; i < cached; ++i) {
+        if (cache[i].id == id_)
+            return *cache[i].shard;
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    shards_.push_back(std::make_unique<Shard>());
-    Shard *shard = shards_.back().get();
-    if (cache.size() >= 16)
-        cache.erase(cache.begin());
-    cache.push_back({this, id_, shard});
+
+    Shard *shard = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const uint64_t token = this_thread_token;
+        for (const auto &candidate : shards_) {
+            if (candidate->writer == token)
+                shard = candidate.get();
+        }
+        if (shard == nullptr) {
+            shards_.push_back(std::make_unique<Shard>());
+            shard = shards_.back().get();
+            shard->writer = token;
+        }
+    }
+    if (cached < kCacheEntries)
+        ++cached;
+    std::move_backward(cache.begin(), cache.begin() + cached - 1,
+                       cache.begin() + cached);
+    cache[0] = {id_, shard};
     return *shard;
 }
 
 void
 MetricsRegistry::add(const char *name, double delta)
 {
-    localShard().counters[name] += delta;
+    Shard &shard = localShard();
+    bool created = false;
+    const uint32_t id = shard.counter_ids.resolve(name, created);
+    if (created)
+        shard.counters.push_back(0.0);
+    shard.counters[id] += delta;
 }
 
 void
 MetricsRegistry::gaugeMax(const char *name, double value)
 {
     Shard &shard = localShard();
-    auto [it, inserted] = shard.gauges.emplace(name, value);
-    if (!inserted)
-        it->second = std::max(it->second, value);
+    bool created = false;
+    const uint32_t id = shard.gauge_ids.resolve(name, created);
+    if (created)
+        shard.gauges.push_back(value);
+    else
+        shard.gauges[id] = std::max(shard.gauges[id], value);
 }
 
 void
 MetricsRegistry::observe(const char *name, double value_ms)
 {
-    HistogramData &histogram = localShard().histograms[name];
-    if (histogram.bounds.empty()) {
-        histogram.bounds = histogram_bounds_.empty()
-                               ? defaultLatencyBoundsMs()
-                               : histogram_bounds_;
-        histogram.counts.assign(histogram.bounds.size() + 1, 0);
+    Shard &shard = localShard();
+    bool created = false;
+    const uint32_t id = shard.histogram_ids.resolve(name, created);
+    if (created) {
+        HistogramData &fresh = shard.histograms.emplace_back();
+        fresh.bounds = histogram_bounds_.empty() ? defaultLatencyBoundsMs()
+                                                 : histogram_bounds_;
+        fresh.counts.assign(fresh.bounds.size() + 1, 0);
     }
+    HistogramData &histogram = shard.histograms[id];
     size_t bucket =
         std::upper_bound(histogram.bounds.begin(),
                          histogram.bounds.end(), value_ms) -
@@ -263,6 +375,22 @@ MetricsRegistry::setHistogramBounds(std::vector<double> bounds)
     histogram_bounds_ = std::move(bounds);
 }
 
+namespace {
+
+/** One series kind of a shard as a name-sorted (name, value) list. */
+template <typename T, typename Index>
+std::vector<std::pair<std::string, T>>
+sortedSeries(const Index &index, const std::vector<T> &values)
+{
+    std::vector<std::pair<std::string, T>> series;
+    series.reserve(values.size());
+    for (const auto &[name, id] : index.byName())
+        series.emplace_back(name, values[id]);
+    return series;
+}
+
+} // namespace
+
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
@@ -270,12 +398,10 @@ MetricsRegistry::snapshot() const
     MetricsSnapshot merged;
     for (const auto &shard : shards_) {
         MetricsSnapshot view;
-        view.counters.assign(shard->counters.begin(),
-                             shard->counters.end());
-        view.gauges.assign(shard->gauges.begin(),
-                           shard->gauges.end());
-        view.histograms.assign(shard->histograms.begin(),
-                               shard->histograms.end());
+        view.counters = sortedSeries(shard->counter_ids, shard->counters);
+        view.gauges = sortedSeries(shard->gauge_ids, shard->gauges);
+        view.histograms =
+            sortedSeries(shard->histogram_ids, shard->histograms);
         merged.merge(view);
     }
     return merged;

@@ -14,8 +14,13 @@
  * bit-identical across --threads.
  *
  * Metric names follow `component.metric[_unit]` (see README
- * "Observability"); callers pass string literals or otherwise
- * long-lived strings.
+ * "Observability"). A name is any NUL-terminated string and is
+ * compared by content: each shard interns it once and resolves it to
+ * a dense series id through a table keyed by the name's address, so
+ * after a series' first record every call is a pointer hash plus one
+ * strcmp -- no allocation, no string construction. Callers normally
+ * pass string literals; a buffer that is reused for different text
+ * is re-resolved by content, never aliased to the old series.
  */
 
 #ifndef PDDL_OBS_METRICS_HH
@@ -133,14 +138,59 @@ class MetricsRegistry
     size_t shardCount() const;
 
   private:
-    struct Shard
+    /**
+     * Name -> dense series id within one shard. A pointer-keyed
+     * open-addressing table fronts a content index: a hit hashes the
+     * name's address and confirms the text with one strcmp against
+     * the interned copy; a miss (new address, or a recycled address
+     * holding different text) resolves the text through the content
+     * index, so equal text at any address is one series.
+     */
+    class NameIndex
     {
-        std::map<std::string, double> counters;
-        std::map<std::string, double> gauges;
-        std::map<std::string, HistogramData> histograms;
+      public:
+        NameIndex();
+
+        /** Id of `name`; `created` is set when the series is new. */
+        uint32_t resolve(const char *name, bool &created);
+
+        /** Interned names in sorted order, with their ids. */
+        const std::map<std::string, uint32_t, std::less<>> &
+        byName() const
+        {
+            return by_text_;
+        }
+
+      private:
+        struct Slot
+        {
+            const char *key = nullptr;
+            uint32_t id = 0;
+        };
+
+        uint32_t intern(const char *name, bool &created);
+        void remember(const char *name, uint32_t id);
+
+        std::vector<Slot> slots_; ///< power-of-two sized
+        size_t used_ = 0;
+        std::map<std::string, uint32_t, std::less<>> by_text_;
+        /** Interned text by id (keys of by_text_; nodes are stable). */
+        std::vector<const std::string *> names_;
     };
 
-    /** This thread's shard, created on first use. */
+    /** One writer thread's series, stored flat by id. */
+    struct Shard
+    {
+        uint64_t writer = 0; ///< token of the thread that owns it
+        NameIndex counter_ids;
+        NameIndex gauge_ids;
+        NameIndex histogram_ids;
+        std::vector<double> counters;
+        std::vector<double> gauges;
+        std::vector<HistogramData> histograms;
+    };
+
+    /** This thread's shard, created on its first write. */
     Shard &localShard();
 
     const uint64_t id_; ///< instance identity for shard caching

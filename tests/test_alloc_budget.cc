@@ -1,0 +1,245 @@
+/**
+ * @file
+ * Allocation budget of the steady-state access path.
+ *
+ * Every heap allocation in this executable is counted: it replaces
+ * the global allocation functions, which is why it is a binary of its
+ * own instead of a suite in pddl_tests. The healthy cases run one
+ * small scenario twice through runScenario, with N and with 2N
+ * measured samples on the same seed. Both runs build the same stack
+ * and share their first N accesses, so the difference in allocations
+ * is what the second N accesses cost -- the steady state, free of
+ * setup. The budget is 0.01 allocations per access: the access path
+ * (metrics, disk queues, cache dirty set and read misses, rebuild
+ * stripes) is meant to allocate nothing once its pools have grown.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "core/scenario_spec.hh"
+#include "tune/scenario_runner.hh"
+
+namespace {
+
+std::atomic<uint64_t> g_allocations{0};
+
+void *
+countedAlloc(std::size_t size, std::size_t align) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (size == 0)
+        size = 1;
+    if (align <= alignof(std::max_align_t))
+        return std::malloc(size);
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
+void *
+countedAllocOrThrow(std::size_t size, std::size_t align)
+{
+    if (void *p = countedAlloc(size, align))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+// All eight replaceable new forms and all twelve delete forms, so no
+// allocation escapes the count and every block goes back to free().
+void *operator new(std::size_t n) { return countedAllocOrThrow(n, 0); }
+void *operator new[](std::size_t n) { return countedAllocOrThrow(n, 0); }
+void *
+operator new(std::size_t n, std::align_val_t a)
+{
+    return countedAllocOrThrow(n, static_cast<std::size_t>(a));
+}
+void *
+operator new[](std::size_t n, std::align_val_t a)
+{
+    return countedAllocOrThrow(n, static_cast<std::size_t>(a));
+}
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n, 0);
+}
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n, 0);
+}
+void *
+operator new(std::size_t n, std::align_val_t a,
+             const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+void *
+operator new[](std::size_t n, std::align_val_t a,
+               const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void
+operator delete(void *p, std::align_val_t, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::align_val_t, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+namespace pddl {
+namespace tune {
+namespace {
+
+constexpr double kBudgetPerAccess = 0.01;
+
+/** Allocations one runScenario call makes, and its outcome. */
+uint64_t
+allocationsOf(const std::string &spec_json, ScenarioOutcome &outcome)
+{
+    const ScenarioSpec spec = ScenarioSpec::parseOrThrow(spec_json);
+    RunScenarioOptions options;
+    options.seed = 42;
+    const uint64_t before = g_allocations.load();
+    outcome = runScenario(spec, options);
+    return g_allocations.load() - before;
+}
+
+/**
+ * Allocations per access over the second half: a run of `samples`
+ * measured accesses minus a run of half as many. `spec_head` is the
+ * spec's JSON without its closing brace and samples field.
+ */
+void
+expectSteadyStateAllocationFree(const std::string &spec_head,
+                                int64_t samples)
+{
+    const int64_t half = samples / 2;
+    ScenarioOutcome short_run, long_run;
+    const uint64_t short_allocs = allocationsOf(
+        spec_head + ", \"samples\": " + std::to_string(half) + "}",
+        short_run);
+    const uint64_t long_allocs = allocationsOf(
+        spec_head + ", \"samples\": " + std::to_string(samples) + "}",
+        long_run);
+    ASSERT_GT(long_run.samples, short_run.samples);
+    ASSERT_FALSE(long_run.data_loss);
+    const double per_access =
+        (static_cast<double>(long_allocs) -
+         static_cast<double>(short_allocs)) /
+        static_cast<double>(long_run.samples - short_run.samples);
+    EXPECT_LE(per_access, kBudgetPerAccess)
+        << long_allocs << " allocations in the long run, " << short_allocs
+        << " in the short one";
+}
+
+TEST(AllocBudget, ClosedLoopRmwOnPddlShard)
+{
+    // The paper's experiment: 8 closed-loop clients doing 8 KB
+    // read-modify-writes on one PDDL(13, 4) array.
+    expectSteadyStateAllocationFree(
+        R"({"shards": [{"layout": "pddl:width=4", "device": "hp2247",
+            "disks": 13}],
+            "client": "closed", "clients": 8, "offsets": "uniform",
+            "mix": [{"kb": 8, "op": "write", "weight": 1.0}],
+            "warmup": 500)",
+        20000);
+}
+
+TEST(AllocBudget, OpenLoopZipfThroughWriteBackCache)
+{
+    // Write-heavy zipf into a write-back tier at low watermarks, so
+    // the destage pump, read misses and stalls all run.
+    expectSteadyStateAllocationFree(
+        R"({"shards": [{"layout": "pddl:width=4", "device": "hp2247",
+            "disks": 13},
+            {"layout": "pddl:width=4", "device": "hp2247", "disks": 13}],
+            "chunk_units": 8, "dispatch_ms": 2.0,
+            "client": "open", "arrivals_per_s": 100.0,
+            "offsets": "zipf:0.99", "arrival": "poisson",
+            "mix": [{"kb": 8, "op": "write", "weight": 0.6},
+                    {"kb": 32, "op": "write", "weight": 0.1},
+                    {"kb": 8, "op": "read", "weight": 0.25},
+                    {"kb": 32, "op": "read", "weight": 0.05}],
+            "warmup": 500,
+            "cache": {"enabled": true, "kb": 4096, "high": 0.1,
+                      "low": 0.05})",
+        20000);
+}
+
+TEST(AllocBudget, ShardRebuildingAFailedDisk)
+{
+    // Shard 0 loses a disk early and rebuilds while mixed reads and
+    // writes keep arriving. The engine drains every event, so each
+    // run contains the whole rebuild sweep, however many samples it
+    // measures: the fault's cost is the difference to the same run
+    // without it -- the scheduler and rebuild setup plus every
+    // rebuilt stripe and every degraded access -- and it must fit
+    // the same per-access budget as the healthy access path.
+    const std::string head =
+        R"({"shards": [{"layout": "pddl:width=4", "device": "hp2247",
+            "disks": 13},
+            {"layout": "pddl:width=4", "device": "hp2247", "disks": 13}],
+            "chunk_units": 8, "dispatch_ms": 2.0,
+            "client": "open", "arrivals_per_s": 400.0,
+            "offsets": "uniform", "arrival": "poisson",
+            "mix": [{"kb": 8, "op": "read", "weight": 0.6},
+                    {"kb": 8, "op": "write", "weight": 0.4}],
+            "warmup": 500, "samples": 20000, "rebuild_parallel": 4)";
+    ScenarioOutcome healthy, rebuilding;
+    const uint64_t healthy_allocs = allocationsOf(head + "}", healthy);
+    const uint64_t rebuilding_allocs = allocationsOf(
+        head + R"(, "faults": [{"when_ms": 40.0, "shard": 0, "disk": 2}]})",
+        rebuilding);
+    ASSERT_EQ(rebuilding.rebuilds_completed, 1);
+    ASSERT_FALSE(rebuilding.data_loss);
+    ASSERT_EQ(healthy.samples, rebuilding.samples);
+    const double per_access =
+        (static_cast<double>(rebuilding_allocs) -
+         static_cast<double>(healthy_allocs)) /
+        static_cast<double>(rebuilding.samples);
+    EXPECT_LE(per_access, kBudgetPerAccess)
+        << rebuilding_allocs << " allocations with the rebuild, "
+        << healthy_allocs << " without";
+}
+
+} // namespace
+} // namespace tune
+} // namespace pddl

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "disk/disk.hh"
 #include "sim/event_queue.hh"
+#include "util/ring_queue.hh"
+#include "util/rng.hh"
 
 namespace pddl {
 namespace {
@@ -173,6 +177,33 @@ TEST_F(DiskFixture, DeterministicReplay)
         return last;
     };
     EXPECT_DOUBLE_EQ(run(), run());
+}
+
+TEST(RingQueue, MatchesDequeUnderRandomPushPopAndTake)
+{
+    // The disk queue's container: FIFO order, order-preserving
+    // removal from the middle (SSTF), growth while wrapped around.
+    RingQueue<int> ring;
+    std::deque<int> reference;
+    Rng rng(7);
+    for (int step = 0; step < 20000; ++step) {
+        const uint64_t op = rng.below(4);
+        if (op < 2 || reference.empty()) {
+            ring.push_back(step);
+            reference.push_back(step);
+        } else if (op == 2) {
+            ASSERT_EQ(ring.front(), reference.front());
+            ring.pop_front();
+            reference.pop_front();
+        } else {
+            const size_t i = rng.below(reference.size());
+            ASSERT_EQ(ring.take(i), reference[i]);
+            reference.erase(reference.begin() + i);
+        }
+        ASSERT_EQ(ring.size(), reference.size());
+    }
+    for (size_t i = 0; i < reference.size(); ++i)
+        EXPECT_EQ(ring[i], reference[i]);
 }
 
 } // namespace

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -15,6 +19,7 @@
 #include "obs/metrics.hh"
 #include "obs/probe.hh"
 #include "obs/trace.hh"
+#include "util/rng.hh"
 
 namespace pddl {
 namespace obs {
@@ -117,6 +122,186 @@ TEST(MetricsRegistry, ThreadLocalCacheSurvivesRegistryReuse)
         MetricsSnapshot snap = registry.snapshot();
         EXPECT_DOUBLE_EQ(snap.counter("r.count"), round + 1.0);
     }
+}
+
+TEST(MetricsRegistry, OneShardPerThreadAcrossManyRegistries)
+{
+    // A thread writing round-robin to more registries than its shard
+    // cache holds must still own exactly one shard in each, and each
+    // registry must snapshot exactly like one fed the same values.
+    constexpr int kRegistries = 17;
+    constexpr int kRounds = 100;
+    std::vector<std::unique_ptr<MetricsRegistry>> registries;
+    for (int r = 0; r < kRegistries; ++r)
+        registries.push_back(std::make_unique<MetricsRegistry>());
+    MetricsRegistry single;
+    for (int round = 0; round < kRounds; ++round) {
+        for (int r = 0; r < kRegistries; ++r) {
+            registries[r]->add("x");
+            registries[r]->observe("x.lat_ms", 0.1 * round + 0.01 * r);
+        }
+        single.add("x");
+        single.observe("x.lat_ms", 0.1 * round);
+    }
+    EXPECT_EQ(registries[0]->shardCount(), 1u);
+    EXPECT_EQ(registries[kRegistries - 1]->shardCount(), 1u);
+    EXPECT_EQ(registries[0]->snapshot().toJson().dump(),
+              single.snapshot().toJson().dump());
+}
+
+/**
+ * The registry's contract, written the simplest way: one name-keyed
+ * std::map per series kind, the storage the interned registry
+ * replaced. A single-writer registry must snapshot exactly like it.
+ */
+struct ReferenceRegistry
+{
+    std::map<std::string, double> counters;
+    std::map<std::string, double> gauges;
+    std::map<std::string, HistogramData> histograms;
+    std::vector<double> bounds;
+
+    void add(const char *name, double delta) { counters[name] += delta; }
+
+    void
+    gaugeMax(const char *name, double value)
+    {
+        auto [it, inserted] = gauges.emplace(name, value);
+        if (!inserted)
+            it->second = std::max(it->second, value);
+    }
+
+    void
+    observe(const char *name, double value)
+    {
+        HistogramData &h = histograms[name];
+        if (h.bounds.empty()) {
+            h.bounds = bounds.empty() ? defaultLatencyBoundsMs() : bounds;
+            h.counts.assign(h.bounds.size() + 1, 0);
+        }
+        ++h.counts[std::upper_bound(h.bounds.begin(), h.bounds.end(),
+                                    value) -
+                   h.bounds.begin()];
+        h.min = h.count == 0 ? value : std::min(h.min, value);
+        h.max = h.count == 0 ? value : std::max(h.max, value);
+        ++h.count;
+        h.sum += value;
+    }
+
+    std::string
+    json() const
+    {
+        MetricsSnapshot snap;
+        snap.counters.assign(counters.begin(), counters.end());
+        snap.gauges.assign(gauges.begin(), gauges.end());
+        snap.histograms.assign(histograms.begin(), histograms.end());
+        return snap.toJson().dump();
+    }
+};
+
+TEST(MetricsRegistry, InternedIdsMatchNameKeyedReference)
+{
+    // Names the audit draws from: short and long (past the 15-char
+    // small-string limit), the same text at two addresses (one
+    // series), and one buffer rewritten with different text between
+    // calls (never aliased to the series its old text named).
+    static const char kShort[] = "a.n";
+    static const char kLong[] = "component.a_rather_long_metric_name_ms";
+    static char dup_a[] = "dup.same_text_two_addresses";
+    static char dup_b[] = "dup.same_text_two_addresses";
+    ASSERT_NE(static_cast<const void *>(dup_a),
+              static_cast<const void *>(dup_b));
+    static char reused[64];
+    const char *const kReusedTexts[] = {"reused.first", "reused.second",
+                                        "reused.a_third_long_text"};
+    // Many live copies of a few texts: every copy is a new address,
+    // which drives the address table through growth and resets.
+    std::vector<std::string> copies;
+    for (int i = 0; i < 400; ++i)
+        copies.push_back("copy." + std::to_string(i % 5) +
+                         ".padding_to_leave_sso");
+
+    MetricsRegistry registry;
+    ReferenceRegistry reference;
+    Rng rng(20261017);
+    const std::vector<double> fine = {0.05, 0.1, 0.2, 0.5, 1.0, 4.0};
+    for (int step = 0; step < 20000; ++step) {
+        if (step == 7000) {
+            // Histograms created from here on take the fine bounds;
+            // ones already created keep the defaults.
+            registry.setHistogramBounds(fine);
+            reference.bounds = fine;
+        }
+        if (step == 14000) {
+            registry.setHistogramBounds({});
+            reference.bounds.clear();
+        }
+        const char *const fixed[] = {kShort, kLong, dup_a, dup_b};
+        const uint64_t pick = rng.below(6);
+        const char *name = nullptr;
+        if (pick < 4) {
+            name = fixed[pick];
+        } else if (pick == 4) {
+            std::strcpy(reused, kReusedTexts[rng.below(3)]);
+            name = reused;
+        } else {
+            name = copies[rng.below(copies.size())].c_str();
+        }
+        const double value = static_cast<double>(rng.below(5000)) * 0.003;
+        const uint64_t op = rng.below(3);
+        if (op == 0) {
+            registry.add(name, value);
+            reference.add(name, value);
+        } else if (op == 1) {
+            registry.gaugeMax(name, value);
+            reference.gaugeMax(name, value);
+        } else {
+            // Now and then a per-phase suffix, so some histograms are
+            // born under each bounds regime.
+            std::string phased;
+            if (rng.below(8) == 0) {
+                phased = std::string(name) + ".p" +
+                         std::to_string(step / 7000);
+                name = phased.c_str();
+            }
+            registry.observe(name, value);
+            reference.observe(name, value);
+        }
+    }
+    EXPECT_EQ(registry.shardCount(), 1u);
+    const MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.toJson().dump(), reference.json());
+
+    // Spot checks of the contract the audit covers implicitly.
+    EXPECT_NE(snap.counter("dup.same_text_two_addresses"), 0.0);
+    EXPECT_NE(snap.counter("reused.second"), 0.0);
+    const HistogramData *before = snap.histogram("a.n.p0");
+    const HistogramData *during = snap.histogram("a.n.p1");
+    ASSERT_NE(before, nullptr);
+    ASSERT_NE(during, nullptr);
+    EXPECT_EQ(before->bounds, defaultLatencyBoundsMs());
+    EXPECT_EQ(during->bounds, fine);
+}
+
+TEST(MetricsRegistry, ReusedBufferNeverAliasesOldSeries)
+{
+    MetricsRegistry registry;
+    char buffer[32];
+    std::strcpy(buffer, "first.series");
+    registry.add(buffer, 1.0);
+    registry.observe(buffer, 2.0);
+    std::strcpy(buffer, "second.series");
+    registry.add(buffer, 10.0);
+    registry.observe(buffer, 20.0);
+    std::strcpy(buffer, "first.series");
+    registry.add(buffer, 100.0);
+    MetricsSnapshot snap = registry.snapshot();
+    EXPECT_DOUBLE_EQ(snap.counter("first.series"), 101.0);
+    EXPECT_DOUBLE_EQ(snap.counter("second.series"), 10.0);
+    ASSERT_NE(snap.histogram("first.series"), nullptr);
+    ASSERT_NE(snap.histogram("second.series"), nullptr);
+    EXPECT_DOUBLE_EQ(snap.histogram("first.series")->sum, 2.0);
+    EXPECT_DOUBLE_EQ(snap.histogram("second.series")->sum, 20.0);
 }
 
 TEST(MetricsSnapshot, MergeSumsCountersAndKeepsGaugeMax)
