@@ -6,16 +6,54 @@
  * degraded-mode response-time cost of that imbalance.
  */
 
+#include "array/controller.hh"
 #include "bench_util.hh"
+#include "core/pddl_layout.hh"
 #include "layout/properties.hh"
+
+using namespace pddl;
+
+namespace {
+
+/**
+ * One degraded 8 KB read point on `layout`. No spec string names the
+ * identity-permutation layout, so this composes what runScenario
+ * builds for a no-fabric spec -- one EventQueue, one ArrayController,
+ * the closed-loop client -- under the paper spec's stopping rule.
+ */
+SimResult
+runDegradedReads(const Layout &layout, int clients, uint64_t seed,
+                 const obs::Probe &probe)
+{
+    const ScenarioSpec spec =
+        bench::paperSpec("pddl:width=4", 8, clients, AccessType::Read,
+                         ArrayMode::Degraded);
+    EventQueue events;
+    events.setProbe(probe);
+    ArrayController array(events, layout, device::hp2247(),
+                          {.mode = ArrayMode::Degraded,
+                           .failed_disk = 0,
+                           .probe = probe});
+    ClosedLoopConfig config;
+    config.clients = clients;
+    config.relative_tolerance = spec.ci_tolerance;
+    config.min_samples = spec.min_samples;
+    config.max_samples = spec.samples;
+    config.warmup = spec.warmup;
+    config.seed = seed;
+    ClosedLoopClient client(config);
+    client.start(events, array);
+    events.runUntilEmpty();
+    return client.result();
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
-    using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Ablation: satisfactory vs unsatisfactory base permutation");
-    const DeviceModel &model = device::hp2247();
 
     // Satisfactory (Bose) vs identity base permutation, 13 disks.
     PermutationGroup bose = boseConstruction(13, 4);
@@ -55,14 +93,11 @@ main(int argc, char **argv)
             harness::Experiment experiment;
             experiment.point = {figure, name, 8, clients,
                                 AccessType::Read, ArrayMode::Degraded};
-            experiment.config = bench::defaultSimConfig();
-            experiment.config.clients = clients;
-            experiment.config.access_units = 1;
-            experiment.config.type = AccessType::Read;
-            experiment.config.mode = ArrayMode::Degraded;
-            experiment.config.failed_disk = 0;
-            experiment.layout = layout;
-            experiment.device = &model;
+            experiment.run = [l = layout, clients](
+                                 uint64_t seed, const obs::Probe &probe,
+                                 harness::Extras &) {
+                return runDegradedReads(*l, clients, seed, probe);
+            };
             experiments.push_back(std::move(experiment));
         }
     }

@@ -8,8 +8,10 @@
 
 #include <functional>
 
+#include "array/controller.hh"
 #include "array/reconstruction.hh"
 #include "bench_util.hh"
+#include "core/pddl_layout.hh"
 #include "stats/welford.hh"
 #include "util/rng.hh"
 
@@ -81,9 +83,9 @@ main(int argc, char **argv)
                                     std::to_string(parallel),
                                 24, clients, AccessType::Read,
                                 ArrayMode::Degraded};
-            experiment.custom = [&layout, clients, parallel, stripes](
-                                    uint64_t seed,
-                                    harness::Extras &extras) {
+            experiment.run = [&layout, clients, parallel, stripes](
+                                 uint64_t seed, const obs::Probe &,
+                                 harness::Extras &extras) {
                 Outcome o =
                     run(layout, clients, parallel, stripes, seed);
                 extras.emplace_back("rebuild_ms", o.rebuild_ms);

@@ -13,9 +13,6 @@ main(int argc, char **argv)
     using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Ablation: SSTF scan-window depth vs response time");
-    PddlLayout layout = PddlLayout::make(13, 4);
-    const DeviceModel &model = device::hp2247();
-
     const char *figure = "Ablation sstf";
     const char *caption = "SSTF scan window (PDDL, 13 disks)";
     const std::vector<int> windows = {1, 2, 5, 10, 20, 40};
@@ -24,22 +21,16 @@ main(int argc, char **argv)
     std::vector<harness::Experiment> experiments;
     for (int window : windows) {
         for (int clients : client_counts) {
-            harness::Experiment experiment;
+            ScenarioSpec spec =
+                bench::paperSpec("pddl:width=4", 24, clients,
+                                 AccessType::Read, ArrayMode::FaultFree);
+            spec.sstf_window = window;
             // The window is part of the series label so that each
             // sweep point derives a distinct seed.
-            experiment.point = {figure,
-                                "PDDL/window=" +
-                                    std::to_string(window),
-                                24, clients, AccessType::Read,
-                                ArrayMode::FaultFree};
-            experiment.config = bench::defaultSimConfig();
-            experiment.config.clients = clients;
-            experiment.config.access_units = 3; // 24 KB
-            experiment.config.type = AccessType::Read;
-            experiment.config.sstf_window = window;
-            experiment.layout = &layout;
-            experiment.device = &model;
-            experiments.push_back(std::move(experiment));
+            experiments.push_back(bench::scenarioExperiment(
+                {figure, "PDDL/window=" + std::to_string(window), 24,
+                 clients, AccessType::Read, ArrayMode::FaultFree},
+                spec));
         }
     }
     harness::RunSummary summary =

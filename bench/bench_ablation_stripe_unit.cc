@@ -13,9 +13,6 @@ main(int argc, char **argv)
     using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Ablation: stripe-unit size at a fixed 96 KB logical access");
-    PddlLayout layout = PddlLayout::make(13, 4);
-    const DeviceModel &model = device::hp2247();
-
     const char *figure = "Ablation stripe unit";
     const char *caption = "stripe unit size (PDDL, 96 KB accesses)";
     const std::vector<int> unit_kbs = {4, 8, 16, 32, 64};
@@ -24,20 +21,14 @@ main(int argc, char **argv)
     std::vector<harness::Experiment> experiments;
     for (int unit_kb : unit_kbs) {
         for (int clients : client_counts) {
-            harness::Experiment experiment;
-            experiment.point = {figure,
-                                "PDDL/unit=" +
-                                    std::to_string(unit_kb) + "KB",
-                                96, clients, AccessType::Read,
-                                ArrayMode::FaultFree};
-            experiment.config = bench::defaultSimConfig();
-            experiment.config.clients = clients;
-            experiment.config.access_units = 96 / unit_kb;
-            experiment.config.unit_sectors = unit_kb * 2; // 512 B
-            experiment.config.type = AccessType::Read;
-            experiment.layout = &layout;
-            experiment.device = &model;
-            experiments.push_back(std::move(experiment));
+            ScenarioSpec spec =
+                bench::paperSpec("pddl:width=4", 96, clients,
+                                 AccessType::Read, ArrayMode::FaultFree);
+            spec.unit_sectors = unit_kb * 2; // 512 B
+            experiments.push_back(bench::scenarioExperiment(
+                {figure, "PDDL/unit=" + std::to_string(unit_kb) + "KB",
+                 96, clients, AccessType::Read, ArrayMode::FaultFree},
+                spec));
         }
     }
     harness::RunSummary summary =

@@ -9,7 +9,6 @@
  */
 
 #include "bench_util.hh"
-#include "workload/open_loop.hh"
 
 int
 main(int argc, char **argv)
@@ -17,8 +16,10 @@ main(int argc, char **argv)
     using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Extension: open-loop OLTP-ish workload mix across offered loads");
-    auto layouts = bench::evaluatedLayouts();
-    const DeviceModel &model = device::hp2247();
+    const std::vector<std::string> specs = bench::evaluatedLayouts();
+    std::vector<std::string> names;
+    for (const std::string &spec : specs)
+        names.push_back(layouts::makeLayout(spec, bench::kDisks)->name());
     const bool full = bench::fullFidelity();
 
     const char *figure = "Ablation workload mix";
@@ -31,45 +32,41 @@ main(int argc, char **argv)
 
     std::vector<harness::Experiment> experiments;
     for (ArrayMode mode : modes) {
-        for (const auto &layout : layouts) {
+        for (size_t l = 0; l < specs.size(); ++l) {
             for (double rate : rates) {
+                ScenarioSpec spec;
+                spec.shards = {{specs[l], "hp2247", bench::kDisks, "",
+                                mode == ArrayMode::Degraded ? 0 : -1}};
+                spec.dispatch_ms = 0.0;
+                spec.client = "open";
+                spec.arrivals_per_s = rate;
+                spec.mix = {{8, false, 0.7}, {24, true, 0.2},
+                            {96, false, 0.1}};
+                spec.samples = full ? 20000 : 2500;
+                spec.warmup = full ? 2000 : 250;
+
                 harness::Experiment experiment;
                 // The offered load goes into the series label so the
                 // seed hash distinguishes sweep points.
                 experiment.point = {
                     figure,
-                    layout->name() + "@" +
+                    names[l] + "@" +
                         std::to_string(static_cast<int>(rate)) + "/s",
                     0, 0, AccessType::Read, mode};
-                const Layout *l = layout.get();
-                experiment.custom =
-                    [l, &model, mode, rate, full](
-                        uint64_t seed, harness::Extras &extras) {
-                        OpenLoopSimConfig config;
-                        config.workload.arrivals_per_s = rate;
-                        config.workload.mix = {
-                            AccessMixEntry{1, AccessType::Read, 0.7},
-                            AccessMixEntry{3, AccessType::Write, 0.2},
-                            AccessMixEntry{12, AccessType::Read, 0.1},
-                        };
-                        config.mode = mode;
-                        config.failed_disk = 0;
-                        config.workload.samples = full ? 20000 : 2500;
-                        config.workload.warmup = full ? 2000 : 250;
-                        config.workload.seed = seed;
-                        OpenLoopResult r =
-                            runOpenLoop(*l, model, config);
-                        extras.emplace_back("p95_response_ms",
-                                            r.p95_response_ms);
-                        extras.emplace_back(
-                            "max_outstanding",
-                            static_cast<double>(r.max_outstanding));
-                        SimResult result;
-                        result.mean_response_ms = r.mean_response_ms;
-                        result.throughput_per_s = r.completed_per_s;
-                        result.samples = r.samples;
-                        return result;
-                    };
+                experiment.run = [spec = bench::normalized(spec)](
+                                     uint64_t seed, const obs::Probe &,
+                                     harness::Extras &extras) {
+                    tune::RunScenarioOptions options;
+                    options.seed = seed;
+                    const tune::ScenarioOutcome outcome =
+                        tune::runScenario(spec, options);
+                    extras.emplace_back("p95_response_ms",
+                                        outcome.p95_ms);
+                    extras.emplace_back(
+                        "max_outstanding",
+                        static_cast<double>(outcome.max_outstanding));
+                    return bench::simResult(outcome);
+                };
                 experiments.push_back(std::move(experiment));
             }
         }
@@ -90,8 +87,8 @@ main(int argc, char **argv)
             std::printf("  %8.0f     ", rate);
         std::printf("\n");
         bench::printRule(2 + 4);
-        for (const auto &layout : layouts) {
-            std::printf("%-20s", layout->name().c_str());
+        for (const std::string &name : names) {
+            std::printf("%-20s", name.c_str());
             for (size_t r = 0; r < rates.size(); ++r) {
                 const harness::PointResult &point =
                     summary.points[index++];

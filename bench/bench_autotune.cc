@@ -250,11 +250,7 @@ scenarioRow(const ScenarioSpec &spec, uint64_t seed,
                         static_cast<double>(outcome.stalled_end));
     extras.emplace_back("data_loss", outcome.data_loss ? 1.0 : 0.0);
     extras.emplace_back("max_outstanding", outcome.max_outstanding);
-    SimResult result;
-    result.mean_response_ms = outcome.mean_ms;
-    result.throughput_per_s = outcome.throughput_per_s;
-    result.samples = outcome.samples;
-    return result;
+    return bench::simResult(outcome);
 }
 
 } // namespace
@@ -355,8 +351,9 @@ main(int argc, char **argv)
         const uint64_t seed =
             row.holdout ? kHoldoutSeeds[0] : kTrainSeeds[0];
         const ScenarioSpec *spec = row.spec;
-        experiment.custom = [spec, seed, objective](
-                                uint64_t, harness::Extras &extras) {
+        experiment.run = [spec, seed, objective](
+                             uint64_t, const obs::Probe &,
+                             harness::Extras &extras) {
             return scenarioRow(*spec, seed, objective, extras);
         };
         experiments.push_back(std::move(experiment));
@@ -368,8 +365,8 @@ main(int argc, char **argv)
                             100, AccessType::Write,
                             ArrayMode::FaultFree};
         const tune::TuneChain *stats = &chain;
-        experiment.custom = [stats](uint64_t,
-                                    harness::Extras &extras) {
+        experiment.run = [stats](uint64_t, const obs::Probe &,
+                                 harness::Extras &extras) {
             extras.emplace_back("best_objective",
                                 stats->best_objective);
             extras.emplace_back("evaluated", stats->evaluated);

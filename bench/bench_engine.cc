@@ -216,36 +216,38 @@ runEventMesh(int timers, harness::Extras &extras)
 }
 
 /**
- * End-to-end engine rate: a fixed-sample closed-loop experiment on
- * the paper's array, measured in host time. Fixing min == max
- * samples (and a zero tolerance) pins the simulated work, so wall
- * time measures only the engine.
+ * End-to-end engine rate: a fixed-sample closed-loop scenario on the
+ * paper's array (one bare PDDL array, no fabric), measured in host
+ * time. The fixed sample budget pins the simulated work, so wall
+ * time measures only the engine (plus one array build).
  */
 SimResult
-runRequestRate(const Layout &layout, const DeviceModel &model,
-               AccessType type, uint64_t seed, harness::Extras &extras)
+runRequestRate(AccessType type, uint64_t seed, harness::Extras &extras)
 {
-    SimConfig config;
-    config.clients = 8;
-    config.access_units = 3; // 24 KB: mixes small + multi-unit ops
-    config.type = type;
-    config.relative_tolerance = 0.0;
-    config.min_samples = 6000;
-    config.max_samples = 6000;
-    config.warmup = 200;
-    config.seed = seed;
+    ScenarioSpec spec;
+    spec.dispatch_ms = 0.0;
+    spec.client = "closed";
+    spec.clients = 8;
+    // 24 KB: mixes small + multi-unit ops.
+    spec.mix = {{24, type == AccessType::Write, 1.0}};
+    spec.samples = 6000;
+    spec.warmup = 200;
+    spec = bench::normalized(spec);
+    tune::RunScenarioOptions options;
+    options.seed = seed;
 
     const uint64_t allocs_before = allocationCount();
     const auto start = Clock::now();
-    SimResult result = runClosedLoop(layout, model, config);
+    const tune::ScenarioOutcome outcome =
+        tune::runScenario(spec, options);
     const double wall_s = secondsSince(start);
     const uint64_t allocs = allocationCount() - allocs_before;
 
     const double accesses =
-        static_cast<double>(result.samples + config.warmup);
+        static_cast<double>(outcome.samples + spec.warmup);
     extras.emplace_back("host_requests_per_s", accesses / wall_s);
     extras.emplace_back("allocs_per_access", allocs / accesses);
-    return result;
+    return bench::simResult(outcome);
 }
 
 /**
@@ -355,8 +357,9 @@ main(int argc, char **argv)
     // Timing rows run serially by default; --threads overrides.
     cli.parseOrExit(argc, argv, /*default_threads=*/1);
 
-    const DeviceModel &model = device::hp2247();
-    auto layouts = bench::evaluatedLayouts();
+    std::vector<std::unique_ptr<Layout>> layouts;
+    for (const std::string &spec : bench::evaluatedLayouts())
+        layouts.push_back(pddl::layouts::makeLayout(spec, bench::kDisks));
 
     std::vector<harness::Experiment> experiments;
 
@@ -366,17 +369,11 @@ main(int argc, char **argv)
                             "event_queue/" + std::to_string(timers), 0,
                             timers, AccessType::Read,
                             ArrayMode::FaultFree};
-        experiment.custom = [timers](uint64_t,
-                                     harness::Extras &extras) {
+        experiment.run = [timers](uint64_t, const obs::Probe &,
+                                  harness::Extras &extras) {
             return runEventMesh(timers, extras);
         };
         experiments.push_back(std::move(experiment));
-    }
-
-    const Layout *pddl_layout = nullptr;
-    for (const auto &layout : layouts) {
-        if (std::string(layout->family()) == "pddl")
-            pddl_layout = layout.get();
     }
 
     for (AccessType type : {AccessType::Read, AccessType::Write}) {
@@ -385,11 +382,9 @@ main(int argc, char **argv)
                             harness::accessTypeName(type);
         experiment.point = {"Engine", label, 24, 8, type,
                             ArrayMode::FaultFree};
-        experiment.custom = [pddl_layout, &model, type](
-                                uint64_t seed,
+        experiment.run = [type](uint64_t seed, const obs::Probe &,
                                 harness::Extras &extras) {
-            return runRequestRate(*pddl_layout, model, type, seed,
-                                  extras);
+            return runRequestRate(type, seed, extras);
         };
         experiments.push_back(std::move(experiment));
     }
@@ -400,7 +395,8 @@ main(int argc, char **argv)
                             "map/" + std::string(layout->family()), 0,
                             0, AccessType::Read, ArrayMode::FaultFree};
         const Layout *l = layout.get();
-        experiment.custom = [l](uint64_t, harness::Extras &extras) {
+        experiment.run = [l](uint64_t, const obs::Probe &,
+                             harness::Extras &extras) {
             return runMappingRate(*l, extras);
         };
         experiments.push_back(std::move(experiment));

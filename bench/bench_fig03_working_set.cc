@@ -7,8 +7,8 @@
  * Columns: ffread / ffwrite / f1read / f1write per access size; for
  * PDDL, f1 designates the reconstruction (degraded) mode, matching
  * the figure's caption. The per-(layout, size) sweeps are pure
- * computation but independent, so they run as custom grid points on
- * the parallel runner like every simulated figure.
+ * computation but independent, so they run as grid points on the
+ * parallel runner like every simulated figure.
  */
 
 #include "array/working_set.hh"
@@ -20,7 +20,9 @@ main(int argc, char **argv)
     using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Figure 3: analytic disk working-set sizes per access size and mode");
-    auto layouts = bench::evaluatedLayouts();
+    std::vector<std::unique_ptr<Layout>> layouts;
+    for (const std::string &spec : bench::evaluatedLayouts())
+        layouts.push_back(pddl::layouts::makeLayout(spec, bench::kDisks));
 
     const char *figure = "Figure 3";
     const char *caption =
@@ -36,8 +38,8 @@ main(int argc, char **argv)
                                 ArrayMode::FaultFree};
             const Layout *l = layout.get();
             const int units = bench::unitsForKb(kb);
-            experiment.custom = [l, units](uint64_t,
-                                           harness::Extras &extras) {
+            experiment.run = [l, units](uint64_t, const obs::Probe &,
+                                        harness::Extras &extras) {
                 extras.emplace_back(
                     "ffread", averageWorkingSet(*l, units,
                                                 AccessType::Read));

@@ -13,9 +13,6 @@ main(int argc, char **argv)
     using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Figure 18: PDDL reads in fault-free, reconstruction and post-reconstruction modes");
-    PddlLayout layout = PddlLayout::make(13, 4);
-    const DeviceModel &model = device::hp2247();
-
     const char *figure = "Figure 18";
     const char *caption = "PDDL read response times: fault free, "
                           "reconstruction, and post-reconstruction";
@@ -35,18 +32,11 @@ main(int argc, char **argv)
     for (int kb : sizes) {
         for (const Mode &mode : modes) {
             for (int clients : bench::kClientCounts) {
-                harness::Experiment experiment;
-                experiment.point = {figure, mode.name, kb, clients,
-                                    AccessType::Read, mode.mode};
-                experiment.config = bench::defaultSimConfig();
-                experiment.config.clients = clients;
-                experiment.config.access_units = bench::unitsForKb(kb);
-                experiment.config.type = AccessType::Read;
-                experiment.config.mode = mode.mode;
-                experiment.config.failed_disk = 0;
-                experiment.layout = &layout;
-                experiment.device = &model;
-                experiments.push_back(std::move(experiment));
+                experiments.push_back(bench::scenarioExperiment(
+                    {figure, mode.name, kb, clients, AccessType::Read,
+                     mode.mode},
+                    bench::paperSpec("pddl:width=4", kb, clients,
+                                     AccessType::Read, mode.mode)));
             }
         }
     }

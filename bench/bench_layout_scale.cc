@@ -37,6 +37,7 @@
 #include "bench_util.hh"
 #include "core/imbalance.hh"
 #include "core/layout_search.hh"
+#include "core/pddl_layout.hh"
 #include "layout/developed_random.hh"
 #include "layout/tdesign.hh"
 #include "util/rng.hh"
@@ -123,8 +124,8 @@ addDraidPoints(std::vector<harness::Experiment> &experiments,
                                         shape),
                             shape.n, shape.spares, AccessType::Read,
                             ArrayMode::Degraded};
-        experiment.custom = [shape, derand](uint64_t,
-                                            harness::Extras &extras) {
+        experiment.run = [shape, derand](uint64_t, const obs::Probe &,
+                                         harness::Extras &extras) {
             LayoutSearchOptions opt;
             opt.chains = kChains;
             opt.moves = derand ? movesFor(shape.n) : 0;
@@ -163,8 +164,9 @@ addLayoutPoint(std::vector<harness::Experiment> &experiments,
     experiment.point = {"LayoutScale", seriesLabel(series, shape),
                         shape.n, shape.spares, AccessType::Read,
                         ArrayMode::Degraded};
-    experiment.custom = [build = std::move(build)](
-                            uint64_t, harness::Extras &extras) {
+    experiment.run = [build = std::move(build)](
+                         uint64_t, const obs::Probe &,
+                         harness::Extras &extras) {
         std::unique_ptr<Layout> layout = build();
         ImbalanceEvaluator eval =
             ImbalanceEvaluator::forLayout(*layout);

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "core/pddl_layout.hh"
 #include "fault/fault_scheduler.hh"
 #include "sim/parallel_engine.hh"
 #include "volume/volume_manager.hh"
@@ -381,9 +382,9 @@ main(int argc, char **argv)
                                 AccessType::Read,
                                 faulted ? ArrayMode::Degraded
                                         : ArrayMode::FaultFree};
-            experiment.custom = [shards, faulted](
-                                    uint64_t seed,
-                                    harness::Extras &extras) {
+            experiment.run = [shards, faulted](
+                                 uint64_t seed, const obs::Probe &,
+                                 harness::Extras &extras) {
                 return runScaleout(shards, faulted, seed, extras);
             };
             experiments.push_back(std::move(experiment));

@@ -197,22 +197,10 @@ runRow(const Row &row, uint64_t seed, harness::Extras &extras)
                             outcome.data_loss ? 1.0 : 0.0);
     }
 
-    SimResult result;
-    result.mean_response_ms = outcome.mean_ms;
-    result.throughput_per_s = outcome.throughput_per_s;
-    result.samples = outcome.samples;
-    return result;
+    return bench::simResult(outcome);
 }
 
-double
-extra(const harness::PointResult &point, const char *key)
-{
-    for (const auto &[name, value] : point.extras) {
-        if (name == key)
-            return value;
-    }
-    return 0.0;
-}
+using bench::extra;
 
 const harness::PointResult *
 findRow(const harness::RunSummary &summary, const std::string &label)
@@ -462,8 +450,8 @@ main(int argc, char **argv)
                     row.spec.faults.empty()
                 ? ArrayMode::FaultFree
                 : ArrayMode::Degraded};
-        experiment.custom = [&row](uint64_t seed,
-                                   harness::Extras &extras) {
+        experiment.run = [&row](uint64_t seed, const obs::Probe &,
+                                harness::Extras &extras) {
             return runRow(row, seed, extras);
         };
         experiments.push_back(std::move(experiment));

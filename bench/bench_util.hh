@@ -27,22 +27,20 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/layout_spec.hh"
-#include "core/pddl_layout.hh"
 #include "core/scenario_spec.hh"
 #include "disk/device_model.hh"
 #include "harness/arg_parser.hh"
 #include "harness/runner.hh"
 #include "harness/thread_pool.hh"
-#include "layout/datum.hh"
-#include "layout/parity_decluster.hh"
-#include "layout/prime.hh"
-#include "layout/raid5.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "tune/scenario_runner.hh"
 #include "workload/closed_loop.hh"
 
 namespace pddl {
@@ -55,6 +53,9 @@ inline const std::vector<int> kClientCounts = {1, 2, 4, 8, 10, 15, 20, 25};
 inline const std::vector<int> kAccessSizesKb = {8,   24,  48,  72,  96,
                                                 120, 144, 168, 192, 216,
                                                 240, 288, 336};
+
+/** Disks in the paper's evaluated array (Table 2). */
+inline constexpr int kDisks = 13;
 
 /** KB -> stripe units (8 KB units). */
 inline int
@@ -71,23 +72,88 @@ fullFidelity()
     return env != nullptr && std::strcmp(env, "0") != 0;
 }
 
-/** Simulation defaults: fast but shape-preserving, or Table 2 exact. */
-inline SimConfig
-defaultSimConfig()
+/**
+ * Validate and canonicalize a bench-built spec; a bench that cannot
+ * describe its own grid is a bug, so this throws.
+ */
+inline ScenarioSpec
+normalized(ScenarioSpec spec)
 {
-    SimConfig config;
-    if (fullFidelity()) {
-        config.relative_tolerance = 0.02;
-        config.min_samples = 1000;
-        config.max_samples = 200000;
-        config.warmup = 500;
-    } else {
-        config.relative_tolerance = 0.06;
-        config.min_samples = 250;
-        config.max_samples = 2500;
-        config.warmup = 120;
+    std::string error;
+    if (!spec.normalize(error))
+        throw std::runtime_error("bench scenario: " + error);
+    return spec;
+}
+
+/**
+ * One closed-loop point on the paper's array (Table 2): `clients`
+ * clients issuing `kb` KB accesses to a bare 13-disk array (no
+ * fabric), disk 0 failed outside FaultFree, under the bench stopping
+ * rule -- fast but shape-preserving, or with PDDL_BENCH_FULL=1 the
+ * paper's 2 % at 95 % confidence.
+ */
+inline ScenarioSpec
+paperSpec(const std::string &layout, int kb, int clients,
+          AccessType type, ArrayMode mode,
+          const std::string &device = "hp2247")
+{
+    ScenarioSpec spec;
+    spec.shards = {{layout, device, kDisks, "",
+                    mode == ArrayMode::FaultFree ? -1 : 0,
+                    mode == ArrayMode::PostReconstruction}};
+    spec.dispatch_ms = 0.0;
+    spec.client = "closed";
+    spec.clients = clients;
+    spec.mix = {{kb, type == AccessType::Write, 1.0}};
+    const bool full = fullFidelity();
+    spec.ci_tolerance = full ? 0.02 : 0.06;
+    spec.min_samples = full ? 1000 : 250;
+    spec.samples = full ? 200000 : 2500;
+    spec.warmup = full ? 500 : 120;
+    return spec;
+}
+
+/** A closed-loop outcome as the harness's row. */
+inline SimResult
+simResult(const tune::ScenarioOutcome &outcome)
+{
+    return {.mean_response_ms = outcome.mean_ms,
+            .ci_half_width_ms = outcome.ci_half_width_ms,
+            .throughput_per_s = outcome.throughput_per_s,
+            .samples = outcome.samples,
+            .non_local_seeks = outcome.non_local_seeks,
+            .cylinder_switches = outcome.cylinder_switches,
+            .track_switches = outcome.track_switches,
+            .no_switches = outcome.no_switches};
+}
+
+/** The extra named `key` of a finished point (0 when absent). */
+inline double
+extra(const harness::PointResult &point, const char *key)
+{
+    for (const auto &[name, value] : point.extras) {
+        if (name == key)
+            return value;
     }
-    return config;
+    return 0.0;
+}
+
+/**
+ * A grid point that runs `spec` through runScenario with the point's
+ * derived seed and probe.
+ */
+inline harness::Experiment
+scenarioExperiment(harness::GridPoint point, const ScenarioSpec &spec)
+{
+    return {std::move(point),
+            [spec = normalized(spec)](uint64_t seed,
+                                      const obs::Probe &probe,
+                                      harness::Extras &) {
+                tune::RunScenarioOptions options;
+                options.seed = seed;
+                options.probe = probe;
+                return simResult(tune::runScenario(spec, options));
+            }};
 }
 
 /** Print a row separator sized to `width` columns of 10 chars. */
@@ -146,36 +212,25 @@ options()
 }
 
 /**
- * The evaluated layout set on the 13-disk array of Table 2: the five
- * paper layouts, or just the --layout override when one was given.
+ * The evaluated layout specs on the 13-disk array of Table 2: the
+ * five paper layouts, or just the --layout override when one was
+ * given.
  */
-inline std::vector<std::unique_ptr<Layout>>
+inline std::vector<std::string>
 evaluatedLayouts()
 {
-    std::vector<std::unique_ptr<Layout>> layouts;
-    if (!options().layout_spec.empty()) {
-        layouts.push_back(
-            pddl::layouts::makeLayout(options().layout_spec, 13));
-        return layouts;
-    }
-    layouts.push_back(std::make_unique<DatumLayout>(13, 4));
-    layouts.push_back(std::make_unique<ParityDeclusterLayout>(
-        ParityDeclusterLayout::make(13, 4)));
-    layouts.push_back(std::make_unique<Raid5Layout>(13));
-    layouts.push_back(
-        std::make_unique<PddlLayout>(PddlLayout::make(13, 4)));
-    layouts.push_back(std::make_unique<PrimeLayout>(13, 4));
-    return layouts;
+    if (!options().layout_spec.empty())
+        return {options().layout_spec};
+    return {"datum:width=4,check=1", "parity:width=4", "raid5",
+            "pddl:width=4", "prime:width=4"};
 }
 
-/** The drive every bench simulates: --device, or the paper's drive. */
-inline const DeviceModel &
+/** The drive spec every bench simulates: --device, or hp2247. */
+inline std::string
 benchDevice()
 {
-    static std::shared_ptr<const DeviceModel> owned;
-    if (!options().device_spec.empty() && owned == nullptr)
-        owned = device::makeDevice(options().device_spec);
-    return owned != nullptr ? *owned : device::hp2247();
+    return options().device_spec.empty() ? "hp2247"
+                                         : options().device_spec;
 }
 
 /** The shared flight recorder behind --trace. */
@@ -502,32 +557,22 @@ runResponseTimeFigure(const char *figure, const char *caption,
                       const std::vector<int> &sizes_kb, AccessType type,
                       ArrayMode mode)
 {
-    auto layouts = evaluatedLayouts();
-    const DeviceModel &model = benchDevice();
-
-    auto skip = [&](const Layout &layout) {
-        return mode == ArrayMode::PostReconstruction &&
-               !layout.hasSparing();
-    };
+    // Post-reconstruction needs spare space to rebuild into.
+    std::vector<std::pair<std::string, std::string>> series;
+    for (const std::string &spec : evaluatedLayouts()) {
+        auto layout = layouts::makeLayout(spec, kDisks);
+        if (mode != ArrayMode::PostReconstruction || layout->hasSparing())
+            series.emplace_back(spec, layout->name());
+    }
 
     std::vector<harness::Experiment> experiments;
     for (int kb : sizes_kb) {
-        for (const auto &layout : layouts) {
-            if (skip(*layout))
-                continue;
+        for (const auto &[spec, name] : series) {
             for (int clients : kClientCounts) {
-                harness::Experiment experiment;
-                experiment.point = {figure, layout->name(), kb,
-                                    clients, type, mode};
-                experiment.config = defaultSimConfig();
-                experiment.config.clients = clients;
-                experiment.config.access_units = unitsForKb(kb);
-                experiment.config.type = type;
-                experiment.config.mode = mode;
-                experiment.config.failed_disk = 0;
-                experiment.layout = layout.get();
-                experiment.device = &model;
-                experiments.push_back(std::move(experiment));
+                experiments.push_back(scenarioExperiment(
+                    {figure, name, kb, clients, type, mode},
+                    paperSpec(spec, kb, clients, type, mode,
+                              benchDevice())));
             }
         }
     }
@@ -549,10 +594,8 @@ runResponseTimeFigure(const char *figure, const char *caption,
             std::printf("  %6d    ", clients);
         std::printf("\n");
         printRule(2 + static_cast<int>(kClientCounts.size()));
-        for (const auto &layout : layouts) {
-            if (skip(*layout))
-                continue;
-            std::printf("%-20s", layout->name().c_str());
+        for (const auto &entry : series) {
+            std::printf("%-20s", entry.second.c_str());
             for (size_t c = 0; c < kClientCounts.size(); ++c) {
                 const SimResult &r = summary.points[index++].result;
                 std::printf("  %6.1f@%-4.0f", r.mean_response_ms,
@@ -573,26 +616,16 @@ inline void
 runSeekCountFigure(const char *figure, const char *caption,
                    AccessType type, ArrayMode mode)
 {
-    auto layouts = evaluatedLayouts();
-    const DeviceModel &model = benchDevice();
-
+    std::vector<std::string> names;
     std::vector<harness::Experiment> experiments;
-    for (const auto &layout : layouts) {
+    for (const std::string &spec : evaluatedLayouts()) {
+        names.push_back(layouts::makeLayout(spec, kDisks)->name());
         for (int kb : kAccessSizesKb) {
-            harness::Experiment experiment;
             // Section 4: counts are almost workload independent; a
             // moderate concurrency keeps queues busy.
-            experiment.point = {figure, layout->name(), kb, 8, type,
-                                mode};
-            experiment.config = defaultSimConfig();
-            experiment.config.clients = 8;
-            experiment.config.access_units = unitsForKb(kb);
-            experiment.config.type = type;
-            experiment.config.mode = mode;
-            experiment.config.failed_disk = 0;
-            experiment.layout = layout.get();
-            experiment.device = &model;
-            experiments.push_back(std::move(experiment));
+            experiments.push_back(scenarioExperiment(
+                {figure, names.back(), kb, 8, type, mode},
+                paperSpec(spec, kb, 8, type, mode, benchDevice())));
         }
     }
     harness::RunSummary summary = runGrid(figure, caption, experiments);
@@ -601,8 +634,8 @@ runSeekCountFigure(const char *figure, const char *caption,
     std::printf("(per logical access: non-local / cylinder switch / "
                 "track switch / no-switch)\n");
     size_t index = 0;
-    for (const auto &layout : layouts) {
-        std::printf("\n-- %s --\n", layout->name().c_str());
+    for (const std::string &name : names) {
+        std::printf("\n-- %s --\n", name.c_str());
         std::printf("%8s  %9s  %9s  %9s  %9s  %9s\n", "size KB",
                     "non-local", "cyl-sw", "trk-sw", "no-sw", "total");
         for (int kb : kAccessSizesKb) {

@@ -11,40 +11,53 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
-#include "core/pddl_layout.hh"
-#include "layout/raid5.hh"
-#include "workload/closed_loop.hh"
+#include "tune/scenario_runner.hh"
 
 using namespace pddl;
 
 namespace {
 
-SimResult
-measure(const Layout &layout, ArrayMode mode, int clients, int units,
-        AccessType type)
+/** One closed-loop measurement on a bare 13-disk array (no fabric). */
+tune::ScenarioOutcome
+measure(const std::string &layout, ArrayMode mode, int clients, int kb,
+        bool write)
 {
-    SimConfig config;
-    config.clients = clients;
-    config.access_units = units;
-    config.type = type;
-    config.mode = mode;
-    config.failed_disk = 0;
-    config.relative_tolerance = 0.05;
-    config.min_samples = 300;
-    config.max_samples = 6000;
-    config.warmup = 150;
-    return runClosedLoop(layout, device::hp2247(), config);
+    ScenarioSpec spec;
+    spec.shards.front().layout = layout;
+    spec.shards.front().disks = 13;
+    if (mode != ArrayMode::FaultFree)
+        spec.shards.front().failed_disk = 0;
+    spec.shards.front().rebuilt = mode == ArrayMode::PostReconstruction;
+    spec.dispatch_ms = 0.0;
+    spec.client = "closed";
+    spec.clients = clients;
+    spec.mix = {{kb, write, 1.0}};
+    spec.ci_tolerance = 0.05;
+    spec.min_samples = 300;
+    spec.samples = 6000;
+    spec.warmup = 150;
+    std::string error;
+    if (!spec.normalize(error)) {
+        std::fprintf(stderr, "bad scenario: %s\n", error.c_str());
+        std::exit(1);
+    }
+    return tune::runScenario(spec, tune::RunScenarioOptions{});
 }
 
 void
-report(const char *phase, const SimResult &reads,
-       const SimResult &writes)
+report(const char *phase, const std::string &layout, ArrayMode mode,
+       int clients, int kb)
 {
+    const tune::ScenarioOutcome reads =
+        measure(layout, mode, clients, kb, false);
+    const tune::ScenarioOutcome writes =
+        measure(layout, mode, clients, kb, true);
     std::printf("%-28s reads: %6.1f ms @ %5.0f/s    writes: %6.1f ms "
                 "@ %5.0f/s\n",
-                phase, reads.mean_response_ms, reads.throughput_per_s,
-                writes.mean_response_ms, writes.throughput_per_s);
+                phase, reads.mean_ms, reads.throughput_per_s,
+                writes.mean_ms, writes.throughput_per_s);
 }
 
 } // namespace
@@ -54,8 +67,7 @@ main(int argc, char **argv)
 {
     const int clients = argc > 1 ? std::atoi(argv[1]) : 10;
     const int access_kb = argc > 2 ? std::atoi(argv[2]) : 48;
-    const int units = access_kb / 8;
-    if (clients < 1 || units < 1) {
+    if (clients < 1 || access_kb / 8 < 1) {
         std::fprintf(stderr,
                      "usage: %s [clients >= 1] [access_kb multiple "
                      "of 8]\n",
@@ -63,43 +75,25 @@ main(int argc, char **argv)
         return 1;
     }
 
-    PddlLayout pddl = PddlLayout::make(13, 4);
-    Raid5Layout raid5(13);
-
     std::printf("Storage server lifecycle: 13 HP 2247 disks, %d "
                 "clients, %d KB accesses\n\n",
                 clients, access_kb);
 
     std::printf("== PDDL (3 stripes of width 4 + distributed spare) "
                 "==\n");
-    report("healthy",
-           measure(pddl, ArrayMode::FaultFree, clients, units,
-                   AccessType::Read),
-           measure(pddl, ArrayMode::FaultFree, clients, units,
-                   AccessType::Write));
-    report("disk 0 failed (rebuilding)",
-           measure(pddl, ArrayMode::Degraded, clients, units,
-                   AccessType::Read),
-           measure(pddl, ArrayMode::Degraded, clients, units,
-                   AccessType::Write));
-    report("rebuilt into spare space",
-           measure(pddl, ArrayMode::PostReconstruction, clients,
-                   units, AccessType::Read),
-           measure(pddl, ArrayMode::PostReconstruction, clients,
-                   units, AccessType::Write));
+    report("healthy", "pddl:width=4", ArrayMode::FaultFree, clients,
+           access_kb);
+    report("disk 0 failed (rebuilding)", "pddl:width=4",
+           ArrayMode::Degraded, clients, access_kb);
+    report("rebuilt into spare space", "pddl:width=4",
+           ArrayMode::PostReconstruction, clients, access_kb);
 
     std::printf("\n== RAID-5 baseline (no declustering, no spare) "
                 "==\n");
-    report("healthy",
-           measure(raid5, ArrayMode::FaultFree, clients, units,
-                   AccessType::Read),
-           measure(raid5, ArrayMode::FaultFree, clients, units,
-                   AccessType::Write));
-    report("disk 0 failed (forever)",
-           measure(raid5, ArrayMode::Degraded, clients, units,
-                   AccessType::Read),
-           measure(raid5, ArrayMode::Degraded, clients, units,
-                   AccessType::Write));
+    report("healthy", "raid5", ArrayMode::FaultFree, clients,
+           access_kb);
+    report("disk 0 failed (forever)", "raid5", ArrayMode::Degraded,
+           clients, access_kb);
 
     std::printf("\nDeclustering spreads the failure's extra load "
                 "over all survivors, and PDDL's\ndistributed spare "

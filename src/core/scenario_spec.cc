@@ -155,6 +155,8 @@ ScenarioSpec::toJson() const
             .set("disks", shard.disks)
             .set("tier", shard.tier)
             .set("failed_disk", shard.failed_disk);
+        if (shard.rebuilt)
+            s.set("rebuilt", true);
         shard_list.push(std::move(s));
     }
     Json mix_list = Json::array();
@@ -199,8 +201,12 @@ ScenarioSpec::toJson() const
         .set("arrival", arrival)
         .set("mix", std::move(mix_list))
         .set("samples", samples)
-        .set("warmup", warmup)
-        .set("cache", std::move(cache))
+        .set("warmup", warmup);
+    if (ci_tolerance != 0.0)
+        doc.set("ci_tolerance", ci_tolerance);
+    if (min_samples != 0)
+        doc.set("min_samples", min_samples);
+    doc.set("cache", std::move(cache))
         .set("faults", std::move(fault_list))
         .set("rebuild_parallel", rebuild_parallel);
     return doc;
@@ -225,7 +231,8 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
                     "dispatch_ms", "unit_sectors", "sstf_window",
                     "client", "arrivals_per_s", "clients", "think_ms",
                     "offsets", "arrival", "mix", "samples", "warmup",
-                    "cache", "faults", "rebuild_parallel"},
+                    "ci_tolerance", "min_samples", "cache", "faults",
+                    "rebuild_parallel"},
                    error))
         return false;
 
@@ -248,7 +255,7 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
             }
             if (!checkKeys(item, anchor,
                            {"layout", "device", "disks", "tier",
-                            "failed_disk"},
+                            "failed_disk", "rebuilt"},
                            error))
                 return false;
             ScenarioShard shard;
@@ -259,7 +266,8 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
                 !getInt(item, "disks", anchor, shard.disks, error) ||
                 !getString(item, "tier", anchor, shard.tier, error) ||
                 !getInt(item, "failed_disk", anchor, shard.failed_disk,
-                        error))
+                        error) ||
+                !getBool(item, "rebuilt", anchor, shard.rebuilt, error))
                 return false;
             out.shards.push_back(std::move(shard));
         }
@@ -280,6 +288,8 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
         !getString(doc, "arrival", "", out.arrival, error) ||
         !getInt(doc, "samples", "", out.samples, error) ||
         !getInt(doc, "warmup", "", out.warmup, error) ||
+        !getDouble(doc, "ci_tolerance", "", out.ci_tolerance, error) ||
+        !getInt(doc, "min_samples", "", out.min_samples, error) ||
         !getInt(doc, "rebuild_parallel", "", out.rebuild_parallel,
                 error))
         return false;
@@ -421,8 +431,10 @@ ScenarioSpec::normalize(std::string &error)
         // A spec that parses but cannot build at this disk count
         // (mirror copies not dividing n, width > n) must fail here,
         // with the anchor, not mid-simulation.
+        bool sparing = false;
         try {
-            layouts::buildLayout(layout, shard.disks);
+            sparing = layouts::buildLayout(layout, shard.disks)
+                          ->hasSparing();
         } catch (const std::exception &e) {
             error = anchor + ".layout: " + e.what();
             return false;
@@ -438,6 +450,11 @@ ScenarioSpec::normalize(std::string &error)
             shard.failed_disk >= shard.disks) {
             error = anchor + ".failed_disk: must be -1 (healthy) or "
                              "a disk index below disks";
+            return false;
+        }
+        if (shard.rebuilt && (shard.failed_disk < 0 || !sparing)) {
+            error = anchor + ".rebuilt: needs failed_disk >= 0 and a "
+                             "layout with spare space";
             return false;
         }
     }
@@ -457,8 +474,10 @@ ScenarioSpec::normalize(std::string &error)
         error = "chunk_units: must be >= 1";
         return false;
     }
-    if (!(dispatch_ms > 0.0)) {
-        error = "dispatch_ms: must be > 0";
+    if (!(dispatch_ms > 0.0) &&
+        (dispatch_ms != 0.0 || shards.size() != 1)) {
+        error = "dispatch_ms: must be > 0, or 0 (no fabric) with "
+                "exactly one shard";
         return false;
     }
     if (unit_sectors < 2 || unit_sectors % 2 != 0) {
@@ -521,6 +540,18 @@ ScenarioSpec::normalize(std::string &error)
     }
     if (warmup < 0) {
         error = "warmup: must be >= 0";
+        return false;
+    }
+    if (!(ci_tolerance >= 0.0) ||
+        (ci_tolerance > 0.0 && client != "closed")) {
+        error = "ci_tolerance: must be >= 0, and 0 unless client is "
+                "\"closed\"";
+        return false;
+    }
+    if (min_samples < (ci_tolerance > 0.0 ? 2 : 0) ||
+        min_samples > samples) {
+        error = "min_samples: must be at most samples, and at least 2 "
+                "with a ci_tolerance";
         return false;
     }
     if (cache_enabled) {

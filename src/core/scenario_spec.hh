@@ -57,6 +57,8 @@ struct ScenarioShard
     std::string tier;
     /** >= 0 starts the shard degraded with this disk down. */
     int failed_disk = -1;
+    /** failed_disk already rebuilt into spare space (needs sparing). */
+    bool rebuilt = false;
 
     bool operator==(const ScenarioShard &o) const = default;
 };
@@ -92,7 +94,8 @@ struct ScenarioSpec
     std::string placement = "static";
     /** Striping chunk in stripe units. */
     int chunk_units = 8;
-    /** Volume -> shard dispatch latency in ms (engine lookahead). */
+    /** Volume -> shard dispatch latency in ms (engine lookahead);
+     *  0 = no fabric: one shard as a bare array on one queue. */
     double dispatch_ms = 2.0;
     /** Sectors per stripe unit (16 x 512 B = the paper's 8 KB). */
     int unit_sectors = 16;
@@ -113,9 +116,14 @@ struct ScenarioSpec
     std::string arrival = "poisson";
     /** Access mix; empty means one 8 KB read. */
     std::vector<ScenarioMix> mix;
-    /** Measured completions / arrivals after warmup. */
+    /** Measured completions / arrivals after warmup (the maximum
+     *  under a ci_tolerance). */
     int64_t samples = 2000;
     int64_t warmup = 200;
+    /** Closed loop: stop once the 95 % CI half-width is within this
+     *  fraction of the mean, after min_samples; 0 = fixed budget. */
+    double ci_tolerance = 0.0;
+    int64_t min_samples = 0;
 
     // ---- cache tier ----
     bool cache_enabled = false;
@@ -137,7 +145,8 @@ struct ScenarioSpec
 
     /**
      * Canonical compact one-line JSON: every field, fixed order,
-     * nested specs normalized. parse(describe()) == *this for any
+     * nested specs normalized (rebuilt, ci_tolerance, min_samples
+     * only when not default). parse(describe()) == *this for any
      * valid spec (construct via parse() or call normalize() first).
      */
     std::string describe() const;

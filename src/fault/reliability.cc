@@ -114,10 +114,10 @@ buildReliabilityExperiments(const ReliabilityGridConfig &grid,
                             grid.base.access_units * 8,
                             grid.base.clients, grid.base.type,
                             ArrayMode::FaultFree};
-        experiment.custom = [cell, &device, trials = grid.trials,
-                             base = grid.base](
-                                uint64_t seed,
-                                harness::Extras &extras) {
+        experiment.run = [cell, &device, trials = grid.trials,
+                          base = grid.base](uint64_t seed,
+                                            const obs::Probe &,
+                                            harness::Extras &extras) {
             Welford response, degraded_response, rebuild_ms;
             double losses = 0.0, failures = 0.0, rebuilds = 0.0;
             double degraded_ms = 0.0, simulated_ms = 0.0;

@@ -1,6 +1,5 @@
 #include "harness/runner.hh"
 
-#include <cassert>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -79,29 +78,19 @@ ExperimentRunner::run(const std::vector<Experiment> &experiments) const
         out.point = experiment.point;
         out.seed = deriveSeed(experiment.point);
         const auto point_start = Clock::now();
-        if (experiment.custom) {
-            out.result = experiment.custom(out.seed, out.extras);
-        } else {
-            assert(experiment.layout != nullptr &&
-                   experiment.device != nullptr &&
-                   "experiment needs a layout/device or a custom fn");
-            SimConfig config = experiment.config;
-            config.seed = out.seed;
-            // One registry per point, written by exactly one worker:
-            // a single shard whose snapshot cannot depend on thread
-            // interleaving. The tracer (if any) observes only point
-            // 0 so the trace is one deterministic simulation.
-            obs::MetricsRegistry registry;
-            if (metrics_enabled_ || (tracer_ != nullptr && i == 0)) {
-                config.probe = obs::Probe(
-                    metrics_enabled_ ? &registry : nullptr,
-                    i == 0 ? tracer_ : nullptr);
-            }
-            out.result = runClosedLoop(*experiment.layout,
-                                       *experiment.device, config);
-            if (metrics_enabled_)
-                out.metrics = registry.snapshot();
+        // One registry per point, written by exactly one worker: a
+        // single shard whose snapshot cannot depend on thread
+        // interleaving. The tracer (if any) observes only point 0 so
+        // the trace is one deterministic simulation.
+        obs::MetricsRegistry registry;
+        obs::Probe probe;
+        if (metrics_enabled_ || (tracer_ != nullptr && i == 0)) {
+            probe = obs::Probe(metrics_enabled_ ? &registry : nullptr,
+                               i == 0 ? tracer_ : nullptr);
         }
+        out.result = experiment.run(out.seed, probe, out.extras);
+        if (metrics_enabled_)
+            out.metrics = registry.snapshot();
         out.wall_ms =
             std::chrono::duration<double, std::milli>(Clock::now() -
                                                       point_start)

@@ -30,11 +30,12 @@
 #include <utility>
 #include <vector>
 
-#include "harness/json.hh"
 #include "obs/metrics.hh"
+#include "obs/probe.hh"
 #include "obs/trace.hh"
 #include "stats/tally.hh"
 #include "stats/welford.hh"
+#include "util/json.hh"
 #include "workload/closed_loop.hh"
 
 namespace pddl {
@@ -62,24 +63,23 @@ const char *arrayModeName(ArrayMode mode);
  */
 uint64_t deriveSeed(const GridPoint &point);
 
-/** Named extra metrics a custom experiment can report. */
+/** Named extra metrics an experiment can report. */
 using Extras = std::vector<std::pair<std::string, double>>;
 
 /** One schedulable grid point. */
 struct Experiment
 {
     GridPoint point;
-    /** Simulation parameters; `seed` is overwritten by the runner. */
-    SimConfig config;
-    /** Inputs of the default runClosedLoop execution. */
-    const Layout *layout = nullptr;
-    const DeviceModel *device = nullptr;
     /**
-     * Optional replacement for runClosedLoop (open-loop workloads,
-     * rebuild experiments, analytic sweeps). Receives the derived
-     * seed; may publish additional metrics through `extras`.
+     * Runs the point (a scenario, a rebuild experiment, an analytic
+     * sweep). Receives the derived seed and the point's probe --
+     * metrics into the point's own registry when the runner collects
+     * them, the tracer on point 0 only, otherwise off -- and may
+     * publish additional metrics through `extras`.
      */
-    std::function<SimResult(uint64_t seed, Extras &extras)> custom;
+    std::function<SimResult(uint64_t seed, const obs::Probe &probe,
+                            Extras &extras)>
+        run;
 };
 
 /** Outcome of one grid point. */
@@ -117,9 +117,9 @@ class ExperimentRunner
     int threads() const { return threads_; }
 
     /**
-     * Collect a per-point metrics snapshot on the default
-     * runClosedLoop path. Each point writes its own registry (one
-     * writer, one shard) and snapshots are merged in submission
+     * Collect a per-point metrics snapshot from whatever each point
+     * records through its probe. Each point writes its own registry
+     * (one writer, one shard) and snapshots are merged in submission
      * order, so the output stays bit-identical across thread counts.
      */
     void enableMetrics(bool on) { metrics_enabled_ = on; }

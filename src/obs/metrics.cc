@@ -22,6 +22,30 @@ defaultLatencyBoundsMs()
     return bounds;
 }
 
+HistogramData::HistogramData(std::vector<double> bounds_ms)
+    : bounds(std::move(bounds_ms)), counts(bounds.size() + 1, 0)
+{
+    assert(std::is_sorted(bounds.begin(), bounds.end()));
+}
+
+void
+HistogramData::add(double value_ms)
+{
+    const size_t bucket =
+        std::upper_bound(bounds.begin(), bounds.end(), value_ms) -
+        bounds.begin();
+    ++counts[bucket];
+    if (count == 0) {
+        min = value_ms;
+        max = value_ms;
+    } else {
+        min = std::min(min, value_ms);
+        max = std::max(max, value_ms);
+    }
+    ++count;
+    sum += value_ms;
+}
+
 void
 HistogramData::merge(const HistogramData &other)
 {
@@ -346,26 +370,11 @@ MetricsRegistry::observe(const char *name, double value_ms)
     bool created = false;
     const uint32_t id = shard.histogram_ids.resolve(name, created);
     if (created) {
-        HistogramData &fresh = shard.histograms.emplace_back();
-        fresh.bounds = histogram_bounds_.empty() ? defaultLatencyBoundsMs()
-                                                 : histogram_bounds_;
-        fresh.counts.assign(fresh.bounds.size() + 1, 0);
+        shard.histograms.emplace_back(histogram_bounds_.empty()
+                                          ? defaultLatencyBoundsMs()
+                                          : histogram_bounds_);
     }
-    HistogramData &histogram = shard.histograms[id];
-    size_t bucket =
-        std::upper_bound(histogram.bounds.begin(),
-                         histogram.bounds.end(), value_ms) -
-        histogram.bounds.begin();
-    ++histogram.counts[bucket];
-    if (histogram.count == 0) {
-        histogram.min = value_ms;
-        histogram.max = value_ms;
-    } else {
-        histogram.min = std::min(histogram.min, value_ms);
-        histogram.max = std::max(histogram.max, value_ms);
-    }
-    ++histogram.count;
-    histogram.sum += value_ms;
+    shard.histograms[id].add(value_ms);
 }
 
 void

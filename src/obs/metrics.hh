@@ -42,7 +42,12 @@ namespace obs {
 /** Default latency buckets in milliseconds (log-spaced, 0.25..2s). */
 const std::vector<double> &defaultLatencyBoundsMs();
 
-/** Merged view of one histogram: fixed bounds + overflow bucket. */
+/**
+ * One histogram: fixed bounds + overflow bucket. It is both the
+ * merged view a snapshot returns and a standalone sink that is always
+ * compiled in -- the clients record their latencies straight into
+ * one, so tail columns never depend on the Probe facade.
+ */
 struct HistogramData
 {
     /** Upper bounds; counts has one extra overflow slot. */
@@ -52,6 +57,14 @@ struct HistogramData
     double sum = 0.0;
     double min = 0.0;
     double max = 0.0;
+
+    HistogramData() = default;
+
+    /** An empty histogram over `bounds` (ms, ascending). */
+    explicit HistogramData(std::vector<double> bounds);
+
+    /** Record one sample (MetricsRegistry::observe lands here). */
+    void add(double value_ms);
 
     void merge(const HistogramData &other);
 

@@ -150,8 +150,8 @@ TraceReplayWorkload::issueReady()
                 if (completed_ > config_.discard) {
                     const double response = events_->now() - issued;
                     latency_.add(response);
-                    config_.probe.observe("client.latency_ms",
-                                          response);
+                    if (config_.latency != nullptr)
+                        config_.latency->add(response);
                 }
             });
     }

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "array/target.hh"
-#include "obs/probe.hh"
+#include "obs/metrics.hh"
 #include "stats/welford.hh"
 #include "workload/workload.hh"
 
@@ -121,8 +121,9 @@ struct TraceReplayConfig
 {
     /** Completions discarded before measurement (cache cold start). */
     int64_t discard = 0;
-    /** Measured latencies feed the client.latency_ms histogram. */
-    obs::Probe probe;
+    /** Measured latencies also land here (the tail columns); null:
+     *  off. Must outlive the run. */
+    obs::HistogramData *latency = nullptr;
 };
 
 /**

@@ -7,7 +7,9 @@
 #include <memory>
 #include <stdexcept>
 
+#include "array/controller.hh"
 #include "cache/cache_tier.hh"
+#include "core/layout_spec.hh"
 #include "disk/device_model.hh"
 #include "fault/fault_scheduler.hh"
 #include "obs/metrics.hh"
@@ -39,6 +41,23 @@ badSpec(const std::string &what)
                              " (spec not normalized?)");
 }
 
+/** The controller knobs one shard of the spec asks for. */
+ArrayConfig
+arrayConfig(const ScenarioSpec &spec, const ScenarioShard &shard,
+            const obs::Probe &probe)
+{
+    ArrayConfig config;
+    config.unit_sectors = spec.unit_sectors;
+    config.sstf_window = spec.sstf_window;
+    if (shard.failed_disk >= 0) {
+        config.mode = shard.rebuilt ? ArrayMode::PostReconstruction
+                                    : ArrayMode::Degraded;
+        config.failed_disk = shard.failed_disk;
+    }
+    config.probe = probe;
+    return config;
+}
+
 } // namespace
 
 ScenarioOutcome
@@ -47,50 +66,90 @@ runScenario(const ScenarioSpec &spec,
 {
     const int shard_count = static_cast<int>(spec.shards.size());
 
-    ParallelEngine::Config engine_config;
-    engine_config.threads = options.sim_threads;
-    engine_config.lookahead = spec.dispatch_ms;
-    ParallelEngine engine(shard_count, engine_config);
+    // The backend the client drives. With no fabric (one shard,
+    // dispatch_ms 0) it is one EventQueue and one bare
+    // ArrayController, built in the order the paper figures always
+    // built them; otherwise the VolumeManager over the parallel
+    // engine's shard lanes. Faults, cache, capture and client only
+    // see its queues and its Target.
+    std::unique_ptr<Layout> layout;
+    std::shared_ptr<const DeviceModel> device;
+    std::unique_ptr<EventQueue> queue;
+    std::unique_ptr<ArrayController> array;
+    std::unique_ptr<ParallelEngine> engine;
+    // The placement object must outlive the volume.
+    std::unique_ptr<PlacementPolicy> placement;
+    std::unique_ptr<VolumeManager> volume;
+    std::vector<const DeviceModel *> devices;
+    if (spec.dispatch_ms == 0.0) {
+        if (shard_count != 1)
+            badSpec("dispatch_ms 0 with more than one shard");
+        const ScenarioShard &shard = spec.shards.front();
+        layout = layouts::makeLayout(shard.layout, shard.disks);
+        device = device::makeDevice(shard.device);
+        devices.push_back(device.get());
+        queue = std::make_unique<EventQueue>();
+        queue->setProbe(options.probe);
+        array = std::make_unique<ArrayController>(
+            *queue, *layout, *device,
+            arrayConfig(spec, shard, options.probe));
+    } else {
+        ParallelEngine::Config engine_config;
+        engine_config.threads = options.sim_threads;
+        engine_config.lookahead = spec.dispatch_ms;
+        engine = std::make_unique<ParallelEngine>(shard_count,
+                                                  engine_config);
+        engine->hubQueue().setProbe(options.probe);
 
-    std::vector<ShardSpec> shard_specs(spec.shards.size());
-    for (size_t s = 0; s < spec.shards.size(); ++s) {
-        const ScenarioShard &shard = spec.shards[s];
-        ShardSpec &out = shard_specs[s];
-        out.layout_spec = shard.layout;
-        out.device_spec = shard.device;
-        out.disks = shard.disks;
-        out.tier = shard.tier;
-        out.array.unit_sectors = spec.unit_sectors;
-        out.array.sstf_window = spec.sstf_window;
-        if (shard.failed_disk >= 0) {
-            out.array.mode = ArrayMode::Degraded;
-            out.array.failed_disk = shard.failed_disk;
+        std::vector<ShardSpec> shard_specs(spec.shards.size());
+        for (int s = 0; s < shard_count; ++s) {
+            const ScenarioShard &shard = spec.shards[s];
+            shard_specs[s].layout_spec = shard.layout;
+            shard_specs[s].device_spec = shard.device;
+            shard_specs[s].disks = shard.disks;
+            shard_specs[s].tier = shard.tier;
+            shard_specs[s].array =
+                arrayConfig(spec, shard, options.probe);
+            engine->shardQueue(s).setProbe(options.probe);
         }
-    }
 
-    // The placement object must outlive the volume; specs only name
-    // it.
-    std::unique_ptr<PlacementPolicy> owned_placement;
-    VolumeConfig vconfig;
-    vconfig.chunk_units = spec.chunk_units;
-    vconfig.dispatch_ms = spec.dispatch_ms;
-    vconfig.allocation = spec.allocation == "tiered"
-                             ? VolumeAllocation::Tiered
-                             : VolumeAllocation::Striped;
-    if (spec.placement == "rotate") {
-        owned_placement = std::make_unique<RotatedPlacement>();
-        vconfig.placement = owned_placement.get();
-    } else if (spec.placement.rfind("shuffle:", 0) == 0) {
-        const uint64_t seed = std::stoull(spec.placement.substr(8));
-        owned_placement = std::make_unique<ShuffledPlacement>(seed);
-        vconfig.placement = owned_placement.get();
-    } else if (spec.placement != "static") {
-        badSpec("unknown placement '" + spec.placement + "'");
+        VolumeConfig vconfig;
+        vconfig.chunk_units = spec.chunk_units;
+        vconfig.dispatch_ms = spec.dispatch_ms;
+        vconfig.allocation = spec.allocation == "tiered"
+                                 ? VolumeAllocation::Tiered
+                                 : VolumeAllocation::Striped;
+        if (spec.placement == "rotate") {
+            placement = std::make_unique<RotatedPlacement>();
+        } else if (spec.placement.rfind("shuffle:", 0) == 0) {
+            const uint64_t seed =
+                std::stoull(spec.placement.substr(8));
+            placement = std::make_unique<ShuffledPlacement>(seed);
+        } else if (spec.placement != "static") {
+            badSpec("unknown placement '" + spec.placement + "'");
+        }
+        vconfig.placement = placement.get();
+        vconfig.probe = options.probe;
+        volume = std::make_unique<VolumeManager>(
+            *engine, std::move(shard_specs), vconfig);
+        for (int s = 0; s < shard_count; ++s)
+            devices.push_back(&volume->shardDevice(s));
     }
-    VolumeManager volume(engine, std::move(shard_specs), vconfig);
+    EventQueue &hub = engine ? engine->hubQueue() : *queue;
+    Target &backend =
+        volume ? static_cast<Target &>(*volume) : *array;
+    auto shard = [&](int s) -> ArrayController & {
+        return volume ? volume->shard(s) : *array;
+    };
+    auto run = [&] {
+        if (engine)
+            engine->run();
+        else
+            queue->runUntilEmpty();
+    };
 
     // One fault scheduler per shard that has scripted failures; each
-    // lives on its shard's lane, like the controller it drives.
+    // lives on its shard's queue, like the controller it drives.
     std::vector<std::unique_ptr<FaultScheduler>> fault_schedulers;
     for (int s = 0; s < shard_count; ++s) {
         FaultSchedule schedule;
@@ -106,25 +165,19 @@ runScenario(const ScenarioSpec &spec,
         FaultScheduler::Options foptions;
         foptions.rebuild_parallel = spec.rebuild_parallel;
         auto scheduler = std::make_unique<FaultScheduler>(
-            engine.shardQueue(s), std::move(schedule), foptions);
-        scheduler->bindArray(volume.shard(s));
+            engine ? engine->shardQueue(s) : *queue,
+            std::move(schedule), foptions);
+        scheduler->bindArray(shard(s));
         scheduler->start();
         fault_schedulers.push_back(std::move(scheduler));
     }
 
-    // Client latencies and cache counters land in one per-run
-    // registry; everything read out of it below is integer-counted,
-    // so the numbers are exact for any lane/thread arrangement.
-    // Histogram resolution is a property of the device classes
-    // present: a flash shard keeps sub-ms buckets, a pure-hdd volume
-    // the default mechanical bounds.
-    std::vector<const DeviceModel *> devices;
-    for (int s = 0; s < volume.shardCount(); ++s)
-        devices.push_back(&volume.shardDevice(s));
-    obs::MetricsRegistry registry;
-    registry.setHistogramBounds(
-        device::latencyBoundsForDevices(devices));
-    obs::Probe probe(&registry, nullptr);
+    // Client latencies land in one always-compiled histogram; every
+    // percentile read from it is integer-counted, so the numbers are
+    // exact for any lane/thread arrangement. Histogram resolution is
+    // a property of the device classes present: a flash shard keeps
+    // sub-ms buckets, a pure-hdd volume the default mechanical bounds.
+    obs::HistogramData latency(device::latencyBoundsForDevices(devices));
 
     std::unique_ptr<cache::CacheTier> tier;
     if (spec.cache_enabled) {
@@ -143,32 +196,32 @@ runScenario(const ScenarioSpec &spec,
         cconfig.low_water = spec.cache_low;
         cconfig.max_run_units = spec.cache_run_units;
         cconfig.destage_width = spec.cache_width;
-        cconfig.probe = probe;
-        tier = std::make_unique<cache::CacheTier>(engine.hubQueue(),
-                                                  volume, cconfig);
+        cconfig.probe = options.probe;
+        tier = std::make_unique<cache::CacheTier>(hub, backend,
+                                                  cconfig);
     }
-    Target &target = tier ? static_cast<Target &>(*tier)
-                          : static_cast<Target &>(volume);
+    Target &target = tier ? static_cast<Target &>(*tier) : backend;
 
     std::unique_ptr<traffic::TraceCapture> capture;
     Target *workload_target = &target;
     if (!options.capture_path.empty()) {
-        capture = std::make_unique<traffic::TraceCapture>(
-            engine.hubQueue(), target);
+        capture = std::make_unique<traffic::TraceCapture>(hub, target);
         workload_target = capture.get();
     }
 
     ScenarioOutcome outcome;
+    std::string why;
     if (options.replay != nullptr && !options.replay->empty()) {
         traffic::TraceReplayConfig rconfig;
-        rconfig.probe = probe;
+        rconfig.latency = &latency;
         traffic::TraceReplayWorkload replay(*options.replay, rconfig);
-        startOnHub(replay, engine, *workload_target);
-        engine.run();
+        replay.start(hub, *workload_target);
+        run();
         outcome.mean_ms = replay.latency().mean();
         outcome.samples = replay.latency().count();
         outcome.max_outstanding = replay.maxOutstanding();
-        const double sim_s = engine.now() / 1000.0;
+        const double sim_s =
+            (engine ? engine->now() : queue->now()) / 1000.0;
         if (sim_s > 0.0) {
             outcome.throughput_per_s =
                 static_cast<double>(replay.completed()) / sim_s;
@@ -185,27 +238,35 @@ runScenario(const ScenarioSpec &spec,
         config.type =
             entry.write ? AccessType::Write : AccessType::Read;
         config.think_time_ms = spec.think_ms;
-        // Fixed sample budget: the tuner compares exact objectives,
-        // so the adaptive stopping rule is pinned shut.
-        config.min_samples = spec.samples;
+        // Without a CI tolerance the sample budget is fixed: the
+        // tuner compares exact objectives, so the stopping rule is
+        // pinned shut.
+        if (spec.ci_tolerance > 0.0)
+            config.relative_tolerance = spec.ci_tolerance;
+        config.min_samples = spec.ci_tolerance > 0.0 ? spec.min_samples
+                                                     : spec.samples;
         config.max_samples = spec.samples;
         config.warmup = spec.warmup;
         config.seed = options.seed;
-        std::string why;
         if (!traffic::parseOffsetSpec(spec.offsets, config.offsets,
                                       why))
             badSpec("offsets: " + why);
-        config.probe = probe;
+        config.latency = &latency;
 
         ClosedLoopClient client(config);
-        startOnHub(client, engine, *workload_target);
-        engine.run();
+        client.start(hub, *workload_target);
+        run();
 
         SimResult result = client.result();
         outcome.mean_ms = result.mean_response_ms;
         outcome.throughput_per_s = result.throughput_per_s;
         outcome.samples = result.samples;
         outcome.max_outstanding = spec.clients;
+        outcome.ci_half_width_ms = result.ci_half_width_ms;
+        outcome.non_local_seeks = result.non_local_seeks;
+        outcome.cylinder_switches = result.cylinder_switches;
+        outcome.track_switches = result.track_switches;
+        outcome.no_switches = result.no_switches;
     } else {
         OpenLoopConfig config;
         config.arrivals_per_s = spec.arrivals_per_s;
@@ -219,18 +280,17 @@ runScenario(const ScenarioSpec &spec,
         config.samples = spec.samples;
         config.warmup = spec.warmup;
         config.seed = options.seed;
-        std::string why;
         if (!traffic::parseOffsetSpec(spec.offsets, config.offsets,
                                       why))
             badSpec("offsets: " + why);
         if (!traffic::parseArrivalSpec(spec.arrival, config.arrival,
                                        why))
             badSpec("arrival: " + why);
-        config.probe = probe;
+        config.latency = &latency;
 
         OpenLoopClient client(config);
-        startOnHub(client, engine, *workload_target);
-        engine.run();
+        client.start(hub, *workload_target);
+        run();
 
         OpenLoopResult result = client.result();
         outcome.mean_ms = result.mean_response_ms;
@@ -239,23 +299,19 @@ runScenario(const ScenarioSpec &spec,
         outcome.max_outstanding = result.max_outstanding;
     }
 
-    obs::MetricsSnapshot snapshot = registry.snapshot();
-    const obs::HistogramData *latency =
-        snapshot.histogram("client.latency_ms");
-    if (latency != nullptr) {
-        outcome.p50_ms = latency->quantile(0.50);
-        outcome.p95_ms = latency->quantile(0.95);
-        outcome.p99_ms = latency->quantile(0.99);
-        outcome.p999_ms = latency->quantile(0.999);
-    }
-    outcome.backend_accesses =
-        static_cast<int64_t>(volume.volumeAccessesIssued());
-    outcome.capacity_units = volume.dataUnits();
-    for (int s = 0; s < volume.shardCount(); ++s) {
-        outcome.cost_units += spec.shards[static_cast<size_t>(s)].disks *
-                              volume.shardDevice(s).costUnits();
-        outcome.shard_accesses.push_back(static_cast<int64_t>(
-            volume.shard(s).accessesIssued()));
+    outcome.p50_ms = latency.quantile(0.50);
+    outcome.p95_ms = latency.quantile(0.95);
+    outcome.p99_ms = latency.quantile(0.99);
+    outcome.p999_ms = latency.quantile(0.999);
+    outcome.backend_accesses = static_cast<int64_t>(
+        volume ? volume->volumeAccessesIssued()
+               : array->accessesIssued());
+    outcome.capacity_units = backend.dataUnits();
+    for (int s = 0; s < shard_count; ++s) {
+        outcome.cost_units +=
+            spec.shards[s].disks * devices[s]->costUnits();
+        outcome.shard_accesses.push_back(
+            static_cast<int64_t>(shard(s).accessesIssued()));
     }
 
     if (tier) {

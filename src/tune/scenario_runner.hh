@@ -2,24 +2,26 @@
  * @file
  * ScenarioSpec -> one deterministic simulation -> ScenarioOutcome.
  *
- * The runner is the evaluation half of the self-tuning loop: it
- * builds the whole simulated system a ScenarioSpec describes (the
- * parallel engine, the sharded volume, the optional write-back tier,
- * the fault timeline, the open- or closed-loop client) on the
- * PR-1/PR-4 machinery, runs it to drain, and reports every simulated
- * quantity the tuner's objective or a bench row could want. Nothing
- * in the outcome depends on host timing or thread count: the volume
- * rides the conservative-window engine, so the history -- and hence
- * every number here -- is byte-identical at any --sim-threads.
+ * The one way to run a scenario: it builds the whole simulated
+ * system a ScenarioSpec describes (the backend, the optional
+ * write-back tier, the fault timeline, the open- or closed-loop
+ * client), runs it to drain, and reports every simulated quantity a
+ * bench row or the tuner's objective could want. The backend is one
+ * bare ArrayController on one EventQueue for a one-shard spec with
+ * dispatch_ms 0 ("no fabric", the paper's array exactly as the
+ * figure benches always built it), else the sharded VolumeManager on
+ * the parallel engine. Nothing in the outcome depends on host timing or thread count: the
+ * volume rides the conservative-window engine, so the history -- and
+ * hence every number here -- is byte-identical at any --sim-threads.
  *
  * Byte-fairness: the spec's access mix is in KB and its cache
  * capacity in KB, so runs of the same scenario at different
  * unit_sectors move the same bytes through the same budget -- the
  * stripe-unit knob cannot game the objective by shrinking accesses.
  *
- * The same runner backs bench_traffic, bench_hybrid and
- * bench_autotune, which is what makes a tuner-dumped JSON replayable
- * bit-identically from the file alone.
+ * The same runner backs every paper figure and ablation, bench_traffic,
+ * bench_hybrid and bench_autotune, which is what makes a tuner-dumped
+ * JSON replayable bit-identically from the file alone.
  */
 
 #ifndef PDDL_TUNE_SCENARIO_RUNNER_HH
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "core/scenario_spec.hh"
+#include "obs/probe.hh"
 #include "traffic/trace.hh"
 
 namespace pddl {
@@ -47,8 +50,17 @@ struct ScenarioOutcome
     double throughput_per_s = 0.0;
     int64_t samples = 0;
     int max_outstanding = 0;
-    /** Logical accesses the backend volume served. */
+    /** Logical accesses the backend served (no fabric: the array's
+     *  count, rebuild unit operations included). */
     int64_t backend_accesses = 0;
+
+    // Closed loop only: the mean's 95 % CI half-width (ms) and the
+    // per-access seek-class averages (Figure 4).
+    double ci_half_width_ms = 0.0;
+    double non_local_seeks = 0.0;
+    double cylinder_switches = 0.0;
+    double track_switches = 0.0;
+    double no_switches = 0.0;
 
     // Cache tier counters (zero when the tier is disabled).
     double hit_rate = 0.0;
@@ -83,6 +95,9 @@ struct RunScenarioOptions
     std::string capture_path;
     /** Replay this trace instead of the spec's synthetic client. */
     const std::vector<traffic::TraceRecord> *replay = nullptr;
+    /** Sinks for the queue(s), controller(s), volume and cache (not
+     *  the client). Default off; must outlive the run. */
+    obs::Probe probe;
 };
 
 /**

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstddef>
 
-#include "array/controller.hh"
 #include "sim/event_queue.hh"
 
 namespace pddl {
@@ -57,6 +56,8 @@ ClosedLoopClient::issueOne()
                         } else if (measuring_) {
                             double response = events_->now() - issued;
                             response_.add(response);
+                            if (config_.latency != nullptr)
+                                config_.latency->add(response);
                             config_.probe.observe("client.latency_ms",
                                                   response);
                             measure_end_ = events_->now();
@@ -126,43 +127,6 @@ ClosedLoopClient::result() const
             denom;
     }
     return result;
-}
-
-ClosedLoopConfig
-SimConfig::workload() const
-{
-    ClosedLoopConfig config;
-    config.clients = clients;
-    config.access_units = access_units;
-    config.type = type;
-    config.relative_tolerance = relative_tolerance;
-    config.min_samples = min_samples;
-    config.max_samples = max_samples;
-    config.warmup = warmup;
-    config.seed = seed;
-    return config;
-}
-
-SimResult
-runClosedLoop(const Layout &layout, const DeviceModel &device,
-              const SimConfig &config)
-{
-    EventQueue events;
-    events.setProbe(config.probe);
-
-    ArrayConfig array_config;
-    array_config.unit_sectors = config.unit_sectors;
-    array_config.mode = config.mode;
-    array_config.failed_disk =
-        config.mode == ArrayMode::FaultFree ? -1 : config.failed_disk;
-    array_config.sstf_window = config.sstf_window;
-    array_config.probe = config.probe;
-    ArrayController array(events, layout, device, array_config);
-
-    ClosedLoopClient client(config.workload());
-    client.start(events, array);
-    events.runUntilEmpty();
-    return client.result();
 }
 
 } // namespace pddl

@@ -12,9 +12,8 @@
  *
  * ClosedLoopClient is the Workload-interface driver: it runs against
  * any Target (a single ArrayController or a sharded VolumeManager).
- * runClosedLoop() remains the single-array convenience wrapper every
- * figure bench uses; it builds the array from a SimConfig and drives
- * a ClosedLoopClient against it.
+ * Whole experiments are described as a ScenarioSpec and run by
+ * tune::runScenario, which builds the target and drives this client.
  */
 
 #ifndef PDDL_WORKLOAD_CLOSED_LOOP_HH
@@ -37,8 +36,8 @@ namespace pddl {
 /**
  * Workload-only knobs of the closed loop (named-parameter style:
  * designated initializers cover any subset). Array construction
- * knobs live in ArrayConfig / SimConfig, not here -- a client can be
- * pointed at any Target.
+ * knobs live in ArrayConfig / ScenarioSpec, not here -- a client can
+ * be pointed at any Target.
  */
 struct ClosedLoopConfig
 {
@@ -70,6 +69,10 @@ struct ClosedLoopConfig
 
     /** Where accesses land (uniform reproduces the paper). */
     traffic::OffsetSpec offsets;
+
+    /** Measured responses also land here (the tail columns); always
+     *  compiled in, unlike `probe`. Null: off. Must outlive the run. */
+    obs::HistogramData *latency = nullptr;
 
     /**
      * Instrumentation: each measured response also feeds the
@@ -140,50 +143,6 @@ class ClosedLoopClient : public Workload
     SeekTally tally_at_start_;
     int64_t accesses_at_start_ = 0;
 };
-
-/**
- * One single-array experiment configuration: the workload knobs plus
- * the array construction knobs runClosedLoop() needs to build the
- * ArrayController the client population drives.
- */
-struct SimConfig
-{
-    int clients = 1;
-    /** Access size in stripe units (8 KB units in the paper). */
-    int access_units = 1;
-    AccessType type = AccessType::Read;
-    ArrayMode mode = ArrayMode::FaultFree;
-    int failed_disk = 0; ///< used when mode != FaultFree
-    int unit_sectors = 16;
-    int sstf_window = 20;
-
-    /** Stopping rule: relative CI half-width at 95% confidence. */
-    double relative_tolerance = 0.02;
-    int64_t min_samples = 400;
-    int64_t max_samples = 200000;
-    /** Completions discarded before measurement starts. */
-    int64_t warmup = 200;
-    uint64_t seed = 42;
-
-    /**
-     * Instrumentation sinks, threaded to the event queue, controller,
-     * mapper and every disk. Default: fully off.
-     */
-    obs::Probe probe;
-
-    /** The workload-only projection (feeds ClosedLoopClient). */
-    ClosedLoopConfig workload() const;
-};
-
-/**
- * Run one closed-loop experiment on a fresh simulated array.
- *
- * Deterministic per configuration (seeded RNG, deterministic event
- * ordering).
- */
-SimResult runClosedLoop(const Layout &layout,
-                        const DeviceModel &device,
-                        const SimConfig &config);
 
 } // namespace pddl
 

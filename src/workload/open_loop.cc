@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstddef>
 
-#include "array/controller.hh"
 #include "sim/event_queue.hh"
 
 namespace pddl {
@@ -21,7 +20,6 @@ OpenLoopClient::OpenLoopClient(OpenLoopConfig config)
     }
     assert(total_weight_ > 0.0);
     arrival_.emplace(config_.arrival, config_.arrivals_per_s);
-    responses_.reserve(static_cast<size_t>(config_.samples));
 }
 
 void
@@ -54,7 +52,10 @@ OpenLoopClient::arrive()
                             measure_start_ = events_->now();
                         if (index >= config_.warmup) {
                             double response = events_->now() - issued;
-                            responses_.push_back(response);
+                            ++measured_;
+                            response_sum_ += response;
+                            if (config_.latency != nullptr)
+                                config_.latency->add(response);
                             config_.probe.observe("client.latency_ms",
                                                   response);
                             last_completion_ = events_->now();
@@ -80,46 +81,18 @@ OpenLoopClient::result() const
 {
     assert(events_ != nullptr && "result() follows a started run");
     OpenLoopResult result;
-    result.samples = static_cast<int64_t>(responses_.size());
+    result.samples = measured_;
     result.max_outstanding = max_outstanding_;
-    if (!responses_.empty()) {
-        double sum = 0.0;
-        for (double r : responses_)
-            sum += r;
+    if (measured_ > 0) {
         result.mean_response_ms =
-            sum / static_cast<double>(responses_.size());
-        std::vector<double> sorted = responses_;
-        std::sort(sorted.begin(), sorted.end());
-        result.p95_response_ms =
-            sorted[static_cast<size_t>(0.95 * (sorted.size() - 1))];
-        result.max_response_ms = sorted.back();
+            response_sum_ / static_cast<double>(measured_);
         double window = last_completion_ - measure_start_;
         if (window > 0.0) {
             result.completed_per_s =
-                static_cast<double>(responses_.size()) /
-                (window / 1000.0);
+                static_cast<double>(measured_) / (window / 1000.0);
         }
     }
     return result;
-}
-
-OpenLoopResult
-runOpenLoop(const Layout &layout, const DeviceModel &device,
-            const OpenLoopSimConfig &config)
-{
-    EventQueue events;
-    ArrayConfig array_config;
-    array_config.unit_sectors = config.unit_sectors;
-    array_config.mode = config.mode;
-    array_config.failed_disk =
-        config.mode == ArrayMode::FaultFree ? -1 : config.failed_disk;
-    array_config.sstf_window = config.sstf_window;
-    ArrayController array(events, layout, device, array_config);
-
-    OpenLoopClient client(config.workload);
-    client.start(events, array);
-    events.runUntilEmpty();
-    return client.result();
 }
 
 } // namespace pddl

@@ -12,7 +12,8 @@
  * saturates.
  *
  * OpenLoopClient is the Workload-interface driver (any Target);
- * runOpenLoop() is the single-array convenience wrapper.
+ * tune::runScenario builds the target a ScenarioSpec describes and
+ * drives it.
  */
 
 #ifndef PDDL_WORKLOAD_OPEN_LOOP_HH
@@ -44,7 +45,7 @@ struct AccessMixEntry
 
 /**
  * Workload-only knobs of the open loop (named-parameter style).
- * Array construction knobs live in OpenLoopSimConfig, not here.
+ * Array construction knobs live in ArrayConfig / ScenarioSpec.
  */
 struct OpenLoopConfig
 {
@@ -62,6 +63,10 @@ struct OpenLoopConfig
     /** When accesses arrive (Poisson reproduces the paper). */
     traffic::ArrivalSpec arrival;
 
+    /** Measured responses also land here (the tail columns); always
+     *  compiled in, unlike `probe`. Null: off. Must outlive the run. */
+    obs::HistogramData *latency = nullptr;
+
     /**
      * Instrumentation: each measured response also feeds the
      * client.latency_ms histogram (the bench tail-latency columns).
@@ -74,8 +79,6 @@ struct OpenLoopConfig
 struct OpenLoopResult
 {
     double mean_response_ms = 0.0;
-    double p95_response_ms = 0.0;
-    double max_response_ms = 0.0;
     /** Completions per second during the measurement window. */
     double completed_per_s = 0.0;
     /** Largest number of in-flight logical accesses observed. */
@@ -113,35 +116,15 @@ class OpenLoopClient : public Workload
     /** Built in start() (the domain is the target's dataUnits). */
     std::optional<traffic::OffsetSampler> offsets_;
 
-    std::vector<double> responses_;
+    /** Measured responses: their count and running sum. */
+    int64_t measured_ = 0;
+    double response_sum_ = 0.0;
     int64_t arrivals_ = 0;
     int outstanding_ = 0;
     int max_outstanding_ = 0;
     SimTime measure_start_ = 0.0;
     SimTime last_completion_ = 0.0;
 };
-
-/**
- * One single-array open-loop experiment: the workload knobs plus the
- * array construction knobs runOpenLoop() needs.
- */
-struct OpenLoopSimConfig
-{
-    /** The client population (named-parameter workload knobs). */
-    OpenLoopConfig workload;
-    ArrayMode mode = ArrayMode::FaultFree;
-    int failed_disk = 0;
-    int unit_sectors = 16;
-    int sstf_window = 20;
-};
-
-/**
- * Run one open-loop experiment on a fresh simulated array.
- * Deterministic per configuration.
- */
-OpenLoopResult runOpenLoop(const Layout &layout,
-                           const DeviceModel &device,
-                           const OpenLoopSimConfig &config);
 
 } // namespace pddl
 

@@ -9,11 +9,9 @@
  * whatever mission shape the experiment needs) and reads the
  * workload's measured outcome afterwards.
  *
- * This replaces the former ad-hoc pairing of runClosedLoop /
- * runOpenLoop free functions with their private driver state: every
- * bench and test drives a single array or a whole volume through the
- * same API (the run* single-array wrappers remain as conveniences
- * built on top).
+ * Whole experiments do not wire this up by hand: a ScenarioSpec
+ * describes one, and tune::runScenario builds the target (a bare
+ * array or a sharded volume), starts the workload and runs it.
  */
 
 #ifndef PDDL_WORKLOAD_WORKLOAD_HH

@@ -17,9 +17,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/scenario_spec.hh"
 #include "harness/runner.hh"
 #include "harness/thread_pool.hh"
-#include "layout/raid5.hh"
+#include "tune/scenario_runner.hh"
+#include "util/json.hh"
 
 namespace pddl {
 namespace {
@@ -28,7 +30,6 @@ using harness::deriveSeed;
 using harness::Experiment;
 using harness::ExperimentRunner;
 using harness::GridPoint;
-using harness::Json;
 using harness::RunSummary;
 using harness::ThreadPool;
 
@@ -142,22 +143,47 @@ TEST(DeriveSeed, DistinctAcrossAGrid)
 
 /** A small but real simulation grid over a 5-disk RAID-5. */
 std::vector<Experiment>
-smallGrid(const Layout &layout, const DeviceModel &model)
+smallGrid()
 {
     std::vector<Experiment> experiments;
     for (int clients : {1, 4, 8}) {
         for (AccessType type : {AccessType::Read, AccessType::Write}) {
+            ScenarioSpec spec;
+            spec.shards.front().layout = "raid5";
+            spec.shards.front().disks = 5;
+            spec.dispatch_ms = 0.0;
+            spec.client = "closed";
+            spec.clients = clients;
+            spec.mix = {{16, type == AccessType::Write, 1.0}};
+            spec.ci_tolerance = 0.02;
+            spec.min_samples = 60;
+            spec.samples = 200;
+            spec.warmup = 20;
+            std::string error;
+            EXPECT_TRUE(spec.normalize(error)) << error;
+
             Experiment experiment;
-            experiment.point = {"Harness test", layout.name(), 16,
-                                clients, type, ArrayMode::FaultFree};
-            experiment.config.clients = clients;
-            experiment.config.access_units = 2;
-            experiment.config.type = type;
-            experiment.config.min_samples = 60;
-            experiment.config.max_samples = 200;
-            experiment.config.warmup = 20;
-            experiment.layout = &layout;
-            experiment.device = &model;
+            experiment.point = {"Harness test", "RAID-5", 16, clients,
+                                type, ArrayMode::FaultFree};
+            experiment.run = [spec](uint64_t seed,
+                                    const obs::Probe &probe,
+                                    harness::Extras &) {
+                tune::RunScenarioOptions options;
+                options.seed = seed;
+                options.probe = probe;
+                const tune::ScenarioOutcome outcome =
+                    tune::runScenario(spec, options);
+                SimResult result;
+                result.mean_response_ms = outcome.mean_ms;
+                result.ci_half_width_ms = outcome.ci_half_width_ms;
+                result.throughput_per_s = outcome.throughput_per_s;
+                result.samples = outcome.samples;
+                result.non_local_seeks = outcome.non_local_seeks;
+                result.cylinder_switches = outcome.cylinder_switches;
+                result.track_switches = outcome.track_switches;
+                result.no_switches = outcome.no_switches;
+                return result;
+            };
             experiments.push_back(std::move(experiment));
         }
     }
@@ -166,9 +192,7 @@ smallGrid(const Layout &layout, const DeviceModel &model)
 
 TEST(ExperimentRunner, ParallelRunMatchesSerialBitForBit)
 {
-    Raid5Layout layout(5);
-    const DeviceModel &model = device::hp2247();
-    auto experiments = smallGrid(layout, model);
+    auto experiments = smallGrid();
 
     RunSummary serial = ExperimentRunner(1).run(experiments);
     RunSummary parallel = ExperimentRunner(4).run(experiments);
@@ -204,9 +228,12 @@ TEST(ExperimentRunner, CustomExperimentsReceiveTheDerivedSeed)
     Experiment experiment;
     experiment.point = {"Custom", "analytic", 0, 0, AccessType::Read,
                         ArrayMode::FaultFree};
-    experiment.custom = [](uint64_t seed, harness::Extras &extras) {
+    experiment.run = [](uint64_t seed, const obs::Probe &probe,
+                        harness::Extras &extras) {
         extras.emplace_back("seed_lo32",
                             static_cast<double>(seed & 0xffffffffu));
+        // Metrics are off, so the point's probe is off.
+        EXPECT_FALSE(probe.on());
         SimResult result;
         result.samples = 1;
         return result;
@@ -218,6 +245,35 @@ TEST(ExperimentRunner, CustomExperimentsReceiveTheDerivedSeed)
     ASSERT_EQ(point.extras.size(), 1u);
     EXPECT_EQ(point.extras[0].second,
               static_cast<double>(point.seed & 0xffffffffu));
+}
+
+TEST(ExperimentRunner, PointProbeFeedsPerPointMetrics)
+{
+    // With metrics on, each point's probe writes that point's own
+    // registry: runScenario wires it to the queue, controller and
+    // disks, and the snapshots match across thread counts.
+    auto experiments = smallGrid();
+    ExperimentRunner serial_runner(1);
+    serial_runner.enableMetrics(true);
+    ExperimentRunner parallel_runner(4);
+    parallel_runner.enableMetrics(true);
+    RunSummary serial = serial_runner.run(experiments);
+    RunSummary parallel = parallel_runner.run(experiments);
+    for (size_t i = 0; i < experiments.size(); ++i) {
+        const obs::MetricsSnapshot &metrics = serial.points[i].metrics;
+        EXPECT_EQ(metrics.toJson().dump(0),
+                  parallel.points[i].metrics.toJson().dump(0));
+        if (obs::kObsEnabled) {
+            const bool reads =
+                experiments[i].point.type == AccessType::Read;
+            EXPECT_GT(metrics.counter(reads ? "array.reads"
+                                            : "array.writes"),
+                      0.0)
+                << "row " << i;
+        } else {
+            EXPECT_TRUE(metrics.empty()) << "row " << i;
+        }
+    }
 }
 
 TEST(FigureSlug, NormalizesCaptionsToFileNames)
@@ -263,9 +319,7 @@ TEST(Json, ObjectsKeepInsertionOrderAndReplaceKeys)
 
 TEST(WriteFigureJson, EmitsAParsableDocument)
 {
-    Raid5Layout layout(5);
-    const DeviceModel &model = device::hp2247();
-    auto experiments = smallGrid(layout, model);
+    auto experiments = smallGrid();
     RunSummary summary = ExperimentRunner(2).run(experiments);
 
     auto dir = std::filesystem::temp_directory_path() /

@@ -11,15 +11,39 @@
 
 #include "array/controller.hh"
 #include "array/working_set.hh"
+#include "core/layout_spec.hh"
 #include "core/pddl_layout.hh"
-#include "layout/datum.hh"
+#include "core/scenario_spec.hh"
 #include "layout/properties.hh"
-#include "layout/raid5.hh"
+#include "tune/scenario_runner.hh"
 #include "util/rng.hh"
-#include "workload/closed_loop.hh"
 
 namespace pddl {
 namespace {
+
+/**
+ * A closed loop of `clients` issuing `units`-unit accesses to a bare
+ * 13-disk array (no fabric), stopped at a 5 % CI half-width.
+ */
+tune::ScenarioOutcome
+measure(const std::string &layout, int clients, int units,
+        AccessType type, int64_t warmup)
+{
+    ScenarioSpec spec;
+    spec.shards.front().layout = layout;
+    spec.shards.front().disks = 13;
+    spec.dispatch_ms = 0.0;
+    spec.client = "closed";
+    spec.clients = clients;
+    spec.mix = {{8 * units, type == AccessType::Write, 1.0}};
+    spec.ci_tolerance = 0.05;
+    spec.min_samples = 400;
+    spec.samples = 3000;
+    spec.warmup = warmup;
+    std::string error;
+    EXPECT_TRUE(spec.normalize(error)) << error;
+    return tune::runScenario(spec, tune::RunScenarioOptions{});
+}
 
 class AnalyzerVsSimulator
     : public ::testing::TestWithParam<std::pair<int, AccessType>>
@@ -32,25 +56,18 @@ TEST_P(AnalyzerVsSimulator, NonLocalSeeksMatchWorkingSet)
     // match the simulator's measured non-local seek count per access
     // -- two entirely independent code paths.
     auto [units, type] = GetParam();
-    PddlLayout layout = PddlLayout::make(13, 4);
-    double analytic = averageWorkingSet(layout, units, type);
+    double analytic = averageWorkingSet(
+        *layouts::makeLayout("pddl:width=4", 13), units, type);
 
-    SimConfig config;
     // Writes are two-phase (pre-read then overwrite on the same
     // disks); with concurrent clients the interleaving reclassifies
     // some second-phase operations as non-local, so the exact
     // equality only holds without interleaving -- the paper likewise
     // notes the equality assumes a disk "will seldom alternate
     // between logical accesses".
-    config.clients = type == AccessType::Write ? 1 : 6;
-    config.access_units = units;
-    config.type = type;
-    config.relative_tolerance = 0.05;
-    config.min_samples = 400;
-    config.max_samples = 3000;
-    config.warmup = 150;
-    SimResult measured =
-        runClosedLoop(layout, device::hp2247(), config);
+    const int clients = type == AccessType::Write ? 1 : 6;
+    tune::ScenarioOutcome measured =
+        measure("pddl:width=4", clients, units, type, 150);
 
     EXPECT_NEAR(measured.non_local_seeks, analytic,
                 0.05 * analytic + 0.25)
@@ -70,21 +87,12 @@ TEST(Integration, TotalOpsMatchAnalyticExpansion)
 {
     // Simulated physical op count per logical access equals the
     // analytic expansion average.
-    Raid5Layout layout(13);
     const int units = 6;
-    double analytic =
-        averagePhysicalOps(layout, units, AccessType::Write);
+    double analytic = averagePhysicalOps(
+        *layouts::makeLayout("raid5", 13), units, AccessType::Write);
 
-    SimConfig config;
-    config.clients = 4;
-    config.access_units = units;
-    config.type = AccessType::Write;
-    config.relative_tolerance = 0.05;
-    config.min_samples = 400;
-    config.max_samples = 3000;
-    config.warmup = 150;
-    SimResult measured =
-        runClosedLoop(layout, device::hp2247(), config);
+    tune::ScenarioOutcome measured =
+        measure("raid5", 4, units, AccessType::Write, 150);
     double total = measured.non_local_seeks +
                    measured.cylinder_switches +
                    measured.track_switches + measured.no_switches;
@@ -135,26 +143,17 @@ TEST(Integration, DatumWorkingSetDrivesItsHeavyLoadAdvantage)
 {
     // Smaller working set => fewer positioning operations per access
     // => better heavy-load response (section 4.1's causal chain).
-    DatumLayout datum(13, 4);
-    Raid5Layout raid5(13);
     const int units = 12;
-    ASSERT_LT(averageWorkingSet(datum, units, AccessType::Read),
-              averageWorkingSet(raid5, units, AccessType::Read));
+    ASSERT_LT(averageWorkingSet(*layouts::makeLayout("datum:width=4", 13),
+                                units, AccessType::Read),
+              averageWorkingSet(*layouts::makeLayout("raid5", 13), units,
+                                AccessType::Read));
 
-    SimConfig config;
-    config.clients = 25;
-    config.access_units = units;
-    config.type = AccessType::Read;
-    config.relative_tolerance = 0.05;
-    config.min_samples = 400;
-    config.max_samples = 3000;
-    config.warmup = 200;
-    SimResult datum_result =
-        runClosedLoop(datum, device::hp2247(), config);
-    SimResult raid5_result =
-        runClosedLoop(raid5, device::hp2247(), config);
-    EXPECT_LT(datum_result.mean_response_ms,
-              raid5_result.mean_response_ms);
+    tune::ScenarioOutcome datum_result =
+        measure("datum:width=4", 25, units, AccessType::Read, 200);
+    tune::ScenarioOutcome raid5_result =
+        measure("raid5", 25, units, AccessType::Read, 200);
+    EXPECT_LT(datum_result.mean_ms, raid5_result.mean_ms);
 }
 
 } // namespace

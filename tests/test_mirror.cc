@@ -10,13 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "array/request_mapper.hh"
+#include "core/scenario_spec.hh"
 #include "disk/device_model.hh"
 #include "layout/mirror.hh"
-#include "workload/closed_loop.hh"
+#include "tune/scenario_runner.hh"
 
 namespace pddl {
 namespace {
@@ -155,28 +157,32 @@ TEST(Mirror, WritesUpdateEverySurvivingCopy)
 
 TEST(Mirror, ClosedLoopRunsDeterministicallyUnderEachScheduler)
 {
-    const DeviceModel &model = device::hp2247();
-    for (ReplicaSched sched :
-         {ReplicaSched::Primary, ReplicaSched::RoundRobin,
-          ReplicaSched::ShortestQueue}) {
-        MirrorLayout layout(26, 2, sched);
-        SimConfig config;
-        config.clients = 4;
-        config.min_samples = 200;
-        config.max_samples = 400;
-        config.warmup = 50;
-        SimResult first = runClosedLoop(layout, model, config);
-        SimResult again = runClosedLoop(layout, model, config);
+    for (const char *sched :
+         {"primary", "round_robin", "shortest_queue"}) {
+        ScenarioSpec spec;
+        spec.shards.front().layout =
+            std::string("mirror:copies=2,sched=") + sched;
+        spec.shards.front().disks = 26;
+        spec.dispatch_ms = 0.0;
+        spec.client = "closed";
+        spec.clients = 4;
+        spec.ci_tolerance = 0.02;
+        spec.min_samples = 200;
+        spec.samples = 400;
+        spec.warmup = 50;
+        std::string error;
+        ASSERT_TRUE(spec.normalize(error)) << error;
+        const tune::RunScenarioOptions options;
+        tune::ScenarioOutcome first = tune::runScenario(spec, options);
+        tune::ScenarioOutcome again = tune::runScenario(spec, options);
         EXPECT_GT(first.samples, 0);
-        EXPECT_GT(first.mean_response_ms, 0.0);
-        EXPECT_EQ(first.mean_response_ms, again.mean_response_ms)
-            << static_cast<int>(sched);
+        EXPECT_GT(first.mean_ms, 0.0);
+        EXPECT_EQ(first.mean_ms, again.mean_ms) << sched;
         EXPECT_EQ(first.samples, again.samples);
 
         // And degraded service stays up on the surviving copies.
-        config.mode = ArrayMode::Degraded;
-        config.failed_disk = 3;
-        SimResult degraded = runClosedLoop(layout, model, config);
+        spec.shards.front().failed_disk = 3;
+        tune::ScenarioOutcome degraded = tune::runScenario(spec, options);
         EXPECT_GT(degraded.samples, 0);
     }
 }

@@ -327,6 +327,32 @@ TEST(MetricsSnapshot, MergeSumsCountersAndKeepsGaugeMax)
     EXPECT_DOUBLE_EQ(h->max, 10.0);
 }
 
+TEST(HistogramData, StandaloneSinkMatchesRegistryHistogram)
+{
+    // The clients' always-compiled latency sink and the registry's
+    // histograms share one add path: the same samples over the same
+    // bounds give the same buckets, sum and quantiles, bit for bit.
+    for (const std::vector<double> &bounds :
+         {defaultLatencyBoundsMs(),
+          std::vector<double>{0.01, 0.1, 1.0, 10.0}}) {
+        MetricsRegistry registry;
+        registry.setHistogramBounds(bounds);
+        HistogramData sink(bounds);
+        Rng rng(17);
+        for (int i = 0; i < 5000; ++i) {
+            const double value = rng.exponential(40.0);
+            registry.observe("client.latency_ms", value);
+            sink.add(value);
+        }
+        const MetricsSnapshot snapshot = registry.snapshot();
+        const HistogramData *h = snapshot.histogram("client.latency_ms");
+        ASSERT_NE(h, nullptr);
+        EXPECT_EQ(sink.toJson().dump(0), h->toJson().dump(0));
+        for (double q : {0.5, 0.95, 0.99, 0.999})
+            EXPECT_EQ(sink.quantile(q), h->quantile(q)) << q;
+    }
+}
+
 TEST(HistogramQuantile, EmptyAndSingleSample)
 {
     HistogramData empty;

@@ -1,102 +1,97 @@
 /**
  * @file
- * Tests for the open-loop (Poisson, mixed-profile) workload driver.
+ * Tests for the open-loop (Poisson, mixed-profile) workload, each run
+ * as a no-fabric ScenarioSpec.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/pddl_layout.hh"
-#include "layout/raid5.hh"
-#include "workload/open_loop.hh"
+#include <string>
+
+#include "core/scenario_spec.hh"
+#include "tune/scenario_runner.hh"
 
 namespace pddl {
 namespace {
 
-OpenLoopSimConfig
-fastConfig()
+/** Open-loop 8 KB reads at `rate`/s against a bare 13-disk array. */
+ScenarioSpec
+fastSpec(const std::string &layout, double rate)
 {
-    OpenLoopSimConfig config;
-    config.workload.samples = 800;
-    config.workload.warmup = 100;
-    return config;
+    ScenarioSpec spec;
+    spec.shards.front().layout = layout;
+    spec.shards.front().disks = 13;
+    spec.dispatch_ms = 0.0;
+    spec.client = "open";
+    spec.arrivals_per_s = rate;
+    spec.samples = 800;
+    spec.warmup = 100;
+    return spec;
+}
+
+tune::ScenarioOutcome
+run(ScenarioSpec spec, uint64_t seed = 42)
+{
+    std::string error;
+    EXPECT_TRUE(spec.normalize(error)) << error;
+    tune::RunScenarioOptions options;
+    options.seed = seed;
+    return tune::runScenario(spec, options);
 }
 
 TEST(OpenLoop, CompletesAllSamples)
 {
-    Raid5Layout raid5(13);
-    OpenLoopSimConfig config = fastConfig();
-    config.workload.arrivals_per_s = 50.0;
-    OpenLoopResult r = runOpenLoop(raid5, device::hp2247(), config);
-    EXPECT_EQ(r.samples, config.workload.samples);
-    EXPECT_GT(r.mean_response_ms, 5.0);
-    EXPECT_GE(r.p95_response_ms, r.mean_response_ms);
-    EXPECT_GE(r.max_response_ms, r.p95_response_ms);
+    tune::ScenarioOutcome r = run(fastSpec("raid5", 50.0));
+    EXPECT_EQ(r.samples, 800);
+    EXPECT_GT(r.mean_ms, 5.0);
+    EXPECT_GE(r.p95_ms, r.mean_ms);
+    EXPECT_GE(r.p999_ms, r.p95_ms);
 }
 
 TEST(OpenLoop, DeterministicPerSeed)
 {
-    Raid5Layout raid5(13);
-    OpenLoopSimConfig config = fastConfig();
-    OpenLoopResult a = runOpenLoop(raid5, device::hp2247(), config);
-    OpenLoopResult b = runOpenLoop(raid5, device::hp2247(), config);
-    EXPECT_DOUBLE_EQ(a.mean_response_ms, b.mean_response_ms);
-    config.workload.seed += 1;
-    OpenLoopResult c = runOpenLoop(raid5, device::hp2247(), config);
-    EXPECT_NE(a.mean_response_ms, c.mean_response_ms);
+    const ScenarioSpec spec = fastSpec("raid5", 100.0);
+    tune::ScenarioOutcome a = run(spec);
+    tune::ScenarioOutcome b = run(spec);
+    EXPECT_DOUBLE_EQ(a.mean_ms, b.mean_ms);
+    tune::ScenarioOutcome c = run(spec, 43);
+    EXPECT_NE(a.mean_ms, c.mean_ms);
 }
 
 TEST(OpenLoop, LatencyExplodesNearSaturation)
 {
     // Unlike the closed loop, offered load is independent of service
     // rate: queues (and response times) grow sharply near capacity.
-    Raid5Layout raid5(13);
-    OpenLoopSimConfig config = fastConfig();
-    config.workload.arrivals_per_s = 50.0;
-    OpenLoopResult light = runOpenLoop(raid5, device::hp2247(),
-                                       config);
+    tune::ScenarioOutcome light = run(fastSpec("raid5", 50.0));
     // beyond ~13 disks' service rate
-    config.workload.arrivals_per_s = 900.0;
-    OpenLoopResult heavy = runOpenLoop(raid5, device::hp2247(),
-                                       config);
-    EXPECT_GT(heavy.mean_response_ms, 2.0 * light.mean_response_ms);
+    tune::ScenarioOutcome heavy = run(fastSpec("raid5", 900.0));
+    EXPECT_GT(heavy.mean_ms, 2.0 * light.mean_ms);
     EXPECT_GT(heavy.max_outstanding, light.max_outstanding);
 }
 
 TEST(OpenLoop, ThroughputTracksOfferedLoadBelowSaturation)
 {
-    Raid5Layout raid5(13);
-    OpenLoopSimConfig config = fastConfig();
-    config.workload.arrivals_per_s = 100.0;
-    OpenLoopResult r = runOpenLoop(raid5, device::hp2247(), config);
-    EXPECT_NEAR(r.completed_per_s, 100.0, 15.0);
+    tune::ScenarioOutcome r = run(fastSpec("raid5", 100.0));
+    EXPECT_NEAR(r.throughput_per_s, 100.0, 15.0);
 }
 
 TEST(OpenLoop, MixedProfileRuns)
 {
-    PddlLayout pddl = PddlLayout::make(13, 4);
-    OpenLoopSimConfig config = fastConfig();
-    config.workload.arrivals_per_s = 60.0;
+    ScenarioSpec spec = fastSpec("pddl:width=4", 60.0);
     // 70% 8 KB reads, 20% 24 KB writes, 10% 96 KB reads.
-    config.workload.mix = {
-        AccessMixEntry{1, AccessType::Read, 0.7},
-        AccessMixEntry{3, AccessType::Write, 0.2},
-        AccessMixEntry{12, AccessType::Read, 0.1},
-    };
-    OpenLoopResult r = runOpenLoop(pddl, device::hp2247(), config);
-    EXPECT_EQ(r.samples, config.workload.samples);
-    EXPECT_GT(r.mean_response_ms, 0.0);
+    spec.mix = {{8, false, 0.7}, {24, true, 0.2}, {96, false, 0.1}};
+    tune::ScenarioOutcome r = run(spec);
+    EXPECT_EQ(r.samples, spec.samples);
+    EXPECT_GT(r.mean_ms, 0.0);
 }
 
 TEST(OpenLoop, DegradedModeSlower)
 {
-    PddlLayout pddl = PddlLayout::make(13, 4);
-    OpenLoopSimConfig config = fastConfig();
-    config.workload.arrivals_per_s = 150.0;
-    OpenLoopResult ff = runOpenLoop(pddl, device::hp2247(), config);
-    config.mode = ArrayMode::Degraded;
-    config.failed_disk = 0;
-    OpenLoopResult f1 = runOpenLoop(pddl, device::hp2247(), config);
-    EXPECT_GT(f1.mean_response_ms, ff.mean_response_ms);
+    ScenarioSpec spec = fastSpec("pddl:width=4", 150.0);
+    tune::ScenarioOutcome ff = run(spec);
+    spec.shards.front().failed_disk = 0;
+    tune::ScenarioOutcome f1 = run(spec);
+    EXPECT_GT(f1.mean_ms, ff.mean_ms);
 }
 
 } // namespace

@@ -224,6 +224,145 @@ TEST(ScenarioSpec, SemanticErrorsAnchorTheField)
         << error;
 }
 
+TEST(ScenarioSpec, CanonicalTextOfExistingSpecsIsPinned)
+{
+    // Tuner winners, replay inputs and the host-speed benchmark's
+    // autotune digest all hash describe(); fields added later must
+    // not change the text of a spec that does not use them.
+    ScenarioSpec spec;
+    EXPECT_EQ(
+        spec.describe(),
+        "{\"shards\":[{\"layout\":\"pddl:width=4\",\"device\":\"hp2247\","
+        "\"disks\":13,\"tier\":\"\",\"failed_disk\":-1}],"
+        "\"allocation\":\"striped\",\"placement\":\"static\","
+        "\"chunk_units\":8,\"dispatch_ms\":2,\"unit_sectors\":16,"
+        "\"sstf_window\":20,\"client\":\"open\",\"arrivals_per_s\":100,"
+        "\"clients\":8,\"think_ms\":0,\"offsets\":\"uniform\","
+        "\"arrival\":\"poisson\",\"mix\":[],\"samples\":2000,"
+        "\"warmup\":200,\"cache\":{\"enabled\":false,\"kb\":32768,"
+        "\"ways\":8,\"high\":0.5,\"low\":0.25,"
+        "\"hit_ms\":0.050000000000000003,\"run_units\":64,\"width\":4},"
+        "\"faults\":[],\"rebuild_parallel\":4}");
+
+    ScenarioSpec rich = richSpec();
+    std::string error;
+    ASSERT_TRUE(rich.normalize(error)) << error;
+    EXPECT_EQ(
+        rich.describe(),
+        "{\"shards\":[{\"layout\":\"pddl:width=4\",\"device\":\"hp2247\","
+        "\"disks\":13,\"tier\":\"\",\"failed_disk\":-1},"
+        "{\"layout\":\"mirror:copies=2,sched=round_robin\","
+        "\"device\":\"ssd:read_us=1.2e+02,write_us=3.6e+02,"
+        "sector_us=0.5,sectors=524288,cost=3.25\",\"disks\":4,"
+        "\"tier\":\"fast\",\"failed_disk\":-1}],"
+        "\"allocation\":\"tiered\",\"placement\":\"shuffle:42\","
+        "\"chunk_units\":16,\"dispatch_ms\":2,\"unit_sectors\":32,"
+        "\"sstf_window\":20,\"client\":\"open\",\"arrivals_per_s\":100,"
+        "\"clients\":8,\"think_ms\":0,\"offsets\":\"zipf:0.99\","
+        "\"arrival\":\"mmpp:4,1200,400\",\"mix\":[{\"kb\":8,"
+        "\"op\":\"write\",\"weight\":0.59999999999999998},{\"kb\":32,"
+        "\"op\":\"read\",\"weight\":0.40000000000000002}],"
+        "\"samples\":2000,\"warmup\":200,\"cache\":{\"enabled\":true,"
+        "\"kb\":32768,\"ways\":8,\"high\":0.10000000000000001,"
+        "\"low\":0.050000000000000003,\"hit_ms\":0.050000000000000003,"
+        "\"run_units\":64,\"width\":4},\"faults\":[{\"when_ms\":40,"
+        "\"shard\":0,\"disk\":2}],\"rebuild_parallel\":8}");
+}
+
+/** The paper's array with no fabric, post-reconstruction, CI rule. */
+ScenarioSpec
+paperSpec()
+{
+    ScenarioSpec spec;
+    spec.shards.front().failed_disk = 0;
+    spec.shards.front().rebuilt = true;
+    spec.dispatch_ms = 0.0;
+    spec.client = "closed";
+    spec.ci_tolerance = 0.06;
+    spec.min_samples = 250;
+    spec.samples = 2500;
+    return spec;
+}
+
+TEST(ScenarioSpec, NoFabricStoppingRuleAndRebuiltRoundTrip)
+{
+    ScenarioSpec spec = paperSpec();
+    std::string error;
+    ASSERT_TRUE(spec.normalize(error)) << error;
+    const std::string text = spec.describe();
+    EXPECT_NE(text.find("\"dispatch_ms\":0"), std::string::npos) << text;
+    EXPECT_NE(text.find("\"rebuilt\":true"), std::string::npos) << text;
+    EXPECT_NE(text.find("\"ci_tolerance\":0.059999999999999998"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\"min_samples\":250"), std::string::npos)
+        << text;
+
+    ScenarioSpec back;
+    ASSERT_TRUE(ScenarioSpec::parse(text, back, error)) << error;
+    EXPECT_EQ(spec, back);
+    ScenarioSpec from_doc;
+    ASSERT_TRUE(
+        ScenarioSpec::parse(spec.toJson().dump(2), from_doc, error))
+        << error;
+    EXPECT_EQ(spec, from_doc);
+}
+
+TEST(ScenarioSpec, NoFabricAndStoppingRuleErrorsAnchorTheField)
+{
+    std::string error;
+    auto rejects = [&](ScenarioSpec spec, const char *anchor) {
+        EXPECT_FALSE(spec.normalize(error)) << anchor;
+        EXPECT_EQ(error.rfind(anchor, 0), 0u) << error;
+    };
+
+    ScenarioSpec two_shards = paperSpec();
+    two_shards.shards.push_back(ScenarioShard{});
+    rejects(two_shards, "dispatch_ms:");
+
+    ScenarioSpec negative_dispatch;
+    negative_dispatch.dispatch_ms = -1.0;
+    rejects(negative_dispatch, "dispatch_ms:");
+
+    ScenarioSpec healthy_rebuilt = paperSpec();
+    healthy_rebuilt.shards.front().failed_disk = -1;
+    rejects(healthy_rebuilt, "shards[0].rebuilt:");
+
+    ScenarioSpec raid5_rebuilt = paperSpec();
+    raid5_rebuilt.shards.front().layout = "raid5";
+    rejects(raid5_rebuilt, "shards[0].rebuilt:");
+
+    ScenarioSpec too_few = paperSpec();
+    too_few.min_samples = too_few.samples + 1;
+    rejects(too_few, "min_samples:");
+
+    ScenarioSpec negative_tolerance = paperSpec();
+    negative_tolerance.ci_tolerance = -0.01;
+    rejects(negative_tolerance, "ci_tolerance:");
+
+    ScenarioSpec open_rule = paperSpec();
+    open_rule.client = "open";
+    rejects(open_rule, "ci_tolerance:");
+
+    ScenarioSpec one_sample = paperSpec();
+    one_sample.min_samples = 1;
+    rejects(one_sample, "min_samples:");
+
+    // The same anchors come back through the JSON loader.
+    ScenarioSpec spec;
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"shards\": [{\"layout\": \"raid5\", \"failed_disk\": 0, "
+        "\"rebuilt\": true}]}",
+        spec, error));
+    EXPECT_EQ(error.rfind("shards[0].rebuilt:", 0), 0u) << error;
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"shards\": [{\"rebuilt\": 1}]}", spec, error));
+    EXPECT_EQ(error.rfind("shards[0].rebuilt:", 0), 0u) << error;
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"shards\": [{}, {}], \"dispatch_ms\": 0}", spec, error));
+    EXPECT_EQ(error.rfind("dispatch_ms:", 0), 0u) << error;
+}
+
 TEST(ScenarioSpec, LoadScenarioAcceptsInlineJson)
 {
     ScenarioSpec spec;

@@ -615,7 +615,7 @@ TEST(ParallelTraffic, MmppOpenLoopIsThreadCountInvariant)
         OpenLoopResult result = client.result();
         run.samples = result.samples;
         run.mean_response_ms = result.mean_response_ms;
-        run.extra = result.p95_response_ms;
+        run.extra = result.completed_per_s;
     };
     VolumeRun one = runTrafficOnVolume(1, make, extract);
     VolumeRun four = runTrafficOnVolume(4, make, extract);
