@@ -1,5 +1,6 @@
 #include "array/controller.hh"
 
+#include <algorithm>
 #include <cstddef>
 #include <cassert>
 #include <stdexcept>
@@ -66,6 +67,7 @@ ArrayController::allocPending()
     } else {
         handle = static_cast<PendingHandle>(pending_.size());
         pending_.emplace_back();
+        pending_.back().phase1.reserve(phase1_reserve_);
     }
     return handle;
 }
@@ -110,6 +112,7 @@ ArrayController::access(int64_t start_unit, int count, AccessType type,
         else
             pending.phase1.push_back(op);
     }
+    phase1_reserve_ = std::max(phase1_reserve_, pending.phase1.size());
     if (scratch_phase0_.empty()) {
         // No pre-reads: issue the overwrites directly.
         pending.phase1_issued = true;

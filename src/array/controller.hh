@@ -143,7 +143,8 @@ class ArrayController : public Target
      * In-flight access bookkeeping, pooled in a free-list arena: op
      * callbacks carry {controller, handle} instead of a shared_ptr,
      * so the steady-state request path performs no reference-counted
-     * allocation. Freed slots keep their phase1 capacity for reuse.
+     * allocation. Freed slots keep their phase1 capacity for reuse,
+     * and a new slot starts with the largest phase1 seen so far.
      */
     struct Pending
     {
@@ -179,6 +180,8 @@ class ArrayController : public Target
     /** Arena of in-flight accesses (see Pending). */
     std::vector<Pending> pending_;
     PendingHandle free_pending_ = kNilPending;
+    /** Largest phase1 any access has had (a new slot's reserve). */
+    size_t phase1_reserve_ = 0;
     /** Scratch for access(): expanded ops and the phase-0 slice. */
     std::vector<PhysOp> scratch_ops_;
     std::vector<PhysOp> scratch_phase0_;

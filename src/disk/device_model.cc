@@ -32,11 +32,22 @@ HddDeviceModel::HddDeviceModel(std::string kind, std::string spec,
     assert(rpm_ > 0.0 && cost_units_ > 0.0);
 }
 
+DiskPosition
+HddDeviceModel::locate(int64_t lba) const
+{
+    DiskPosition position;
+    const Chs chs = geometry_.lbaToChs(lba, position.sectors_per_track);
+    position.cylinder = chs.cylinder;
+    position.head = chs.head;
+    position.sector = chs.sector;
+    return position;
+}
+
 SeekClass
-HddDeviceModel::classify(const MechState &state, int64_t lba,
+HddDeviceModel::classify(const MechState &state,
+                         const DiskPosition &start,
                          bool same_access) const
 {
-    Chs start = geometry_.lbaToChs(lba);
     if (!same_access)
         return SeekClass::NonLocal;
     if (start.cylinder != state.cylinder)
@@ -47,14 +58,13 @@ HddDeviceModel::classify(const MechState &state, int64_t lba,
 }
 
 double
-HddDeviceModel::serviceTime(double now, int64_t lba, int sectors,
-                            bool write, MechState &state) const
+HddDeviceModel::serviceTime(double now, const DiskPosition &start,
+                            int sectors, bool write,
+                            MechState &state) const
 {
     (void)write; // mechanical service is direction-agnostic
     const DiskGeometry &geo = geometry_;
     const double rev = revolutionMs();
-
-    Chs start = geo.lbaToChs(lba);
 
     // Arm positioning.
     double t = 0.0;
@@ -67,7 +77,7 @@ HddDeviceModel::serviceTime(double now, int64_t lba, int sectors,
     // Rotational latency: the platter spins continuously, so the
     // angular position when the arm settles is determined by absolute
     // simulated time.
-    int spt = geo.sectorsPerTrack(start.cylinder);
+    int spt = start.sectors_per_track;
     double settle_time = now + t;
     double angle_now = std::fmod(settle_time, rev) / rev;       // [0,1)
     double angle_target = double(start.sector) / spt;
@@ -78,13 +88,13 @@ HddDeviceModel::serviceTime(double now, int64_t lba, int sectors,
 
     // Media transfer, walking across track and cylinder boundaries.
     // Track skew is assumed to hide rotational resynchronization, so
-    // boundary crossings cost only the switch time.
+    // boundary crossings cost only the switch time. Zones are
+    // cylinder ranges, so only a cylinder crossing can change spt.
     int remaining = sectors;
     int cylinder = start.cylinder;
     int head = start.head;
     int sector = start.sector;
     while (remaining > 0) {
-        spt = geo.sectorsPerTrack(cylinder);
         int chunk = std::min(remaining, spt - sector);
         t += double(chunk) / spt * rev;
         remaining -= chunk;
@@ -96,6 +106,7 @@ HddDeviceModel::serviceTime(double now, int64_t lba, int sectors,
                 head = 0;
                 ++cylinder;
                 t += seek_.seekTime(1);
+                spt = geo.sectorsPerTrack(cylinder);
             } else {
                 t += seek_.headSwitchMs();
             }
@@ -121,11 +132,12 @@ SsdDeviceModel::SsdDeviceModel(double read_us, double write_us,
 }
 
 double
-SsdDeviceModel::serviceTime(double now, int64_t lba, int sectors,
-                            bool write, MechState &state) const
+SsdDeviceModel::serviceTime(double now, const DiskPosition &start,
+                            int sectors, bool write,
+                            MechState &state) const
 {
     (void)now;
-    (void)lba;
+    (void)start;
     (void)state;
     const double floor_us = write ? write_us_ : read_us_;
     return (floor_us + sector_us_ * sectors) / 1000.0;

@@ -93,6 +93,21 @@ struct MechState
 };
 
 /**
+ * Where an LBA sits on the media, decoded once by
+ * DeviceModel::locate() and then read by the SSTF pick, classify()
+ * and serviceTime(). Position-free devices (SSD) locate every LBA at
+ * the all-zero position.
+ */
+struct DiskPosition
+{
+    int cylinder = 0;
+    int head = 0;
+    int sector = 0;
+    /** Sectors per track of the zone the LBA falls in. */
+    int sectors_per_track = 0;
+};
+
+/**
  * The drive-mechanics contract one simulated Disk runs on. A model
  * is immutable and thread-safe: per-drive state lives in the Disk's
  * MechState, which serviceTime() advances.
@@ -115,27 +130,39 @@ class DeviceModel
     virtual int sectorBytes() const = 0;
 
     /**
-     * Arm-position key of an LBA, used by the SSTF scheduler (the
-     * cylinder for mechanical drives). Position-free devices return
-     * a constant, degenerating SSTF to FCFS arrival order.
+     * Decode an LBA into its media position. The SSTF scheduler
+     * compares the cylinders; position-free devices return the same
+     * position for every LBA, degenerating SSTF to FCFS arrival
+     * order.
      */
-    virtual int seekPosition(int64_t lba) const = 0;
+    virtual DiskPosition locate(int64_t lba) const = 0;
 
     /**
-     * Classify the next operation relative to the drive's mechanical
-     * state (the paper's local/non-local accounting). `same_access`
-     * is true when the previous operation on this drive belonged to
-     * the same logical access.
+     * Classify the next operation, starting at `start`, relative to
+     * the drive's mechanical state (the paper's local/non-local
+     * accounting). `same_access` is true when the previous operation
+     * on this drive belonged to the same logical access.
      */
-    virtual SeekClass classify(const MechState &state, int64_t lba,
+    virtual SeekClass classify(const MechState &state,
+                               const DiskPosition &start,
                                bool same_access) const = 0;
 
     /**
      * Service time in ms of one request starting at simulated time
-     * `now`, advancing `state` to the post-transfer position.
+     * `now` at position `start`, advancing `state` to the
+     * post-transfer position.
      */
-    virtual double serviceTime(double now, int64_t lba, int sectors,
-                               bool write, MechState &state) const = 0;
+    virtual double serviceTime(double now, const DiskPosition &start,
+                               int sectors, bool write,
+                               MechState &state) const = 0;
+
+    /** serviceTime() of the request starting at `lba`. */
+    double
+    serviceTime(double now, int64_t lba, int sectors, bool write,
+                MechState &state) const
+    {
+        return serviceTime(now, locate(lba), sectors, write, state);
+    }
 
     /**
      * Relative acquisition cost of one device (HP 2247 = 1.0), the
@@ -181,14 +208,13 @@ class HddDeviceModel : public DeviceModel
     {
         return geometry_.sectorBytes();
     }
-    int seekPosition(int64_t lba) const override
-    {
-        return geometry_.lbaToChs(lba).cylinder;
-    }
-    SeekClass classify(const MechState &state, int64_t lba,
+    DiskPosition locate(int64_t lba) const override;
+    SeekClass classify(const MechState &state, const DiskPosition &start,
                        bool same_access) const override;
-    double serviceTime(double now, int64_t lba, int sectors,
-                       bool write, MechState &state) const override;
+    using DeviceModel::serviceTime;
+    double serviceTime(double now, const DiskPosition &start,
+                       int sectors, bool write,
+                       MechState &state) const override;
     double costUnits() const override { return cost_units_; }
 
     const DiskGeometry &geometry() const { return geometry_; }
@@ -223,20 +249,23 @@ class SsdDeviceModel : public DeviceModel
     std::string describe() const override;
     int64_t totalSectors() const override { return sectors_; }
     int sectorBytes() const override { return 512; }
-    int seekPosition(int64_t) const override { return 0; }
-    SeekClass classify(const MechState &, int64_t,
+    DiskPosition locate(int64_t) const override { return {}; }
+    SeekClass classify(const MechState &, const DiskPosition &,
                        bool same_access) const override
     {
         return same_access ? SeekClass::NoSwitch
                            : SeekClass::NonLocal;
     }
-    double serviceTime(double now, int64_t lba, int sectors,
-                       bool write, MechState &state) const override;
+    using DeviceModel::serviceTime;
+    double serviceTime(double now, const DiskPosition &start,
+                       int sectors, bool write,
+                       MechState &state) const override;
     double costUnits() const override { return cost_units_; }
     const std::vector<double> &latencyBoundsMs() const override;
 
     double readUs() const { return read_us_; }
     double writeUs() const { return write_us_; }
+    double sectorUs() const { return sector_us_; }
 
   private:
     double read_us_;

@@ -25,6 +25,7 @@ Disk::submit(DiskRequest request)
     assert(request.lba >= 0 &&
            request.lba + request.sectors <= device_->totalSectors());
     request.submit_ms = events_.now();
+    request.position = device_->locate(request.lba);
     queue_.push_back(std::move(request));
     probe_.counterSample("queue depth", lane_, events_.now(), "depth",
                          static_cast<double>(queue_.size()));
@@ -76,18 +77,17 @@ Disk::startNext()
 {
     assert(!busy_ && !queue_.empty());
 
-    // SSTF over the scan window: nearest seek position (the cylinder
-    // on mechanical drives; position-free devices degenerate to FCFS)
+    // SSTF over the scan window: nearest cylinder (position-free
+    // devices locate every LBA at cylinder 0, degenerating to FCFS)
     // wins, earliest arrival breaks ties (keeps the policy
     // starvation-resistant for the closed-loop workloads we simulate).
     size_t window = std::min<size_t>(window_, queue_.size());
     size_t best = 0;
     int best_distance =
-        std::abs(device_->seekPosition(queue_[0].lba) - mech_.cylinder);
+        std::abs(queue_[0].position.cylinder - mech_.cylinder);
     for (size_t i = 1; i < window; ++i) {
         int distance =
-            std::abs(device_->seekPosition(queue_[i].lba) -
-                     mech_.cylinder);
+            std::abs(queue_[i].position.cylinder - mech_.cylinder);
         if (distance < best_distance) {
             best = i;
             best_distance = distance;
@@ -101,7 +101,8 @@ Disk::startNext()
     // Classify before the arm moves (section 4's local/non-local).
     const bool same_access =
         has_last_ && request.access_id == last_access_id_;
-    SeekClass cls = device_->classify(mech_, request.lba, same_access);
+    SeekClass cls = device_->classify(mech_, request.position,
+                                      same_access);
     tally_.add(cls);
     last_access_id_ = request.access_id;
     has_last_ = true;
@@ -118,7 +119,7 @@ Disk::startNext()
     }
 
     SimTime service =
-        device_->serviceTime(events_.now(), request.lba,
+        device_->serviceTime(events_.now(), request.position,
                              request.sectors, request.write, mech_);
     busy_ms_ += service;
     if (probe_.on()) {

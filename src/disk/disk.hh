@@ -42,6 +42,11 @@ struct DiskRequest
     InlineCallback done;
     /** Arrival time, stamped by Disk::submit (queue-wait metric). */
     double submit_ms = 0.0;
+    /**
+     * Media position of `lba`, decoded once by Disk::submit; the SSTF
+     * pick, classify() and serviceTime() all read it.
+     */
+    DiskPosition position{};
 };
 
 /**

@@ -39,7 +39,7 @@ DiskGeometry::zoneOf(int cylinder) const
 }
 
 Chs
-DiskGeometry::lbaToChs(int64_t lba) const
+DiskGeometry::lbaToChs(int64_t lba, int &sectors_per_track) const
 {
     assert(lba >= 0 && lba < total_sectors_);
     size_t zi = 0;
@@ -53,6 +53,7 @@ DiskGeometry::lbaToChs(int64_t lba) const
     int64_t in_cyl = in_zone % per_cyl;
     chs.head = static_cast<int>(in_cyl / z.sectors_per_track);
     chs.sector = static_cast<int>(in_cyl % z.sectors_per_track);
+    sectors_per_track = z.sectors_per_track;
     return chs;
 }
 

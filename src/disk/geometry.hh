@@ -82,7 +82,18 @@ class DiskGeometry
      * a track, then across heads of a cylinder, then across cylinders
      * (the conventional serpentine-free ordering).
      */
-    Chs lbaToChs(int64_t lba) const;
+    Chs
+    lbaToChs(int64_t lba) const
+    {
+        int sectors_per_track;
+        return lbaToChs(lba, sectors_per_track);
+    }
+
+    /**
+     * lbaToChs() that also reports the sectors per track of the zone
+     * the address falls in, so a caller needs no second zoneOf() scan.
+     */
+    Chs lbaToChs(int64_t lba, int &sectors_per_track) const;
 
     /** Logical block address of CHS coordinates. */
     int64_t chsToLba(const Chs &chs) const;

@@ -12,6 +12,9 @@
  * setup. The budget is 0.01 allocations per access: the access path
  * (metrics, disk queues, cache dirty set and read misses, rebuild
  * stripes) is meant to allocate nothing once its pools have grown.
+ * One more case bounds how those pools grow: a burst of concurrent
+ * writes on a fresh controller, where every access opens a new
+ * request-arena slot.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +25,11 @@
 #include <new>
 #include <string>
 
+#include "array/controller.hh"
+#include "core/pddl_layout.hh"
 #include "core/scenario_spec.hh"
+#include "disk/device_model.hh"
+#include "sim/event_queue.hh"
 #include "tune/scenario_runner.hh"
 
 namespace {
@@ -238,6 +245,40 @@ TEST(AllocBudget, ShardRebuildingAFailedDisk)
     EXPECT_LE(per_access, kBudgetPerAccess)
         << rebuilding_allocs << " allocations with the rebuild, "
         << healthy_allocs << " without";
+}
+
+/**
+ * Allocations of a fresh PDDL(13, 4) controller that takes `writes`
+ * concurrent 24-unit (multi-stripe) writes at once and drains them.
+ */
+uint64_t
+burstAllocations(int writes)
+{
+    EventQueue events;
+    PddlLayout pddl(boseConstruction(13, 4));
+    ArrayController array(events, pddl, device::hp2247(), ArrayConfig{});
+    const uint64_t before = g_allocations.load();
+    for (int i = 0; i < writes; ++i)
+        array.access(int64_t{i} * 1000, 24, AccessType::Write, {});
+    events.runUntilEmpty();
+    return g_allocations.load() - before;
+}
+
+TEST(AllocBudget, BurstOfMultiStripeWritesOnFreshController)
+{
+    // Every write of the burst opens a new arena slot holding ~30
+    // phase-1 overwrites. A new slot starts with the largest phase 1
+    // seen so far, so it costs one allocation instead of a doubling
+    // series; disk queues and the arena itself add a little more.
+    // The difference of two bursts cancels the controller's setup.
+    const int burst = 64;
+    const uint64_t small = burstAllocations(burst);
+    const uint64_t large = burstAllocations(2 * burst);
+    const double per_write =
+        (static_cast<double>(large) - static_cast<double>(small)) / burst;
+    EXPECT_LE(per_write, 1.5)
+        << large << " allocations for " << 2 * burst << " writes, "
+        << small << " for " << burst;
 }
 
 } // namespace

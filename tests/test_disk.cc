@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
+#include <vector>
 
 #include "disk/disk.hh"
 #include "sim/event_queue.hh"
@@ -117,6 +119,32 @@ TEST_F(DiskFixture, FcfsWindowOneIgnoresDistance)
     ASSERT_EQ(completion_order.size(), 3u);
     EXPECT_EQ(completion_order[1], 2); // arrival order preserved
     EXPECT_EQ(completion_order[2], 3);
+}
+
+TEST_F(DiskFixture, SsdDefaultWindowServesInArrivalOrder)
+{
+    // Every ssd LBA locates to cylinder 0, so the default 20-deep
+    // SSTF window must keep strict arrival order, while the same
+    // queue on the hp2247 is reordered by distance.
+    auto completionOrder = [&](const DeviceModel &device) {
+        Disk disk(events, device); // default 20-deep window
+        const int64_t last = device.totalSectors() - 16;
+        const int64_t lbas[] = {0,          last,       16,
+                                last / 2,   32,         last - 16,
+                                last / 4,   48,         3 * last / 4,
+                                last - 32};
+        std::vector<int> order;
+        for (int i = 0; i < 10; ++i) {
+            disk.submit(request(lbas[i], 16, static_cast<uint64_t>(i),
+                                [&order, i] { order.push_back(i); }));
+        }
+        events.runUntilEmpty();
+        return order;
+    };
+    std::shared_ptr<const DeviceModel> ssd = device::makeDevice("ssd");
+    const std::vector<int> arrival{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+    EXPECT_EQ(completionOrder(*ssd), arrival);
+    EXPECT_NE(completionOrder(model), arrival);
 }
 
 TEST_F(DiskFixture, SeekClassificationFollowsAccessIdentity)
