@@ -217,16 +217,6 @@ replayWinner(const std::string &path)
     return match ? 0 : 1;
 }
 
-double
-extra(const harness::PointResult &point, const char *key)
-{
-    for (const auto &[name, value] : point.extras) {
-        if (name == key)
-            return value;
-    }
-    return 0.0;
-}
-
 /** One evaluated row: simulate with the row's protocol seed. */
 SimResult
 scenarioRow(const ScenarioSpec &spec, uint64_t seed,
@@ -399,10 +389,11 @@ main(int argc, char **argv)
             continue;
         std::printf("%-20s %12.3f %10.2f %10.2f %10.3f %8.0f\n",
                     point.point.layout.c_str(),
-                    extra(point, "objective"), extra(point, "p99_ms"),
+                    bench::extra(point, "objective"),
+                    bench::extra(point, "p99_ms"),
                     point.result.mean_response_ms,
-                    extra(point, "hit_rate"),
-                    extra(point, "write_stalls"));
+                    bench::extra(point, "hit_rate"),
+                    bench::extra(point, "write_stalls"));
     }
     std::printf("\ntuned scenario: %s\n",
                 tuned.best.describe().c_str());

@@ -13,6 +13,11 @@
  * data-loss fraction, rebuild durations, and the response time
  * clients saw inside the degraded window.
  *
+ * Each mission is a ScenarioSpec with mission_ms set, run by
+ * tune::runScenario: a seeded random timeline of disk failures and
+ * latent errors, a background scrubber, and a closed-loop population
+ * that stops issuing once the array loses data.
+ *
  * Timescales are accelerated (MTTF comparable to rebuild duration)
  * so loss events occur at measurable rates; loss fractions compare
  * configurations, they are not absolute MTTDL predictions. Seeds
@@ -21,10 +26,75 @@
  */
 
 #include "bench_util.hh"
-#include "core/wrapped_layout.hh"
-#include "fault/reliability.hh"
+#include "util/rng.hh"
 
 using namespace pddl;
+
+namespace {
+
+/**
+ * Run `trials` missions of `spec` and merge them into one row. Trial
+ * t draws its fault timeline and its client offsets from seeds
+ * derived from (seed, t), so the row depends only on its grid point.
+ */
+SimResult
+runMissions(ScenarioSpec spec, int trials, uint64_t seed,
+            harness::Extras &extras)
+{
+    Welford response, degraded_response, rebuild_ms;
+    double losses = 0.0, failures = 0.0, rebuilds = 0.0;
+    double degraded_ms = 0.0, simulated_ms = 0.0;
+    double latent_injected = 0.0, latent_detected = 0.0;
+    double scrub_repairs = 0.0, scrub_units = 0.0;
+    for (int t = 0; t < trials; ++t) {
+        const uint64_t trial_seed = hashMix64(seed, t + 1);
+        spec.fault_seed = hashMix64(trial_seed, 0xfa01);
+        tune::RunScenarioOptions options;
+        options.seed = hashMix64(trial_seed, 0xc11e);
+        const tune::ScenarioOutcome trial =
+            tune::runScenario(spec, options);
+        response.merge(trial.response_ms);
+        degraded_response.merge(trial.degraded_response_ms);
+        rebuild_ms.merge(trial.rebuild_ms);
+        losses += trial.data_loss ? 1.0 : 0.0;
+        failures += trial.failures_applied;
+        rebuilds += trial.rebuilds_completed;
+        degraded_ms += trial.degraded_ms;
+        // A mission that lost data stopped covering time there.
+        simulated_ms +=
+            trial.data_loss ? trial.data_loss_ms : spec.mission_ms;
+        latent_injected += trial.latent_injected;
+        latent_detected += static_cast<double>(trial.latent_detected);
+        scrub_repairs += static_cast<double>(trial.scrub_repairs);
+        scrub_units += static_cast<double>(trial.scrub_units_scanned);
+    }
+    extras.emplace_back("trials", trials);
+    extras.emplace_back("data_loss_fraction",
+                        trials ? losses / trials : 0.0);
+    extras.emplace_back("failures_applied", failures);
+    extras.emplace_back("rebuilds_completed", rebuilds);
+    extras.emplace_back("rebuild_ms_mean", rebuild_ms.mean());
+    extras.emplace_back("degraded_ms_total", degraded_ms);
+    extras.emplace_back("degraded_response_ms", degraded_response.mean());
+    extras.emplace_back("degraded_samples",
+                        static_cast<double>(degraded_response.count()));
+    extras.emplace_back("latent_injected", latent_injected);
+    extras.emplace_back("latent_detected", latent_detected);
+    extras.emplace_back("scrub_repairs", scrub_repairs);
+    extras.emplace_back("scrub_units_scanned", scrub_units);
+
+    SimResult result;
+    result.mean_response_ms = response.mean();
+    result.ci_half_width_ms = response.confidenceHalfWidth();
+    result.samples = response.count();
+    if (simulated_ms > 0.0) {
+        result.throughput_per_s = static_cast<double>(response.count()) /
+                                  (simulated_ms / 1000.0);
+    }
+    return result;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -33,22 +103,25 @@ main(int argc, char **argv)
                      "Reliability: Monte-Carlo sweep of failure rate "
                      "x rebuild aggressiveness x layout");
     const bool full = bench::fullFidelity();
-    const DeviceModel &model = pddl::device::hp2247();
+    const char *figure = "Reliability";
+    const int trials = full ? 25 : 5;
 
-    PddlLayout pddl = PddlLayout::make(13, 4);
-    WrappedLayout wrapped = WrappedLayout::make(14, 4);
-    const std::vector<const Layout *> layouts = {&pddl, &wrapped};
+    // 24 KB reads from 4 clients on a healthy bare array; latent
+    // errors land every 2.5 s per disk and a scrubber sweeps behind.
+    ScenarioSpec base;
+    base.dispatch_ms = 0.0;
+    base.client = "closed";
+    base.clients = 4;
+    base.mix = {{24, false, 1.0}};
+    base.warmup = 0;
+    base.mission_ms = full ? 60000.0 : 30000.0;
+    base.rebuild_stripes = full ? 3900 : 1300;
+    base.latent_mtbe_ms = 2500.0;
+    base.scrub_interval_ms = 20.0;
 
-    ReliabilityGridConfig grid;
-    grid.figure = "Reliability";
-    grid.trials = full ? 25 : 5;
-    grid.base.mission_ms = full ? 60000.0 : 30000.0;
-    grid.base.clients = 4;
-    grid.base.access_units = 3; // 24 KB reads
-    grid.base.rebuild_stripes = full ? 3900 : 1300;
-    grid.base.latent_mtbe_ms = 2500.0;
-    grid.base.scrub_interval_ms = 20.0;
-
+    // PDDL on its 13 disks, and PDDL wrapped over 14 (paper §5).
+    const std::vector<std::pair<std::string, int>> layouts = {
+        {"pddl:width=4", 13}, {"wrapped:width=4", 14}};
     // Per-disk MTTFs spanning "a failure is near-certain" to "two
     // failures in one mission are rare": with 13-14 disks and 30 s
     // missions, the expected failure count per mission runs ~2.6
@@ -56,50 +129,65 @@ main(int argc, char **argv)
     const std::vector<double> mttfs_ms = {150000.0, 450000.0,
                                           1350000.0};
     const std::vector<int> parallelism = {1, 4, 8};
-    for (const Layout *layout : layouts) {
+
+    std::vector<std::string> names;
+    std::vector<harness::Experiment> experiments;
+    for (const auto &[layout, disks] : layouts) {
+        names.push_back(layouts::makeLayout(layout, disks)->name());
         for (double mttf : mttfs_ms) {
-            for (int parallel : parallelism)
-                grid.cells.push_back({layout, mttf, parallel});
+            for (int parallel : parallelism) {
+                ScenarioSpec spec = base;
+                spec.shards.front().layout = layout;
+                spec.shards.front().disks = disks;
+                spec.disk_mttf_ms = mttf;
+                spec.rebuild_parallel = parallel;
+                // The cell's sweep coordinates feed the label so that
+                // every cell derives a distinct, stable seed.
+                const std::string label =
+                    names.back() + "/mttf=" +
+                    std::to_string(static_cast<long long>(mttf)) +
+                    "ms/par=" + std::to_string(parallel);
+                experiments.push_back(
+                    {{figure, label, 24, base.clients, AccessType::Read,
+                      ArrayMode::FaultFree},
+                     [spec = bench::normalized(spec), trials](
+                         uint64_t seed, const obs::Probe &,
+                         harness::Extras &extras) {
+                         return runMissions(spec, trials, seed, extras);
+                     }});
+            }
         }
     }
 
     const char *caption = "Monte-Carlo failure lifecycle sweep "
                           "(accelerated timescale)";
-    auto experiments = buildReliabilityExperiments(grid, model);
     harness::RunSummary summary =
-        bench::runGrid(grid.figure.c_str(), caption, experiments);
+        bench::runGrid(figure, caption, experiments);
 
     std::printf("Reliability: %s\n", caption);
     std::printf("(%d trials/cell, %.0f s missions, %d clients of "
                 "24 KB reads, %lld-stripe rebuilds)\n\n",
-                grid.trials, grid.base.mission_ms / 1000.0,
-                grid.base.clients,
-                static_cast<long long>(grid.base.rebuild_stripes));
+                trials, base.mission_ms / 1000.0, base.clients,
+                static_cast<long long>(base.rebuild_stripes));
     std::printf("%-14s %8s %9s %10s %11s %11s %11s %10s\n", "layout",
                 "mttf s", "parallel", "loss frac", "rebuilds",
                 "rebuild ms", "degr ms/acc", "ff ms/acc");
     bench::printRule(9);
     size_t index = 0;
-    for (const Layout *layout : layouts) {
+    for (const std::string &name : names) {
         for (double mttf : mttfs_ms) {
             for (int parallel : parallelism) {
                 const harness::PointResult &point =
                     summary.points[index++];
-                auto extra = [&](const char *key) {
-                    for (const auto &entry : point.extras) {
-                        if (entry.first == key)
-                            return entry.second;
-                    }
-                    return 0.0;
-                };
-                std::printf("%-14s %8.0f %9d %10.2f %11.0f %11.0f "
-                            "%11.1f %10.1f\n",
-                            layout->name().c_str(), mttf / 1000.0,
-                            parallel, extra("data_loss_fraction"),
-                            extra("rebuilds_completed"),
-                            extra("rebuild_ms_mean"),
-                            extra("degraded_response_ms"),
-                            point.result.mean_response_ms);
+                std::printf(
+                    "%-14s %8.0f %9d %10.2f %11.0f %11.0f "
+                    "%11.1f %10.1f\n",
+                    name.c_str(), mttf / 1000.0, parallel,
+                    bench::extra(point, "data_loss_fraction"),
+                    bench::extra(point, "rebuilds_completed"),
+                    bench::extra(point, "rebuild_ms_mean"),
+                    bench::extra(point, "degraded_response_ms"),
+                    point.result.mean_response_ms);
             }
         }
     }

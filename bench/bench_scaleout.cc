@@ -15,10 +15,14 @@
  * shows up against the healthy remainder (degraded sub-access
  * share, rebuild completion).
  *
+ * Every row is a ScenarioSpec run by tune::runScenario; the outcome
+ * carries the engine and volume counters the rows report.
+ *
  * --speedup (implied by --check) adds the wall-clock rows: one big
  * 64-shard volume run at 1, 2 and 4 intra-scenario threads, same
- * simulated history at every count, host wall time printed per row
- * (stdout only -- wall time never reaches the JSON).
+ * simulated history at every count, host wall time of the whole
+ * runScenario call printed per row (stdout only -- wall time never
+ * reaches the JSON).
  *
  * --check enforces the scale-out acceptance floors in CI: the
  * 4-shard healthy row must deliver at least 3x the 1-shard
@@ -30,15 +34,10 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/pddl_layout.hh"
-#include "fault/fault_scheduler.hh"
-#include "sim/parallel_engine.hh"
-#include "volume/volume_manager.hh"
 
 namespace pddl {
 namespace {
@@ -49,178 +48,90 @@ const std::vector<int> kShardCounts = {1, 2, 4, 8};
 constexpr int kClientsPerShard = 8;
 
 /**
- * Volume->shard dispatch latency, and therefore the engine's
- * conservative window width (lookahead). Two milliseconds keeps
- * tens of disk events per lane inside each window at this bench's
- * load, so barrier overhead stays in the noise.
+ * A volume of `shard_count` 13-disk PDDL shards under a closed-loop
+ * population of `clients`, each issuing `kb` KB reads. Volume->shard
+ * dispatch latency, and therefore the engine's conservative window
+ * width (lookahead), is 2 ms: that keeps tens of disk events per
+ * lane inside each window at this bench's load, so barrier overhead
+ * stays in the noise. A fixed sample count (no CI rule) pins the
+ * simulated work so rates compare cleanly across shard counts.
  */
-constexpr double kDispatchMs = 2.0;
-
-/**
- * One scale-out point: a volume of `shard_count` PDDL shards under a
- * closed-loop population, optionally with a scripted disk failure on
- * shard 0. Fixed sample count (min == max, zero tolerance) pins the
- * simulated work so rates compare cleanly across shard counts. Runs
- * on the parallel engine with --sim-threads workers; every reported
- * number is identical at every worker count.
- */
-SimResult
-runScaleout(int shard_count, bool faulted, uint64_t seed,
-            harness::Extras &extras)
+ScenarioSpec
+volumeSpec(int shard_count, int clients, int kb, int64_t samples,
+           int64_t warmup)
 {
-    ParallelEngine::Config engine_config;
-    engine_config.threads = bench::options().sim_threads;
-    engine_config.lookahead = kDispatchMs;
-    ParallelEngine engine(shard_count, engine_config);
-
-    PddlLayout layout = PddlLayout::make(13, 4);
-    const DeviceModel &model = device::hp2247();
-
-    std::vector<ShardSpec> specs(static_cast<size_t>(shard_count));
-    for (ShardSpec &spec : specs) {
-        spec.layout = &layout;
-        spec.device = &model;
-    }
-    VolumeConfig vconfig;
-    vconfig.chunk_units = 8;
-    vconfig.dispatch_ms = kDispatchMs;
-    VolumeManager volume(engine, std::move(specs), vconfig);
-
-    // Per-shard fault injection: shard 0 loses disk 2 early in the
-    // run and rebuilds into its distributed spare while the other
-    // shards keep serving at full speed. The scheduler lives on
-    // shard 0's lane: all of its machinery is shard-local.
-    std::unique_ptr<FaultScheduler> faults;
-    if (faulted) {
-        FaultSchedule schedule;
-        schedule.events.push_back(
-            {40.0, FaultEvent::Kind::DiskFailure, 2, 0});
-        faults = std::make_unique<FaultScheduler>(
-            engine.shardQueue(0), std::move(schedule),
-            FaultScheduler::Options{});
-        faults->bindArray(volume.shard(0));
-        faults->start();
-    }
-
-    ClosedLoopConfig config;
-    config.clients = kClientsPerShard * shard_count;
-    config.access_units = 3; // 24 KB: mixes chunk-local + split ops
-    config.type = AccessType::Read;
-    config.relative_tolerance = 0.0;
-    config.min_samples = bench::fullFidelity() ? 12000 : 3000;
-    config.max_samples = config.min_samples;
-    config.warmup = 200;
-    config.seed = seed;
-
-    ClosedLoopClient client(config);
-    startOnHub(client, engine, volume);
-    engine.run();
-
-    SimResult result = client.result();
-
-    // Simulated rates only: host wall time must never reach a row,
-    // or the JSON would stop being bit-identical across --threads
-    // and --sim-threads.
-    const double sim_s = engine.now() / 1000.0;
-    extras.emplace_back("shards", shard_count);
-    extras.emplace_back("req_per_s", result.throughput_per_s);
-    extras.emplace_back("events_per_sim_s",
-                        static_cast<double>(engine.eventsFired()) /
-                            sim_s);
-    extras.emplace_back("windows_per_sim_s",
-                        static_cast<double>(engine.windowsRun()) /
-                            sim_s);
-    extras.emplace_back(
-        "sub_per_access",
-        static_cast<double>(volume.subAccessesIssued()) /
-            static_cast<double>(volume.volumeAccessesIssued()));
-    int max_depth = 0;
-    for (int s = 0; s < volume.shardCount(); ++s)
-        max_depth = std::max(max_depth, volume.maxInFlight(s));
-    extras.emplace_back("max_in_flight", max_depth);
-    extras.emplace_back("degraded_shards_end", volume.degradedShards());
-    if (faulted) {
-        const FaultStats &stats = faults->stats();
-        extras.emplace_back("rebuilds_completed",
-                            stats.rebuilds_completed);
-        extras.emplace_back("data_loss", stats.data_loss ? 1.0 : 0.0);
-        extras.emplace_back("degraded_ms", faults->degradedMs());
-    }
-    return result;
+    ScenarioSpec spec;
+    spec.shards.assign(static_cast<size_t>(shard_count),
+                       ScenarioShard{});
+    spec.chunk_units = 8;
+    spec.dispatch_ms = 2.0;
+    spec.client = "closed";
+    spec.clients = clients;
+    spec.mix = {{kb, false, 1.0}};
+    spec.samples = samples;
+    spec.warmup = warmup;
+    return bench::normalized(spec);
 }
 
 /**
- * The wall-clock scenario: a 64-shard volume under a heavy
- * closed-loop population of large accesses (each sub-access expands
- * to a whole chunk of disk ops), so nearly all event work lives on
- * the shard lanes and the windows stay dense. Returns the host wall
- * milliseconds of engine.run(); the simulated outcome is checked
- * identical across thread counts by the caller.
+ * Run one scale-out row and report its simulated rates only: host
+ * wall time must never reach a row, or the JSON would stop being
+ * bit-identical across --threads and --sim-threads.
  */
+SimResult
+runScaleout(const ScenarioSpec &spec, uint64_t seed,
+            harness::Extras &extras)
+{
+    tune::RunScenarioOptions options;
+    options.seed = seed;
+    options.sim_threads = bench::options().sim_threads;
+    const tune::ScenarioOutcome outcome = tune::runScenario(spec, options);
+
+    const double sim_s = outcome.sim_ms / 1000.0;
+    extras.emplace_back("shards", static_cast<int>(spec.shards.size()));
+    extras.emplace_back("req_per_s", outcome.throughput_per_s);
+    extras.emplace_back("events_per_sim_s",
+                        static_cast<double>(outcome.events_fired) / sim_s);
+    extras.emplace_back("windows_per_sim_s",
+                        static_cast<double>(outcome.windows_run) / sim_s);
+    extras.emplace_back("sub_per_access",
+                        static_cast<double>(outcome.sub_accesses) /
+                            static_cast<double>(outcome.backend_accesses));
+    extras.emplace_back("max_in_flight", outcome.max_in_flight);
+    extras.emplace_back("degraded_shards_end", outcome.degraded_shards_end);
+    if (!spec.faults.empty()) {
+        extras.emplace_back("rebuilds_completed",
+                            outcome.rebuilds_completed);
+        extras.emplace_back("data_loss", outcome.data_loss ? 1.0 : 0.0);
+        extras.emplace_back("degraded_ms", outcome.degraded_ms);
+    }
+    return bench::simResult(outcome);
+}
+
+/** One wall-clock row: host time of the whole runScenario call. */
 struct WallRun
 {
     double wall_ms = 0.0;
-    uint64_t events = 0;
-    double sim_ms = 0.0;
-    double mean_response_ms = 0.0;
-    int64_t samples = 0;
+    tune::ScenarioOutcome outcome;
 };
 
-WallRun
-runWallScenario(int shard_count, int sim_threads)
-{
-    ParallelEngine::Config engine_config;
-    engine_config.threads = sim_threads;
-    engine_config.lookahead = kDispatchMs;
-    ParallelEngine engine(shard_count, engine_config);
-
-    PddlLayout layout = PddlLayout::make(13, 4);
-    const DeviceModel &model = device::hp2247();
-    std::vector<ShardSpec> specs(static_cast<size_t>(shard_count));
-    for (ShardSpec &spec : specs) {
-        spec.layout = &layout;
-        spec.device = &model;
-    }
-    VolumeConfig vconfig;
-    vconfig.chunk_units = 8;
-    vconfig.dispatch_ms = kDispatchMs;
-    VolumeManager volume(engine, std::move(specs), vconfig);
-
-    ClosedLoopConfig config;
-    config.clients = 16 * shard_count;
-    config.access_units = 8; // one whole chunk: 8 disk ops per sub
-    config.type = AccessType::Read;
-    config.relative_tolerance = 0.0;
-    config.min_samples = bench::fullFidelity() ? 40000 : 12000;
-    config.max_samples = config.min_samples;
-    config.warmup = 500;
-    config.seed = 0x5ca1ab1eULL;
-
-    ClosedLoopClient client(config);
-    startOnHub(client, engine, volume);
-
-    const auto start = std::chrono::steady_clock::now();
-    engine.run();
-    const auto stop = std::chrono::steady_clock::now();
-
-    WallRun run;
-    run.wall_ms =
-        std::chrono::duration<double, std::milli>(stop - start)
-            .count();
-    run.events = engine.eventsFired();
-    run.sim_ms = engine.now();
-    run.mean_response_ms = client.result().mean_response_ms;
-    run.samples = client.result().samples;
-    return run;
-}
-
 /**
- * Print the wall-clock speedup rows (stdout only, never JSON) and
- * return the per-thread-count results for floor checking.
+ * The wall-clock scenario: a 64-shard volume under a heavy
+ * closed-loop population of large accesses, so nearly all event work
+ * lives on the shard lanes and the windows stay dense. Prints one
+ * row per intra-scenario thread count (stdout only, never JSON),
+ * timing the whole runScenario call, stack setup included, and
+ * returns the runs for floor checking (the simulated outcome must be
+ * identical across thread counts).
  */
 std::map<int, WallRun>
 runSpeedupRows(int shard_count)
 {
+    // 16 clients per shard reading one whole 64 KB chunk each: 8
+    // disk ops per sub-access.
+    const ScenarioSpec spec =
+        volumeSpec(shard_count, 16 * shard_count, 64,
+                   bench::fullFidelity() ? 40000 : 12000, 500);
     std::map<int, WallRun> runs;
     std::printf("\n64-shard wall-clock speedup (host time; identical "
                 "simulated history per row)\n");
@@ -230,28 +141,26 @@ runSpeedupRows(int shard_count)
     bench::printRule(7);
     double base_ms = 0.0;
     for (int threads : {1, 2, 4}) {
-        WallRun run = runWallScenario(shard_count, threads);
+        tune::RunScenarioOptions options;
+        options.seed = 0x5ca1ab1eULL;
+        options.sim_threads = threads;
+        WallRun run;
+        const auto start = std::chrono::steady_clock::now();
+        run.outcome = tune::runScenario(spec, options);
+        run.wall_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
         if (threads == 1)
             base_ms = run.wall_ms;
+        const auto events =
+            static_cast<unsigned long long>(run.outcome.events_fired);
         std::printf("%12d %10.0f %12llu %12.2f %9.2fx %9.2f\n",
-                    threads, run.wall_ms,
-                    static_cast<unsigned long long>(run.events),
-                    static_cast<double>(run.events) / 1e3 /
-                        run.wall_ms,
-                    base_ms / run.wall_ms, run.mean_response_ms);
+                    threads, run.wall_ms, events,
+                    static_cast<double>(events) / 1e3 / run.wall_ms,
+                    base_ms / run.wall_ms, run.outcome.mean_ms);
         runs[threads] = run;
     }
     return runs;
-}
-
-double
-extra(const harness::PointResult &point, const char *key)
-{
-    for (const auto &[name, value] : point.extras) {
-        if (name == key)
-            return value;
-    }
-    return 0.0;
 }
 
 /** Enforce the scale-out acceptance floors. @return exit code. */
@@ -262,20 +171,20 @@ checkFloors(const harness::RunSummary &summary,
     int failures = 0;
     std::map<int, double> healthy_req_per_s;
     for (const harness::PointResult &point : summary.points) {
-        const int shards = static_cast<int>(extra(point, "shards"));
+        const int shards = static_cast<int>(bench::extra(point, "shards"));
         const bool faulted = point.point.mode != ArrayMode::FaultFree;
         if (!faulted) {
-            healthy_req_per_s[shards] = extra(point, "req_per_s");
+            healthy_req_per_s[shards] = bench::extra(point, "req_per_s");
             continue;
         }
-        if (extra(point, "data_loss") != 0.0) {
+        if (bench::extra(point, "data_loss") != 0.0) {
             std::fprintf(stderr,
                          "[check] FAIL %d shards: single failure "
                          "ended in data loss\n",
                          shards);
             ++failures;
         }
-        if (extra(point, "rebuilds_completed") < 1.0) {
+        if (bench::extra(point, "rebuilds_completed") < 1.0) {
             std::fprintf(stderr,
                          "[check] FAIL %d shards: rebuild never "
                          "completed\n",
@@ -304,10 +213,10 @@ checkFloors(const harness::RunSummary &summary,
     const auto one = wall_runs.find(1);
     const auto fourt = wall_runs.find(4);
     if (one != wall_runs.end() && fourt != wall_runs.end()) {
-        if (one->second.events != fourt->second.events ||
-            one->second.sim_ms != fourt->second.sim_ms ||
-            one->second.mean_response_ms !=
-                fourt->second.mean_response_ms) {
+        const tune::ScenarioOutcome &a = one->second.outcome;
+        const tune::ScenarioOutcome &b = fourt->second.outcome;
+        if (a.events_fired != b.events_fired || a.sim_ms != b.sim_ms ||
+            a.mean_ms != b.mean_ms) {
             std::fprintf(stderr,
                          "[check] FAIL speedup rows: simulated "
                          "history differs across thread counts\n");
@@ -371,8 +280,17 @@ main(int argc, char **argv)
     bench::options().deterministic_json = true;
 
     std::vector<harness::Experiment> experiments;
+    // 8 clients per shard doing 24 KB reads (a mix of chunk-local and
+    // split accesses); the fault rows have shard 0 lose disk 2 early
+    // and rebuild into its distributed spare while the other shards
+    // keep serving at full speed.
     for (int shards : kShardCounts) {
         for (bool faulted : {false, true}) {
+            ScenarioSpec spec =
+                volumeSpec(shards, kClientsPerShard * shards, 24,
+                           bench::fullFidelity() ? 12000 : 3000, 200);
+            if (faulted)
+                spec.faults = {{40.0, 0, 2}};
             harness::Experiment experiment;
             experiment.point = {"Scaleout",
                                 std::string("volume/") +
@@ -382,10 +300,9 @@ main(int argc, char **argv)
                                 AccessType::Read,
                                 faulted ? ArrayMode::Degraded
                                         : ArrayMode::FaultFree};
-            experiment.run = [shards, faulted](
-                                 uint64_t seed, const obs::Probe &,
-                                 harness::Extras &extras) {
-                return runScaleout(shards, faulted, seed, extras);
+            experiment.run = [spec](uint64_t seed, const obs::Probe &,
+                                    harness::Extras &extras) {
+                return runScaleout(spec, seed, extras);
             };
             experiments.push_back(std::move(experiment));
         }
@@ -406,15 +323,15 @@ main(int argc, char **argv)
     bench::printRule(8);
     for (const harness::PointResult &point : summary.points) {
         std::printf("%7d %16s %12.0f %14.0f %9.2f %9.3f %10.0f\n",
-                    static_cast<int>(extra(point, "shards")),
+                    static_cast<int>(bench::extra(point, "shards")),
                     point.point.mode == ArrayMode::FaultFree
                         ? "healthy"
                         : "shard0 failure",
-                    extra(point, "req_per_s"),
-                    extra(point, "events_per_sim_s"),
+                    bench::extra(point, "req_per_s"),
+                    bench::extra(point, "events_per_sim_s"),
                     point.result.mean_response_ms,
-                    extra(point, "sub_per_access"),
-                    extra(point, "max_in_flight"));
+                    bench::extra(point, "sub_per_access"),
+                    bench::extra(point, "max_in_flight"));
     }
 
     std::map<int, WallRun> wall_runs;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/pddl_layout.hh"
+#include "core/wrapped_layout.hh"
 #include "layout/datum.hh"
 #include "layout/developed_random.hh"
 #include "layout/mirror.hh"
@@ -125,7 +126,7 @@ ParsedLayoutSpec::canonical() const
     }
     if (family == "tdesign")
         return "tdesign";
-    // pddl / parity / prime: the width is the only knob.
+    // pddl / wrapped / parity / prime: the width is the only knob.
     return family + ":width=" + std::to_string(width);
 }
 
@@ -146,7 +147,8 @@ parseLayoutSpec(const std::string &text, ParsedLayoutSpec &spec,
 
     ParsedLayoutSpec parsed;
     parsed.family = family;
-    if (family == "pddl" || family == "parity" || family == "prime") {
+    if (family == "pddl" || family == "wrapped" || family == "parity" ||
+        family == "prime") {
         if (!takeInt(params, "width", parsed.width, error))
             return false;
     } else if (family == "datum") {
@@ -203,8 +205,8 @@ parseLayoutSpec(const std::string &text, ParsedLayoutSpec &spec,
         parsed.width = 4;
     } else {
         error = "unknown layout family '" + family +
-                "' (registered: pddl, raid5, datum, parity, prime, "
-                "mirror, draid, tdesign)";
+                "' (registered: pddl, wrapped, raid5, datum, parity, "
+                "prime, mirror, draid, tdesign)";
         return false;
     }
     if (!rejectUnknown(params, family, error))
@@ -233,6 +235,12 @@ buildLayout(const ParsedLayoutSpec &spec, int disks)
     if (spec.family == "pddl")
         return std::make_unique<PddlLayout>(
             PddlLayout::make(disks, spec.width));
+    if (spec.family == "wrapped") {
+        if ((disks - 2) % spec.width != 0)
+            return fail("wrapped needs disks = g * width + 2");
+        return std::make_unique<WrappedLayout>(
+            WrappedLayout::make(disks, spec.width));
+    }
     if (spec.family == "raid5")
         return std::make_unique<Raid5Layout>(disks);
     if (spec.family == "datum")
@@ -287,6 +295,8 @@ specOf(const Layout &layout)
     ParsedLayoutSpec spec;
     if (info.family == "parity_decluster")
         spec.family = "parity";
+    else if (info.family == "pddl_wrapped")
+        spec.family = "wrapped";
     else
         spec.family = info.family;
     spec.width = info.width;
@@ -303,7 +313,8 @@ specOf(const Layout &layout)
         spec.spares = draid.spares();
         spec.rows = draid.rowCount();
         spec.seed = draid.seed();
-    } else if (spec.family != "pddl" && spec.family != "raid5" &&
+    } else if (spec.family != "pddl" && spec.family != "wrapped" &&
+               spec.family != "raid5" &&
                spec.family != "datum" && spec.family != "parity" &&
                spec.family != "prime" && spec.family != "tdesign") {
         throw std::runtime_error("layout family '" + spec.family +
@@ -317,6 +328,7 @@ layoutSpecNames()
 {
     static const std::vector<std::string> names = {
         "pddl:width=",
+        "wrapped:width=",
         "raid5",
         "datum:width=,check=",
         "parity:width=",

@@ -7,6 +7,8 @@
  * without naming C++ types. Registered families:
  *
  *   pddl:width=<k>               permutation development (the paper)
+ *   wrapped:width=<k>            PDDL over n-1 disks, DATUM-wrapped
+ *                                over all n (paper section 5)
  *   raid5                        rotated-parity RAID-5 (width = n)
  *   datum:width=<k>,check=<c>    DATUM complete block design
  *   parity:width=<k>             Holland-Gibson BIBD declustering
@@ -48,7 +50,7 @@ namespace layouts {
 struct ParsedLayoutSpec
 {
     std::string family = "pddl";
-    int width = 4;  ///< stripe width k (pddl/datum/parity/prime/draid)
+    int width = 4;  ///< stripe width k (all but raid5/mirror/tdesign)
     int check = 1;  ///< check units per stripe (datum)
     int copies = 2; ///< replicas per data unit (mirror)
     ReplicaSched sched = ReplicaSched::RoundRobin; ///< mirror reads

@@ -209,6 +209,18 @@ ScenarioSpec::toJson() const
     doc.set("cache", std::move(cache))
         .set("faults", std::move(fault_list))
         .set("rebuild_parallel", rebuild_parallel);
+    if (rebuild_stripes != 0)
+        doc.set("rebuild_stripes", rebuild_stripes);
+    if (mission_ms != 0.0)
+        doc.set("mission_ms", mission_ms);
+    if (fault_seed != 0)
+        doc.set("fault_seed", fault_seed);
+    if (disk_mttf_ms != 0.0)
+        doc.set("disk_mttf_ms", disk_mttf_ms);
+    if (latent_mtbe_ms != 0.0)
+        doc.set("latent_mtbe_ms", latent_mtbe_ms);
+    if (scrub_interval_ms != 0.0)
+        doc.set("scrub_interval_ms", scrub_interval_ms);
     return doc;
 }
 
@@ -232,7 +244,9 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
                     "client", "arrivals_per_s", "clients", "think_ms",
                     "offsets", "arrival", "mix", "samples", "warmup",
                     "ci_tolerance", "min_samples", "cache", "faults",
-                    "rebuild_parallel"},
+                    "rebuild_parallel", "rebuild_stripes", "mission_ms",
+                    "fault_seed", "disk_mttf_ms", "latent_mtbe_ms",
+                    "scrub_interval_ms"},
                    error))
         return false;
 
@@ -291,7 +305,16 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
         !getDouble(doc, "ci_tolerance", "", out.ci_tolerance, error) ||
         !getInt(doc, "min_samples", "", out.min_samples, error) ||
         !getInt(doc, "rebuild_parallel", "", out.rebuild_parallel,
-                error))
+                error) ||
+        !getInt(doc, "rebuild_stripes", "", out.rebuild_stripes,
+                error) ||
+        !getDouble(doc, "mission_ms", "", out.mission_ms, error) ||
+        !getInt(doc, "fault_seed", "", out.fault_seed, error) ||
+        !getDouble(doc, "disk_mttf_ms", "", out.disk_mttf_ms, error) ||
+        !getDouble(doc, "latent_mtbe_ms", "", out.latent_mtbe_ms,
+                   error) ||
+        !getDouble(doc, "scrub_interval_ms", "", out.scrub_interval_ms,
+                   error))
         return false;
 
     if (const Json *list = doc.find("mix")) {
@@ -619,6 +642,39 @@ ScenarioSpec::normalize(std::string &error)
               });
     if (rebuild_parallel < 1) {
         error = "rebuild_parallel: must be >= 1";
+        return false;
+    }
+    // The fault knobs are all non-negative; without a mission, the
+    // draw fields (and a scrubber that would never stop) must be 0.
+    const struct
+    {
+        const char *name;
+        double value;
+        bool needs_mission;
+    } knobs[] = {
+        {"rebuild_stripes", static_cast<double>(rebuild_stripes), false},
+        {"mission_ms", mission_ms, false},
+        {"fault_seed", fault_seed != 0 ? 1.0 : 0.0, true},
+        {"disk_mttf_ms", disk_mttf_ms, true},
+        {"latent_mtbe_ms", latent_mtbe_ms, true},
+        {"scrub_interval_ms", scrub_interval_ms, true}};
+    for (const auto &knob : knobs) {
+        if (!(knob.value >= 0.0)) {
+            error = std::string(knob.name) + ": must be >= 0";
+            return false;
+        }
+        if (knob.needs_mission && knob.value != 0.0 && mission_ms == 0.0) {
+            error = std::string(knob.name) + ": needs mission_ms > 0";
+            return false;
+        }
+    }
+    // One draw scheme: a mission is one bare healthy array under a
+    // closed population, the shape of a Monte-Carlo reliability trial.
+    if (mission_ms > 0.0 &&
+        (shards.size() != 1 || dispatch_ms != 0.0 || client != "closed" ||
+         shards.front().failed_disk >= 0)) {
+        error = "mission_ms: a mission needs one healthy shard "
+                "(failed_disk -1), dispatch_ms 0 and client \"closed\"";
         return false;
     }
     return true;

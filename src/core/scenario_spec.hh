@@ -17,7 +17,9 @@
  *  - the cache tier: enabled flag, capacity in KB, associativity,
  *    destage watermarks and widths;
  *  - the fault timeline: scripted disk failures per shard, rebuild
- *    aggressiveness, shards that start degraded.
+ *    aggressiveness, shards that start degraded, and optionally a
+ *    mission -- a seeded random timeline of failures and latent
+ *    errors, with scrubbing, over a fixed simulated length.
  *
  * The canonical text form IS compact JSON: describe() renders every
  * field in a fixed order with all nested spec strings normalized
@@ -140,14 +142,36 @@ struct ScenarioSpec
     std::vector<ScenarioFault> faults;
     /** Concurrent stripe rebuilds (rebuild aggressiveness). */
     int rebuild_parallel = 4;
+    /** Stripes each rebuild sweeps; 0 = all client stripes. */
+    int64_t rebuild_stripes = 0;
+
+    // ---- mission: a drawn fault timeline over a fixed length ----
+    /**
+     * > 0 runs a mission: FaultSchedule::draw(fault_seed, ...) is
+     * added to the scripted faults and the run stops at this
+     * simulated time instead of draining; the closed loop then has
+     * no sample budget and no CI rule (samples, min_samples and
+     * ci_tolerance are ignored). Needs one shard, dispatch_ms 0 and
+     * a closed client. 0 = off.
+     */
+    double mission_ms = 0.0;
+    /** Seed of the drawn timeline (in the spec, so it replays). */
+    uint64_t fault_seed = 0;
+    /** Per-disk exponential MTTF in ms; 0 draws no failures. */
+    double disk_mttf_ms = 0.0;
+    /** Per-disk mean time between latent errors; 0 draws none. */
+    double latent_mtbe_ms = 0.0;
+    /** Background scrub pacing in ms; 0 runs no scrubber. */
+    double scrub_interval_ms = 0.0;
 
     bool operator==(const ScenarioSpec &o) const = default;
 
     /**
      * Canonical compact one-line JSON: every field, fixed order,
-     * nested specs normalized (rebuilt, ci_tolerance, min_samples
-     * only when not default). parse(describe()) == *this for any
-     * valid spec (construct via parse() or call normalize() first).
+     * nested specs normalized (rebuilt, ci_tolerance, min_samples,
+     * rebuild_stripes and the mission fields only when not default).
+     * parse(describe()) == *this for any valid spec (construct via
+     * parse() or call normalize() first).
      */
     std::string describe() const;
 

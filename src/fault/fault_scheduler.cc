@@ -42,18 +42,6 @@ FaultSchedule::draw(uint64_t seed, const FaultDrawParams &params)
     return schedule;
 }
 
-const char *
-faultStateName(FaultState state)
-{
-    switch (state) {
-      case FaultState::FaultFree: return "fault_free";
-      case FaultState::Rebuilding: return "rebuilding";
-      case FaultState::Restored: return "restored";
-      case FaultState::DataLoss: return "data_loss";
-    }
-    return "unknown";
-}
-
 FaultScheduler::FaultScheduler(EventQueue &events,
                                FaultSchedule schedule, Options options)
     : events_(events), schedule_(std::move(schedule)),
@@ -93,19 +81,11 @@ FaultScheduler::bindArray(ArrayController &array)
     }
     array_ = &array;
     if (options_.scrub_interval_ms > 0.0) {
-        scrubber_ = std::make_unique<Scrubber>(
-            events_, *array_,
-            Scrubber::Config{options_.scrub_interval_ms, 0});
+        scrubber_ = std::make_unique<Scrubber>(events_, *array_,
+                                               options_.scrub_interval_ms);
     }
-    array_->setMediumErrorHook([this](int disk, int64_t lba) {
-        (void)disk;
-        (void)lba;
-        ++stats_.latent_detected;
-        if (options_.latent_during_rebuild_is_loss &&
-            state_ == FaultState::Rebuilding) {
-            declareDataLoss("latent_error_during_rebuild");
-        }
-    });
+    array_->setMediumErrorHook(
+        [this](int, int64_t) { ++stats_.latent_detected; });
 }
 
 void

@@ -115,8 +115,6 @@ enum class FaultState
     DataLoss
 };
 
-const char *faultStateName(FaultState state);
-
 /** Counters accumulated while the timeline plays out. */
 struct FaultStats
 {
@@ -142,13 +140,6 @@ class FaultScheduler
         int64_t rebuild_stripes = 0;
         /** Scrub pacing; <= 0 runs without a scrubber. */
         SimTime scrub_interval_ms = 0.0;
-        /**
-         * Treat a latent error surfacing while a disk is down as a
-         * data-loss event (the stripe may have lost two units). This
-         * is conservative -- the bad sector's stripe need not overlap
-         * the failed disk -- so it is off by default.
-         */
-        bool latent_during_rebuild_is_loss = false;
         /** Observer fired on every lifecycle transition. */
         std::function<void(FaultState)> on_state_change;
     };

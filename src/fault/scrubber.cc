@@ -7,14 +7,11 @@
 namespace pddl {
 
 Scrubber::Scrubber(EventQueue &events, ArrayController &array,
-                   Config config)
-    : events_(events), array_(array), config_(config)
+                   SimTime interval_ms)
+    : events_(events), array_(array), interval_ms_(interval_ms),
+      stripes_(array.dataUnits() / array.layout().dataUnitsPerStripe())
 {
-    assert(config_.interval_ms > 0.0);
-    if (config_.stripes <= 0) {
-        config_.stripes = array_.dataUnits() /
-                          array_.layout().dataUnitsPerStripe();
-    }
+    assert(interval_ms_ > 0.0);
 }
 
 void
@@ -38,14 +35,13 @@ Scrubber::scheduleNext()
 {
     assert(!step_pending_);
     step_pending_ = true;
-    events_.scheduleAfter(config_.interval_ms, [this] {
+    events_.scheduleAfter(interval_ms_, [this] {
         step_pending_ = false;
         if (!running_)
             return;
         int64_t stripe = next_stripe_++;
-        if (next_stripe_ >= config_.stripes) {
+        if (next_stripe_ >= stripes_) {
             next_stripe_ = 0;
-            ++sweeps_completed_;
             array_.config().probe.instant("scrub sweep complete",
                                           "scrub", obs::kLaneScrub,
                                           events_.now());

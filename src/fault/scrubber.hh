@@ -29,16 +29,12 @@ namespace pddl {
 class Scrubber
 {
   public:
-    struct Config
-    {
-        /** Pause between consecutive stripe scrubs. */
-        SimTime interval_ms = 50.0;
-        /** Stripes per sweep cycle; 0 = all client stripes. */
-        int64_t stripes = 0;
-    };
-
+    /**
+     * Sweep every client stripe of `array`, cyclically, pausing
+     * `interval_ms` between consecutive stripe scrubs.
+     */
     Scrubber(EventQueue &events, ArrayController &array,
-             Config config);
+             SimTime interval_ms);
 
     /** Begin the cyclic sweep (idempotent). */
     void start();
@@ -46,16 +42,11 @@ class Scrubber
     /** Stop issuing scrub I/O; in-flight operations drain. */
     void stop();
 
-    bool running() const { return running_; }
-
     /** Stripe-unit reads issued by the scrubber. */
     int64_t unitsScanned() const { return units_scanned_; }
 
     /** Latent errors this scrubber repaired (rewrote). */
     int64_t errorsRepaired() const { return errors_repaired_; }
-
-    /** Completed passes over the whole stripe range. */
-    int64_t sweepsCompleted() const { return sweeps_completed_; }
 
   private:
     void scheduleNext();
@@ -63,12 +54,13 @@ class Scrubber
 
     EventQueue &events_;
     ArrayController &array_;
-    Config config_;
+    SimTime interval_ms_;
+    /** Stripes per sweep cycle: all client stripes. */
+    int64_t stripes_;
 
     int64_t next_stripe_ = 0;
     int64_t units_scanned_ = 0;
     int64_t errors_repaired_ = 0;
-    int64_t sweeps_completed_ = 0;
     bool running_ = false;
     bool step_pending_ = false;
 };

@@ -100,7 +100,6 @@ TraceReplayWorkload::TraceReplayWorkload(
     std::vector<TraceRecord> records, TraceReplayConfig config)
     : records_(std::move(records)), config_(config)
 {
-    assert(config_.discard >= 0);
 }
 
 void
@@ -147,12 +146,10 @@ TraceReplayWorkload::issueReady()
             [this, issued] {
                 --outstanding_;
                 ++completed_;
-                if (completed_ > config_.discard) {
-                    const double response = events_->now() - issued;
-                    latency_.add(response);
-                    if (config_.latency != nullptr)
-                        config_.latency->add(response);
-                }
+                const double response = events_->now() - issued;
+                latency_.add(response);
+                if (config_.latency != nullptr)
+                    config_.latency->add(response);
             });
     }
 }

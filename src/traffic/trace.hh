@@ -119,8 +119,6 @@ class TraceCapture : public Target
 /** Replay knobs. */
 struct TraceReplayConfig
 {
-    /** Completions discarded before measurement (cache cold start). */
-    int64_t discard = 0;
     /** Measured latencies also land here (the tail columns); null:
      *  off. Must outlive the run. */
     obs::HistogramData *latency = nullptr;
@@ -145,7 +143,7 @@ class TraceReplayWorkload : public Workload
     /** Completions so far (== records once drained). */
     int64_t completed() const { return completed_; }
 
-    /** Measured (post-discard) response-time aggregate. */
+    /** Response-time aggregate over every completion. */
     const Welford &latency() const { return latency_; }
 
     /** Largest number of in-flight accesses observed. */

@@ -1,5 +1,6 @@
 #include "tune/scenario_runner.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <fstream>
@@ -58,6 +59,57 @@ arrayConfig(const ScenarioSpec &spec, const ScenarioShard &shard,
     return config;
 }
 
+/**
+ * Collects the response times of accesses issued while `faults` is
+ * rebuilding: the degraded-window latency a mission reports. Only
+ * missions install it, so other runs pay nothing per access.
+ */
+class DegradedResponses : public Target
+{
+  public:
+    DegradedResponses(EventQueue &events, Target &backend,
+                      const FaultScheduler &faults)
+        : events_(events), backend_(backend), faults_(faults)
+    {
+    }
+
+    const Welford &responses() const { return responses_; }
+
+    int64_t dataUnits() const override { return backend_.dataUnits(); }
+
+    void
+    access(int64_t start_unit, int count, AccessType type,
+           InlineCallback done) override
+    {
+        if (faults_.state() != FaultState::Rebuilding) {
+            backend_.access(start_unit, count, type, std::move(done));
+            return;
+        }
+        const SimTime issued = events_.now();
+        backend_.access(start_unit, count, type,
+                        [this, issued, done = std::move(done)]() mutable {
+                            responses_.add(events_.now() - issued);
+                            done();
+                        });
+    }
+
+    SeekTally aggregateTally() const override
+    {
+        return backend_.aggregateTally();
+    }
+
+    uint64_t accessesIssued() const override
+    {
+        return backend_.accessesIssued();
+    }
+
+  private:
+    EventQueue &events_;
+    Target &backend_;
+    const FaultScheduler &faults_;
+    Welford responses_;
+};
+
 } // namespace
 
 ScenarioOutcome
@@ -65,6 +117,13 @@ runScenario(const ScenarioSpec &spec,
             const RunScenarioOptions &options)
 {
     const int shard_count = static_cast<int>(spec.shards.size());
+    const bool mission = spec.mission_ms > 0.0;
+    const bool replaying =
+        options.replay != nullptr && !options.replay->empty();
+    if (mission && replaying)
+        throw std::runtime_error(
+            "runScenario: mission_ms: a mission drives its own closed "
+            "loop and cannot replay a trace");
 
     // The backend the client drives. With no fabric (one shard,
     // dispatch_ms 0) it is one EventQueue and one bare
@@ -141,15 +200,25 @@ runScenario(const ScenarioSpec &spec,
     auto shard = [&](int s) -> ArrayController & {
         return volume ? volume->shard(s) : *array;
     };
+    ScenarioOutcome outcome;
     auto run = [&] {
         if (engine)
             engine->run();
+        else if (mission)
+            queue->runUntil(spec.mission_ms);
         else
             queue->runUntilEmpty();
+        outcome.sim_ms = engine ? engine->now() : queue->now();
     };
 
-    // One fault scheduler per shard that has scripted failures; each
-    // lives on its shard's queue, like the controller it drives.
+    // The closed-loop client while it runs: a shard that loses data
+    // stops it from issuing (accesses in flight still complete).
+    ClosedLoopClient *closed = nullptr;
+
+    // One fault scheduler per shard that has scripted failures, and
+    // on a mission's shard always (its timeline is drawn, its
+    // scrubber runs even when the draw is empty); each lives on its
+    // shard's queue, like the controller it drives.
     std::vector<std::unique_ptr<FaultScheduler>> fault_schedulers;
     for (int s = 0; s < shard_count; ++s) {
         FaultSchedule schedule;
@@ -160,13 +229,49 @@ runScenario(const ScenarioSpec &spec,
                      fault.disk, 0});
             }
         }
-        if (schedule.events.empty())
+        if (mission) {
+            // Latent errors land on rows the client stripes cover,
+            // the region the scrubber sweeps.
+            const Layout &shard_layout = shard(s).layout();
+            FaultDrawParams draw;
+            draw.horizon_ms = spec.mission_ms;
+            draw.disks = shard_layout.numDisks();
+            draw.disk_mttf_ms = spec.disk_mttf_ms;
+            draw.latent_mtbe_ms = spec.latent_mtbe_ms;
+            draw.units_per_disk = shard(s).dataUnits() /
+                                  shard_layout.dataUnitsPerPeriod() *
+                                  shard_layout.unitsPerDiskPerPeriod();
+            const FaultSchedule drawn =
+                FaultSchedule::draw(spec.fault_seed, draw);
+            schedule.events.insert(schedule.events.end(),
+                                   drawn.events.begin(),
+                                   drawn.events.end());
+            std::sort(schedule.events.begin(), schedule.events.end());
+        } else if (schedule.events.empty()) {
             continue;
+        }
+        EventQueue &lane = engine ? engine->shardQueue(s) : *queue;
         FaultScheduler::Options foptions;
         foptions.rebuild_parallel = spec.rebuild_parallel;
+        foptions.rebuild_stripes = spec.rebuild_stripes;
+        foptions.scrub_interval_ms = spec.scrub_interval_ms;
+        if (spec.client == "closed" && !replaying) {
+            // Data loss stops the closed loop. The client lives on the
+            // hub: a lane reaches it through the engine's mailbox, at
+            // the loss's simulated time.
+            foptions.on_state_change = [&closed, &engine, lane = &lane,
+                                        s](FaultState state) {
+                if (state != FaultState::DataLoss)
+                    return;
+                if (engine)
+                    engine->post(s, lane->now(),
+                                 [&closed] { closed->stop(); });
+                else
+                    closed->stop();
+            };
+        }
         auto scheduler = std::make_unique<FaultScheduler>(
-            engine ? engine->shardQueue(s) : *queue,
-            std::move(schedule), foptions);
+            lane, std::move(schedule), std::move(foptions));
         scheduler->bindArray(shard(s));
         scheduler->start();
         fault_schedulers.push_back(std::move(scheduler));
@@ -209,9 +314,8 @@ runScenario(const ScenarioSpec &spec,
         workload_target = capture.get();
     }
 
-    ScenarioOutcome outcome;
     std::string why;
-    if (options.replay != nullptr && !options.replay->empty()) {
+    if (replaying) {
         traffic::TraceReplayConfig rconfig;
         rconfig.latency = &latency;
         traffic::TraceReplayWorkload replay(*options.replay, rconfig);
@@ -220,11 +324,10 @@ runScenario(const ScenarioSpec &spec,
         outcome.mean_ms = replay.latency().mean();
         outcome.samples = replay.latency().count();
         outcome.max_outstanding = replay.maxOutstanding();
-        const double sim_s =
-            (engine ? engine->now() : queue->now()) / 1000.0;
-        if (sim_s > 0.0) {
+        if (outcome.sim_ms > 0.0) {
             outcome.throughput_per_s =
-                static_cast<double>(replay.completed()) / sim_s;
+                static_cast<double>(replay.completed()) /
+                (outcome.sim_ms / 1000.0);
         }
     } else if (spec.client == "closed") {
         ClosedLoopConfig config;
@@ -246,6 +349,11 @@ runScenario(const ScenarioSpec &spec,
         config.min_samples = spec.ci_tolerance > 0.0 ? spec.min_samples
                                                      : spec.samples;
         config.max_samples = spec.samples;
+        if (mission) {
+            // A mission runs to its length, not to a sample budget.
+            config.min_samples = std::numeric_limits<int64_t>::max();
+            config.max_samples = config.min_samples;
+        }
         config.warmup = spec.warmup;
         config.seed = options.seed;
         if (!traffic::parseOffsetSpec(spec.offsets, config.offsets,
@@ -254,9 +362,19 @@ runScenario(const ScenarioSpec &spec,
         config.latency = &latency;
 
         ClosedLoopClient client(config);
-        client.start(hub, *workload_target);
+        closed = &client;
+        std::unique_ptr<DegradedResponses> degraded;
+        if (mission) {
+            degraded = std::make_unique<DegradedResponses>(
+                hub, *workload_target, *fault_schedulers.front());
+        }
+        client.start(hub, degraded ? *degraded : *workload_target);
         run();
+        closed = nullptr;
 
+        outcome.response_ms = client.response();
+        if (degraded)
+            outcome.degraded_response_ms = degraded->responses();
         SimResult result = client.result();
         outcome.mean_ms = result.mean_response_ms;
         outcome.throughput_per_s = result.throughput_per_s;
@@ -327,21 +445,45 @@ runScenario(const ScenarioSpec &spec,
     for (const auto &scheduler : fault_schedulers) {
         const FaultStats &stats = scheduler->stats();
         outcome.rebuilds_completed += stats.rebuilds_completed;
+        outcome.failures_applied += stats.failures_applied;
+        if (stats.data_loss &&
+            (!outcome.data_loss ||
+             stats.data_loss_ms < outcome.data_loss_ms))
+            outcome.data_loss_ms = stats.data_loss_ms;
         outcome.data_loss = outcome.data_loss || stats.data_loss;
+        outcome.degraded_ms += scheduler->degradedMs();
+        outcome.rebuild_ms.merge(stats.rebuild_ms);
+        outcome.latent_injected += stats.latent_injected;
+        outcome.latent_detected += stats.latent_detected;
+        if (const Scrubber *scrubber = scheduler->scrubber()) {
+            outcome.scrub_repairs += scrubber->errorsRepaired();
+            outcome.scrub_units_scanned += scrubber->unitsScanned();
+        }
+    }
+
+    outcome.events_fired = static_cast<int64_t>(
+        engine ? engine->eventsFired() : queue->fired());
+    outcome.windows_run =
+        engine ? static_cast<int64_t>(engine->windowsRun()) : 0;
+    if (volume) {
+        outcome.sub_accesses =
+            static_cast<int64_t>(volume->subAccessesIssued());
+        for (int s = 0; s < shard_count; ++s) {
+            outcome.max_in_flight =
+                std::max(outcome.max_in_flight, volume->maxInFlight(s));
+        }
+        outcome.degraded_shards_end = volume->degradedShards();
     }
 
     if (capture) {
         std::ofstream out(options.capture_path, std::ios::trunc);
-        if (out) {
-            traffic::writeTrace(out, capture->records());
-            std::fprintf(stderr,
-                         "[Scenario] captured %zu accesses to %s\n",
-                         capture->records().size(),
-                         options.capture_path.c_str());
-        } else {
-            std::fprintf(stderr, "[Scenario] cannot write %s\n",
-                         options.capture_path.c_str());
-        }
+        if (!out)
+            throw std::runtime_error("runScenario: cannot write trace " +
+                                     options.capture_path);
+        traffic::writeTrace(out, capture->records());
+        std::fprintf(stderr, "[Scenario] captured %zu accesses to %s\n",
+                     capture->records().size(),
+                     options.capture_path.c_str());
     }
     return outcome;
 }

@@ -5,14 +5,16 @@
  * The one way to run a scenario: it builds the whole simulated
  * system a ScenarioSpec describes (the backend, the optional
  * write-back tier, the fault timeline, the open- or closed-loop
- * client), runs it to drain, and reports every simulated quantity a
- * bench row or the tuner's objective could want. The backend is one
- * bare ArrayController on one EventQueue for a one-shard spec with
- * dispatch_ms 0 ("no fabric", the paper's array exactly as the
- * figure benches always built it), else the sharded VolumeManager on
- * the parallel engine. Nothing in the outcome depends on host timing or thread count: the
- * volume rides the conservative-window engine, so the history -- and
- * hence every number here -- is byte-identical at any --sim-threads.
+ * client), runs it to drain -- or, for a mission, to its fixed length
+ * under a drawn fault timeline -- and reports every simulated
+ * quantity a bench row or the tuner's objective could want. The
+ * backend is one bare ArrayController on one EventQueue for a
+ * one-shard spec with dispatch_ms 0 ("no fabric", the paper's array
+ * exactly as the figure benches always built it), else the sharded
+ * VolumeManager on the parallel engine. Nothing in the outcome
+ * depends on host timing or thread count: the volume rides the
+ * conservative-window engine, so the history -- and hence every
+ * number here -- is byte-identical at any --sim-threads.
  *
  * Byte-fairness: the spec's access mix is in KB and its cache
  * capacity in KB, so runs of the same scenario at different
@@ -20,8 +22,9 @@
  * stripe-unit knob cannot game the objective by shrinking accesses.
  *
  * The same runner backs every paper figure and ablation, bench_traffic,
- * bench_hybrid and bench_autotune, which is what makes a tuner-dumped
- * JSON replayable bit-identically from the file alone.
+ * bench_hybrid, bench_reliability, bench_scaleout and bench_autotune,
+ * which is what makes a tuner-dumped JSON replayable bit-identically
+ * from the file alone.
  */
 
 #ifndef PDDL_TUNE_SCENARIO_RUNNER_HH
@@ -33,6 +36,7 @@
 
 #include "core/scenario_spec.hh"
 #include "obs/probe.hh"
+#include "stats/welford.hh"
 #include "traffic/trace.hh"
 
 namespace pddl {
@@ -72,9 +76,38 @@ struct ScenarioOutcome
     /** Writes still stalled at drain: a wedged cache, not latency. */
     int64_t stalled_end = 0;
 
-    // Fault timeline counters (zero when no faults are scripted).
+    // Fault timeline counters, summed over the shards' schedulers
+    // (zero when no faults are scripted and no mission runs).
     int rebuilds_completed = 0;
     bool data_loss = false;
+    int failures_applied = 0;
+    /** Simulated time of the earliest data loss (0: none). */
+    double data_loss_ms = 0.0;
+    /** Simulated time spent in degraded service. */
+    double degraded_ms = 0.0;
+    Welford rebuild_ms;
+    int latent_injected = 0;
+    int64_t latent_detected = 0;
+    int64_t scrub_repairs = 0;
+    int64_t scrub_units_scanned = 0;
+
+    // Closed loop only: every measured response, and (missions only)
+    // those of accesses issued while the shard was rebuilding.
+    Welford response_ms;
+    Welford degraded_response_ms;
+
+    // Engine and volume counters (the volume ones stay zero without
+    // a fabric; windows_run too).
+    int64_t events_fired = 0;
+    int64_t windows_run = 0;
+    /** Simulated clock at the end of the run. */
+    double sim_ms = 0.0;
+    /** Post-split shard requests the volume issued. */
+    int64_t sub_accesses = 0;
+    /** Deepest per-shard sub-access queue seen. */
+    int max_in_flight = 0;
+    /** Shards not fault-free when the run ended. */
+    int degraded_shards_end = 0;
 
     // Volume shape, for equal-budget comparisons across configs.
     /** Sum over shards of disks x DeviceModel::costUnits(). */
@@ -91,7 +124,8 @@ struct RunScenarioOptions
     uint64_t seed = 42;
     /** Parallel-engine shard lanes; outcome identical at any value. */
     int sim_threads = 1;
-    /** Record the offered accesses into this trace file when set. */
+    /** Record the offered accesses into this trace file when set;
+     *  an unwritable path throws std::runtime_error after the run. */
     std::string capture_path;
     /** Replay this trace instead of the spec's synthetic client. */
     const std::vector<traffic::TraceRecord> *replay = nullptr;

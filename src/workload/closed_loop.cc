@@ -42,17 +42,6 @@ ClosedLoopClient::issueOne()
                             tally_at_start_ = target_->aggregateTally();
                             accesses_at_start_ = static_cast<int64_t>(
                                 target_->accessesIssued());
-                        } else if (measuring_ &&
-                                   discarded_ < config_.discard) {
-                            // Warm-up discard: drop this measured
-                            // completion and restart the window, so
-                            // a cache tier's cold-start misses never
-                            // reach the steady-state tallies.
-                            ++discarded_;
-                            measure_start_ = events_->now();
-                            tally_at_start_ = target_->aggregateTally();
-                            accesses_at_start_ = static_cast<int64_t>(
-                                target_->accessesIssued());
                         } else if (measuring_) {
                             double response = events_->now() - issued;
                             response_.add(response);

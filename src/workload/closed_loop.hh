@@ -57,14 +57,6 @@ struct ClosedLoopConfig
     int64_t max_samples = 200000;
     /** Completions discarded before measurement starts. */
     int64_t warmup = 200;
-    /**
-     * Additional measured completions discarded from the measurement
-     * tallies (response statistics, latency histogram, seek-tally
-     * window) after `warmup` -- the warm-up a cache tier needs so
-     * cold-start misses don't pollute steady-state tail numbers.
-     * Default 0 keeps every existing bench byte-identical.
-     */
-    int64_t discard = 0;
     uint64_t seed = 42;
 
     /** Where accesses land (uniform reproduces the paper). */
@@ -110,8 +102,14 @@ class ClosedLoopClient : public Workload
 
     void start(EventQueue &events, Target &target) override;
 
-    /** True once the stopping rule latched (sticky; see finished()). */
-    bool done() const { return done_; }
+    /**
+     * Stop issuing now (e.g. the array lost data). Accesses already
+     * in flight still complete and are measured.
+     */
+    void stop() { done_ = true; }
+
+    /** Every measured response time so far. */
+    const Welford &response() const { return response_; }
 
     /** Measured outcome; valid once the event loop has drained. */
     SimResult result() const;
@@ -134,7 +132,6 @@ class ClosedLoopClient : public Workload
 
     Welford response_;
     int64_t completions_ = 0;
-    int64_t discarded_ = 0;
     bool measuring_ = false;
     bool done_ = false;
     SimTime measure_start_ = 0.0;

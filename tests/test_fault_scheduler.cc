@@ -2,18 +2,22 @@
  * @file
  * Tests for the fault-injection subsystem: the live failure
  * lifecycle (fault-free -> degraded -> rebuilding -> restored on one
- * controller), data-loss detection, latent-error scrubbing, and the
- * thread-count invariance of the Monte-Carlo reliability sweep.
+ * controller), data-loss detection, latent-error scrubbing, and --
+ * through mission specs run by tune::runScenario -- the determinism
+ * and thread-count invariance of the Monte-Carlo reliability sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/pddl_layout.hh"
+#include "core/scenario_spec.hh"
 #include "fault/fault_scheduler.hh"
-#include "fault/reliability.hh"
 #include "harness/runner.hh"
+#include "tune/scenario_runner.hh"
+#include "util/rng.hh"
 
 namespace pddl {
 namespace {
@@ -297,48 +301,88 @@ TEST_F(FaultFixture, DrawnSchedulesAreDeterministicAndSorted)
     EXPECT_TRUE(differs);
 }
 
+/** A short Monte-Carlo mission on the default 13-disk PDDL shard. */
+ScenarioSpec
+missionSpec(double disk_mttf_ms, int rebuild_parallel)
+{
+    ScenarioSpec spec;
+    spec.dispatch_ms = 0.0;
+    spec.client = "closed";
+    spec.clients = 2;
+    spec.mix = {{16, false, 1.0}};
+    spec.warmup = 0;
+    spec.rebuild_parallel = rebuild_parallel;
+    spec.rebuild_stripes = 130;
+    spec.mission_ms = 4000.0;
+    spec.disk_mttf_ms = disk_mttf_ms;
+    spec.latent_mtbe_ms = 600.0;
+    spec.scrub_interval_ms = 10.0;
+    spec.fault_seed = 99;
+    std::string error;
+    EXPECT_TRUE(spec.normalize(error)) << error;
+    return spec;
+}
+
 TEST_F(FaultFixture, ReliabilityTrialIsDeterministic)
 {
-    ReliabilityTrialConfig config;
-    config.mission_ms = 5000.0;
-    config.clients = 2;
-    config.disk_mttf_ms = 4000.0;
-    config.latent_mtbe_ms = 800.0;
-    config.rebuild_stripes = 130;
-    config.scrub_interval_ms = 10.0;
-    config.seed = 99;
-
-    ReliabilityTrialResult a =
-        runReliabilityTrial(layout, model, config);
-    ReliabilityTrialResult b =
-        runReliabilityTrial(layout, model, config);
+    const ScenarioSpec spec = missionSpec(4000.0, 4);
+    tune::RunScenarioOptions options;
+    options.seed = 5;
+    const tune::ScenarioOutcome a = tune::runScenario(spec, options);
+    const tune::ScenarioOutcome b = tune::runScenario(spec, options);
     EXPECT_EQ(a.data_loss, b.data_loss);
-    EXPECT_DOUBLE_EQ(a.data_loss_ms, b.data_loss_ms);
+    EXPECT_EQ(a.data_loss_ms, b.data_loss_ms);
     EXPECT_EQ(a.failures_applied, b.failures_applied);
     EXPECT_EQ(a.response_ms.count(), b.response_ms.count());
-    EXPECT_DOUBLE_EQ(a.response_ms.mean(), b.response_ms.mean());
-    EXPECT_DOUBLE_EQ(a.degraded_ms, b.degraded_ms);
+    EXPECT_EQ(a.response_ms.mean(), b.response_ms.mean());
+    EXPECT_EQ(a.degraded_ms, b.degraded_ms);
     EXPECT_EQ(a.scrub_repairs, b.scrub_repairs);
     EXPECT_GT(a.response_ms.count(), 0);
+    EXPECT_GT(a.failures_applied, 0);
+
+    // The drawn timeline replays from the spec alone: another
+    // fault_seed draws another mission.
+    ScenarioSpec other = spec;
+    other.fault_seed = 100;
+    const tune::ScenarioOutcome c = tune::runScenario(other, options);
+    EXPECT_NE(a.response_ms.mean(), c.response_ms.mean());
 }
 
 TEST_F(FaultFixture, ReliabilitySweepIsThreadCountInvariant)
 {
-    // The bench_reliability grid in miniature: identical simulation
-    // results (and so identical BENCH_reliability.json rows) for
-    // every worker thread count.
-    ReliabilityGridConfig grid;
-    grid.trials = 2;
-    grid.base.mission_ms = 4000.0;
-    grid.base.clients = 2;
-    grid.base.access_units = 2;
-    grid.base.rebuild_stripes = 130;
-    grid.base.latent_mtbe_ms = 600.0;
-    grid.base.scrub_interval_ms = 10.0;
-    for (int parallel : {1, 4})
-        grid.cells.push_back({&layout, 3000.0, parallel});
+    // The bench_reliability grid in miniature: missions run on the
+    // harness pool give identical results for every worker count.
+    std::vector<harness::Experiment> experiments;
+    for (int parallel : {1, 4}) {
+        harness::Experiment experiment;
+        experiment.point = {"Reliability",
+                            "PDDL/par=" + std::to_string(parallel), 16,
+                            2, AccessType::Read, ArrayMode::FaultFree};
+        experiment.run = [spec = missionSpec(3000.0, parallel)](
+                             uint64_t seed, const obs::Probe &,
+                             harness::Extras &extras) mutable {
+            Welford response;
+            double failures = 0.0, degraded_ms = 0.0;
+            for (int t = 0; t < 2; ++t) {
+                spec.fault_seed = hashMix64(seed, t + 1);
+                tune::RunScenarioOptions options;
+                options.seed = hashMix64(seed, t + 11);
+                const tune::ScenarioOutcome trial =
+                    tune::runScenario(spec, options);
+                response.merge(trial.response_ms);
+                failures += trial.failures_applied;
+                degraded_ms += trial.degraded_ms;
+            }
+            extras.emplace_back("failures_applied", failures);
+            extras.emplace_back("degraded_ms_total", degraded_ms);
+            SimResult result;
+            result.mean_response_ms = response.mean();
+            result.samples = response.count();
+            return result;
+        };
+        experiments.push_back(std::move(experiment));
+    }
 
-    auto experiments = buildReliabilityExperiments(grid, model);
     harness::RunSummary serial =
         harness::ExperimentRunner(1).run(experiments);
     harness::RunSummary parallel =
@@ -351,7 +395,6 @@ TEST_F(FaultFixture, ReliabilitySweepIsThreadCountInvariant)
         const harness::PointResult &b = parallel.points[i];
         EXPECT_EQ(a.seed, b.seed);
         EXPECT_EQ(a.result.mean_response_ms, b.result.mean_response_ms);
-        EXPECT_EQ(a.result.throughput_per_s, b.result.throughput_per_s);
         EXPECT_EQ(a.result.samples, b.result.samples);
         ASSERT_EQ(a.extras.size(), b.extras.size());
         for (size_t e = 0; e < a.extras.size(); ++e) {
@@ -362,12 +405,7 @@ TEST_F(FaultFixture, ReliabilitySweepIsThreadCountInvariant)
     }
     // Loss statistics are meaningful: with a 3 s per-disk MTTF and
     // 13 disks, every 4 s mission sees failures.
-    double failures = 0.0;
-    for (const auto &entry : serial.points[0].extras) {
-        if (entry.first == "failures_applied")
-            failures = entry.second;
-    }
-    EXPECT_GT(failures, 0.0);
+    EXPECT_GT(serial.points[0].extras[0].second, 0.0);
 }
 
 } // namespace

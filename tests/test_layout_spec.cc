@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/layout_spec.hh"
+#include "core/wrapped_layout.hh"
 
 namespace pddl {
 namespace {
@@ -77,6 +78,37 @@ TEST(LayoutSpec, SpecOfInvertsMakeLayout)
         EXPECT_EQ(parsed(layouts::specOf(*layout)), parsed(c.text))
             << c.text;
     }
+}
+
+TEST(LayoutSpec, WrappedSpecBuildsTheWrappedLayout)
+{
+    ParsedLayoutSpec spec = parsed("wrapped");
+    EXPECT_EQ(spec.canonical(), "wrapped:width=4");
+    EXPECT_EQ(parsed(spec.canonical()), spec);
+
+    const WrappedLayout reference = WrappedLayout::make(14, 4);
+    EXPECT_EQ(parsed(layouts::specOf(reference)),
+              parsed("wrapped:width=4"));
+
+    std::unique_ptr<Layout> built =
+        layouts::makeLayout("wrapped:width=4", 14);
+    EXPECT_STREQ(built->family(), "pddl_wrapped");
+    EXPECT_EQ(built->name(), reference.name());
+    ASSERT_EQ(built->stripesPerPeriod(), reference.stripesPerPeriod());
+    for (int64_t stripe = 0; stripe < reference.stripesPerPeriod();
+         ++stripe) {
+        for (int pos = 0; pos < reference.stripeWidth(); ++pos) {
+            const PhysAddr a = built->map({stripe, pos});
+            const PhysAddr b = reference.map({stripe, pos});
+            EXPECT_EQ(a.disk, b.disk) << stripe << "/" << pos;
+            EXPECT_EQ(a.unit, b.unit) << stripe << "/" << pos;
+        }
+    }
+
+    // The inner PDDL covers n - 1 disks, so n - 2 must split into
+    // whole stripes.
+    EXPECT_THROW(layouts::makeLayout("wrapped:width=4", 13),
+                 std::runtime_error);
 }
 
 TEST(LayoutSpec, MirrorSpecCarriesSchedulerAndCopies)

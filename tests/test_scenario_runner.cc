@@ -1,24 +1,35 @@
 /**
  * @file
- * runScenario's no-fabric path against its reference: a run composed
- * by hand from EventQueue + ArrayController + the closed- or
- * open-loop client must equal runScenario on the matching one-shard,
- * dispatch_ms 0 spec bit for bit -- the property that keeps the paper
- * figures' numbers when they run as specs. Plus the tail columns'
- * independence from the Probe facade (PDDL_OBS=OFF).
+ * runScenario against hand-built references: a run composed by hand
+ * from EventQueue + ArrayController + the closed- or open-loop client
+ * must equal runScenario on the matching one-shard, dispatch_ms 0
+ * spec bit for bit -- the property that keeps the paper figures'
+ * numbers when they run as specs. The same holds for a mission spec
+ * against a verbatim copy of the Monte-Carlo reliability trial it
+ * replaced, and for a sharded volume against the stack bench_scaleout
+ * once built by hand. Plus the tail columns' independence from the
+ * Probe facade (PDDL_OBS=OFF) and a failed trace capture.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "array/controller.hh"
 #include "core/layout_spec.hh"
+#include "core/pddl_layout.hh"
 #include "core/scenario_spec.hh"
 #include "disk/device_model.hh"
+#include "fault/fault_scheduler.hh"
 #include "obs/metrics.hh"
 #include "sim/event_queue.hh"
+#include "sim/parallel_engine.hh"
 #include "tune/scenario_runner.hh"
+#include "util/rng.hh"
+#include "volume/volume_manager.hh"
 #include "workload/closed_loop.hh"
 #include "workload/open_loop.hh"
 
@@ -245,6 +256,378 @@ TEST(RunScenario, TailPercentilesDoNotNeedProbes)
     const tune::ScenarioOutcome volume = viaSpec(spec, 1);
     EXPECT_GT(volume.p99_ms, 0.0);
     EXPECT_GE(volume.p99_ms, volume.p50_ms);
+}
+
+TEST(RunScenario, UnwritableCaptureThrows)
+{
+    ScenarioSpec spec = closedSpec();
+    spec.ci_tolerance = 0.0;
+    spec.min_samples = 0;
+    spec.samples = 50;
+    tune::RunScenarioOptions options;
+    options.capture_path =
+        ::testing::TempDir() + "pddl-no-such-dir/sub/t.trace";
+    EXPECT_THROW(tune::runScenario(spec, options), std::runtime_error);
+}
+
+// ---- Missions against the reliability trial they replaced ----
+
+/** Parameters of one reliability trial (one mission). */
+struct TrialConfig
+{
+    SimTime mission_ms = 30000.0;
+    int clients = 4;
+    int access_units = 3;
+    AccessType type = AccessType::Read;
+    double disk_mttf_ms = 0.0;
+    double latent_mtbe_ms = 0.0;
+    int rebuild_parallel = 4;
+    int64_t rebuild_stripes = 0;
+    SimTime scrub_interval_ms = 0.0;
+    int unit_sectors = 16;
+    int sstf_window = 20;
+    uint64_t seed = 1;
+};
+
+/** Everything one mission produced. */
+struct TrialResult
+{
+    bool data_loss = false;
+    SimTime data_loss_ms = 0.0;
+    int failures_applied = 0;
+    int rebuilds_completed = 0;
+    Welford rebuild_ms;
+    SimTime degraded_ms = 0.0;
+    Welford response_ms;
+    Welford degraded_response_ms;
+    int latent_injected = 0;
+    int64_t latent_detected = 0;
+    int64_t scrub_repairs = 0;
+    int64_t scrub_units_scanned = 0;
+};
+
+/** The reliability trial as it ran before missions were specs. */
+TrialResult
+runReliabilityTrial(const Layout &layout, const DeviceModel &device,
+                    const TrialConfig &config)
+{
+    EventQueue events;
+    ArrayConfig array_config;
+    array_config.unit_sectors = config.unit_sectors;
+    array_config.sstf_window = config.sstf_window;
+    ArrayController array(events, layout, device, array_config);
+
+    int64_t rows_per_disk = array.dataUnits() /
+                            layout.dataUnitsPerPeriod() *
+                            layout.unitsPerDiskPerPeriod();
+
+    FaultDrawParams draw;
+    draw.horizon_ms = config.mission_ms;
+    draw.disks = layout.numDisks();
+    draw.disk_mttf_ms = config.disk_mttf_ms;
+    draw.latent_mtbe_ms = config.latent_mtbe_ms;
+    draw.units_per_disk = rows_per_disk;
+    FaultSchedule schedule =
+        FaultSchedule::draw(hashMix64(config.seed, 0xfa01), draw);
+
+    bool stopped = false;
+    FaultScheduler::Options options;
+    options.rebuild_parallel = config.rebuild_parallel;
+    options.rebuild_stripes = config.rebuild_stripes;
+    options.scrub_interval_ms = config.scrub_interval_ms;
+    options.on_state_change = [&stopped](FaultState state) {
+        if (state == FaultState::DataLoss)
+            stopped = true;
+    };
+    FaultScheduler scheduler(events, array, std::move(schedule),
+                             std::move(options));
+
+    TrialResult result;
+    Rng rng(hashMix64(config.seed, 0xc11e));
+    std::function<void()> client = [&] {
+        if (stopped)
+            return;
+        int64_t span = array.dataUnits() - config.access_units;
+        int64_t start = static_cast<int64_t>(
+            rng.below(static_cast<uint64_t>(span + 1)));
+        bool degraded = scheduler.state() == FaultState::Rebuilding;
+        SimTime issued = events.now();
+        array.access(start, config.access_units, config.type,
+                     [&, degraded, issued] {
+                         SimTime took = events.now() - issued;
+                         result.response_ms.add(took);
+                         if (degraded)
+                             result.degraded_response_ms.add(took);
+                         client();
+                     });
+    };
+
+    scheduler.start();
+    for (int c = 0; c < config.clients; ++c)
+        client();
+    events.runUntil(config.mission_ms);
+
+    const FaultStats &stats = scheduler.stats();
+    result.data_loss = stats.data_loss;
+    result.data_loss_ms = stats.data_loss_ms;
+    result.failures_applied = stats.failures_applied;
+    result.rebuilds_completed = stats.rebuilds_completed;
+    result.rebuild_ms = stats.rebuild_ms;
+    result.degraded_ms = scheduler.degradedMs();
+    result.latent_injected = stats.latent_injected;
+    result.latent_detected = stats.latent_detected;
+    if (const Scrubber *scrubber = scheduler.scrubber()) {
+        result.scrub_repairs = scrubber->errorsRepaired();
+        result.scrub_units_scanned = scrubber->unitsScanned();
+    }
+    return result;
+}
+
+/** The mission spec describing `config` on `layout` x `disks`. */
+ScenarioSpec
+missionSpec(const std::string &layout, int disks,
+            const TrialConfig &config)
+{
+    ScenarioSpec spec;
+    spec.shards.front().layout = layout;
+    spec.shards.front().disks = disks;
+    spec.dispatch_ms = 0.0;
+    spec.unit_sectors = config.unit_sectors;
+    spec.sstf_window = config.sstf_window;
+    spec.client = "closed";
+    spec.clients = config.clients;
+    spec.mix = {{config.access_units * config.unit_sectors / 2,
+                 config.type == AccessType::Write, 1.0}};
+    spec.warmup = 0;
+    spec.rebuild_parallel = config.rebuild_parallel;
+    spec.rebuild_stripes = config.rebuild_stripes;
+    spec.mission_ms = config.mission_ms;
+    spec.fault_seed = hashMix64(config.seed, 0xfa01);
+    spec.disk_mttf_ms = config.disk_mttf_ms;
+    spec.latent_mtbe_ms = config.latent_mtbe_ms;
+    spec.scrub_interval_ms = config.scrub_interval_ms;
+    std::string error;
+    EXPECT_TRUE(spec.normalize(error)) << error;
+    return spec;
+}
+
+void
+expectSameWelford(const Welford &trial, const Welford &spec,
+                  const char *what)
+{
+    EXPECT_EQ(trial.count(), spec.count()) << what;
+    EXPECT_EQ(trial.mean(), spec.mean()) << what;
+    EXPECT_EQ(trial.variance(), spec.variance()) << what;
+    EXPECT_EQ(trial.min(), spec.min()) << what;
+    EXPECT_EQ(trial.max(), spec.max()) << what;
+}
+
+/** Run `config` both ways, expect identical results, return both. */
+std::pair<TrialResult, tune::ScenarioOutcome>
+compareMission(const std::string &layout_spec, int disks,
+               const TrialConfig &config)
+{
+    const std::unique_ptr<Layout> layout =
+        layouts::makeLayout(layout_spec, disks);
+    const TrialResult trial =
+        runReliabilityTrial(*layout, device::hp2247(), config);
+
+    tune::RunScenarioOptions options;
+    options.seed = hashMix64(config.seed, 0xc11e);
+    const tune::ScenarioOutcome outcome = tune::runScenario(
+        missionSpec(layout_spec, disks, config), options);
+
+    expectSameWelford(trial.response_ms, outcome.response_ms,
+                      "response");
+    expectSameWelford(trial.degraded_response_ms,
+                      outcome.degraded_response_ms, "degraded response");
+    expectSameWelford(trial.rebuild_ms, outcome.rebuild_ms, "rebuild");
+    EXPECT_EQ(trial.data_loss, outcome.data_loss);
+    EXPECT_EQ(trial.data_loss_ms, outcome.data_loss_ms);
+    EXPECT_EQ(trial.degraded_ms, outcome.degraded_ms);
+    EXPECT_EQ(trial.failures_applied, outcome.failures_applied);
+    EXPECT_EQ(trial.rebuilds_completed, outcome.rebuilds_completed);
+    EXPECT_EQ(trial.latent_injected, outcome.latent_injected);
+    EXPECT_EQ(trial.latent_detected, outcome.latent_detected);
+    EXPECT_EQ(trial.scrub_repairs, outcome.scrub_repairs);
+    EXPECT_EQ(trial.scrub_units_scanned, outcome.scrub_units_scanned);
+    return {trial, outcome};
+}
+
+/** A short mission with failures, rebuilds, latents and scrubbing. */
+TrialConfig
+busyTrial()
+{
+    TrialConfig config;
+    config.mission_ms = 5000.0;
+    config.clients = 2;
+    config.disk_mttf_ms = 20000.0;
+    config.latent_mtbe_ms = 800.0;
+    config.rebuild_stripes = 130;
+    config.scrub_interval_ms = 10.0;
+    config.seed = 99;
+    return config;
+}
+
+TEST(RunScenarioMission, PddlMissionMatchesReliabilityTrial)
+{
+    const auto [trial, outcome] =
+        compareMission("pddl:width=4", 13, busyTrial());
+    EXPECT_GT(trial.response_ms.count(), 0);
+    EXPECT_GT(trial.degraded_response_ms.count(), 0);
+    EXPECT_GT(trial.rebuilds_completed, 0);
+}
+
+TEST(RunScenarioMission, WrappedMissionMatchesReliabilityTrial)
+{
+    const auto [trial, outcome] =
+        compareMission("wrapped:width=4", 14, busyTrial());
+    EXPECT_GT(trial.failures_applied, 0);
+    EXPECT_GT(trial.degraded_response_ms.count(), 0);
+}
+
+TEST(RunScenarioMission, DataLossStopsTheClientsLikeTheTrial)
+{
+    TrialConfig config;
+    config.mission_ms = 4000.0;
+    config.clients = 4;
+    config.disk_mttf_ms = 3000.0;
+    config.rebuild_parallel = 1;
+    config.seed = 7;
+    const auto [trial, outcome] =
+        compareMission("pddl:width=4", 13, config);
+    ASSERT_TRUE(trial.data_loss);
+    EXPECT_GT(outcome.data_loss_ms, 0.0);
+    EXPECT_LT(outcome.data_loss_ms, config.mission_ms);
+}
+
+TEST(RunScenarioMission, LatentErrorsAndScrubbingMatchTheTrial)
+{
+    TrialConfig config;
+    config.mission_ms = 3000.0;
+    config.clients = 3;
+    config.latent_mtbe_ms = 2.0;
+    config.scrub_interval_ms = 5.0;
+    config.seed = 3;
+    const auto [trial, outcome] =
+        compareMission("pddl:width=4", 13, config);
+    EXPECT_EQ(outcome.failures_applied, 0);
+    EXPECT_GT(outcome.latent_injected, 0);
+    EXPECT_GT(outcome.scrub_repairs, 0);
+    EXPECT_GT(outcome.scrub_units_scanned, 0);
+    EXPECT_GT(outcome.latent_detected, 0);
+}
+
+TEST(RunScenarioMission, ReplayingAMissionThrowsAtTheField)
+{
+    const ScenarioSpec spec =
+        missionSpec("pddl:width=4", 13, busyTrial());
+    const std::vector<traffic::TraceRecord> records = {
+        {0.0, AccessType::Read, 0, 1}};
+    tune::RunScenarioOptions options;
+    options.replay = &records;
+    try {
+        tune::runScenario(spec, options);
+        FAIL() << "a mission replayed a trace";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("mission_ms"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// ---- A sharded volume against bench_scaleout's old hand-built stack ----
+
+TEST(RunScenarioVolume, ShardFailureMatchesHandBuiltScaleoutStack)
+{
+    const int shards = 2;
+    const uint64_t seed = 17;
+    ParallelEngine::Config engine_config;
+    engine_config.lookahead = 2.0;
+    ParallelEngine engine(shards, engine_config);
+    PddlLayout layout = PddlLayout::make(13, 4);
+    const DeviceModel &model = device::hp2247();
+    std::vector<ShardSpec> specs(shards);
+    for (ShardSpec &spec : specs) {
+        spec.layout = &layout;
+        spec.device = &model;
+    }
+    VolumeConfig vconfig;
+    vconfig.chunk_units = 8;
+    vconfig.dispatch_ms = 2.0;
+    VolumeManager volume(engine, std::move(specs), vconfig);
+    FaultSchedule schedule;
+    schedule.events.push_back({40.0, FaultEvent::Kind::DiskFailure, 2, 0});
+    FaultScheduler faults(engine.shardQueue(0), std::move(schedule),
+                          FaultScheduler::Options{});
+    faults.bindArray(volume.shard(0));
+    faults.start();
+    ClosedLoopConfig config;
+    config.clients = 8 * shards;
+    config.access_units = 3;
+    config.relative_tolerance = 0.0;
+    config.min_samples = 600;
+    config.max_samples = 600;
+    config.warmup = 200;
+    config.seed = seed;
+    ClosedLoopClient client(config);
+    startOnHub(client, engine, volume);
+    engine.run();
+
+    ScenarioSpec spec;
+    spec.shards.assign(shards, ScenarioShard{});
+    spec.chunk_units = 8;
+    spec.client = "closed";
+    spec.clients = 8 * shards;
+    spec.mix = {{24, false, 1.0}};
+    spec.samples = 600;
+    spec.warmup = 200;
+    spec.faults = {{40.0, 0, 2}};
+    std::string error;
+    ASSERT_TRUE(spec.normalize(error)) << error;
+    const tune::ScenarioOutcome outcome = viaSpec(spec, seed);
+
+    EXPECT_EQ(static_cast<int64_t>(engine.eventsFired()),
+              outcome.events_fired);
+    EXPECT_EQ(static_cast<int64_t>(engine.windowsRun()),
+              outcome.windows_run);
+    EXPECT_EQ(engine.now(), outcome.sim_ms);
+    EXPECT_EQ(static_cast<int64_t>(volume.subAccessesIssued()),
+              outcome.sub_accesses);
+    EXPECT_EQ(std::max(volume.maxInFlight(0), volume.maxInFlight(1)),
+              outcome.max_in_flight);
+    EXPECT_EQ(volume.degradedShards(), outcome.degraded_shards_end);
+    EXPECT_EQ(faults.degradedMs(), outcome.degraded_ms);
+    EXPECT_EQ(faults.stats().rebuilds_completed,
+              outcome.rebuilds_completed);
+    EXPECT_EQ(client.result().mean_response_ms, outcome.mean_ms);
+    EXPECT_GT(outcome.degraded_ms, 0.0);
+}
+
+TEST(RunScenarioVolume, DataLossOnAShardStopsTheClosedLoop)
+{
+    // Two failures on shard 0 before its rebuild lands lose data; the
+    // lane reaches the hub's client through the engine mailbox, so
+    // the population stops long before its sample budget.
+    ScenarioSpec spec;
+    spec.shards.assign(2, ScenarioShard{});
+    spec.client = "closed";
+    spec.clients = 16;
+    spec.samples = 20000;
+    spec.warmup = 0;
+    spec.faults = {{40.0, 0, 2}, {41.0, 0, 5}};
+    std::string error;
+    ASSERT_TRUE(spec.normalize(error)) << error;
+    for (int threads : {1, 2}) {
+        tune::RunScenarioOptions options;
+        options.sim_threads = threads;
+        const tune::ScenarioOutcome outcome =
+            tune::runScenario(spec, options);
+        EXPECT_TRUE(outcome.data_loss);
+        EXPECT_EQ(outcome.data_loss_ms, 41.0);
+        EXPECT_GT(outcome.samples, 0);
+        EXPECT_LT(outcome.samples, 200);
+    }
 }
 
 } // namespace

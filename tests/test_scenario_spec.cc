@@ -363,6 +363,136 @@ TEST(ScenarioSpec, NoFabricAndStoppingRuleErrorsAnchorTheField)
     EXPECT_EQ(error.rfind("dispatch_ms:", 0), 0u) << error;
 }
 
+/** A valid mission: one bare shard, closed loop, drawn faults. */
+ScenarioSpec
+missionSpec()
+{
+    ScenarioSpec spec;
+    spec.dispatch_ms = 0.0;
+    spec.client = "closed";
+    spec.rebuild_stripes = 1300;
+    spec.mission_ms = 30000.0;
+    spec.fault_seed = 0xfedcba9876543210ULL;
+    spec.disk_mttf_ms = 150000.0;
+    spec.latent_mtbe_ms = 2500.0;
+    spec.scrub_interval_ms = 20.0;
+    return spec;
+}
+
+TEST(ScenarioSpec, MissionFieldsRoundTripAndHideAtDefaults)
+{
+    // At their defaults the six fields are absent from the text, so
+    // every spec written before they existed keeps its exact form.
+    ScenarioSpec plain;
+    std::string error;
+    ASSERT_TRUE(plain.normalize(error)) << error;
+    for (const char *field :
+         {"rebuild_stripes", "mission_ms", "fault_seed", "disk_mttf_ms",
+          "latent_mtbe_ms", "scrub_interval_ms"}) {
+        EXPECT_EQ(plain.describe().find(field), std::string::npos)
+            << field;
+    }
+
+    ScenarioSpec spec = missionSpec();
+    ASSERT_TRUE(spec.normalize(error)) << error;
+    const std::string text = spec.describe();
+    for (const char *field :
+         {"\"rebuild_stripes\":1300", "\"mission_ms\":30000",
+          "\"disk_mttf_ms\":150000", "\"latent_mtbe_ms\":2500",
+          "\"scrub_interval_ms\":20", "\"fault_seed\":"}) {
+        EXPECT_NE(text.find(field), std::string::npos)
+            << field << " in " << text;
+    }
+    ScenarioSpec back;
+    ASSERT_TRUE(ScenarioSpec::parse(text, back, error)) << error;
+    EXPECT_EQ(spec, back);
+    // A seed above 2^63 survives its signed JSON spelling.
+    EXPECT_EQ(back.fault_seed, 0xfedcba9876543210ULL);
+    ScenarioSpec from_doc;
+    ASSERT_TRUE(
+        ScenarioSpec::parse(spec.toJson().dump(2), from_doc, error))
+        << error;
+    EXPECT_EQ(spec, from_doc);
+
+    // rebuild_stripes also bounds scripted rebuilds: no mission needed.
+    ScenarioSpec scripted;
+    scripted.faults = {{40.0, 0, 2}};
+    scripted.rebuild_stripes = 130;
+    ASSERT_TRUE(scripted.normalize(error)) << error;
+    ASSERT_TRUE(ScenarioSpec::parse(scripted.describe(), back, error))
+        << error;
+    EXPECT_EQ(scripted, back);
+}
+
+TEST(ScenarioSpec, MissionErrorsAnchorTheField)
+{
+    std::string error;
+    auto rejects = [&](ScenarioSpec spec, const char *anchor) {
+        EXPECT_FALSE(spec.normalize(error)) << anchor;
+        EXPECT_EQ(error.rfind(anchor, 0), 0u) << error;
+    };
+
+    ScenarioSpec two_shards = missionSpec();
+    two_shards.dispatch_ms = 2.0;
+    two_shards.shards.push_back(ScenarioShard{});
+    rejects(two_shards, "mission_ms:");
+
+    ScenarioSpec fabric = missionSpec();
+    fabric.dispatch_ms = 2.0;
+    rejects(fabric, "mission_ms:");
+
+    ScenarioSpec open = missionSpec();
+    open.client = "open";
+    rejects(open, "mission_ms:");
+
+    ScenarioSpec degraded = missionSpec();
+    degraded.shards.front().failed_disk = 0;
+    rejects(degraded, "mission_ms:");
+
+    ScenarioSpec negative = missionSpec();
+    negative.mission_ms = -1.0;
+    rejects(negative, "mission_ms:");
+
+    ScenarioSpec mttf = missionSpec();
+    mttf.disk_mttf_ms = -1.0;
+    rejects(mttf, "disk_mttf_ms:");
+
+    ScenarioSpec mtbe = missionSpec();
+    mtbe.latent_mtbe_ms = -1.0;
+    rejects(mtbe, "latent_mtbe_ms:");
+
+    ScenarioSpec scrub = missionSpec();
+    scrub.scrub_interval_ms = -1.0;
+    rejects(scrub, "scrub_interval_ms:");
+
+    ScenarioSpec stripes = missionSpec();
+    stripes.rebuild_stripes = -1;
+    rejects(stripes, "rebuild_stripes:");
+
+    // Draw fields mean nothing without a mission.
+    ScenarioSpec no_mission = missionSpec();
+    no_mission.mission_ms = 0.0;
+    rejects(no_mission, "fault_seed:");
+    no_mission.fault_seed = 0;
+    rejects(no_mission, "disk_mttf_ms:");
+    no_mission.disk_mttf_ms = 0.0;
+    rejects(no_mission, "latent_mtbe_ms:");
+    no_mission.latent_mtbe_ms = 0.0;
+    rejects(no_mission, "scrub_interval_ms:");
+    no_mission.scrub_interval_ms = 0.0;
+    EXPECT_TRUE(no_mission.normalize(error)) << error;
+
+    // The same anchors come back through the JSON loader.
+    ScenarioSpec spec;
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"mission_ms\": 1000, \"client\": \"closed\"}", spec,
+        error));
+    EXPECT_EQ(error.rfind("mission_ms:", 0), 0u) << error;
+    EXPECT_FALSE(ScenarioSpec::parse("{\"disk_mttf_ms\": \"x\"}", spec,
+                                     error));
+    EXPECT_EQ(error.rfind("disk_mttf_ms:", 0), 0u) << error;
+}
+
 TEST(ScenarioSpec, LoadScenarioAcceptsInlineJson)
 {
     ScenarioSpec spec;

@@ -468,53 +468,6 @@ TEST(TraceReplay, CaptureFormatParseReplayReproducesTheSimulation)
               static_cast<int64_t>(parsed.size()));
 }
 
-TEST(TraceReplay, DiscardSkipsTheColdStartFromMeasurement)
-{
-    EventQueue events;
-    Raid5Layout raid5(13);
-    const DeviceModel &model = device::hp2247();
-    ArrayController array(events, raid5, model, ArrayConfig{});
-
-    std::vector<TraceRecord> records;
-    for (int i = 0; i < 50; ++i)
-        records.push_back(
-            {static_cast<double>(i) * 40.0, AccessType::Read,
-             i * 100, 1});
-    traffic::TraceReplayConfig config;
-    config.discard = 10;
-    traffic::TraceReplayWorkload replay(records, config);
-    replay.start(events, array);
-    events.runUntilEmpty();
-    EXPECT_EQ(replay.completed(), 50);
-    EXPECT_EQ(replay.latency().count(), 40);
-}
-
-TEST(ClosedLoopTraffic, DiscardDelaysMeasurementByExactlyThatMany)
-{
-    // One client, fixed sample count: every completion is either
-    // warmup, discarded, or measured, so total accesses issued is
-    // warmup + discard + samples on the nose.
-    Raid5Layout raid5(13);
-    const DeviceModel &model = device::hp2247();
-    auto run = [&](int64_t discard) {
-        EventQueue events;
-        ArrayController array(events, raid5, model, ArrayConfig{});
-        ClosedLoopConfig config;
-        config.clients = 1;
-        config.relative_tolerance = 0.0;
-        config.min_samples = 50;
-        config.max_samples = 50;
-        config.warmup = 10;
-        config.discard = discard;
-        ClosedLoopClient client(config);
-        client.start(events, array);
-        events.runUntilEmpty();
-        EXPECT_EQ(client.result().samples, 50);
-        return array.accessesIssued();
-    };
-    EXPECT_EQ(run(7), run(0) + 7);
-}
-
 /**
  * Skewed offsets and bursty arrivals must not perturb the parallel
  * engine's determinism contract: a volume workload produces the
