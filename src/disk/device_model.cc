@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hh"
+#include "util/modmath.hh"
 
 namespace pddl {
 
@@ -79,7 +80,7 @@ HddDeviceModel::serviceTime(double now, const DiskPosition &start,
     // simulated time.
     int spt = start.sectors_per_track;
     double settle_time = now + t;
-    double angle_now = std::fmod(settle_time, rev) / rev;       // [0,1)
+    double angle_now = fmodExact(settle_time, rev) / rev;       // [0,1)
     double angle_target = double(start.sector) / spt;
     double wait = angle_target - angle_now;
     if (wait < 0)

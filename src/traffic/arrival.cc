@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/modmath.hh"
+
 namespace pddl {
 namespace traffic {
 
@@ -107,10 +109,12 @@ parseArrivalSpec(const std::string &text, ArrivalSpec &spec,
         double phase_ms = 0.0;
         if (at == std::string::npos ||
             !parseDoubleList(rest.substr(0, at), mults) ||
-            !parseDouble(rest.substr(at + 1), phase_ms) ||
-            phase_ms <= 0.0) {
-            error = "expected diurnal:<m1>,<m2>,...@<phase_ms> with "
-                    "phase_ms > 0";
+            !parseDouble(rest.substr(at + 1), phase_ms)) {
+            error = "expected diurnal:<m1>,<m2>,...@<phase_ms>";
+            return false;
+        }
+        if (!(phase_ms >= kMinArrivalSpanMs)) {
+            error = "diurnal phase_ms must be >= 0.001 (1 us)";
             return false;
         }
         double total = 0.0;
@@ -140,9 +144,17 @@ parseArrivalSpec(const std::string &text, ArrivalSpec &spec,
     if (text.rfind("mmpp:", 0) == 0) {
         std::vector<double> v;
         if (!parseDoubleList(text.substr(5), v) || v.size() != 3 ||
-            v[0] <= 0.0 || v[1] <= 0.0 || v[2] <= 0.0) {
+            v[0] <= 0.0) {
             error = "expected mmpp:<burst_mult>,<calm_ms>,<burst_ms> "
-                    "with all three > 0";
+                    "with burst_mult > 0";
+            return false;
+        }
+        if (!(v[1] >= kMinArrivalSpanMs)) {
+            error = "mmpp calm_ms must be >= 0.001 (1 us)";
+            return false;
+        }
+        if (!(v[2] >= kMinArrivalSpanMs)) {
+            error = "mmpp burst_ms must be >= 0.001 (1 us)";
             return false;
         }
         spec = ArrivalSpec{};
@@ -163,7 +175,8 @@ ArrivalSampler::ArrivalSampler(const ArrivalSpec &spec,
 {
     assert(base_per_ms_ > 0.0);
     if (spec_.kind == ArrivalSpec::Kind::Diurnal) {
-        assert(spec_.phase_ms > 0.0 && !spec_.phase_mult.empty());
+        assert(spec_.phase_ms >= kMinArrivalSpanMs &&
+               !spec_.phase_mult.empty());
         double total = 0.0;
         for (double mult : spec_.phase_mult) {
             assert(mult >= 0.0);
@@ -172,21 +185,19 @@ ArrivalSampler::ArrivalSampler(const ArrivalSpec &spec,
         assert(total > 0.0 && "diurnal schedule must offer load");
     }
     if (spec_.kind == ArrivalSpec::Kind::Mmpp) {
-        assert(spec_.burst_mult > 0.0 && spec_.calm_ms > 0.0 &&
-               spec_.burst_ms > 0.0);
+        assert(spec_.burst_mult > 0.0 &&
+               spec_.calm_ms >= kMinArrivalSpanMs &&
+               spec_.burst_ms >= kMinArrivalSpanMs);
     }
 }
 
 double
-ArrivalSampler::diurnalRateAt(double t) const
+ArrivalSampler::diurnalRateAt(double phase) const
 {
-    const double period =
-        spec_.phase_ms * static_cast<double>(spec_.phase_mult.size());
-    const double in_period = std::fmod(t, period);
-    size_t phase = static_cast<size_t>(in_period / spec_.phase_ms);
-    if (phase >= spec_.phase_mult.size())
-        phase = spec_.phase_mult.size() - 1;
-    return base_per_ms_ * spec_.phase_mult[phase];
+    const double in_period = fmodExact(
+        phase, static_cast<double>(spec_.phase_mult.size()));
+    return base_per_ms_ *
+           spec_.phase_mult[static_cast<size_t>(in_period)];
 }
 
 double
@@ -202,13 +213,22 @@ ArrivalSampler::nextGapMs(Rng &rng, double now)
         // Exact inversion of the inhomogeneous Poisson process:
         // draw the unit-exponential target area, then walk the
         // piecewise-constant rate until the integral reaches it.
+        // Phase k spans [k * phase_ms, (k + 1) * phase_ms), both
+        // products rounded as computed here. The walk steps k itself
+        // and never re-derives it from a rounded boundary, where the
+        // division can land one phase short and stall the cursor.
         double remaining = rng.exponential(1.0);
+        const double phase_ms = spec_.phase_ms;
+        double phase = std::floor(now / phase_ms);
+        if (phase * phase_ms > now)
+            phase -= 1.0;
+        else if ((phase + 1.0) * phase_ms <= now)
+            phase += 1.0;
         double cursor = now;
         for (;;) {
-            const double rate = diurnalRateAt(cursor);
-            const double phase_end =
-                (std::floor(cursor / spec_.phase_ms) + 1.0) *
-                spec_.phase_ms;
+            const double rate = diurnalRateAt(phase);
+            phase += 1.0;
+            const double phase_end = phase * phase_ms;
             if (rate > 0.0) {
                 const double capacity = rate * (phase_end - cursor);
                 if (remaining <= capacity)

@@ -36,6 +36,14 @@
 namespace pddl {
 namespace traffic {
 
+/**
+ * Shortest diurnal phase_ms and MMPP calm_ms/burst_ms the parser
+ * accepts (1 us). The samplers step through every phase or regime
+ * switch between two arrivals, so a span too short to move the
+ * simulated clock would stall them.
+ */
+constexpr double kMinArrivalSpanMs = 1e-3;
+
 /** Which arrival process offers the load. */
 struct ArrivalSpec
 {
@@ -102,7 +110,8 @@ class ArrivalSampler
     double nextGapMs(Rng &rng, double now);
 
   private:
-    double diurnalRateAt(double t) const; ///< arrivals per ms
+    /** Arrivals per ms in diurnal phase `phase` (a whole number). */
+    double diurnalRateAt(double phase) const;
 
     ArrivalSpec spec_;
     double base_per_ms_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Modular arithmetic, primality, and primitive-root utilities.
+ * Modular arithmetic, primality, and primitive-root utilities, plus
+ * an exact floating-point remainder.
  *
  * These are the number-theoretic building blocks for the PDDL base
  * permutation constructions (Bose's construction needs a primitive
@@ -11,6 +12,7 @@
 #ifndef PDDL_UTIL_MODMATH_HH
 #define PDDL_UTIL_MODMATH_HH
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +24,34 @@ floorMod(int64_t a, int64_t m)
 {
     int64_t r = a % m;
     return r < 0 ? r + m : r;
+}
+
+/**
+ * std::fmod(x, y), bit for bit, without the library call when
+ * x >= 0, y > 0 and x / y < 2^52.
+ *
+ * An fmod result is always representable, and fma rounds once, so
+ * fma(-n, y, x) is that result exactly when n = floor(x / y). The
+ * correctly rounded quotient never falls below a whole number the
+ * exact one reaches, and inside 2^52 it is off by less than one, so
+ * its truncation is floor(x / y) or one more; one more shows as a
+ * negative remainder. Negative or non-finite arguments take
+ * std::fmod, and so do quotients of 2^52 or more: a margin below
+ * 2^53, where n - 1 stops being exact.
+ */
+inline double
+fmodExact(double x, double y)
+{
+    constexpr double kExactQuotient = 4503599627370496.0; // 2^52
+    const double quotient = x / y;
+    if (!(x >= 0.0 && y > 0.0 && y < HUGE_VAL &&
+          quotient < kExactQuotient))
+        return std::fmod(x, y);
+    // Truncation, not floor(): no libm call on baseline x86-64.
+    const double n =
+        static_cast<double>(static_cast<int64_t>(quotient));
+    const double r = std::fma(-n, y, x);
+    return r < 0.0 ? std::fma(-(n - 1.0), y, x) : r;
 }
 
 /** (a * b) mod m without overflow for m < 2^31. */

@@ -312,7 +312,9 @@ expectMatchesReference(const DeviceModel &model, MechState &state,
     return t;
 }
 
-TEST(DevicePosition, RandomOpsMatchLbaReference)
+/** 20,000 random ops per device family from simulated time `start`. */
+void
+expectRandomOpsMatchReference(double start)
 {
     for (const char *text : {"hp2247", "hdd", "ssd"}) {
         SCOPED_TRACE(text);
@@ -320,7 +322,7 @@ TEST(DevicePosition, RandomOpsMatchLbaReference)
             device::makeDevice(text);
         Rng rng(0x5eed);
         MechState state;
-        double now = 0.0;
+        double now = start;
         for (int i = 0; i < 20000; ++i) {
             // Up to ~7 hp2247 tracks, so many ops cross tracks and
             // some cross cylinders.
@@ -335,6 +337,21 @@ TEST(DevicePosition, RandomOpsMatchLbaReference)
             // Idle gaps move the platter's phase at the next dispatch.
             now += rng.uniform() * 5.0;
         }
+    }
+}
+
+TEST(DevicePosition, RandomOpsMatchLbaReference)
+{
+    expectRandomOpsMatchReference(0.0);
+}
+
+TEST(DevicePosition, LateClockOpsMatchLbaReference)
+{
+    // Runs from time 0 reach only ~3e5 ms; the rotational phase at a
+    // late clock reduces a much larger quotient.
+    for (double start : {1e7, 1e12}) {
+        SCOPED_TRACE(start);
+        expectRandomOpsMatchReference(start);
     }
 }
 

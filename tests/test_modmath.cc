@@ -1,11 +1,20 @@
 /**
  * @file
- * Unit tests for modular arithmetic, primality, and primitive roots.
+ * Unit tests for modular arithmetic, primality, primitive roots, and
+ * the exact floating-point remainder.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <vector>
+
+#include "disk/device_model.hh"
 #include "util/modmath.hh"
+#include "util/rng.hh"
 
 namespace pddl {
 namespace {
@@ -17,6 +26,123 @@ TEST(FloorMod, HandlesNegatives)
     EXPECT_EQ(floorMod(-5, 5), 0);
     EXPECT_EQ(floorMod(0, 3), 0);
     EXPECT_EQ(floorMod(-13, 7), 1);
+}
+
+/** fmodExact(x, y) and std::fmod(x, y) agree bit for bit. */
+::testing::AssertionResult
+matchesFmod(double x, double y)
+{
+    const double got = fmodExact(x, y);
+    const double want = std::fmod(x, y);
+    if (std::memcmp(&got, &want, sizeof(double)) == 0)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << std::hexfloat << "fmodExact(" << x << ", " << y
+           << ") = " << got << ", std::fmod = " << want;
+}
+
+/** `x` and its nearest neighbours on both sides. */
+void
+expectNeighbourhoodMatches(double x, double y)
+{
+    EXPECT_TRUE(matchesFmod(x, y));
+    EXPECT_TRUE(matchesFmod(std::nextafter(x, 0.0), y));
+    EXPECT_TRUE(matchesFmod(std::nextafter(x, HUGE_VAL), y));
+}
+
+/** Revolution periods of the drive presets and a spread of rpms. */
+std::vector<double>
+drivePeriodsMs()
+{
+    std::vector<double> periods;
+    for (const char *text :
+         {"hp2247", "hdd", "hdd:rpm=4200", "hdd:rpm=5400",
+          "hdd:rpm=7200.5", "hdd:rpm=10000", "hdd:rpm=15000"}) {
+        std::shared_ptr<const DeviceModel> model =
+            device::makeDevice(text);
+        periods.push_back(
+            dynamic_cast<const HddDeviceModel &>(*model).revolutionMs());
+    }
+    return periods;
+}
+
+constexpr double kTwoTo52 = 4503599627370496.0;
+
+TEST(FmodExact, MatchesLibraryOnRandomQuotients)
+{
+    Rng rng(0xf00d);
+    for (double y : drivePeriodsMs()) {
+        SCOPED_TRACE(y);
+        for (int i = 0; i < 40000; ++i) {
+            // Quotients from every binade below 2^52: the simulated
+            // clock sweeps all of them over a long run.
+            const double quotient =
+                std::exp2(rng.uniform() * 52.0) * rng.uniform();
+            if (quotient >= kTwoTo52)
+                continue;
+            expectNeighbourhoodMatches(quotient * y, y);
+        }
+    }
+}
+
+TEST(FmodExact, MatchesLibraryAtExactMultiples)
+{
+    // Just below a multiple the rounded quotient reaches the whole
+    // number, and only the correction step gets the remainder right.
+    Rng rng(0xbeef);
+    for (double y : drivePeriodsMs()) {
+        SCOPED_TRACE(y);
+        for (int k = 0; k <= 2000; ++k)
+            expectNeighbourhoodMatches(k * y, y);
+        for (int i = 0; i < 40000; ++i) {
+            const double k = std::floor(
+                std::exp2(rng.uniform() * 52.0) * rng.uniform());
+            if (k >= kTwoTo52)
+                continue;
+            expectNeighbourhoodMatches(k * y, y);
+        }
+    }
+}
+
+TEST(FmodExact, ZeroBelowAndAtThePeriod)
+{
+    for (double y : drivePeriodsMs()) {
+        SCOPED_TRACE(y);
+        EXPECT_TRUE(matchesFmod(0.0, y));
+        EXPECT_FALSE(std::signbit(fmodExact(0.0, y)));
+        EXPECT_TRUE(matchesFmod(std::numeric_limits<double>::denorm_min(),
+                                y));
+        EXPECT_TRUE(matchesFmod(y / 3.0, y));
+        EXPECT_TRUE(matchesFmod(std::nextafter(y, 0.0), y));
+        EXPECT_EQ(fmodExact(std::nextafter(y, 0.0), y),
+                  std::nextafter(y, 0.0));
+        EXPECT_TRUE(matchesFmod(y, y));
+        EXPECT_EQ(fmodExact(y, y), 0.0);
+    }
+}
+
+TEST(FmodExact, LargeQuotientsAndOddArgumentsTakeTheLibraryPath)
+{
+    const double inf = HUGE_VAL;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double y : drivePeriodsMs()) {
+        SCOPED_TRACE(y);
+        for (double quotient : {kTwoTo52, kTwoTo52 + 2.0, 2.0 * kTwoTo52,
+                                1e17, 1e300 / y}) {
+            expectNeighbourhoodMatches(quotient * y, y);
+        }
+        EXPECT_TRUE(matchesFmod(-1234.5, y));
+        EXPECT_TRUE(matchesFmod(-0.0, y));
+        EXPECT_TRUE(matchesFmod(inf, y));
+        EXPECT_TRUE(matchesFmod(nan, y));
+        EXPECT_TRUE(matchesFmod(1234.5, -y));
+    }
+    // Past 2^53 whole numbers near the quotient are no longer exact.
+    expectNeighbourhoodMatches(1e15, 0.1);
+    EXPECT_TRUE(matchesFmod(1234.5, inf));
+    EXPECT_TRUE(matchesFmod(1234.5, 0.0));
+    EXPECT_TRUE(matchesFmod(1234.5, nan));
+    EXPECT_TRUE(matchesFmod(inf, inf));
 }
 
 TEST(PowMod, MatchesDirectComputation)

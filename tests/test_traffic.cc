@@ -317,6 +317,53 @@ TEST(ArrivalSamplerTest, DiurnalLoadsBusyPhasesHarder)
     EXPECT_GT(static_cast<double>(busy) / total, 0.85);
 }
 
+TEST(ArrivalSamplerTest, DiurnalFractionalPhasesKeepTheScheduleRate)
+{
+    // A walk whose cursor lands on a rounded phase boundary used to
+    // re-derive the phase one short and stall there forever, so this
+    // test is registered with a short ctest TIMEOUT.
+    const double base_per_s = 1000.0;
+    for (const char *text :
+         {"diurnal:1,2@0.7", "diurnal:1,2@12.34",
+          "diurnal:1,2@33.333333333333336"}) {
+        SCOPED_TRACE(text);
+        ArrivalSpec spec;
+        std::string error;
+        ASSERT_TRUE(traffic::parseArrivalSpec(text, spec, error))
+            << error;
+        ArrivalSampler sampler(spec, base_per_s);
+        Rng rng(77);
+        const int draws = 10000;
+        double now = 0.0;
+        for (int i = 0; i < draws; ++i) {
+            const double gap = sampler.nextGapMs(rng, now);
+            ASSERT_GE(gap, 0.0);
+            now += gap;
+        }
+        // The schedule's average multiplier is 1.5.
+        EXPECT_NEAR(draws / now / (1.5 * base_per_s / 1000.0), 1.0, 0.05);
+    }
+}
+
+TEST(ArrivalSamplerTest, SpansTooShortToMoveTheClockAreRejected)
+{
+    ArrivalSpec spec;
+    std::string error;
+    EXPECT_FALSE(
+        traffic::parseArrivalSpec("diurnal:1,2@1e-300", spec, error));
+    EXPECT_NE(error.find("phase_ms"), std::string::npos) << error;
+    EXPECT_FALSE(
+        traffic::parseArrivalSpec("mmpp:8,1e-300,1e-300", spec, error));
+    EXPECT_NE(error.find("calm_ms"), std::string::npos) << error;
+    EXPECT_FALSE(
+        traffic::parseArrivalSpec("mmpp:8,2000,1e-300", spec, error));
+    EXPECT_NE(error.find("burst_ms"), std::string::npos) << error;
+    EXPECT_EQ(error.find("calm_ms"), std::string::npos) << error;
+    EXPECT_TRUE(traffic::parseArrivalSpec("diurnal:1,2@0.001", spec,
+                                          error))
+        << error;
+}
+
 TEST(ArrivalSamplerTest, MmppIsBurstyAndDeterministicPerSeed)
 {
     ArrivalSpec spec;
