@@ -21,6 +21,7 @@
 #ifndef PDDL_BENCH_BENCH_UTIL_HH
 #define PDDL_BENCH_BENCH_UTIL_HH
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -272,13 +273,13 @@ class BenchCli
                        "(default: PDDL_BENCH_THREADS or hardware "
                        "concurrency; results are bit-identical for "
                        "any value)",
-                       1);
+                       1, false, INT_MAX);
         parser_.addInt("sim-threads", "n",
                        "worker threads within one scenario (the "
                        "parallel engine's shard lanes; default: "
                        "PDDL_SIM_THREADS or 1; results are "
                        "bit-identical for any value)",
-                       1);
+                       1, false, INT_MAX);
         parser_.addString("metrics", "file",
                           "write the merged metrics snapshot as JSON "
                           "and embed per-point metrics in BENCH rows");
@@ -353,11 +354,13 @@ class BenchCli
         parser_.addBool(name, help);
     }
 
+    /** An int-valued flag: values above INT_MAX fail at the flag. */
     void
     addInt(const std::string &name, const std::string &value_name,
            const std::string &help, long long min_value)
     {
-        parser_.addInt(name, value_name, help, min_value);
+        parser_.addInt(name, value_name, help, min_value, false,
+                       INT_MAX);
     }
 
     void

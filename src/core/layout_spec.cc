@@ -1,7 +1,5 @@
 #include "core/layout_spec.hh"
 
-#include <cstdlib>
-#include <map>
 #include <stdexcept>
 
 #include "core/pddl_layout.hh"
@@ -13,6 +11,7 @@
 #include "layout/prime.hh"
 #include "layout/raid5.hh"
 #include "layout/tdesign.hh"
+#include "util/spec_text.hh"
 
 namespace pddl {
 namespace layouts {
@@ -28,79 +27,6 @@ schedName(ReplicaSched sched)
       case ReplicaSched::ShortestQueue: return "shortest_queue";
     }
     return "?";
-}
-
-bool
-parseParams(const std::string &body,
-            std::map<std::string, std::string> &params,
-            std::string &error)
-{
-    size_t at = 0;
-    while (at < body.size()) {
-        size_t comma = body.find(',', at);
-        if (comma == std::string::npos)
-            comma = body.size();
-        std::string pair = body.substr(at, comma - at);
-        size_t eq = pair.find('=');
-        if (eq == std::string::npos || eq == 0 ||
-            eq + 1 >= pair.size()) {
-            error = "expected key=value, got '" + pair + "'";
-            return false;
-        }
-        params[pair.substr(0, eq)] = pair.substr(eq + 1);
-        at = comma + 1;
-    }
-    return true;
-}
-
-bool
-takeInt(std::map<std::string, std::string> &params, const char *key,
-        int &out, std::string &error)
-{
-    auto it = params.find(key);
-    if (it == params.end())
-        return true;
-    char *end = nullptr;
-    long value = std::strtol(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
-        error = std::string(key) + " is not an integer: '" +
-                it->second + "'";
-        return false;
-    }
-    out = static_cast<int>(value);
-    params.erase(it);
-    return true;
-}
-
-bool
-takeUint64(std::map<std::string, std::string> &params,
-           const char *key, uint64_t &out, std::string &error)
-{
-    auto it = params.find(key);
-    if (it == params.end())
-        return true;
-    char *end = nullptr;
-    unsigned long long value =
-        std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
-        error = std::string(key) + " is not an unsigned integer: '" +
-                it->second + "'";
-        return false;
-    }
-    out = static_cast<uint64_t>(value);
-    params.erase(it);
-    return true;
-}
-
-bool
-rejectUnknown(const std::map<std::string, std::string> &params,
-              const std::string &family, std::string &error)
-{
-    if (params.empty())
-        return true;
-    error = "unknown " + family + " parameter '" +
-            params.begin()->first + "'";
-    return false;
 }
 
 } // namespace
@@ -134,86 +60,60 @@ bool
 parseLayoutSpec(const std::string &text, ParsedLayoutSpec &spec,
                 std::string &error)
 {
-    std::string family = text;
-    std::string body;
-    size_t colon = text.find(':');
-    if (colon != std::string::npos) {
-        family = text.substr(0, colon);
-        body = text.substr(colon + 1);
-    }
-    std::map<std::string, std::string> params;
-    if (!parseParams(body, params, error))
-        return false;
-
+    std::string_view family, body;
+    spec_text::splitFamily(text, family, body);
+    spec_text::KeyValues params;
     ParsedLayoutSpec parsed;
-    parsed.family = family;
+    parsed.family = std::string(family);
     if (family == "pddl" || family == "wrapped" || family == "parity" ||
         family == "prime") {
-        if (!takeInt(params, "width", parsed.width, error))
+        if (!params.parse(body, family, {"width"}, error) ||
+            !params.readInt("width", parsed.width, error, 2))
             return false;
     } else if (family == "datum") {
-        if (!takeInt(params, "width", parsed.width, error) ||
-            !takeInt(params, "check", parsed.check, error)) {
+        if (!params.parse(body, family, {"width", "check"}, error) ||
+            !params.readInt("width", parsed.width, error, 2) ||
+            !params.readInt("check", parsed.check, error, 1))
             return false;
-        }
-        if (parsed.check < 1 || parsed.check >= parsed.width) {
+        if (parsed.check >= parsed.width) {
             error = "datum needs 1 <= check < width";
             return false;
         }
-    } else if (family == "raid5") {
-        // No knobs: the stripe spans all disks.
+    } else if (family == "raid5" || family == "tdesign") {
+        // No knobs: raid5's stripe spans all disks, and tdesign's
+        // boolean SQS fixes the stripe width at its block size.
+        if (!params.parse(body, family, {}, error))
+            return false;
+        if (family == "tdesign")
+            parsed.width = 4;
     } else if (family == "mirror") {
-        if (!takeInt(params, "copies", parsed.copies, error))
+        if (!params.parse(body, family, {"copies", "sched"}, error) ||
+            !params.readInt("copies", parsed.copies, error, 2))
             return false;
-        if (parsed.copies < 2) {
-            error = "mirror needs copies >= 2";
+        const std::string_view sched = params.value("sched");
+        if (sched == "primary") {
+            parsed.sched = ReplicaSched::Primary;
+        } else if (sched == "round_robin") {
+            parsed.sched = ReplicaSched::RoundRobin;
+        } else if (sched == "shortest_queue") {
+            parsed.sched = ReplicaSched::ShortestQueue;
+        } else if (params.has("sched")) {
+            error = "unknown sched '" + std::string(sched) +
+                    "' (primary, round_robin, shortest_queue)";
             return false;
-        }
-        auto it = params.find("sched");
-        if (it != params.end()) {
-            if (it->second == "primary") {
-                parsed.sched = ReplicaSched::Primary;
-            } else if (it->second == "round_robin") {
-                parsed.sched = ReplicaSched::RoundRobin;
-            } else if (it->second == "shortest_queue") {
-                parsed.sched = ReplicaSched::ShortestQueue;
-            } else {
-                error = "unknown sched '" + it->second +
-                        "' (primary, round_robin, shortest_queue)";
-                return false;
-            }
-            params.erase(it);
         }
     } else if (family == "draid") {
-        if (!takeInt(params, "width", parsed.width, error) ||
-            !takeInt(params, "spares", parsed.spares, error) ||
-            !takeInt(params, "rows", parsed.rows, error) ||
-            !takeUint64(params, "seed", parsed.seed, error)) {
+        if (!params.parse(body, family,
+                          {"width", "spares", "rows", "seed"}, error) ||
+            !params.readInt("width", parsed.width, error, 2) ||
+            !params.readInt("spares", parsed.spares, error, 0) ||
+            !params.readInt("rows", parsed.rows, error, 1) ||
+            !params.readInt("seed", parsed.seed, error))
             return false;
-        }
-        if (parsed.spares < 0) {
-            error = "draid needs spares >= 0";
-            return false;
-        }
-        if (parsed.rows < 1) {
-            error = "draid needs rows >= 1";
-            return false;
-        }
-    } else if (family == "tdesign") {
-        // No knobs: the boolean SQS fixes the stripe width at its
-        // block size.
-        parsed.width = 4;
     } else {
-        error = "unknown layout family '" + family +
+        error = "unknown layout family '" + parsed.family +
                 "' (registered: pddl, wrapped, raid5, datum, parity, "
                 "prime, mirror, draid, tdesign)";
-        return false;
-    }
-    if (!rejectUnknown(params, family, error))
-        return false;
-    if (family != "raid5" && family != "mirror" &&
-        (parsed.width < 2 || parsed.check >= parsed.width)) {
-        error = "width must be >= 2 (and exceed check units)";
         return false;
     }
     spec = parsed;

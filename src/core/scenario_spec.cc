@@ -1,83 +1,72 @@
 #include "core/scenario_spec.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/layout_spec.hh"
 #include "disk/device_model.hh"
 #include "traffic/arrival.hh"
 #include "traffic/offset_dist.hh"
+#include "util/spec_text.hh"
 
 namespace pddl {
 namespace {
 
 /**
- * Typed member readers. Every reader leaves `out` untouched and
- * returns false with a field-anchored message when the member exists
- * but has the wrong shape; an absent member keeps the default.
+ * Typed member reader: leaves `out` untouched and returns false with
+ * a field-anchored message when the member exists but has the wrong
+ * shape; an absent member keeps the default. An integer field takes
+ * a number only when it is whole and fits the field. A seed travels
+ * as its signed-64 bit pattern (see Json(uint64_t)), so an unsigned
+ * field reads the int64 range and keeps the bits.
  */
+template <typename T>
 bool
-getString(const Json &obj, const char *key, const std::string &anchor,
-          std::string &out, std::string &error)
+get(const Json &obj, const char *key, const std::string &anchor,
+    T &out, std::string &error)
 {
     const Json *v = obj.find(key);
     if (v == nullptr)
         return true;
-    if (!v->isString()) {
-        error = anchor + key + ": expected a string";
-        return false;
+    std::string expected;
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (v->isString()) {
+            out = v->asString();
+            return true;
+        }
+        expected = "a string";
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (v->isBool()) {
+            out = v->asBool();
+            return true;
+        }
+        expected = "true or false";
+    } else if constexpr (std::is_floating_point_v<T>) {
+        if (v->isNumber()) {
+            out = v->asDouble();
+            return true;
+        }
+        expected = "a number";
+    } else {
+        using Wire = std::make_signed_t<T>;
+        Wire wire = 0;
+        if (v->isInteger() ? spec_text::exactInt(v->asInt(), wire)
+                           : v->isNumber() &&
+                                 spec_text::exactInt(v->asDouble(), wire)) {
+            out = static_cast<T>(wire);
+            return true;
+        }
+        expected = "an integer in [" +
+                   std::to_string(std::numeric_limits<Wire>::min()) +
+                   ", " +
+                   std::to_string(std::numeric_limits<Wire>::max()) + "]";
     }
-    out = v->asString();
-    return true;
-}
-
-bool
-getBool(const Json &obj, const char *key, const std::string &anchor,
-        bool &out, std::string &error)
-{
-    const Json *v = obj.find(key);
-    if (v == nullptr)
-        return true;
-    if (!v->isBool()) {
-        error = anchor + key + ": expected true or false";
-        return false;
-    }
-    out = v->asBool();
-    return true;
-}
-
-bool
-getDouble(const Json &obj, const char *key, const std::string &anchor,
-          double &out, std::string &error)
-{
-    const Json *v = obj.find(key);
-    if (v == nullptr)
-        return true;
-    if (!v->isNumber()) {
-        error = anchor + key + ": expected a number";
-        return false;
-    }
-    out = v->asDouble();
-    return true;
-}
-
-template <typename Int>
-bool
-getInt(const Json &obj, const char *key, const std::string &anchor,
-       Int &out, std::string &error)
-{
-    const Json *v = obj.find(key);
-    if (v == nullptr)
-        return true;
-    if (!v->isNumber()) {
-        error = anchor + key + ": expected an integer";
-        return false;
-    }
-    out = static_cast<Int>(v->asInt());
-    return true;
+    error = anchor + key + ": expected " + expected;
+    return false;
 }
 
 /** Reject members outside `allowed` (typo defense with an anchor). */
@@ -87,18 +76,9 @@ checkKeys(const Json &obj, const std::string &anchor,
           std::string &error)
 {
     for (const auto &member : obj.members()) {
-        bool known = false;
-        for (const char *key : allowed) {
-            if (member.first == key) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            error = anchor.empty()
-                        ? "unknown field '" + member.first + "'"
-                        : anchor + "unknown field '" + member.first +
-                              "'";
+        if (std::find(allowed.begin(), allowed.end(), member.first) ==
+            allowed.end()) {
+            error = anchor + "unknown field '" + member.first + "'";
             return false;
         }
     }
@@ -120,19 +100,11 @@ parsePlacement(const std::string &text, std::string &canonical,
         return true;
     }
     if (text.rfind("shuffle:", 0) == 0) {
-        const std::string digits = text.substr(8);
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") !=
-                std::string::npos) {
-            error = "expected shuffle:<seed> with a decimal seed";
-            return false;
-        }
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long seed =
-            std::strtoull(digits.c_str(), &end, 10);
-        if (errno != 0 || end != digits.c_str() + digits.size()) {
-            error = "shuffle seed does not fit in 64 bits";
+        uint64_t seed = 0;
+        if (!spec_text::parseInt(std::string_view(text).substr(8),
+                                 seed)) {
+            error = "expected shuffle:<seed> with a decimal seed in "
+                    "[0, 18446744073709551615]";
             return false;
         }
         canonical = "shuffle:" + std::to_string(seed);
@@ -273,48 +245,40 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
                            error))
                 return false;
             ScenarioShard shard;
-            if (!getString(item, "layout", anchor, shard.layout,
-                           error) ||
-                !getString(item, "device", anchor, shard.device,
-                           error) ||
-                !getInt(item, "disks", anchor, shard.disks, error) ||
-                !getString(item, "tier", anchor, shard.tier, error) ||
-                !getInt(item, "failed_disk", anchor, shard.failed_disk,
-                        error) ||
-                !getBool(item, "rebuilt", anchor, shard.rebuilt, error))
+            if (!get(item, "layout", anchor, shard.layout, error) ||
+                !get(item, "device", anchor, shard.device, error) ||
+                !get(item, "disks", anchor, shard.disks, error) ||
+                !get(item, "tier", anchor, shard.tier, error) ||
+                !get(item, "failed_disk", anchor, shard.failed_disk, error) ||
+                !get(item, "rebuilt", anchor, shard.rebuilt, error))
                 return false;
             out.shards.push_back(std::move(shard));
         }
     }
 
-    if (!getString(doc, "allocation", "", out.allocation, error) ||
-        !getString(doc, "placement", "", out.placement, error) ||
-        !getInt(doc, "chunk_units", "", out.chunk_units, error) ||
-        !getDouble(doc, "dispatch_ms", "", out.dispatch_ms, error) ||
-        !getInt(doc, "unit_sectors", "", out.unit_sectors, error) ||
-        !getInt(doc, "sstf_window", "", out.sstf_window, error) ||
-        !getString(doc, "client", "", out.client, error) ||
-        !getDouble(doc, "arrivals_per_s", "", out.arrivals_per_s,
-                   error) ||
-        !getInt(doc, "clients", "", out.clients, error) ||
-        !getDouble(doc, "think_ms", "", out.think_ms, error) ||
-        !getString(doc, "offsets", "", out.offsets, error) ||
-        !getString(doc, "arrival", "", out.arrival, error) ||
-        !getInt(doc, "samples", "", out.samples, error) ||
-        !getInt(doc, "warmup", "", out.warmup, error) ||
-        !getDouble(doc, "ci_tolerance", "", out.ci_tolerance, error) ||
-        !getInt(doc, "min_samples", "", out.min_samples, error) ||
-        !getInt(doc, "rebuild_parallel", "", out.rebuild_parallel,
-                error) ||
-        !getInt(doc, "rebuild_stripes", "", out.rebuild_stripes,
-                error) ||
-        !getDouble(doc, "mission_ms", "", out.mission_ms, error) ||
-        !getInt(doc, "fault_seed", "", out.fault_seed, error) ||
-        !getDouble(doc, "disk_mttf_ms", "", out.disk_mttf_ms, error) ||
-        !getDouble(doc, "latent_mtbe_ms", "", out.latent_mtbe_ms,
-                   error) ||
-        !getDouble(doc, "scrub_interval_ms", "", out.scrub_interval_ms,
-                   error))
+    if (!get(doc, "allocation", "", out.allocation, error) ||
+        !get(doc, "placement", "", out.placement, error) ||
+        !get(doc, "chunk_units", "", out.chunk_units, error) ||
+        !get(doc, "dispatch_ms", "", out.dispatch_ms, error) ||
+        !get(doc, "unit_sectors", "", out.unit_sectors, error) ||
+        !get(doc, "sstf_window", "", out.sstf_window, error) ||
+        !get(doc, "client", "", out.client, error) ||
+        !get(doc, "arrivals_per_s", "", out.arrivals_per_s, error) ||
+        !get(doc, "clients", "", out.clients, error) ||
+        !get(doc, "think_ms", "", out.think_ms, error) ||
+        !get(doc, "offsets", "", out.offsets, error) ||
+        !get(doc, "arrival", "", out.arrival, error) ||
+        !get(doc, "samples", "", out.samples, error) ||
+        !get(doc, "warmup", "", out.warmup, error) ||
+        !get(doc, "ci_tolerance", "", out.ci_tolerance, error) ||
+        !get(doc, "min_samples", "", out.min_samples, error) ||
+        !get(doc, "rebuild_parallel", "", out.rebuild_parallel, error) ||
+        !get(doc, "rebuild_stripes", "", out.rebuild_stripes, error) ||
+        !get(doc, "mission_ms", "", out.mission_ms, error) ||
+        !get(doc, "fault_seed", "", out.fault_seed, error) ||
+        !get(doc, "disk_mttf_ms", "", out.disk_mttf_ms, error) ||
+        !get(doc, "latent_mtbe_ms", "", out.latent_mtbe_ms, error) ||
+        !get(doc, "scrub_interval_ms", "", out.scrub_interval_ms, error))
         return false;
 
     if (const Json *list = doc.find("mix")) {
@@ -337,10 +301,9 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
                 return false;
             ScenarioMix entry;
             std::string op = "read";
-            if (!getInt(item, "kb", anchor, entry.kb, error) ||
-                !getString(item, "op", anchor, op, error) ||
-                !getDouble(item, "weight", anchor, entry.weight,
-                           error))
+            if (!get(item, "kb", anchor, entry.kb, error) ||
+                !get(item, "op", anchor, op, error) ||
+                !get(item, "weight", anchor, entry.weight, error))
                 return false;
             if (op != "read" && op != "write") {
                 error = anchor + "op: expected \"read\" or \"write\"";
@@ -361,19 +324,14 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
                         "hit_ms", "run_units", "width"},
                        error))
             return false;
-        if (!getBool(*cache, "enabled", "cache.", out.cache_enabled,
-                     error) ||
-            !getInt(*cache, "kb", "cache.", out.cache_kb, error) ||
-            !getInt(*cache, "ways", "cache.", out.cache_ways, error) ||
-            !getDouble(*cache, "high", "cache.", out.cache_high,
-                       error) ||
-            !getDouble(*cache, "low", "cache.", out.cache_low,
-                       error) ||
-            !getDouble(*cache, "hit_ms", "cache.", out.cache_hit_ms,
-                       error) ||
-            !getInt(*cache, "run_units", "cache.", out.cache_run_units,
-                    error) ||
-            !getInt(*cache, "width", "cache.", out.cache_width, error))
+        if (!get(*cache, "enabled", "cache.", out.cache_enabled, error) ||
+            !get(*cache, "kb", "cache.", out.cache_kb, error) ||
+            !get(*cache, "ways", "cache.", out.cache_ways, error) ||
+            !get(*cache, "high", "cache.", out.cache_high, error) ||
+            !get(*cache, "low", "cache.", out.cache_low, error) ||
+            !get(*cache, "hit_ms", "cache.", out.cache_hit_ms, error) ||
+            !get(*cache, "run_units", "cache.", out.cache_run_units, error) ||
+            !get(*cache, "width", "cache.", out.cache_width, error))
             return false;
     }
 
@@ -396,10 +354,9 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
                            error))
                 return false;
             ScenarioFault fault;
-            if (!getDouble(item, "when_ms", anchor, fault.when_ms,
-                           error) ||
-                !getInt(item, "shard", anchor, fault.shard, error) ||
-                !getInt(item, "disk", anchor, fault.disk, error))
+            if (!get(item, "when_ms", anchor, fault.when_ms, error) ||
+                !get(item, "shard", anchor, fault.shard, error) ||
+                !get(item, "disk", anchor, fault.disk, error))
                 return false;
             out.faults.push_back(fault);
         }

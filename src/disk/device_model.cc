@@ -2,13 +2,11 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <stdexcept>
 
 #include "obs/metrics.hh"
 #include "util/modmath.hh"
+#include "util/spec_text.hh"
 
 namespace pddl {
 
@@ -144,30 +142,10 @@ SsdDeviceModel::serviceTime(double now, const DiskPosition &start,
     return (floor_us + sector_us_ * sectors) / 1000.0;
 }
 
-namespace {
-
-/** Render a double with no trailing zeros ("7200", "0.5"). */
-std::string
-numStr(double v)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-    // %.17g keeps the value exact; trim only an integral ".0" tail
-    // style by reformatting when shorter forms round-trip.
-    for (int precision = 1; precision < 17; ++precision) {
-        char trial[64];
-        std::snprintf(trial, sizeof(trial), "%.*g", precision, v);
-        if (std::strtod(trial, nullptr) == v)
-            return trial;
-    }
-    return buffer;
-}
-
-} // namespace
-
 std::string
 SsdDeviceModel::describe() const
 {
+    using spec_text::numStr;
     return std::string("ssd:read_us=") + numStr(read_us_) +
            ",write_us=" + numStr(write_us_) +
            ",sector_us=" + numStr(sector_us_) + ",sectors=" +
@@ -235,77 +213,6 @@ hp2247()
 
 namespace {
 
-/** Parse "k1=v1,k2=v2" into a map; empty body is legal. */
-bool
-parseParams(const std::string &body,
-            std::map<std::string, std::string> &params,
-            std::string &error)
-{
-    size_t at = 0;
-    while (at < body.size()) {
-        size_t comma = body.find(',', at);
-        if (comma == std::string::npos)
-            comma = body.size();
-        std::string pair = body.substr(at, comma - at);
-        size_t eq = pair.find('=');
-        if (eq == std::string::npos || eq == 0 ||
-            eq + 1 >= pair.size()) {
-            error = "expected key=value, got '" + pair + "'";
-            return false;
-        }
-        params[pair.substr(0, eq)] = pair.substr(eq + 1);
-        at = comma + 1;
-    }
-    return true;
-}
-
-bool
-takeDouble(std::map<std::string, std::string> &params,
-           const char *key, double &out, std::string &error)
-{
-    auto it = params.find(key);
-    if (it == params.end())
-        return true;
-    char *end = nullptr;
-    out = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0') {
-        error = std::string(key) + " is not a number: '" +
-                it->second + "'";
-        return false;
-    }
-    params.erase(it);
-    return true;
-}
-
-bool
-takeInt(std::map<std::string, std::string> &params, const char *key,
-        int64_t &out, std::string &error)
-{
-    auto it = params.find(key);
-    if (it == params.end())
-        return true;
-    char *end = nullptr;
-    out = std::strtoll(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
-        error = std::string(key) + " is not an integer: '" +
-                it->second + "'";
-        return false;
-    }
-    params.erase(it);
-    return true;
-}
-
-bool
-rejectUnknown(const std::map<std::string, std::string> &params,
-              const char *family, std::string &error)
-{
-    if (params.empty())
-        return true;
-    error = std::string("unknown ") + family + " parameter '" +
-            params.begin()->first + "'";
-    return false;
-}
-
 /**
  * Build the parameterized mechanical drive. The seek curve is
  * a + b*sqrt(d) up to a knee at cylinders/5, joined C1-continuously
@@ -314,42 +221,31 @@ rejectUnknown(const std::map<std::string, std::string> &params,
  * constraint seekTime(1) = min_seek_ms.
  */
 bool
-makeHdd(std::map<std::string, std::string> params,
+makeHdd(const spec_text::KeyValues &params,
         std::shared_ptr<const DeviceModel> &model, std::string &error)
 {
     double rpm = 7200.0;
-    double cylinders_d = 1981.0;
-    double heads_d = 8.0;
-    double spt_d = 256.0;
+    int cylinders = 1981;
+    int heads = 8;
+    int spt = 256;
     double min_seek = 1.2;
     double avg_seek = 8.0;
     double head_switch = 0.5;
     double cost = 1.0;
-    int64_t cylinders_i = 0, heads_i = 0, spt_i = 0;
-    if (!takeDouble(params, "rpm", rpm, error) ||
-        !takeInt(params, "cylinders", cylinders_i, error) ||
-        !takeInt(params, "heads", heads_i, error) ||
-        !takeInt(params, "spt", spt_i, error) ||
-        !takeDouble(params, "min_seek_ms", min_seek, error) ||
-        !takeDouble(params, "avg_seek_ms", avg_seek, error) ||
-        !takeDouble(params, "head_switch_ms", head_switch, error) ||
-        !takeDouble(params, "cost", cost, error) ||
-        !rejectUnknown(params, "hdd", error)) {
+    if (!params.readReal("rpm", rpm, error) ||
+        !params.readInt("cylinders", cylinders, error, 2) ||
+        !params.readInt("heads", heads, error, 1) ||
+        !params.readInt("spt", spt, error, 1) ||
+        !params.readReal("min_seek_ms", min_seek, error) ||
+        !params.readReal("avg_seek_ms", avg_seek, error) ||
+        !params.readReal("head_switch_ms", head_switch, error) ||
+        !params.readReal("cost", cost, error)) {
         return false;
     }
-    if (cylinders_i > 0)
-        cylinders_d = static_cast<double>(cylinders_i);
-    if (heads_i > 0)
-        heads_d = static_cast<double>(heads_i);
-    if (spt_i > 0)
-        spt_d = static_cast<double>(spt_i);
-    const int cylinders = static_cast<int>(cylinders_d);
-    const int heads = static_cast<int>(heads_d);
-    const int spt = static_cast<int>(spt_d);
-    if (rpm <= 0.0 || cylinders < 2 || heads < 1 || spt < 1 ||
-        min_seek <= 0.0 || head_switch < 0.0 || cost <= 0.0) {
+    if (rpm <= 0.0 || min_seek <= 0.0 || head_switch < 0.0 ||
+        cost <= 0.0) {
         error = "hdd parameters must be positive "
-                "(rpm, cylinders>=2, heads, spt, min_seek_ms, cost)";
+                "(rpm, min_seek_ms, cost; head_switch_ms >= 0)";
         return false;
     }
     if (avg_seek <= min_seek) {
@@ -384,6 +280,7 @@ makeHdd(std::map<std::string, std::string> params,
     std::vector<DiskGeometry::Zone> zones{{0, cylinders, spt}};
     DiskGeometry geometry(heads, std::move(zones), 512);
 
+    using spec_text::numStr;
     std::string spec =
         "hdd:rpm=" + numStr(rpm) +
         ",cylinders=" + std::to_string(cylinders) +
@@ -399,7 +296,7 @@ makeHdd(std::map<std::string, std::string> params,
 }
 
 bool
-makeSsd(std::map<std::string, std::string> params,
+makeSsd(const spec_text::KeyValues &params,
         std::shared_ptr<const DeviceModel> &model, std::string &error)
 {
     double read_us = 120.0;
@@ -409,18 +306,17 @@ makeSsd(std::map<std::string, std::string> params,
     // 256 MB default: flash trades capacity for latency at equal
     // cost, which is what makes the hybrid sweeps non-trivial.
     int64_t sectors = 524288;
-    if (!takeDouble(params, "read_us", read_us, error) ||
-        !takeDouble(params, "write_us", write_us, error) ||
-        !takeDouble(params, "sector_us", sector_us, error) ||
-        !takeInt(params, "sectors", sectors, error) ||
-        !takeDouble(params, "cost", cost, error) ||
-        !rejectUnknown(params, "ssd", error)) {
+    if (!params.readReal("read_us", read_us, error) ||
+        !params.readReal("write_us", write_us, error) ||
+        !params.readReal("sector_us", sector_us, error) ||
+        !params.readInt("sectors", sectors, error, int64_t{1}) ||
+        !params.readReal("cost", cost, error)) {
         return false;
     }
     if (read_us <= 0.0 || write_us <= 0.0 || sector_us < 0.0 ||
-        sectors < 1 || cost <= 0.0) {
+        cost <= 0.0) {
         error = "ssd parameters must be positive "
-                "(read_us, write_us, sectors, cost)";
+                "(read_us, write_us, cost; sector_us >= 0)";
         return false;
     }
     model = std::make_shared<SsdDeviceModel>(read_us, write_us,
@@ -442,28 +338,31 @@ parseDeviceSpec(const std::string &text,
                 std::shared_ptr<const DeviceModel> &model,
                 std::string &error)
 {
-    std::string family = text;
-    std::string body;
-    size_t colon = text.find(':');
-    if (colon != std::string::npos) {
-        family = text.substr(0, colon);
-        body = text.substr(colon + 1);
-    }
-    std::map<std::string, std::string> params;
-    if (!parseParams(body, params, error))
-        return false;
-
+    std::string_view family, body;
+    spec_text::splitFamily(text, family, body);
+    spec_text::KeyValues params;
     if (family == "hp2247") {
-        if (!rejectUnknown(params, "hp2247", error))
+        if (!params.parse(body, family, {}, error))
             return false;
         model = hp2247Shared();
         return true;
     }
-    if (family == "hdd")
-        return makeHdd(std::move(params), model, error);
-    if (family == "ssd")
-        return makeSsd(std::move(params), model, error);
-    error = "unknown device family '" + family +
+    if (family == "hdd") {
+        return params.parse(body, family,
+                            {"rpm", "cylinders", "heads", "spt",
+                             "min_seek_ms", "avg_seek_ms",
+                             "head_switch_ms", "cost"},
+                            error) &&
+               makeHdd(params, model, error);
+    }
+    if (family == "ssd") {
+        return params.parse(body, family,
+                            {"read_us", "write_us", "sector_us",
+                             "sectors", "cost"},
+                            error) &&
+               makeSsd(params, model, error);
+    }
+    error = "unknown device family '" + std::string(family) +
             "' (registered: hp2247, hdd, ssd)";
     return false;
 }

@@ -1,8 +1,8 @@
 #include "harness/arg_parser.hh"
 
 #include <cassert>
-#include <cerrno>
-#include <cstdlib>
+
+#include "util/spec_text.hh"
 
 namespace pddl {
 namespace harness {
@@ -42,7 +42,7 @@ void
 ArgParser::addInt(const std::string &name,
                   const std::string &value_name,
                   const std::string &help, long long min_value,
-                  bool required)
+                  bool required, long long max_value)
 {
     assert(findFlag(name) == nullptr && "duplicate flag");
     Flag flag;
@@ -52,6 +52,7 @@ ArgParser::addInt(const std::string &name,
     flag.kind = Kind::Int;
     flag.required = required;
     flag.min_value = min_value;
+    flag.max_value = max_value;
     flags_.push_back(std::move(flag));
 }
 
@@ -140,17 +141,13 @@ ArgParser::parse(int argc, char *const *argv)
             }
             value = argv[++i];
         }
-        if (flag->kind == Kind::Int) {
-            errno = 0;
-            char *end = nullptr;
-            long long parsed = std::strtoll(value.c_str(), &end, 10);
-            if (errno != 0 || end == value.c_str() || *end != '\0' ||
-                parsed < flag->min_value) {
-                return fail("'--" + name + " " + value +
-                            "' is not an integer >= " +
-                            std::to_string(flag->min_value));
-            }
-            flag->int_value = parsed;
+        if (flag->kind == Kind::Int &&
+            !spec_text::parseInt(value, flag->int_value,
+                                 flag->min_value, flag->max_value)) {
+            return fail("'--" + name + " " + value +
+                        "' is not an integer in [" +
+                        std::to_string(flag->min_value) + ", " +
+                        std::to_string(flag->max_value) + "]");
         }
         if (flag->kind == Kind::String && flag->validator) {
             std::string complaint = flag->validator(value);

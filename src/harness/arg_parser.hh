@@ -14,6 +14,7 @@
 #ifndef PDDL_HARNESS_ARG_PARSER_HH
 #define PDDL_HARNESS_ARG_PARSER_HH
 
+#include <climits>
 #include <functional>
 #include <string>
 #include <vector>
@@ -51,10 +52,12 @@ class ArgParser
                    const std::string &help, bool required,
                    Validator validator);
 
-    /** Declare an integer flag with an inclusive minimum. */
+    /** Declare an integer flag with an inclusive range; a flag stored
+     *  in an `int` passes INT_MAX, so a larger value fails at the flag. */
     void addInt(const std::string &name,
                 const std::string &value_name, const std::string &help,
-                long long min_value, bool required = false);
+                long long min_value, bool required = false,
+                long long max_value = LLONG_MAX);
 
     /** Declare a valueless boolean flag (`--name`). */
     void addBool(const std::string &name, const std::string &help);
@@ -101,6 +104,7 @@ class ArgParser
         Kind kind = Kind::String;
         bool required = false;
         long long min_value = 0;
+        long long max_value = LLONG_MAX;
 
         Validator validator;
 

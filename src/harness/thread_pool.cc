@@ -2,17 +2,18 @@
 
 #include <cstdlib>
 
+#include "util/spec_text.hh"
+
 namespace pddl {
 namespace harness {
 
 int
 defaultThreads()
 {
-    if (const char *env = std::getenv("PDDL_BENCH_THREADS")) {
-        int parsed = std::atoi(env);
-        if (parsed >= 1)
-            return parsed;
-    }
+    int parsed = 0;
+    if (const char *env = std::getenv("PDDL_BENCH_THREADS");
+        env != nullptr && spec_text::parseInt(env, parsed, 1))
+        return parsed;
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
@@ -20,11 +21,10 @@ defaultThreads()
 int
 defaultSimThreads()
 {
-    if (const char *env = std::getenv("PDDL_SIM_THREADS")) {
-        int parsed = std::atoi(env);
-        if (parsed >= 1)
-            return parsed;
-    }
+    int parsed = 0;
+    if (const char *env = std::getenv("PDDL_SIM_THREADS");
+        env != nullptr && spec_text::parseInt(env, parsed, 1))
+        return parsed;
     return 1;
 }
 

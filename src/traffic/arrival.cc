@@ -3,47 +3,12 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/modmath.hh"
+#include "util/spec_text.hh"
 
 namespace pddl {
 namespace traffic {
-
-namespace {
-
-bool
-parseDouble(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end == text.c_str() + text.size() && std::isfinite(out);
-}
-
-/** Split "a,b,c" into doubles; false on any malformed field. */
-bool
-parseDoubleList(const std::string &text, std::vector<double> &out)
-{
-    out.clear();
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        double value = 0.0;
-        if (!parseDouble(text.substr(start, comma - start), value))
-            return false;
-        out.push_back(value);
-        start = comma + 1;
-        if (comma == text.size())
-            break;
-    }
-    return !out.empty();
-}
-
-} // namespace
 
 const char *
 arrivalSpecName(const ArrivalSpec &spec)
@@ -102,14 +67,15 @@ parseArrivalSpec(const std::string &text, ArrivalSpec &spec,
         spec.phase_mult = {0.25, 1.0, 2.5, 1.0};
         return true;
     }
-    if (text.rfind("diurnal:", 0) == 0) {
-        const std::string rest = text.substr(8);
+    const std::string_view view = text;
+    if (view.starts_with("diurnal:")) {
+        const std::string_view rest = view.substr(8);
         const size_t at = rest.find('@');
         std::vector<double> mults;
         double phase_ms = 0.0;
-        if (at == std::string::npos ||
-            !parseDoubleList(rest.substr(0, at), mults) ||
-            !parseDouble(rest.substr(at + 1), phase_ms)) {
+        if (at == std::string_view::npos ||
+            !spec_text::parseRealList(rest.substr(0, at), mults) ||
+            !spec_text::parseReal(rest.substr(at + 1), phase_ms)) {
             error = "expected diurnal:<m1>,<m2>,...@<phase_ms>";
             return false;
         }
@@ -141,9 +107,10 @@ parseArrivalSpec(const std::string &text, ArrivalSpec &spec,
         spec.kind = ArrivalSpec::Kind::Mmpp;
         return true;
     }
-    if (text.rfind("mmpp:", 0) == 0) {
+    if (view.starts_with("mmpp:")) {
         std::vector<double> v;
-        if (!parseDoubleList(text.substr(5), v) || v.size() != 3 ||
+        if (!spec_text::parseRealList(view.substr(5), v) ||
+            v.size() != 3 ||
             v[0] <= 0.0) {
             error = "expected mmpp:<burst_mult>,<calm_ms>,<burst_ms> "
                     "with burst_mult > 0";

@@ -1,29 +1,16 @@
 #include "traffic/offset_dist.hh"
 
 #include <cassert>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
+
+#include "util/spec_text.hh"
 
 namespace pddl {
 namespace traffic {
 
 namespace {
-
-/** Strict double parse of the whole string. */
-bool
-parseDouble(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return errno == 0 && end == text.c_str() + text.size();
-}
 
 /**
  * Rank -> unit scramble seed. Fixed, not per-workload: two clients
@@ -122,14 +109,15 @@ bool
 parseOffsetSpec(const std::string &text, OffsetSpec &spec,
                 std::string &error)
 {
-    if (text == "uniform") {
+    const std::string_view view = text;
+    if (view == "uniform") {
         spec = OffsetSpec{};
         return true;
     }
-    if (text.rfind("zipf:", 0) == 0) {
+    if (view.starts_with("zipf:")) {
         double theta = 0.0;
-        if (!parseDouble(text.substr(5), theta) || theta <= 0.0 ||
-            theta >= 1.0) {
+        if (!spec_text::parseReal(view.substr(5), theta) ||
+            theta <= 0.0 || theta >= 1.0) {
             error = "expected zipf:<theta> with theta in (0,1)";
             return false;
         }
@@ -138,14 +126,14 @@ parseOffsetSpec(const std::string &text, OffsetSpec &spec,
         spec.theta = theta;
         return true;
     }
-    if (text.rfind("hot:", 0) == 0) {
-        const std::string rest = text.substr(4);
+    if (view.starts_with("hot:")) {
+        const std::string_view rest = view.substr(4);
         const size_t comma = rest.find(',');
         double fraction = 0.0;
         double weight = 0.0;
-        if (comma == std::string::npos ||
-            !parseDouble(rest.substr(0, comma), fraction) ||
-            !parseDouble(rest.substr(comma + 1), weight) ||
+        if (comma == std::string_view::npos ||
+            !spec_text::parseReal(rest.substr(0, comma), fraction) ||
+            !spec_text::parseReal(rest.substr(comma + 1), weight) ||
             fraction <= 0.0 || fraction >= 1.0 || weight <= 0.0 ||
             weight > 1.0) {
             error = "expected hot:<fraction>,<weight> with fraction "
@@ -166,17 +154,14 @@ parseOffsetSpec(const std::string &text, OffsetSpec &spec,
 std::string
 offsetSpecName(const OffsetSpec &spec)
 {
-    char buffer[64];
     switch (spec.kind) {
     case OffsetSpec::Kind::Uniform:
         return "uniform";
     case OffsetSpec::Kind::Zipf:
-        std::snprintf(buffer, sizeof(buffer), "zipf:%g", spec.theta);
-        return buffer;
+        return "zipf:" + spec_text::numStr(spec.theta);
     case OffsetSpec::Kind::HotSpot:
-        std::snprintf(buffer, sizeof(buffer), "hot:%g,%g",
-                      spec.hot_fraction, spec.hot_weight);
-        return buffer;
+        return "hot:" + spec_text::numStr(spec.hot_fraction) + "," +
+               spec_text::numStr(spec.hot_weight);
     }
     return "uniform";
 }

@@ -17,6 +17,7 @@
 #include "sim/parallel_engine.hh"
 #include "traffic/arrival.hh"
 #include "traffic/offset_dist.hh"
+#include "util/spec_text.hh"
 #include "volume/placement.hh"
 #include "volume/volume_manager.hh"
 #include "workload/closed_loop.hh"
@@ -178,11 +179,13 @@ runScenario(const ScenarioSpec &spec,
         vconfig.allocation = spec.allocation == "tiered"
                                  ? VolumeAllocation::Tiered
                                  : VolumeAllocation::Striped;
+        uint64_t seed = 0;
         if (spec.placement == "rotate") {
             placement = std::make_unique<RotatedPlacement>();
-        } else if (spec.placement.rfind("shuffle:", 0) == 0) {
-            const uint64_t seed =
-                std::stoull(spec.placement.substr(8));
+        } else if (spec.placement.rfind("shuffle:", 0) == 0 &&
+                   spec_text::parseInt(
+                       std::string_view(spec.placement).substr(8),
+                       seed)) {
             placement = std::make_unique<ShuffledPlacement>(seed);
         } else if (spec.placement != "static") {
             badSpec("unknown placement '" + spec.placement + "'");

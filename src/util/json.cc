@@ -3,7 +3,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+
+#include "util/spec_text.hh"
 
 namespace pddl {
 
@@ -385,21 +386,22 @@ class JsonReader
             pos_ = start;
             return false;
         }
-        const std::string token = text_.substr(start, pos_ - start);
-        char *end = nullptr;
+        const std::string_view token =
+            std::string_view(text_).substr(start, pos_ - start);
         if (integral) {
-            long long v = std::strtoll(token.c_str(), &end, 10);
-            if (end != token.c_str() + token.size()) {
-                message_ = "malformed number";
+            int64_t v = 0;
+            if (!spec_text::parseInt(token, v)) {
+                message_ = "integer literal outside the signed 64-bit "
+                           "range";
                 pos_ = start;
                 return false;
             }
-            out = Json(static_cast<int64_t>(v));
+            out = Json(v);
             return true;
         }
-        double d = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) {
-            message_ = "malformed number";
+        double d = 0.0;
+        if (!spec_text::parseReal(token, d)) {
+            message_ = "malformed or out-of-range number";
             pos_ = start;
             return false;
         }

@@ -79,6 +79,9 @@ class Json
         return kind_ == Kind::Number || kind_ == Kind::Integer;
     }
 
+    /** A number written with neither fraction nor exponent. */
+    bool isInteger() const { return kind_ == Kind::Integer; }
+
     bool asBool() const { return bool_; }
     const std::string &asString() const { return string_; }
 

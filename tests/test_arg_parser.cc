@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,47 @@ TEST(ArgParser, RejectsBadAndUndersizedIntegers)
     ArgParser parser2 = benchLikeParser();
     EXPECT_FALSE(parseArgs(parser2, {"--threads", "0"}));
     EXPECT_FALSE(parser2.error().empty());
+}
+
+TEST(ArgParser, IntFlagsRejectWhatTheirStorageCannotHold)
+{
+    // A flag stored in an int declares INT_MAX as its maximum, so
+    // --threads 4294967297 fails at the flag instead of running 1
+    // thread; a long long flag keeps the full range.
+    const struct
+    {
+        const char *value;
+        bool ok;
+    } cases[] = {
+        {"2147483647", true},  {"2147483648", false},
+        {"4294967297", false}, {"99999999999999999999", false},
+        {"+4", false},         {" 4", false},
+        {"4 ", false},         {"0x4", false},
+        {"4.0", false},        {"", false},
+        {"-1", false},
+    };
+    for (const auto &c : cases) {
+        ArgParser parser("prog", "test parser");
+        parser.addInt("threads", "N", "worker threads", 1, false,
+                      INT_MAX);
+        EXPECT_EQ(parseArgs(parser, {"--threads", c.value}), c.ok)
+            << "'" << c.value << "'";
+        if (!c.ok) {
+            EXPECT_NE(parser.error().find("'--threads " +
+                                          std::string(c.value) + "'"),
+                      std::string::npos)
+                << parser.error();
+        }
+    }
+
+    ArgParser wide("prog", "test parser");
+    wide.addInt("seed", "N", "workload seed", 0);
+    ASSERT_TRUE(parseArgs(wide, {"--seed", "9223372036854775807"}));
+    EXPECT_EQ(wide.getInt("seed"), LLONG_MAX);
+    ArgParser past("prog", "test parser");
+    past.addInt("seed", "N", "workload seed", 0);
+    EXPECT_FALSE(parseArgs(past, {"--seed=9223372036854775808"}));
+    EXPECT_NE(past.error().find("--seed"), std::string::npos);
 }
 
 TEST(ArgParser, EnforcesRequiredFlags)

@@ -180,6 +180,51 @@ TEST(DeviceSpec, ErrorsNameTheProblem)
     EXPECT_GE(device::deviceSpecNames().size(), 3u);
 }
 
+TEST(DeviceSpec, RejectsNonFiniteAndOutOfRangeValuesNamingTheKey)
+{
+    // Once accepted: NaNs aborted in the model constructor or ran,
+    // infinities ran to 0 samples, 0 and negatives silently took the
+    // default, and huge integers were clamped or cast out of range.
+    const struct
+    {
+        const char *text;
+        const char *key;
+    } cases[] = {
+        {"hdd:rpm=nan", "rpm"},
+        {"hdd:min_seek_ms=nan", "min_seek_ms"},
+        {"hdd:avg_seek_ms=nan", "avg_seek_ms"},
+        {"hdd:head_switch_ms=nan", "head_switch_ms"},
+        {"ssd:read_us=nan", "read_us"},
+        {"ssd:write_us=-nan", "write_us"},
+        {"ssd:read_us=inf", "read_us"},
+        {"ssd:sector_us=inf", "sector_us"},
+        {"hdd:rpm=1e999", "rpm"},
+        {"hdd:cost=inf", "cost"},
+        {"ssd:cost=nan", "cost"},
+        {"hdd:heads=-1", "heads"},
+        {"hdd:cylinders=0", "cylinders"},
+        {"hdd:cylinders=1", "cylinders"},
+        {"hdd:spt=0", "spt"},
+        {"hdd:cylinders=3000000000", "cylinders"},
+        {"hdd:heads=2.5", "heads"},
+        {"ssd:sectors=99999999999999999999", "sectors"},
+        {"ssd:sectors=0", "sectors"},
+        {"hdd:rpm=7200,rpm=5400", "duplicate hdd parameter 'rpm'"},
+        {"ssd:cost=1,cost=2", "duplicate ssd parameter 'cost'"},
+        {"hdd:rpm= 7200", "rpm"},
+        {"hp2247:rpm=5400", "unknown hp2247 parameter 'rpm'"},
+    };
+    for (const auto &c : cases) {
+        std::shared_ptr<const DeviceModel> model;
+        std::string error;
+        EXPECT_FALSE(device::parseDeviceSpec(c.text, model, error))
+            << c.text << " parsed as "
+            << (model ? model->describe() : std::string("?"));
+        EXPECT_NE(error.find(c.key), std::string::npos)
+            << c.text << ": " << error;
+    }
+}
+
 TEST(DeviceSpec, LatencyBoundsPickTheFinestDeviceClass)
 {
     const HddDeviceModel &hdd = device::hp2247();

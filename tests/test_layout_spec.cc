@@ -164,5 +164,38 @@ TEST(LayoutSpec, ErrorsNameTheProblem)
     EXPECT_GE(layouts::layoutSpecNames().size(), 6u);
 }
 
+TEST(LayoutSpec, RejectsOutOfRangeAndRepeatedKeysNamingTheKey)
+{
+    // Each once parsed to a different layout than the text asked for:
+    // ints wrapped to 32 bits, a negative seed wrapped to 2^64 - 1,
+    // and a repeated key let the last one win.
+    const struct
+    {
+        const char *text;
+        const char *key;
+    } cases[] = {
+        {"pddl:width=4294967300", "width"},
+        {"draid:width=4,spares=1,rows=4294967297,seed=1", "rows"},
+        {"draid:width=4,spares=1,rows=2,seed=-1", "seed"},
+        {"draid:seed=18446744073709551616", "seed"},
+        {"pddl:width=4,width=5", "duplicate pddl parameter 'width'"},
+        {"mirror:copies=2,copies=3", "copies"},
+        {"datum:width=+5", "width"},
+        {"prime:width= 4", "width"},
+        {"parity:width=0x4", "width"},
+        {"draid:spares=-1", "spares"},
+        {"draid:rows=0", "rows"},
+        {"pddl:width=4,", "expected key=value"},
+    };
+    for (const auto &c : cases) {
+        ParsedLayoutSpec spec;
+        std::string error;
+        EXPECT_FALSE(layouts::parseLayoutSpec(c.text, spec, error))
+            << c.text << " parsed as " << spec.canonical();
+        EXPECT_NE(error.find(c.key), std::string::npos)
+            << c.text << ": " << error;
+    }
+}
+
 } // namespace
 } // namespace pddl

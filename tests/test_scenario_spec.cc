@@ -13,7 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "core/layout_spec.hh"
 #include "core/scenario_spec.hh"
+#include "disk/device_model.hh"
+#include "traffic/arrival.hh"
+#include "traffic/offset_dist.hh"
 #include "util/json.hh"
 
 namespace pddl {
@@ -491,6 +495,186 @@ TEST(ScenarioSpec, MissionErrorsAnchorTheField)
     EXPECT_FALSE(ScenarioSpec::parse("{\"disk_mttf_ms\": \"x\"}", spec,
                                      error));
     EXPECT_EQ(error.rfind("disk_mttf_ms:", 0), 0u) << error;
+}
+
+TEST(ScenarioSpec, IntegerFieldsRejectWhatTheirTypeCannotHold)
+{
+    // Each once ran a different scenario than the text asked for:
+    // 4294967309 disks ran 13, 2.7 chunk units ran 2, and 1e300
+    // samples was an out-of-range double -> int64 cast.
+    const struct
+    {
+        const char *json;
+        const char *field;
+    } cases[] = {
+        {"{\"shards\": [{\"disks\": 4294967309}]}", "shards[0].disks"},
+        {"{\"shards\": [{\"failed_disk\": 4294967296}]}",
+         "shards[0].failed_disk"},
+        {"{\"clients\": 4294967304}", "clients"},
+        {"{\"chunk_units\": 2.7}", "chunk_units"},
+        {"{\"chunk_units\": 8.5}", "chunk_units"},
+        {"{\"rebuild_parallel\": -4294967292}", "rebuild_parallel"},
+        {"{\"samples\": 1e300}", "samples"},
+        {"{\"warmup\": -1e300}", "warmup"},
+        {"{\"sstf_window\": 2147483648}", "sstf_window"},
+        {"{\"mix\": [{\"kb\": 4294967304}]}", "mix[0].kb"},
+        {"{\"cache\": {\"ways\": 0.5}}", "cache.ways"},
+        {"{\"faults\": [{\"disk\": 4294967298}]}", "faults[0].disk"},
+        {"{\"fault_seed\": 1.5}", "fault_seed"},
+        {"{\"fault_seed\": 1e19}", "fault_seed"},
+        {"{\"offsets\": \"zipf:nan\"}", "offsets"},
+        {"{\"offsets\": \"hot:nan,0.5\"}", "offsets"},
+        {"{\"arrival\": \"mmpp:nan,1,1\"}", "arrival"},
+        {"{\"placement\": \"shuffle:-1\"}", "placement"},
+        {"{\"placement\": \"shuffle:18446744073709551616\"}",
+         "placement"},
+        {"{\"shards\": [{\"layout\": \"pddl:width=4294967300\"}]}",
+         "shards[0].layout"},
+        {"{\"shards\": [{\"device\": \"hdd:rpm=nan\"}]}",
+         "shards[0].device"},
+        {"{\"shards\": [{\"device\": \"hdd:cylinders=3000000000\"}]}",
+         "shards[0].device"},
+        // Integer literals past int64 fail in the JSON lexer, anchored
+        // at the literal: both seeds once clamped to 2^63 - 1 and drew
+        // the same timeline.
+        {"{\"fault_seed\": 18446744073709551615}", "line 1, column 16"},
+        {"{\"fault_seed\": 12345678901234567890}", "line 1, column 16"},
+        {"{\"samples\": -9223372036854775809}", "line 1, column 13"},
+        {"{\"think_ms\": 1e999}", "line 1, column 14"},
+    };
+    for (const auto &c : cases) {
+        ScenarioSpec spec;
+        std::string error;
+        EXPECT_FALSE(ScenarioSpec::parse(c.json, spec, error))
+            << c.json << " parsed as " << spec.describe();
+        EXPECT_NE(error.find(c.field), std::string::npos)
+            << c.json << ": " << error;
+    }
+
+    // The signed-64 spelling describe() writes for a seed >= 2^63
+    // still reads back to the same bits, and whole doubles still fit.
+    ScenarioSpec mission = missionSpec();
+    mission.fault_seed = ~uint64_t{0};
+    std::string error;
+    ASSERT_TRUE(mission.normalize(error)) << error;
+    const std::string text = mission.describe();
+    EXPECT_NE(text.find("\"fault_seed\":-1"), std::string::npos) << text;
+    ScenarioSpec back;
+    ASSERT_TRUE(ScenarioSpec::parse(text, back, error)) << error;
+    EXPECT_EQ(back.fault_seed, ~uint64_t{0});
+    EXPECT_EQ(back.describe(), text);
+    ASSERT_TRUE(ScenarioSpec::parse(
+        "{\"samples\": 3e3, \"chunk_units\": 16.0}", back, error))
+        << error;
+    EXPECT_EQ(back.samples, 3000);
+    EXPECT_EQ(back.chunk_units, 16);
+}
+
+TEST(ScenarioSpec, SpecStringsTheRepoWritesKeepTheirCanonicalText)
+{
+    // Every spec string the benches, examples, tuner moves and
+    // bench/perf workloads write, with the canonical text normalize()
+    // gives it. Tuner winners and the perf digests hash these bytes.
+    const struct
+    {
+        const char *text;
+        const char *canonical;
+    } layouts_table[] = {
+        {"pddl:width=4", "pddl:width=4"},
+        {"pddl", "pddl:width=4"},
+        {"raid5", "raid5"},
+        {"wrapped:width=4", "wrapped:width=4"},
+        {"parity:width=2", "parity:width=2"},
+        {"parity:width=4", "parity:width=4"},
+        {"prime:width=2", "prime:width=2"},
+        {"prime:width=4", "prime:width=4"},
+        {"mirror:copies=2", "mirror:copies=2,sched=round_robin"},
+        {"mirror:copies=2,sched=round_robin",
+         "mirror:copies=2,sched=round_robin"},
+        {"mirror:copies=2,sched=shortest_queue",
+         "mirror:copies=2,sched=shortest_queue"},
+        {"draid:width=4,spares=1,rows=64,seed=7",
+         "draid:width=4,spares=1,rows=64,seed=7"},
+        {"draid:width=2,spares=0,rows=16,seed=1048575",
+         "draid:width=2,spares=0,rows=16,seed=1048575"},
+        {"draid", "draid:width=4,spares=1,rows=64,seed=1"},
+        {"tdesign", "tdesign"},
+        {"datum:width=4,check=1", "datum:width=4,check=1"},
+    };
+    for (const auto &c : layouts_table) {
+        layouts::ParsedLayoutSpec spec;
+        std::string error;
+        ASSERT_TRUE(layouts::parseLayoutSpec(c.text, spec, error))
+            << c.text << ": " << error;
+        EXPECT_EQ(spec.canonical(), c.canonical);
+    }
+
+    const struct
+    {
+        const char *text;
+        const char *canonical;
+    } devices[] = {
+        {"hp2247", "hp2247"},
+        {"ssd", "ssd:read_us=1.2e+02,write_us=3.6e+02,sector_us=0.5,"
+                "sectors=524288,cost=3.25"},
+        {"hdd", "hdd:rpm=7.2e+03,cylinders=1981,heads=8,spt=256,"
+                "min_seek_ms=1.2,avg_seek_ms=8,head_switch_ms=0.5,cost=1"},
+        {"hdd:rpm=5400,cylinders=1981,heads=13",
+         "hdd:rpm=5.4e+03,cylinders=1981,heads=13,spt=256,"
+         "min_seek_ms=1.2,avg_seek_ms=8,head_switch_ms=0.5,cost=1"},
+        {"ssd:read_us=100,sectors=1048576",
+         "ssd:read_us=1e+02,write_us=3.6e+02,sector_us=0.5,"
+         "sectors=1048576,cost=3.25"},
+    };
+    for (const auto &c : devices)
+        EXPECT_EQ(device::makeDevice(c.text)->describe(), c.canonical);
+
+    for (const char *text : {"uniform", "zipf:0.99", "zipf:0.5",
+                             "hot:0.02,0.9", "hot:0.0005,0.95"}) {
+        traffic::OffsetSpec spec;
+        std::string error;
+        ASSERT_TRUE(traffic::parseOffsetSpec(text, spec, error)) << text;
+        EXPECT_EQ(traffic::offsetSpecName(spec), text);
+    }
+
+    const struct
+    {
+        const char *text;
+        const char *canonical;
+    } arrivals[] = {
+        {"poisson", "poisson"},
+        {"diurnal", "diurnal:0.25,1,2.5,1@1000"},
+        {"diurnal:0.25,1,2.5,1@500", "diurnal:0.25,1,2.5,1@500"},
+        {"mmpp", "mmpp:8,2000,400"},
+        {"mmpp:4,1200,400", "mmpp:4,1200,400"},
+        {"mmpp:6,1500,500", "mmpp:6,1500,500"},
+    };
+    for (const auto &c : arrivals) {
+        traffic::ArrivalSpec spec;
+        std::string error;
+        ASSERT_TRUE(traffic::parseArrivalSpec(c.text, spec, error))
+            << c.text;
+        EXPECT_EQ(traffic::arrivalSpecString(spec), c.canonical);
+    }
+
+    const struct
+    {
+        const char *text;
+        const char *canonical;
+    } placements[] = {
+        {"static", "static"},
+        {"rotate", "rotate"},
+        {"shuffle", "shuffle:11400714819323198485"},
+        {"shuffle:42", "shuffle:42"},
+        {"shuffle:1073741823", "shuffle:1073741823"},
+    };
+    for (const auto &c : placements) {
+        ScenarioSpec spec;
+        spec.placement = c.text;
+        std::string error;
+        ASSERT_TRUE(spec.normalize(error)) << c.text << ": " << error;
+        EXPECT_EQ(spec.placement, c.canonical);
+    }
 }
 
 TEST(ScenarioSpec, LoadScenarioAcceptsInlineJson)

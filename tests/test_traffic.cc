@@ -93,6 +93,71 @@ TEST(OffsetSpecParse, RejectsMalformedSpecsWithAnExplanation)
     }
 }
 
+TEST(OffsetSpecParse, RejectsNonFiniteNumbersNamingTheForm)
+{
+    // Each slipped past the range checks (every comparison with a NaN
+    // is false): zipf:nan aborted in OffsetSampler, hot:nan ran.
+    const struct
+    {
+        const char *text;
+        const char *form;
+    } cases[] = {
+        {"zipf:nan", "zipf:<theta>"},
+        {"zipf:-nan", "zipf:<theta>"},
+        {"zipf:inf", "zipf:<theta>"},
+        {"zipf:1e-400", "zipf:<theta>"},
+        {"zipf: 0.5", "zipf:<theta>"},
+        {"zipf:+0.5", "zipf:<theta>"},
+        {"hot:nan,0.5", "hot:<fraction>,<weight>"},
+        {"hot:0.1,nan", "hot:<fraction>,<weight>"},
+        {"hot:0.1,inf", "hot:<fraction>,<weight>"},
+        {"hot:0.1,0.5,0.2", "hot:<fraction>,<weight>"},
+    };
+    for (const auto &c : cases) {
+        OffsetSpec spec;
+        std::string error;
+        EXPECT_FALSE(traffic::parseOffsetSpec(c.text, spec, error))
+            << c.text;
+        EXPECT_NE(error.find(c.form), std::string::npos)
+            << c.text << ": " << error;
+    }
+}
+
+TEST(OffsetSpecParse, CanonicalNameKeepsEveryDigit)
+{
+    // %g kept six digits, so normalize() once ran zipf:0.123457.
+    OffsetSpec spec;
+    std::string error;
+    ASSERT_TRUE(traffic::parseOffsetSpec("zipf:0.12345678", spec, error));
+    EXPECT_EQ(traffic::offsetSpecName(spec), "zipf:0.12345678");
+    ASSERT_TRUE(traffic::parseOffsetSpec("hot:0.1234567,0.7654321",
+                                         spec, error));
+    EXPECT_EQ(traffic::offsetSpecName(spec), "hot:0.1234567,0.7654321");
+    // Short values print as they always did.
+    for (const char *text : {"zipf:0.99", "zipf:0.5", "hot:0.1,0.9",
+                             "hot:0.2,0.8", "zipf:1e-05"}) {
+        ASSERT_TRUE(traffic::parseOffsetSpec(text, spec, error));
+        EXPECT_EQ(traffic::offsetSpecName(spec), text);
+    }
+}
+
+TEST(ArrivalSpecParse, RejectsNonFiniteAndMalformedNumbers)
+{
+    const char *const bad[] = {
+        "diurnal:nan,1@10", "diurnal:1,inf@10", "diurnal:1,2@nan",
+        "diurnal:1,2@1e999", "diurnal:1,,2@10", "diurnal:1,2,@10",
+        "diurnal: 1@10", "mmpp:nan,1,1", "mmpp:4,inf,1",
+        "mmpp:4,1,1e999", "mmpp:+4,1,1", "mmpp:4,1", "mmpp:4,1,1,1",
+    };
+    for (const char *text : bad) {
+        ArrivalSpec spec;
+        std::string error;
+        EXPECT_FALSE(traffic::parseArrivalSpec(text, spec, error))
+            << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+}
+
 TEST(OffsetSamplerTest, UniformMatchesTheLegacyClientDraw)
 {
     // The compatibility contract: the uniform sampler consumes
