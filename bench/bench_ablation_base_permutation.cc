@@ -19,7 +19,8 @@ namespace {
  * One degraded 8 KB read point on `layout`. No spec string names the
  * identity-permutation layout, so this composes what runScenario
  * builds for a no-fabric spec -- one EventQueue, one ArrayController,
- * the closed-loop client -- under the paper spec's stopping rule.
+ * the closed-loop client -- on the paper spec's drive, under its
+ * stopping rule.
  */
 SimResult
 runDegradedReads(const Layout &layout, int clients, uint64_t seed,
@@ -28,9 +29,10 @@ runDegradedReads(const Layout &layout, int clients, uint64_t seed,
     const ScenarioSpec spec =
         bench::paperSpec("pddl:width=4", 8, clients, AccessType::Read,
                          ArrayMode::Degraded);
+    const auto device = device::makeDevice(spec.shards.front().device);
     EventQueue events;
     events.setProbe(probe);
-    ArrayController array(events, layout, device::hp2247(),
+    ArrayController array(events, layout, *device,
                           {.mode = ArrayMode::Degraded,
                            .failed_disk = 0,
                            .probe = probe});
@@ -53,7 +55,8 @@ int
 main(int argc, char **argv)
 {
     bench::parseArgs(argc, argv,
-                     "Ablation: satisfactory vs unsatisfactory base permutation");
+                     "Ablation: satisfactory vs unsatisfactory base permutation",
+                     bench::kObserved | bench::kDevice);
 
     // Satisfactory (Bose) vs identity base permutation, 13 disks.
     PermutationGroup bose = boseConstruction(13, 4);

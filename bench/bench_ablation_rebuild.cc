@@ -19,22 +19,24 @@ using namespace pddl;
 
 namespace {
 
-struct Outcome
-{
-    double rebuild_ms;
-    double client_ms;
-    int64_t client_samples;
-};
-
-Outcome
+/**
+ * Rebuild disk 0 with `rebuild_parallel` stripes in flight while
+ * `clients` issue 3-unit reads until it completes; the row is the
+ * clients' response time, the rebuild's duration an extra.
+ */
+SimResult
 run(const Layout &layout, int clients, int rebuild_parallel,
-    int64_t stripes, uint64_t seed)
+    int64_t stripes, uint64_t seed, const obs::Probe &probe,
+    harness::Extras &extras)
 {
     EventQueue events;
+    events.setProbe(probe);
     ArrayConfig config;
     config.mode = ArrayMode::Degraded;
     config.failed_disk = 0;
-    ArrayController array(events, layout, device::hp2247(), config);
+    config.probe = probe;
+    const auto device = device::makeDevice(bench::benchDevice());
+    ArrayController array(events, layout, *device, config);
 
     ReconstructionEngine engine(events, array, 0, stripes,
                                 rebuild_parallel);
@@ -55,8 +57,13 @@ run(const Layout &layout, int clients, int rebuild_parallel,
     for (int c = 0; c < clients; ++c)
         client();
     events.runUntilEmpty();
-    return Outcome{engine.durationMs(), response.mean(),
-                   response.count()};
+    extras.emplace_back("rebuild_ms", engine.durationMs());
+    extras.emplace_back("client_samples",
+                        static_cast<double>(response.count()));
+    SimResult result;
+    result.mean_response_ms = response.mean();
+    result.samples = response.count();
+    return result;
 }
 
 } // namespace
@@ -65,7 +72,8 @@ int
 main(int argc, char **argv)
 {
     bench::parseArgs(argc, argv,
-                     "Ablation: rebuild parallelism vs duration and client response time");
+                     "Ablation: rebuild parallelism vs duration and client response time",
+                     bench::kObserved | bench::kDevice);
     PddlLayout layout = PddlLayout::make(13, 4);
     const int64_t stripes = bench::fullFidelity() ? 39000 : 3900;
 
@@ -84,18 +92,10 @@ main(int argc, char **argv)
                                 24, clients, AccessType::Read,
                                 ArrayMode::Degraded};
             experiment.run = [&layout, clients, parallel, stripes](
-                                 uint64_t seed, const obs::Probe &,
+                                 uint64_t seed, const obs::Probe &probe,
                                  harness::Extras &extras) {
-                Outcome o =
-                    run(layout, clients, parallel, stripes, seed);
-                extras.emplace_back("rebuild_ms", o.rebuild_ms);
-                extras.emplace_back(
-                    "client_samples",
-                    static_cast<double>(o.client_samples));
-                SimResult result;
-                result.mean_response_ms = o.client_ms;
-                result.samples = o.client_samples;
-                return result;
+                return run(layout, clients, parallel, stripes, seed,
+                           probe, extras);
             };
             experiments.push_back(std::move(experiment));
         }
@@ -115,7 +115,7 @@ main(int argc, char **argv)
             const harness::PointResult &point =
                 summary.points[index++];
             std::printf("%-10d %-10d %14.0f %18.1f\n", clients,
-                        parallel, point.extras[0].second,
+                        parallel, bench::extra(point, "rebuild_ms"),
                         clients ? point.result.mean_response_ms
                                 : 0.0);
         }

@@ -12,7 +12,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Ablation: SSTF scan-window depth vs response time");
+                     "Ablation: SSTF scan-window depth vs response time",
+                     bench::kObserved | bench::kDevice);
     const char *figure = "Ablation sstf";
     const char *caption = "SSTF scan window (PDDL, 13 disks)";
     const std::vector<int> windows = {1, 2, 5, 10, 20, 40};

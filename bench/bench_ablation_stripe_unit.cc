@@ -12,7 +12,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Ablation: stripe-unit size at a fixed 96 KB logical access");
+                     "Ablation: stripe-unit size at a fixed 96 KB logical access",
+                     bench::kObserved | bench::kDevice);
     const char *figure = "Ablation stripe unit";
     const char *caption = "stripe unit size (PDDL, 96 KB accesses)";
     const std::vector<int> unit_kbs = {4, 8, 16, 32, 64};

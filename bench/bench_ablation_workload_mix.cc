@@ -15,7 +15,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Extension: open-loop OLTP-ish workload mix across offered loads");
+                     "Extension: open-loop OLTP-ish workload mix across offered loads",
+                     bench::kFigure);
     const std::vector<std::string> specs = bench::evaluatedLayouts();
     std::vector<std::string> names;
     for (const std::string &spec : specs)
@@ -35,7 +36,8 @@ main(int argc, char **argv)
         for (size_t l = 0; l < specs.size(); ++l) {
             for (double rate : rates) {
                 ScenarioSpec spec;
-                spec.shards = {{specs[l], "hp2247", bench::kDisks, "",
+                spec.shards = {{specs[l], bench::benchDevice(),
+                                bench::kDisks, "",
                                 mode == ArrayMode::Degraded ? 0 : -1}};
                 spec.dispatch_ms = 0.0;
                 spec.client = "open";
@@ -45,29 +47,24 @@ main(int argc, char **argv)
                 spec.samples = full ? 20000 : 2500;
                 spec.warmup = full ? 2000 : 250;
 
-                harness::Experiment experiment;
                 // The offered load goes into the series label so the
                 // seed hash distinguishes sweep points.
-                experiment.point = {
-                    figure,
-                    names[l] + "@" +
-                        std::to_string(static_cast<int>(rate)) + "/s",
-                    0, 0, AccessType::Read, mode};
-                experiment.run = [spec = bench::normalized(spec)](
-                                     uint64_t seed, const obs::Probe &,
-                                     harness::Extras &extras) {
-                    tune::RunScenarioOptions options;
-                    options.seed = seed;
-                    const tune::ScenarioOutcome outcome =
-                        tune::runScenario(spec, options);
-                    extras.emplace_back("p95_response_ms",
-                                        outcome.p95_ms);
-                    extras.emplace_back(
-                        "max_outstanding",
-                        static_cast<double>(outcome.max_outstanding));
-                    return bench::simResult(outcome);
-                };
-                experiments.push_back(std::move(experiment));
+                experiments.push_back(bench::scenarioExperiment(
+                    {figure,
+                     names[l] + "@" +
+                         std::to_string(static_cast<int>(rate)) + "/s",
+                     0, 0, AccessType::Read, mode},
+                    spec,
+                    {.extras = [](const ScenarioSpec &,
+                                  const tune::ScenarioOutcome &outcome,
+                                  harness::Extras &extras) {
+                        extras.emplace_back("p95_response_ms",
+                                            outcome.p95_ms);
+                        extras.emplace_back(
+                            "max_outstanding",
+                            static_cast<double>(
+                                outcome.max_outstanding));
+                    }}));
             }
         }
     }
@@ -94,7 +91,7 @@ main(int argc, char **argv)
                     summary.points[index++];
                 std::printf("  %6.1f/%-6.1f",
                             point.result.mean_response_ms,
-                            point.extras[0].second);
+                            bench::extra(point, "p95_response_ms"));
             }
             std::printf("\n");
         }

@@ -30,8 +30,6 @@
  * exactly.
  */
 
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -79,13 +77,7 @@ baselineSpec()
     spec.cache_low = 0.05;
     spec.samples = bench::fullFidelity() ? 4000 : 1200;
     spec.warmup = bench::fullFidelity() ? 1500 : 600;
-    std::string error;
-    if (!spec.normalize(error)) {
-        std::fprintf(stderr, "baseline spec invalid: %s\n",
-                     error.c_str());
-        std::exit(2);
-    }
-    return spec;
+    return bench::normalized(spec);
 }
 
 /**
@@ -104,13 +96,7 @@ holdoutVariant(const ScenarioSpec &spec)
     held.arrival = "mmpp:6,1500,500";
     held.samples = bench::fullFidelity() ? 4000 : 1600;
     held.warmup = bench::fullFidelity() ? 1500 : 600;
-    std::string error;
-    if (!held.normalize(error)) {
-        std::fprintf(stderr, "held-out spec invalid: %s\n",
-                     error.c_str());
-        std::exit(2);
-    }
-    return held;
+    return bench::normalized(held);
 }
 
 /** Score a spec on the held-out protocol (spec carries its budget). */
@@ -146,7 +132,57 @@ winnerJson(const ScenarioSpec &tuned, tune::Objective objective,
 }
 
 /**
- * Re-run a pddl-autotune-v1 dump from the file alone and compare the
+ * Re-run a pddl-autotune-v1 document from its text alone: its
+ * scenario, seeds and objective. @return false, with `error` set,
+ * when the text is not such a document.
+ */
+bool
+replayDocument(const std::string &text, double &replayed,
+               double &recorded, std::string &error)
+{
+    Json doc;
+    if (!Json::parse(text, doc, error))
+        return false;
+    const Json *schema = doc.find("schema");
+    if (schema == nullptr || !schema->isString() ||
+        schema->asString() != "pddl-autotune-v1") {
+        error = "not a pddl-autotune-v1 document";
+        return false;
+    }
+    const Json *scenario = doc.find("scenario");
+    const Json *seeds = doc.find("seeds");
+    const Json *objective_name = doc.find("objective");
+    const Json *value = doc.find("objective_value");
+    if (scenario == nullptr || seeds == nullptr ||
+        !seeds->isArray() || objective_name == nullptr ||
+        !objective_name->isString() || value == nullptr ||
+        !value->isNumber()) {
+        error = "missing scenario/seeds/objective fields";
+        return false;
+    }
+    ScenarioSpec spec;
+    if (!ScenarioSpec::fromJson(*scenario, spec, error)) {
+        error = "scenario: " + error;
+        return false;
+    }
+    tune::Objective objective;
+    if (!tune::parseObjective(objective_name->asString(), objective,
+                              error)) {
+        error = "objective: " + error;
+        return false;
+    }
+    std::vector<uint64_t> seed_list;
+    for (size_t i = 0; i < seeds->size(); ++i)
+        seed_list.push_back(
+            static_cast<uint64_t>(seeds->at(i).asInt()));
+    replayed = tune::evaluateScenario(spec, seed_list, objective, 0, -1,
+                                      bench::options().sim_threads);
+    recorded = value->asDouble();
+    return true;
+}
+
+/**
+ * --replay: re-run a dump from the file alone and compare the
  * objective bit-for-bit. @return process exit code.
  */
 int
@@ -160,73 +196,24 @@ replayWinner(const std::string &path)
     }
     std::ostringstream text;
     text << in.rdbuf();
-    Json doc;
+    double replayed = 0.0, want = 0.0;
     std::string error;
-    if (!Json::parse(text.str(), doc, error)) {
+    if (!replayDocument(text.str(), replayed, want, error)) {
         std::fprintf(stderr, "[replay] %s: %s\n", path.c_str(),
                      error.c_str());
         return 2;
     }
-    const Json *schema = doc.find("schema");
-    if (schema == nullptr || !schema->isString() ||
-        schema->asString() != "pddl-autotune-v1") {
-        std::fprintf(stderr,
-                     "[replay] %s: not a pddl-autotune-v1 document\n",
-                     path.c_str());
-        return 2;
-    }
-    const Json *scenario = doc.find("scenario");
-    const Json *seeds = doc.find("seeds");
-    const Json *objective_name = doc.find("objective");
-    const Json *recorded = doc.find("objective_value");
-    if (scenario == nullptr || seeds == nullptr ||
-        !seeds->isArray() || objective_name == nullptr ||
-        !objective_name->isString() || recorded == nullptr ||
-        !recorded->isNumber()) {
-        std::fprintf(stderr,
-                     "[replay] %s: missing scenario/seeds/objective "
-                     "fields\n",
-                     path.c_str());
-        return 2;
-    }
-    ScenarioSpec spec;
-    if (!ScenarioSpec::fromJson(*scenario, spec, error)) {
-        std::fprintf(stderr, "[replay] %s: scenario: %s\n",
-                     path.c_str(), error.c_str());
-        return 2;
-    }
-    tune::Objective objective;
-    if (!tune::parseObjective(objective_name->asString(), objective,
-                              error)) {
-        std::fprintf(stderr, "[replay] %s: objective: %s\n",
-                     path.c_str(), error.c_str());
-        return 2;
-    }
-    std::vector<uint64_t> seed_list;
-    for (size_t i = 0; i < seeds->size(); ++i)
-        seed_list.push_back(
-            static_cast<uint64_t>(seeds->at(i).asInt()));
-
-    const double replayed = tune::evaluateScenario(
-        spec, seed_list, objective, 0, -1,
-        bench::options().sim_threads);
-    const double want = recorded->asDouble();
     const bool match = replayed == want;
     std::printf("replay objective %.17g recorded %.17g %s\n",
                 replayed, want, match ? "MATCH" : "MISMATCH");
     return match ? 0 : 1;
 }
 
-/** One evaluated row: simulate with the row's protocol seed. */
-SimResult
-scenarioRow(const ScenarioSpec &spec, uint64_t seed,
-            tune::Objective objective, harness::Extras &extras)
+/** A train/held-out row's extras: the objective and its inputs. */
+void
+rowExtras(const tune::ScenarioOutcome &outcome, tune::Objective objective,
+          harness::Extras &extras)
 {
-    tune::RunScenarioOptions options;
-    options.seed = seed;
-    options.sim_threads = bench::options().sim_threads;
-    const tune::ScenarioOutcome outcome =
-        tune::runScenario(spec, options);
     extras.emplace_back("objective",
                         tune::objectiveOf(outcome, objective));
     extras.emplace_back("p50_ms", outcome.p50_ms);
@@ -240,7 +227,6 @@ scenarioRow(const ScenarioSpec &spec, uint64_t seed,
                         static_cast<double>(outcome.stalled_end));
     extras.emplace_back("data_loss", outcome.data_loss ? 1.0 : 0.0);
     extras.emplace_back("max_outstanding", outcome.max_outstanding);
-    return bench::simResult(outcome);
 }
 
 } // namespace
@@ -256,7 +242,8 @@ main(int argc, char **argv)
         "Self-tuning scenario search: anneal layout, striping, "
         "placement and cache knobs from the hand-picked traffic "
         "defaults, then verify the winner on a held-out workload "
-        "(rows are bit-identical for every --threads value).");
+        "(rows are bit-identical for every --threads value).",
+        bench::kObserved | bench::kSimThreads);
     cli.addInt("chains", "n", "independent annealing chains", 1);
     cli.addInt("moves", "n", "mutation attempts per chain", 1);
     cli.addString("objective", "kind",
@@ -335,18 +322,17 @@ main(int argc, char **argv)
         {"tuned/holdout", &tuned_held, true},
     };
     for (const Row &row : rows) {
-        harness::Experiment experiment;
-        experiment.point = {"Autotune", row.label, 8, 100,
-                            AccessType::Write, ArrayMode::FaultFree};
-        const uint64_t seed =
-            row.holdout ? kHoldoutSeeds[0] : kTrainSeeds[0];
-        const ScenarioSpec *spec = row.spec;
-        experiment.run = [spec, seed, objective](
-                             uint64_t, const obs::Probe &,
+        experiments.push_back(bench::scenarioExperiment(
+            {"Autotune", row.label, 8, 100, AccessType::Write,
+             ArrayMode::FaultFree},
+            *row.spec,
+            {.extras =
+                 [objective](const ScenarioSpec &,
+                             const tune::ScenarioOutcome &outcome,
                              harness::Extras &extras) {
-            return scenarioRow(*spec, seed, objective, extras);
-        };
-        experiments.push_back(std::move(experiment));
+                     rowExtras(outcome, objective, extras);
+                 },
+             .seed = row.holdout ? kHoldoutSeeds[0] : kTrainSeeds[0]}));
     }
     for (const tune::TuneChain &chain : tuned.chains) {
         harness::Experiment experiment;
@@ -436,26 +422,14 @@ main(int argc, char **argv)
         }
         // The serialization loop: dump -> parse -> re-run must land
         // on the recorded objective bit-for-bit, from the document
-        // alone.
-        const std::string text = winner.dump(2);
-        Json parsed;
+        // alone, through the same path as --replay.
+        double replayed = 0.0, recorded = 0.0;
         std::string error;
-        ScenarioSpec replay_spec;
-        double replayed =
-            std::numeric_limits<double>::quiet_NaN();
-        if (Json::parse(text, parsed, error) &&
-            parsed.find("scenario") != nullptr &&
-            ScenarioSpec::fromJson(*parsed.find("scenario"),
-                                   replay_spec, error)) {
-            replayed = tune::evaluateScenario(
-                replay_spec, kHoldoutSeeds, objective, 0, -1,
-                bench::options().sim_threads);
-        } else {
+        if (!replayDocument(winner.dump(2), replayed, recorded, error)) {
             std::fprintf(stderr, "[check] FAIL round-trip: %s\n",
                          error.c_str());
             ++failures;
-        }
-        if (replayed == tuned_holdout) {
+        } else if (replayed == recorded) {
             std::fprintf(stderr,
                          "[check] replay from JSON reproduces "
                          "%.17g\n",
@@ -464,7 +438,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "[check] FAIL replay: %.17g != recorded "
                          "%.17g\n",
-                         replayed, tuned_holdout);
+                         replayed, recorded);
             ++failures;
         }
         if (failures == 0)

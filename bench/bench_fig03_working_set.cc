@@ -19,7 +19,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 3: analytic disk working-set sizes per access size and mode");
+                     "Figure 3: analytic disk working-set sizes per access size and mode",
+                     bench::kGrid | bench::kLayout);
     std::vector<std::unique_ptr<Layout>> layouts;
     for (const std::string &spec : bench::evaluatedLayouts())
         layouts.push_back(pddl::layouts::makeLayout(spec, bench::kDisks));

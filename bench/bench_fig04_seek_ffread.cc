@@ -11,7 +11,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 4: fault-free read seek/no-switch counts per access");
+                     "Figure 4: fault-free read seek/no-switch counts per access",
+                     bench::kFigure);
     bench::runSeekCountFigure("Figure 4",
                               "Fault free read; seek and no-switch "
                               "counts",

@@ -11,7 +11,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 6: degraded (single-failure) read response times, 8-240 KB");
+                     "Figure 6: degraded (single-failure) read response times, 8-240 KB",
+                     bench::kFigure);
     bench::runResponseTimeFigure(
         "Figure 6", "Read response times, single failure mode",
         {8, 48, 96, 144, 192, 240}, AccessType::Read,

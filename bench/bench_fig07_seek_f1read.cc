@@ -11,7 +11,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 7: degraded read seek/no-switch counts per access");
+                     "Figure 7: degraded read seek/no-switch counts per access",
+                     bench::kFigure);
     bench::runSeekCountFigure("Figure 7",
                               "Degraded read; seek and no-switch "
                               "counts",

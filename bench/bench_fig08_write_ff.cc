@@ -11,7 +11,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 8: fault-free write response times, 8-240 KB");
+                     "Figure 8: fault-free write response times, 8-240 KB",
+                     bench::kFigure);
     bench::runResponseTimeFigure(
         "Figure 8", "Write response times, failure-free mode",
         {8, 48, 96, 144, 192, 240}, AccessType::Write,

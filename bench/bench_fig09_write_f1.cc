@@ -11,7 +11,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 9: degraded write response times, 8-240 KB");
+                     "Figure 9: degraded write response times, 8-240 KB",
+                     bench::kFigure);
     bench::runResponseTimeFigure(
         "Figure 9", "Write response times, single failure mode",
         {8, 48, 96, 144, 192, 240}, AccessType::Write,

@@ -12,7 +12,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figures 10-13 (appendix): response times for 24-288 KB, all modes");
+                     "Figures 10-13 (appendix): response times for 24-288 KB, all modes",
+                     bench::kFigure);
     const std::vector<int> sizes = {24, 72, 120, 168, 216, 288};
     bench::runResponseTimeFigure(
         "Figure 10", "Read response times, failure-free mode", sizes,

@@ -11,7 +11,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 14: 336 KB response times, reads and writes, both modes");
+                     "Figure 14: 336 KB response times, reads and writes, both modes",
+                     bench::kFigure);
     bench::runResponseTimeFigure("Figure 14 (top left)",
                                  "336 KB reads, fault free", {336},
                                  AccessType::Read, ArrayMode::FaultFree);

@@ -11,7 +11,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 15: fault-free write seek/no-switch counts per access");
+                     "Figure 15: fault-free write seek/no-switch counts per access",
+                     bench::kFigure);
     bench::runSeekCountFigure("Figure 15",
                               "Fault free write; seek and no-switch "
                               "counts",

@@ -11,7 +11,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 16: degraded write seek/no-switch counts per access");
+                     "Figure 16: degraded write seek/no-switch counts per access",
+                     bench::kFigure);
     bench::runSeekCountFigure("Figure 16",
                               "Degraded write; seek and no-switch "
                               "counts",

@@ -19,7 +19,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 17: satisfactory base permutations for 55 disks, width 6");
+                     "Figure 17: satisfactory base permutations for 55 disks, width 6",
+                     0);
 
     PermutationGroup pair = paperFigure17Pair();
     std::printf("Figure 17: base permutation pair for n=55, k=6, "

@@ -12,7 +12,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 18: PDDL reads in fault-free, reconstruction and post-reconstruction modes");
+                     "Figure 18: PDDL reads in fault-free, reconstruction and post-reconstruction modes",
+                     bench::kObserved | bench::kDevice);
     const char *figure = "Figure 18";
     const char *caption = "PDDL read response times: fault free, "
                           "reconstruction, and post-reconstruction";

@@ -49,6 +49,7 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -144,16 +145,9 @@ configurations()
 ScenarioSpec
 baseSpec()
 {
+    if (std::optional<ScenarioSpec> spec = bench::scenarioFlag())
+        return *spec;
     ScenarioSpec spec;
-    if (!bench::options().scenario.empty()) {
-        std::string error;
-        // The flag validator already accepted it; reparse for real.
-        if (!loadScenario(bench::options().scenario, spec, error)) {
-            std::fprintf(stderr, "--scenario: %s\n", error.c_str());
-            std::exit(2);
-        }
-        return spec;
-    }
     spec.chunk_units = 8;
     spec.dispatch_ms = 2.0;
     spec.arrivals_per_s = 120.0;
@@ -166,21 +160,6 @@ baseSpec()
     return spec;
 }
 
-void
-applyMix(ScenarioSpec &spec, bool write_heavy)
-{
-    if (write_heavy) {
-        spec.mix = {{8, true, 0.60},
-                    {32, true, 0.10},
-                    {8, false, 0.25},
-                    {32, false, 0.05}};
-    } else {
-        spec.mix = {{8, false, 0.70},
-                    {8, true, 0.20},
-                    {24, false, 0.10}};
-    }
-}
-
 /** One row = one configuration under one mix. */
 struct Row
 {
@@ -189,47 +168,8 @@ struct Row
     bool feasible = true;
 };
 
-SimResult
-runRow(const Row &row, uint64_t seed, harness::Extras &extras)
-{
-    tune::RunScenarioOptions options;
-    options.seed = seed;
-    options.sim_threads = bench::options().sim_threads;
-
-    const tune::ScenarioOutcome outcome =
-        tune::runScenario(row.spec, options);
-
-    extras.emplace_back("p50_ms", outcome.p50_ms);
-    extras.emplace_back("p95_ms", outcome.p95_ms);
-    extras.emplace_back("p99_ms", outcome.p99_ms);
-    extras.emplace_back("p999_ms", outcome.p999_ms);
-    extras.emplace_back("max_outstanding", outcome.max_outstanding);
-    extras.emplace_back("cost_units", outcome.cost_units);
-    extras.emplace_back(
-        "capacity_units",
-        static_cast<double>(outcome.capacity_units));
-    extras.emplace_back("feasible", row.feasible ? 1.0 : 0.0);
-    // How the tiering actually split the traffic.
-    for (size_t s = 0; s < outcome.shard_accesses.size(); ++s) {
-        extras.emplace_back(
-            "shard" + std::to_string(s) + "_accesses",
-            static_cast<double>(outcome.shard_accesses[s]));
-    }
-
-    return bench::simResult(outcome);
-}
-
 using bench::extra;
-
-const harness::PointResult *
-findRow(const harness::RunSummary &summary, const std::string &label)
-{
-    for (const harness::PointResult &point : summary.points) {
-        if (point.point.layout == label)
-            return &point;
-    }
-    return nullptr;
-}
+using bench::findRow;
 
 /** Enforce the equal-cost floors. @return exit code. */
 int
@@ -313,7 +253,8 @@ main(int argc, char **argv)
         "fronting PDDL rotating disks vs homogeneous configurations "
         "of equal hardware cost, under hot-spot traffic (rows are "
         "bit-identical for every --threads and --sim-threads "
-        "value).");
+        "value).",
+        bench::kObserved | bench::kSimThreads | bench::kScenario);
     cli.addBool("check",
                 "enforce CI floors (equal cost budgets; the hybrid "
                 "beats every capacity-feasible homogeneous config on "
@@ -330,14 +271,9 @@ main(int argc, char **argv)
             row.spec = base;
             row.spec.shards = config.shards;
             row.spec.allocation = config.allocation;
-            applyMix(row.spec, write_heavy);
+            bench::applyTrafficMix(row.spec, write_heavy);
             row.feasible = config.feasible;
-            std::string error;
-            if (!row.spec.normalize(error)) {
-                std::fprintf(stderr, "%s row: %s\n",
-                             config.name.c_str(), error.c_str());
-                return 2;
-            }
+            row.spec = bench::normalized(row.spec, config.name);
             row.label = config.name + "/" +
                         (write_heavy ? "write-heavy" : "read-heavy");
             rows.push_back(std::move(row));
@@ -346,19 +282,38 @@ main(int argc, char **argv)
 
     std::vector<harness::Experiment> experiments;
     for (const Row &row : rows) {
-        harness::Experiment experiment;
         const bool write_heavy =
             !row.spec.mix.empty() && row.spec.mix.front().write;
-        experiment.point = {"Hybrid", row.label, 8,
-                            static_cast<int>(row.spec.arrivals_per_s),
-                            write_heavy ? AccessType::Write
-                                        : AccessType::Read,
-                            ArrayMode::FaultFree};
-        experiment.run = [&row](uint64_t seed, const obs::Probe &,
-                                harness::Extras &extras) {
-            return runRow(row, seed, extras);
-        };
-        experiments.push_back(std::move(experiment));
+        experiments.push_back(bench::scenarioExperiment(
+            {"Hybrid", row.label, 8,
+             static_cast<int>(row.spec.arrivals_per_s),
+             write_heavy ? AccessType::Write : AccessType::Read,
+             ArrayMode::FaultFree},
+            row.spec,
+            // Tails, volume shape and how the tiering split the
+            // traffic.
+            {.extras = [feasible = row.feasible](
+                           const ScenarioSpec &,
+                           const tune::ScenarioOutcome &outcome,
+                           harness::Extras &extras) {
+                extras.emplace_back("p50_ms", outcome.p50_ms);
+                extras.emplace_back("p95_ms", outcome.p95_ms);
+                extras.emplace_back("p99_ms", outcome.p99_ms);
+                extras.emplace_back("p999_ms", outcome.p999_ms);
+                extras.emplace_back("max_outstanding",
+                                    outcome.max_outstanding);
+                extras.emplace_back("cost_units", outcome.cost_units);
+                extras.emplace_back(
+                    "capacity_units",
+                    static_cast<double>(outcome.capacity_units));
+                extras.emplace_back("feasible", feasible ? 1.0 : 0.0);
+                for (size_t s = 0; s < outcome.shard_accesses.size();
+                     ++s) {
+                    extras.emplace_back(
+                        "shard" + std::to_string(s) + "_accesses",
+                        static_cast<double>(outcome.shard_accesses[s]));
+                }
+            }}));
     }
 
     harness::RunSummary summary = bench::runGrid(

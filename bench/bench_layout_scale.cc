@@ -274,13 +274,8 @@ checkDerandImproves(const harness::RunSummary &summary)
     for (const harness::PointResult &point : summary.points) {
         if (point.point.layout.rfind("draid_derand", 0) != 0)
             continue;
-        double worst1 = -1.0, raw_worst1 = -1.0;
-        for (const auto &[key, value] : point.extras) {
-            if (key == "worst1")
-                worst1 = value;
-            if (key == "raw_worst1")
-                raw_worst1 = value;
-        }
+        const double worst1 = bench::extra(point, "worst1");
+        const double raw_worst1 = bench::extra(point, "raw_worst1");
         if (!(worst1 < raw_worst1)) {
             std::fprintf(stderr,
                          "[check] FAIL %s: derandomized worst1 %.4f "
@@ -311,7 +306,8 @@ main(int argc, char **argv)
         "imbalance vs array size for PDDL, developed-random rows, "
         "derandomized-random and t-design layouts. Rows are exact "
         "integer tallies -- BENCH_layout_scale.json is byte-identical "
-        "at every --threads value.");
+        "at every --threads value.",
+        bench::kGrid | bench::kSimThreads);
     cli.addBool("check",
                 "verify incremental deltas match the full-recompute "
                 "audit bit-for-bit, enforce the 10x candidate-"
@@ -362,22 +358,13 @@ main(int argc, char **argv)
                 "worst1", "rms1", "worst2", "rms2", "cost");
     bench::printRule(8);
     for (const harness::PointResult &point : summary.points) {
-        double v[5] = {0, 0, 0, 0, 0};
-        for (const auto &[key, value] : point.extras) {
-            if (key == "worst1")
-                v[0] = value;
-            else if (key == "rms1")
-                v[1] = value;
-            else if (key == "worst2")
-                v[2] = value;
-            else if (key == "rms2")
-                v[3] = value;
-            else if (key == "cost")
-                v[4] = value;
-        }
         std::printf("%-24s %6d %8.4f %8.4f %8.4f %8.4f %10.0f\n",
                     point.point.layout.c_str(), point.point.size_kb,
-                    v[0], v[1], v[2], v[3], v[4]);
+                    bench::extra(point, "worst1"),
+                    bench::extra(point, "rms1"),
+                    bench::extra(point, "worst2"),
+                    bench::extra(point, "rms2"),
+                    bench::extra(point, "cost"));
     }
 
     const bool check = cli.getBool("check");

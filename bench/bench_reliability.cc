@@ -36,10 +36,11 @@ namespace {
  * Run `trials` missions of `spec` and merge them into one row. Trial
  * t draws its fault timeline and its client offsets from seeds
  * derived from (seed, t), so the row depends only on its grid point.
+ * Every trial reports to the point's probe.
  */
 SimResult
 runMissions(ScenarioSpec spec, int trials, uint64_t seed,
-            harness::Extras &extras)
+            const obs::Probe &probe, harness::Extras &extras)
 {
     Welford response, degraded_response, rebuild_ms;
     double losses = 0.0, failures = 0.0, rebuilds = 0.0;
@@ -51,6 +52,7 @@ runMissions(ScenarioSpec spec, int trials, uint64_t seed,
         spec.fault_seed = hashMix64(trial_seed, 0xfa01);
         tune::RunScenarioOptions options;
         options.seed = hashMix64(trial_seed, 0xc11e);
+        options.probe = probe;
         const tune::ScenarioOutcome trial =
             tune::runScenario(spec, options);
         response.merge(trial.response_ms);
@@ -101,7 +103,8 @@ main(int argc, char **argv)
 {
     bench::parseArgs(argc, argv,
                      "Reliability: Monte-Carlo sweep of failure rate "
-                     "x rebuild aggressiveness x layout");
+                     "x rebuild aggressiveness x layout",
+                     bench::kObserved);
     const bool full = bench::fullFidelity();
     const char *figure = "Reliability";
     const int trials = full ? 25 : 5;
@@ -151,9 +154,10 @@ main(int argc, char **argv)
                     {{figure, label, 24, base.clients, AccessType::Read,
                       ArrayMode::FaultFree},
                      [spec = bench::normalized(spec), trials](
-                         uint64_t seed, const obs::Probe &,
+                         uint64_t seed, const obs::Probe &probe,
                          harness::Extras &extras) {
-                         return runMissions(spec, trials, seed, extras);
+                         return runMissions(spec, trials, seed, probe,
+                                            extras);
                      }});
             }
         }

@@ -74,19 +74,14 @@ volumeSpec(int shard_count, int clients, int kb, int64_t samples,
 }
 
 /**
- * Run one scale-out row and report its simulated rates only: host
- * wall time must never reach a row, or the JSON would stop being
- * bit-identical across --threads and --sim-threads.
+ * A scale-out row's extras: simulated rates only. Host wall time must
+ * never reach a row, or the JSON would stop being bit-identical
+ * across --threads and --sim-threads.
  */
-SimResult
-runScaleout(const ScenarioSpec &spec, uint64_t seed,
-            harness::Extras &extras)
+void
+rowExtras(const ScenarioSpec &spec, const tune::ScenarioOutcome &outcome,
+          harness::Extras &extras)
 {
-    tune::RunScenarioOptions options;
-    options.seed = seed;
-    options.sim_threads = bench::options().sim_threads;
-    const tune::ScenarioOutcome outcome = tune::runScenario(spec, options);
-
     const double sim_s = outcome.sim_ms / 1000.0;
     extras.emplace_back("shards", static_cast<int>(spec.shards.size()));
     extras.emplace_back("req_per_s", outcome.throughput_per_s);
@@ -105,7 +100,6 @@ runScaleout(const ScenarioSpec &spec, uint64_t seed,
         extras.emplace_back("data_loss", outcome.data_loss ? 1.0 : 0.0);
         extras.emplace_back("degraded_ms", outcome.degraded_ms);
     }
-    return bench::simResult(outcome);
 }
 
 /** One wall-clock row: host time of the whole runScenario call. */
@@ -264,7 +258,8 @@ main(int argc, char **argv)
         "striped over 1/2/4/8 PDDL shards, healthy and with a "
         "single-shard disk failure (simulated rates; rows are "
         "bit-identical for every --threads and --sim-threads "
-        "value).");
+        "value).",
+        bench::kObserved | bench::kSimThreads);
     cli.addBool("check",
                 "enforce CI floors (4-shard >= 3x 1-shard req/s, "
                 "fault rows rebuild without data loss, 64-shard "
@@ -291,20 +286,13 @@ main(int argc, char **argv)
                            bench::fullFidelity() ? 12000 : 3000, 200);
             if (faulted)
                 spec.faults = {{40.0, 0, 2}};
-            harness::Experiment experiment;
-            experiment.point = {"Scaleout",
-                                std::string("volume/") +
-                                    (faulted ? "shard0_failure"
-                                             : "healthy"),
-                                24, kClientsPerShard * shards,
-                                AccessType::Read,
-                                faulted ? ArrayMode::Degraded
-                                        : ArrayMode::FaultFree};
-            experiment.run = [spec](uint64_t seed, const obs::Probe &,
-                                    harness::Extras &extras) {
-                return runScaleout(spec, seed, extras);
-            };
-            experiments.push_back(std::move(experiment));
+            experiments.push_back(bench::scenarioExperiment(
+                {"Scaleout",
+                 std::string("volume/") +
+                     (faulted ? "shard0_failure" : "healthy"),
+                 24, kClientsPerShard * shards, AccessType::Read,
+                 faulted ? ArrayMode::Degraded : ArrayMode::FaultFree},
+                spec, {.extras = rowExtras}));
         }
     }
 

@@ -25,7 +25,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Table 1: satisfactory base permutation counts per (g, k)");
+                     "Table 1: satisfactory base permutation counts per (g, k)",
+                     0);
     const bool full = std::getenv("PDDL_BENCH_FULL") != nullptr;
 
     std::printf("Table 1: Satisfactory PDDL base permutations\n");

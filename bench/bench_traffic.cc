@@ -39,6 +39,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,26 +60,19 @@ namespace {
 constexpr double kHotFraction = 0.0005;
 constexpr double kHotWeight = 0.95;
 
-enum class Health
+/** Shard 0's health in an slo row. */
+struct Health
 {
-    Healthy,
-    Degraded,  ///< shard 0 runs in degraded mode throughout
-    Rebuilding ///< shard 0 loses a disk at 40 ms and rebuilds
+    const char *name;
+    /** Degraded throughout on this disk; -1 keeps it healthy. */
+    int failed_disk;
+    /** Loses disk 2 at 40 ms and rebuilds it. */
+    bool rebuilding;
 };
 
-const char *
-healthName(Health health)
-{
-    switch (health) {
-    case Health::Healthy:
-        return "healthy";
-    case Health::Degraded:
-        return "degraded";
-    case Health::Rebuilding:
-        return "rebuilding";
-    }
-    return "healthy";
-}
+constexpr Health kHealths[] = {{"healthy", -1, false},
+                               {"degraded", 2, false},
+                               {"rebuilding", -1, true}};
 
 /** One row of either panel: a label plus the full scenario. */
 struct Row
@@ -99,16 +93,9 @@ struct Row
 ScenarioSpec
 baseSpec()
 {
+    if (std::optional<ScenarioSpec> spec = bench::scenarioFlag())
+        return *spec;
     ScenarioSpec spec;
-    if (!bench::options().scenario.empty()) {
-        std::string error;
-        // The flag validator already accepted it; reparse for real.
-        if (!loadScenario(bench::options().scenario, spec, error)) {
-            std::fprintf(stderr, "--scenario: %s\n", error.c_str());
-            std::exit(2);
-        }
-        return spec;
-    }
     spec.shards.assign(2, ScenarioShard{});
     spec.chunk_units = 8;
     spec.dispatch_ms = 2.0;
@@ -122,47 +109,11 @@ baseSpec()
     return spec;
 }
 
+/** A row's extras: tails, backend load, cache and rebuild counters. */
 void
-applyMix(ScenarioSpec &spec, bool write_heavy)
+rowExtras(const ScenarioSpec &spec, const tune::ScenarioOutcome &outcome,
+          harness::Extras &extras)
 {
-    if (write_heavy) {
-        // The cache panel's SLO mix: small writes dominate, a few
-        // multi-unit accesses exercise run coalescing.
-        spec.mix = {{8, true, 0.60},
-                    {32, true, 0.10},
-                    {8, false, 0.25},
-                    {32, false, 0.05}};
-    } else {
-        spec.mix = {{8, false, 0.70},
-                    {8, true, 0.20},
-                    {24, false, 0.10}};
-    }
-}
-
-void
-applyHealth(ScenarioSpec &spec, Health health)
-{
-    if (health == Health::Degraded) {
-        spec.shards[0].failed_disk = 2;
-    } else if (health == Health::Rebuilding) {
-        spec.faults = {{40.0, 0, 2}};
-    }
-}
-
-/** Run one row through the shared scenario runner. */
-SimResult
-runRow(const Row &row, uint64_t seed, harness::Extras &extras)
-{
-    tune::RunScenarioOptions options;
-    options.seed = seed;
-    options.sim_threads = bench::options().sim_threads;
-    options.capture_path = row.capture_path;
-    if (!row.replay.empty())
-        options.replay = &row.replay;
-
-    const tune::ScenarioOutcome outcome =
-        tune::runScenario(row.spec, options);
-
     extras.emplace_back("max_outstanding", outcome.max_outstanding);
     extras.emplace_back("p50_ms", outcome.p50_ms);
     extras.emplace_back("p95_ms", outcome.p95_ms);
@@ -170,7 +121,7 @@ runRow(const Row &row, uint64_t seed, harness::Extras &extras)
     extras.emplace_back("p999_ms", outcome.p999_ms);
     extras.emplace_back("backend_accesses",
                         static_cast<double>(outcome.backend_accesses));
-    if (row.spec.cache_enabled) {
+    if (spec.cache_enabled) {
         extras.emplace_back("hit_rate", outcome.hit_rate);
         extras.emplace_back(
             "writes_absorbed",
@@ -190,27 +141,16 @@ runRow(const Row &row, uint64_t seed, harness::Extras &extras)
             "stalled_end",
             static_cast<double>(outcome.stalled_end));
     }
-    if (!row.spec.faults.empty()) {
+    if (!spec.faults.empty()) {
         extras.emplace_back("rebuilds_completed",
                             outcome.rebuilds_completed);
         extras.emplace_back("data_loss",
                             outcome.data_loss ? 1.0 : 0.0);
     }
-
-    return bench::simResult(outcome);
 }
 
 using bench::extra;
-
-const harness::PointResult *
-findRow(const harness::RunSummary &summary, const std::string &label)
-{
-    for (const harness::PointResult &point : summary.points) {
-        if (point.point.layout == label)
-            return &point;
-    }
-    return nullptr;
-}
+using bench::findRow;
 
 /** Enforce the traffic/cache acceptance floors. @return exit code. */
 int
@@ -296,7 +236,8 @@ main(int argc, char **argv)
         "under skewed/bursty load over a 2-shard PDDL volume, with "
         "and without the write-back cache tier (rows are "
         "bit-identical for every --threads and --sim-threads "
-        "value).");
+        "value).",
+        bench::kObserved | bench::kSimThreads | bench::kScenario);
     cli.addString("skew", "spec",
                   "narrow the traffic panel to one offset spec: "
                   "uniform, zipf:<theta> or hot:<fraction>,<weight>",
@@ -329,15 +270,12 @@ main(int argc, char **argv)
 
     const ScenarioSpec base = baseSpec();
 
-    std::vector<std::string> panel_skews;
-    if (cli.has("skew")) {
-        panel_skews.push_back(cli.getString("skew"));
-    } else {
-        char hot[64];
-        std::snprintf(hot, sizeof(hot), "hot:%g,%g", kHotFraction,
-                      kHotWeight);
-        panel_skews = {"uniform", "zipf:0.99", hot};
-    }
+    char hot[64];
+    std::snprintf(hot, sizeof(hot), "hot:%g,%g", kHotFraction,
+                  kHotWeight);
+    std::vector<std::string> panel_skews = {"uniform", "zipf:0.99", hot};
+    if (cli.has("skew"))
+        panel_skews = {cli.getString("skew")};
 
     std::vector<Row> rows;
 
@@ -356,15 +294,10 @@ main(int argc, char **argv)
                 row.spec.arrival = arrival_name;
             }
             row.spec.arrivals_per_s = 150.0;
-            applyMix(row.spec, false);
+            bench::applyTrafficMix(row.spec, false);
             row.spec.samples = bench::fullFidelity() ? 8000 : 2000;
             row.spec.warmup = 200;
-            std::string error;
-            if (!row.spec.normalize(error)) {
-                std::fprintf(stderr, "traffic row: %s\n",
-                             error.c_str());
-                return 2;
-            }
+            row.spec = bench::normalized(row.spec, "traffic");
             // Label with the canonical offset name so --skew and
             // the default panel produce identical row keys.
             row.label = std::string("traffic/") + row.spec.offsets +
@@ -374,43 +307,31 @@ main(int argc, char **argv)
     }
 
     // Panel 2 -- slo: the write-heavy cache sweep.
-    {
-        char hot[64];
-        std::snprintf(hot, sizeof(hot), "hot:%g,%g", kHotFraction,
-                      kHotWeight);
-        for (const std::string &skew :
-             {std::string("zipf:0.99"), std::string(hot)}) {
-            for (bool cached : {false, true}) {
-                for (Health health :
-                     {Health::Healthy, Health::Degraded,
-                      Health::Rebuilding}) {
-                    Row row;
-                    row.spec = base;
-                    row.spec.offsets = skew;
-                    row.spec.arrival = "poisson";
-                    row.spec.arrivals_per_s = 100.0;
-                    // A long warm-up lets the tier reach steady
-                    // state (hot set resident, pump cycling) before
-                    // the measured window opens.
-                    row.spec.samples =
-                        bench::fullFidelity() ? 12000 : 4000;
-                    row.spec.warmup =
-                        bench::fullFidelity() ? 3000 : 1500;
-                    applyMix(row.spec, true);
-                    row.spec.cache_enabled = cached;
-                    applyHealth(row.spec, health);
-                    std::string error;
-                    if (!row.spec.normalize(error)) {
-                        std::fprintf(stderr, "slo row: %s\n",
-                                     error.c_str());
-                        return 2;
-                    }
-                    row.label = std::string("slo/") +
-                                row.spec.offsets + "/" +
-                                (cached ? "wb" : "nocache") + "/" +
-                                healthName(health);
-                    rows.push_back(std::move(row));
-                }
+    for (const std::string &skew :
+         {std::string("zipf:0.99"), std::string(hot)}) {
+        for (bool cached : {false, true}) {
+            for (const Health &health : kHealths) {
+                Row row;
+                row.spec = base;
+                row.spec.offsets = skew;
+                row.spec.arrival = "poisson";
+                row.spec.arrivals_per_s = 100.0;
+                // A long warm-up lets the tier reach steady state
+                // (hot set resident, pump cycling) before the
+                // measured window opens.
+                row.spec.samples = bench::fullFidelity() ? 12000 : 4000;
+                row.spec.warmup = bench::fullFidelity() ? 3000 : 1500;
+                bench::applyTrafficMix(row.spec, true);
+                row.spec.cache_enabled = cached;
+                if (health.failed_disk >= 0)
+                    row.spec.shards[0].failed_disk = health.failed_disk;
+                if (health.rebuilding)
+                    row.spec.faults = {{40.0, 0, 2}};
+                row.spec = bench::normalized(row.spec, "slo");
+                row.label = std::string("slo/") + row.spec.offsets +
+                            "/" + (cached ? "wb" : "nocache") + "/" +
+                            health.name;
+                rows.push_back(std::move(row));
             }
         }
     }
@@ -428,33 +349,26 @@ main(int argc, char **argv)
         row.label = "replay/" + cli.getString("replay");
         row.spec = base;
         row.spec.cache_enabled = false;
-        std::string error;
-        if (!row.spec.normalize(error)) {
-            std::fprintf(stderr, "replay row: %s\n", error.c_str());
-            return 2;
-        }
+        row.spec = bench::normalized(row.spec, "replay");
         row.replay = traffic::loadTrace(cli.getString("replay"));
         rows.push_back(std::move(row));
     }
 
     std::vector<harness::Experiment> experiments;
     for (const Row &row : rows) {
-        harness::Experiment experiment;
         const bool write_heavy =
             !row.spec.mix.empty() && row.spec.mix.front().write;
-        experiment.point = {
-            "Traffic", row.label, 8,
-            static_cast<int>(row.spec.arrivals_per_s),
-            write_heavy ? AccessType::Write : AccessType::Read,
-            row.spec.shards[0].failed_disk < 0 &&
-                    row.spec.faults.empty()
-                ? ArrayMode::FaultFree
-                : ArrayMode::Degraded};
-        experiment.run = [&row](uint64_t seed, const obs::Probe &,
-                                harness::Extras &extras) {
-            return runRow(row, seed, extras);
-        };
-        experiments.push_back(std::move(experiment));
+        experiments.push_back(bench::scenarioExperiment(
+            {"Traffic", row.label, 8,
+             static_cast<int>(row.spec.arrivals_per_s),
+             write_heavy ? AccessType::Write : AccessType::Read,
+             row.spec.shards[0].failed_disk < 0 && row.spec.faults.empty()
+                 ? ArrayMode::FaultFree
+                 : ArrayMode::Degraded},
+            row.spec,
+            {.extras = rowExtras,
+             .capture_path = row.capture_path,
+             .replay = &row.replay}));
     }
 
     harness::RunSummary summary = bench::runGrid(

@@ -27,7 +27,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -73,100 +75,8 @@ fullFidelity()
     return env != nullptr && std::strcmp(env, "0") != 0;
 }
 
-/**
- * Validate and canonicalize a bench-built spec; a bench that cannot
- * describe its own grid is a bug, so this throws.
- */
-inline ScenarioSpec
-normalized(ScenarioSpec spec)
-{
-    std::string error;
-    if (!spec.normalize(error))
-        throw std::runtime_error("bench scenario: " + error);
-    return spec;
-}
-
-/**
- * One closed-loop point on the paper's array (Table 2): `clients`
- * clients issuing `kb` KB accesses to a bare 13-disk array (no
- * fabric), disk 0 failed outside FaultFree, under the bench stopping
- * rule -- fast but shape-preserving, or with PDDL_BENCH_FULL=1 the
- * paper's 2 % at 95 % confidence.
- */
-inline ScenarioSpec
-paperSpec(const std::string &layout, int kb, int clients,
-          AccessType type, ArrayMode mode,
-          const std::string &device = "hp2247")
-{
-    ScenarioSpec spec;
-    spec.shards = {{layout, device, kDisks, "",
-                    mode == ArrayMode::FaultFree ? -1 : 0,
-                    mode == ArrayMode::PostReconstruction}};
-    spec.dispatch_ms = 0.0;
-    spec.client = "closed";
-    spec.clients = clients;
-    spec.mix = {{kb, type == AccessType::Write, 1.0}};
-    const bool full = fullFidelity();
-    spec.ci_tolerance = full ? 0.02 : 0.06;
-    spec.min_samples = full ? 1000 : 250;
-    spec.samples = full ? 200000 : 2500;
-    spec.warmup = full ? 500 : 120;
-    return spec;
-}
-
-/** A closed-loop outcome as the harness's row. */
-inline SimResult
-simResult(const tune::ScenarioOutcome &outcome)
-{
-    return {.mean_response_ms = outcome.mean_ms,
-            .ci_half_width_ms = outcome.ci_half_width_ms,
-            .throughput_per_s = outcome.throughput_per_s,
-            .samples = outcome.samples,
-            .non_local_seeks = outcome.non_local_seeks,
-            .cylinder_switches = outcome.cylinder_switches,
-            .track_switches = outcome.track_switches,
-            .no_switches = outcome.no_switches};
-}
-
-/** The extra named `key` of a finished point (0 when absent). */
-inline double
-extra(const harness::PointResult &point, const char *key)
-{
-    for (const auto &[name, value] : point.extras) {
-        if (name == key)
-            return value;
-    }
-    return 0.0;
-}
-
-/**
- * A grid point that runs `spec` through runScenario with the point's
- * derived seed and probe.
- */
-inline harness::Experiment
-scenarioExperiment(harness::GridPoint point, const ScenarioSpec &spec)
-{
-    return {std::move(point),
-            [spec = normalized(spec)](uint64_t seed,
-                                      const obs::Probe &probe,
-                                      harness::Extras &) {
-                tune::RunScenarioOptions options;
-                options.seed = seed;
-                options.probe = probe;
-                return simResult(tune::runScenario(spec, options));
-            }};
-}
-
-/** Print a row separator sized to `width` columns of 10 chars. */
-inline void
-printRule(int width)
-{
-    for (int i = 0; i < width; ++i)
-        std::fputs("----------", stdout);
-    std::fputs("\n", stdout);
-}
-
-/** Command-line options shared by every bench binary. */
+/** The shared flags' values (see BenchCli); unregistered ones stay
+ *  empty. */
 struct BenchOptions
 {
     /** Directory for BENCH_<figure>.json files; empty disables. */
@@ -191,8 +101,9 @@ struct BenchOptions
     std::string layout_spec;
     /**
      * --scenario: a validated ScenarioSpec (path or inline JSON)
-     * that scenario-driven benches use as the base configuration in
-     * place of their built-in defaults; empty keeps the defaults.
+     * that bench_traffic and bench_hybrid use as the base
+     * configuration in place of their built-in defaults; empty keeps
+     * the defaults.
      */
     std::string scenario;
     /**
@@ -234,6 +145,176 @@ benchDevice()
                                          : options().device_spec;
 }
 
+/**
+ * Validate and canonicalize a row's spec. A spec the bench cannot
+ * build -- its own grid, or an edit a --scenario base cannot take --
+ * exits 2 like a bad flag, naming the row.
+ */
+inline ScenarioSpec
+normalized(ScenarioSpec spec, const std::string &row = "bench")
+{
+    std::string error;
+    if (!spec.normalize(error)) {
+        std::fprintf(stderr, "%s row: %s\n", row.c_str(), error.c_str());
+        std::exit(2);
+    }
+    return spec;
+}
+
+/**
+ * One closed-loop point on the paper's array (Table 2): `clients`
+ * clients issuing `kb` KB accesses to a bare 13-disk array of
+ * benchDevice() drives (no fabric), disk 0 failed outside FaultFree,
+ * under the bench stopping rule -- fast but shape-preserving, or with
+ * PDDL_BENCH_FULL=1 the paper's 2 % at 95 % confidence.
+ */
+inline ScenarioSpec
+paperSpec(const std::string &layout, int kb, int clients,
+          AccessType type, ArrayMode mode)
+{
+    ScenarioSpec spec;
+    spec.shards = {{layout, benchDevice(), kDisks, "",
+                    mode == ArrayMode::FaultFree ? -1 : 0,
+                    mode == ArrayMode::PostReconstruction}};
+    spec.dispatch_ms = 0.0;
+    spec.client = "closed";
+    spec.clients = clients;
+    spec.mix = {{kb, type == AccessType::Write, 1.0}};
+    const bool full = fullFidelity();
+    spec.ci_tolerance = full ? 0.02 : 0.06;
+    spec.min_samples = full ? 1000 : 250;
+    spec.samples = full ? 200000 : 2500;
+    spec.warmup = full ? 500 : 120;
+    return spec;
+}
+
+/** A closed-loop outcome as the harness's row. */
+inline SimResult
+simResult(const tune::ScenarioOutcome &outcome)
+{
+    return {.mean_response_ms = outcome.mean_ms,
+            .ci_half_width_ms = outcome.ci_half_width_ms,
+            .throughput_per_s = outcome.throughput_per_s,
+            .samples = outcome.samples,
+            .non_local_seeks = outcome.non_local_seeks,
+            .cylinder_switches = outcome.cylinder_switches,
+            .track_switches = outcome.track_switches,
+            .no_switches = outcome.no_switches};
+}
+
+/** The extra named `key` of a finished point (0 when absent). */
+inline double
+extra(const harness::PointResult &point, const char *key)
+{
+    for (const auto &[name, value] : point.extras) {
+        if (name == key)
+            return value;
+    }
+    return 0.0;
+}
+
+/** What a scenario row adds to its spec; every field is optional. */
+struct ScenarioRow
+{
+    /** Appends the row's extras, in the order its BENCH JSON lists
+     *  them. */
+    std::function<void(const ScenarioSpec &,
+                       const tune::ScenarioOutcome &, harness::Extras &)>
+        extras = {};
+    /** A fixed protocol seed in place of the point's derived one. */
+    std::optional<uint64_t> seed = {};
+    /** Record the offered accesses into this trace file. */
+    std::string capture_path = {};
+    /** Replay this trace instead of the spec's client; must outlive
+     *  the grid. */
+    const std::vector<traffic::TraceRecord> *replay = nullptr;
+};
+
+/**
+ * A grid point that runs `spec` through runScenario with the point's
+ * derived seed (or `row.seed`), its probe and --sim-threads.
+ */
+inline harness::Experiment
+scenarioExperiment(harness::GridPoint point, const ScenarioSpec &spec,
+                   ScenarioRow row = {})
+{
+    return {std::move(point),
+            [spec = normalized(spec), row = std::move(row)](
+                uint64_t seed, const obs::Probe &probe,
+                harness::Extras &extras) {
+                tune::RunScenarioOptions run;
+                run.seed = row.seed.value_or(seed);
+                run.sim_threads = options().sim_threads;
+                run.capture_path = row.capture_path;
+                run.replay = row.replay;
+                run.probe = probe;
+                const tune::ScenarioOutcome outcome =
+                    tune::runScenario(spec, run);
+                if (row.extras)
+                    row.extras(spec, outcome, extras);
+                return simResult(outcome);
+            }};
+}
+
+/**
+ * The base spec --scenario names, or nothing when the flag is
+ * absent. The flag's validator already accepted it, so a failure
+ * here (the file changed underneath) exits 2 like a bad flag.
+ */
+inline std::optional<ScenarioSpec>
+scenarioFlag()
+{
+    if (options().scenario.empty())
+        return std::nullopt;
+    ScenarioSpec spec;
+    std::string error;
+    if (!loadScenario(options().scenario, spec, error)) {
+        std::fprintf(stderr, "--scenario: %s\n", error.c_str());
+        std::exit(2);
+    }
+    return spec;
+}
+
+/**
+ * The production-traffic access mixes bench_traffic and bench_hybrid
+ * share: the write-heavy SLO mix (small writes dominate, a few
+ * multi-unit accesses exercise run coalescing) or a read-heavy one.
+ */
+inline void
+applyTrafficMix(ScenarioSpec &spec, bool write_heavy)
+{
+    if (write_heavy) {
+        spec.mix = {{8, true, 0.60},
+                    {32, true, 0.10},
+                    {8, false, 0.25},
+                    {32, false, 0.05}};
+    } else {
+        spec.mix = {{8, false, 0.70},
+                    {8, true, 0.20},
+                    {24, false, 0.10}};
+    }
+}
+
+/** The finished point whose series label is `label`, or nullptr. */
+inline const harness::PointResult *
+findRow(const harness::RunSummary &summary, const std::string &label)
+{
+    for (const harness::PointResult &point : summary.points) {
+        if (point.point.layout == label)
+            return &point;
+    }
+    return nullptr;
+}
+
+/** Print a row separator sized to `width` columns of 10 chars. */
+inline void
+printRule(int width)
+{
+    for (int i = 0; i < width; ++i)
+        std::fputs("----------", stdout);
+    std::fputs("\n", stdout);
+}
+
 /** The shared flight recorder behind --trace. */
 inline obs::Tracer &
 benchTracer()
@@ -251,99 +332,150 @@ suiteMetrics()
 }
 
 /**
- * The shared bench command line: every bench binary gets --json,
- * --threads, --metrics, --trace and --help from here, plus whatever
- * binary-specific flags it registers before parseOrExit(). This is
- * the single registration point for bench-wide flags -- a flag added
- * in the constructor reaches all bench binaries at once -- and the
- * single owner of the exit policy: --help prints usage and exits 0,
- * unknown flags and missing values print a clear error and exit 2.
+ * The shared bench flags. A binary registers only the ones it reads,
+ * named once at its BenchCli or parseArgs call; any other shared flag
+ * exits 2 as unknown instead of being accepted and ignored.
+ */
+enum SharedFlag : unsigned
+{
+    kJson = 1u << 0,
+    kThreads = 1u << 1,
+    kSimThreads = 1u << 2,
+    /** --metrics; registered only when probes are compiled in. */
+    kMetrics = 1u << 3,
+    /** --trace; registered only when probes are compiled in. */
+    kTrace = 1u << 4,
+    kDevice = 1u << 5,
+    kLayout = 1u << 6,
+    kScenario = 1u << 7,
+};
+
+/** --json and --threads: every binary that runs a grid. */
+inline constexpr unsigned kGrid = kJson | kThreads;
+/** A grid whose rows simulate, so its probes have something to see. */
+inline constexpr unsigned kObserved = kGrid | kMetrics | kTrace;
+/** A paper-figure grid: observed, on any --device and --layout. */
+inline constexpr unsigned kFigure = kObserved | kDevice | kLayout;
+
+/**
+ * The shared bench command line: each bench binary gets --help and
+ * the shared flags it names from here, plus whatever binary-specific
+ * flags it registers before parseOrExit(). This is the single
+ * registration point for bench-wide flags and the single owner of the
+ * exit policy: --help prints usage and exits 0, unknown flags and
+ * missing values print a clear error and exit 2.
  */
 class BenchCli
 {
   public:
-    BenchCli(const char *program, const char *description)
+    BenchCli(const char *program, const char *description,
+             unsigned flags)
         : parser_(program, description)
     {
-        parser_.addString("json", "dir",
-                          "also write machine-readable "
-                          "BENCH_<figure>.json files into <dir>");
-        parser_.addInt("threads", "n",
-                       "worker threads for the experiment grid "
-                       "(default: PDDL_BENCH_THREADS or hardware "
-                       "concurrency; results are bit-identical for "
-                       "any value)",
-                       1, false, INT_MAX);
-        parser_.addInt("sim-threads", "n",
-                       "worker threads within one scenario (the "
-                       "parallel engine's shard lanes; default: "
-                       "PDDL_SIM_THREADS or 1; results are "
-                       "bit-identical for any value)",
-                       1, false, INT_MAX);
-        parser_.addString("metrics", "file",
-                          "write the merged metrics snapshot as JSON "
-                          "and embed per-point metrics in BENCH rows");
-        parser_.addString("trace", "file",
-                          "record the first grid point as Chrome "
-                          "trace_event JSON (load in Perfetto or "
-                          "chrome://tracing)");
-        parser_.addString(
-            "device", "spec",
-            "drive model for every simulated disk (default: hp2247, "
-            "the paper's drive; see the spec grammar below)", false,
-            [](const std::string &value) {
-                std::shared_ptr<const DeviceModel> model;
-                std::string error;
-                if (!device::parseDeviceSpec(value, model, error))
-                    return error;
-                return std::string();
-            });
-        parser_.addString(
-            "layout", "spec",
-            "replace each bench's evaluated layout set with this one "
-            "layout (see the spec grammar below)", false,
-            [](const std::string &value) {
-                layouts::ParsedLayoutSpec spec;
-                std::string error;
-                if (!layouts::parseLayoutSpec(value, spec, error))
-                    return error;
-                // The evaluated set lives on the 13-disk Table 2
-                // array; a spec that parses but cannot build there
-                // (mirror copies not dividing 13, width > 13) must
-                // fail at the flag, not mid-bench.
-                try {
-                    layouts::buildLayout(spec, 13);
-                } catch (const std::exception &e) {
-                    return std::string(e.what());
-                }
-                return std::string();
-            });
-        parser_.addString(
-            "scenario", "file|json",
-            "base scenario for scenario-driven benches "
-            "(bench_traffic, bench_hybrid, bench_autotune): a "
-            "ScenarioSpec JSON file, or the JSON inline; validated "
-            "at the flag with field-anchored diagnostics", false,
-            [](const std::string &value) {
-                ScenarioSpec spec;
-                std::string error;
-                if (!loadScenario(value, spec, error))
-                    return error;
-                return std::string();
-            });
+        if (flags & kJson) {
+            parser_.addString("json", "dir",
+                              "also write machine-readable "
+                              "BENCH_<figure>.json files into <dir>");
+        }
+        if (flags & kThreads) {
+            parser_.addInt("threads", "n",
+                           "worker threads for the experiment grid "
+                           "(default: PDDL_BENCH_THREADS or hardware "
+                           "concurrency; results are bit-identical "
+                           "for any value)",
+                           1, false, INT_MAX);
+        }
+        if (flags & kSimThreads) {
+            parser_.addInt("sim-threads", "n",
+                           "worker threads within one scenario (the "
+                           "parallel engine's shard lanes; default: "
+                           "PDDL_SIM_THREADS or 1; results are "
+                           "bit-identical for any value)",
+                           1, false, INT_MAX);
+        }
+        if (obs::kObsEnabled && (flags & kMetrics)) {
+            parser_.addString("metrics", "file",
+                              "write the merged metrics snapshot as "
+                              "JSON and embed per-point metrics in "
+                              "BENCH rows");
+        }
+        if (obs::kObsEnabled && (flags & kTrace)) {
+            parser_.addString("trace", "file",
+                              "record the first grid point as Chrome "
+                              "trace_event JSON (load in Perfetto or "
+                              "chrome://tracing)");
+        }
+        if (flags & kDevice) {
+            parser_.addString(
+                "device", "spec",
+                "drive model for every simulated disk (default: "
+                "hp2247, the paper's drive; see the spec grammar "
+                "below)",
+                false, [](const std::string &value) {
+                    std::shared_ptr<const DeviceModel> model;
+                    std::string error;
+                    return device::parseDeviceSpec(value, model, error)
+                               ? std::string()
+                               : error;
+                });
+        }
+        if (flags & kLayout) {
+            parser_.addString(
+                "layout", "spec",
+                "replace the bench's evaluated layout set with this "
+                "one layout (see the spec grammar below)",
+                false, [](const std::string &value) {
+                    layouts::ParsedLayoutSpec spec;
+                    std::string error;
+                    if (!layouts::parseLayoutSpec(value, spec, error))
+                        return error;
+                    // The evaluated set lives on the 13-disk Table 2
+                    // array; a spec that parses but cannot build
+                    // there (mirror copies not dividing 13, width >
+                    // 13) must fail at the flag, not mid-bench.
+                    try {
+                        layouts::buildLayout(spec, 13);
+                    } catch (const std::exception &e) {
+                        return std::string(e.what());
+                    }
+                    return std::string();
+                });
+        }
+        if (flags & kScenario) {
+            parser_.addString(
+                "scenario", "file|json",
+                "base scenario in place of the bench's built-in one: "
+                "a ScenarioSpec JSON file, or the JSON inline; "
+                "validated at the flag with field-anchored "
+                "diagnostics",
+                false, [](const std::string &value) {
+                    ScenarioSpec spec;
+                    std::string error;
+                    return loadScenario(value, spec, error)
+                               ? std::string()
+                               : error;
+                });
+        }
         std::string epilog =
             "environment:\n"
             "  PDDL_BENCH_FULL=1     paper-fidelity stopping rule "
-            "(slower)\n"
-            "  PDDL_BENCH_THREADS=n  default worker count\n"
-            "  PDDL_SIM_THREADS=n    default intra-scenario worker "
-            "count\n"
-            "\nregistered device specs:\n";
-        for (const std::string &name : device::deviceSpecNames())
-            epilog += "  " + name + "\n";
-        epilog += "\nregistered layout specs:\n";
-        for (const std::string &name : layouts::layoutSpecNames())
-            epilog += "  " + name + "\n";
+            "(slower)\n";
+        if (flags & kThreads)
+            epilog += "  PDDL_BENCH_THREADS=n  default worker count\n";
+        if (flags & kSimThreads) {
+            epilog += "  PDDL_SIM_THREADS=n    default intra-scenario "
+                      "worker count\n";
+        }
+        if (flags & kDevice) {
+            epilog += "\nregistered device specs:\n";
+            for (const std::string &name : device::deviceSpecNames())
+                epilog += "  " + name + "\n";
+        }
+        if (flags & kLayout) {
+            epilog += "\nregistered layout specs:\n";
+            for (const std::string &name : layouts::layoutSpecNames())
+                epilog += "  " + name + "\n";
+        }
         parser_.setEpilog(epilog);
     }
 
@@ -383,12 +515,10 @@ class BenchCli
     /**
      * Parse argv and fill options(). Owns the process-exit contract:
      * --help exits 0 after printing usage, any parse error exits 2.
-     * `default_threads` applies when --threads is absent (0 defers to
-     * PDDL_BENCH_THREADS / hardware concurrency; host-timing benches
-     * pass 1 so rows do not contend).
+     * A shared flag the binary did not register reads as absent.
      */
     void
-    parseOrExit(int argc, char **argv, int default_threads = 0)
+    parseOrExit(int argc, char **argv)
     {
         if (!parser_.parse(argc, argv)) {
             std::fprintf(stderr, "%s\n%s", parser_.error().c_str(),
@@ -400,8 +530,8 @@ class BenchCli
             std::exit(0);
         }
         options().json_dir = parser_.getString("json");
-        options().threads = static_cast<int>(
-            parser_.getInt("threads", default_threads));
+        options().threads =
+            static_cast<int>(parser_.getInt("threads", 0));
         options().sim_threads =
             static_cast<int>(parser_.getInt("sim-threads", 0));
         if (options().sim_threads < 1)
@@ -439,15 +569,15 @@ class BenchCli
 };
 
 /**
- * Parse just the shared bench flags. Call first in every bench
- * main() that needs no extra flags; binaries with their own flags
- * construct a BenchCli instead.
+ * Parse just the shared `flags` (a SharedFlag set). Call first in
+ * every bench main() that needs no flags of its own; binaries with
+ * their own flags construct a BenchCli instead.
  */
 inline void
-parseArgs(int argc, char **argv, const char *description = "")
+parseArgs(int argc, char **argv, const char *description,
+          unsigned flags)
 {
-    BenchCli cli(argv[0], description);
-    cli.parseOrExit(argc, argv);
+    BenchCli(argv[0], description, flags).parseOrExit(argc, argv);
 }
 
 /**
@@ -574,8 +704,7 @@ runResponseTimeFigure(const char *figure, const char *caption,
             for (int clients : kClientCounts) {
                 experiments.push_back(scenarioExperiment(
                     {figure, name, kb, clients, type, mode},
-                    paperSpec(spec, kb, clients, type, mode,
-                              benchDevice())));
+                    paperSpec(spec, kb, clients, type, mode)));
             }
         }
     }
@@ -628,7 +757,7 @@ runSeekCountFigure(const char *figure, const char *caption,
             // moderate concurrency keeps queues busy.
             experiments.push_back(scenarioExperiment(
                 {figure, names.back(), kb, 8, type, mode},
-                paperSpec(spec, kb, 8, type, mode, benchDevice())));
+                paperSpec(spec, kb, 8, type, mode)));
         }
     }
     harness::RunSummary summary = runGrid(figure, caption, experiments);

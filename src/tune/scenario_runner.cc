@@ -155,7 +155,11 @@ runScenario(const ScenarioSpec &spec,
             arrayConfig(spec, shard, options.probe));
     } else {
         ParallelEngine::Config engine_config;
-        engine_config.threads = options.sim_threads;
+        // Probes have one writer: a tracer ring and a registry's
+        // floating-point sums must see every lane's events in one
+        // order. The history is identical at any thread count.
+        engine_config.threads =
+            options.probe.on() ? 1 : options.sim_threads;
         engine_config.lookahead = spec.dispatch_ms;
         engine = std::make_unique<ParallelEngine>(shard_count,
                                                   engine_config);

@@ -122,7 +122,8 @@ struct ScenarioOutcome
 struct RunScenarioOptions
 {
     uint64_t seed = 42;
-    /** Parallel-engine shard lanes; outcome identical at any value. */
+    /** Parallel-engine shard lanes; outcome identical at any value.
+     *  An observed run (probe on) runs its lanes on one thread. */
     int sim_threads = 1;
     /** Record the offered accesses into this trace file when set;
      *  an unwritable path throws std::runtime_error after the run. */

@@ -15,6 +15,14 @@ namespace tune {
 
 namespace {
 
+/** Reject a layout whose surrogate worst ratio exceeds the
+ *  incumbent's times this slack. */
+constexpr double kSurrogateSlack = 1.10;
+/** Initial annealing temperature (relative objective units). */
+constexpr double kInitialTemperature = 0.25;
+/** Geometric cooling factor per move. */
+constexpr double kCooling = 0.85;
+
 /** Pick one element of a small candidate list. */
 template <typename T>
 T
@@ -184,9 +192,9 @@ runChain(int chain, const ChainContext &context)
     result.best = baseline;
     result.best_objective = context.baseline_objective;
 
-    double temperature = options.t0;
+    double temperature = kInitialTemperature;
     for (int move = 0; move < options.moves;
-         ++move, temperature *= options.cooling) {
+         ++move, temperature *= kCooling) {
         ScenarioSpec candidate = current;
         const Move kind = mutateOnce(candidate, baseline, rng);
         std::string error;
@@ -200,7 +208,7 @@ runChain(int chain, const ChainContext &context)
         if (candidate == current)
             continue;
 
-        if (kind == Move::Layout && options.surrogate) {
+        if (kind == Move::Layout) {
             // Cheap pre-screen: a layout that rebuilds clearly less
             // evenly than the incumbent is not worth a simulation.
             bool rejected = false;
@@ -214,7 +222,7 @@ runChain(int chain, const ChainContext &context)
                 const double cur = surrogateWorst(
                     current.shards[s].layout,
                     current.shards[s].disks);
-                if (cand > cur * options.surrogate_slack) {
+                if (cand > cur * kSurrogateSlack) {
                     rejected = true;
                     break;
                 }
@@ -233,9 +241,8 @@ runChain(int chain, const ChainContext &context)
             ++result.memo_hits;
         } else {
             objective = evaluateScenario(
-                candidate, options.eval_seeds, options.objective,
-                options.eval_samples, options.eval_warmup,
-                options.sim_threads);
+                candidate, options.eval_seeds, options.objective, 0,
+                -1, options.sim_threads);
             memo.emplace(key, objective);
             ++result.evaluated;
         }
@@ -298,10 +305,9 @@ tune(const ScenarioSpec &baseline, const TuneOptions &options)
     // The hand-picked starting point is scored with the exact same
     // protocol as every candidate: the accept rule and the final
     // "did tuning help" comparison both read this number.
-    result.baseline_objective = evaluateScenario(
-        baseline, options.eval_seeds, options.objective,
-        options.eval_samples, options.eval_warmup,
-        options.sim_threads);
+    result.baseline_objective =
+        evaluateScenario(baseline, options.eval_seeds,
+                         options.objective, 0, -1, options.sim_threads);
 
     ChainContext context{&baseline, &options,
                          result.baseline_objective};

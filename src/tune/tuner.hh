@@ -61,23 +61,6 @@ struct TuneOptions
      * scored by the mean objective (any infinity stays infinite).
      */
     std::vector<uint64_t> eval_seeds = {0x5eed1u};
-    /**
-     * Short-sim override applied to every candidate (and to the
-     * baseline, so the accept rule compares like with like);
-     * <= 0 keeps the spec's own budget.
-     */
-    int64_t eval_samples = 0;
-    int64_t eval_warmup = -1;
-
-    /** Pre-screen layout moves with the rebuild-imbalance surrogate. */
-    bool surrogate = true;
-    /** Reject a layout whose worst ratio exceeds incumbent * slack. */
-    double surrogate_slack = 1.10;
-
-    /** Initial temperature (relative objective units). */
-    double t0 = 0.25;
-    /** Geometric cooling factor per move. */
-    double cooling = 0.85;
 };
 
 /** What one chain found (all fields deterministic per options). */
@@ -115,7 +98,9 @@ TuneResult tune(const ScenarioSpec &baseline,
 
 /**
  * The tuner's evaluation protocol as a reusable scoring call: apply
- * the eval_samples/eval_warmup override, simulate once per seed with
+ * the eval_samples/eval_warmup override (eval_samples <= 0 and
+ * eval_warmup < 0 keep the spec's own budget, which is what the tuner
+ * itself passes), simulate once per seed with
  * `sim_threads` lanes, return the mean objective. This is also what
  * bench_autotune's held-out scoring and the replay check call, so
  * "the recorded objective" always means the same procedure.

@@ -14,7 +14,9 @@
  * stripes) is meant to allocate nothing once its pools have grown.
  * One more case bounds how those pools grow: a burst of concurrent
  * writes on a fresh controller, where every access opens a new
- * request-arena slot.
+ * request-arena slot. The bare event queue has a budget of its own:
+ * a self-rescheduling timer mesh must fire its events without
+ * allocating, at small and large pending-set sizes.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "array/controller.hh"
 #include "core/pddl_layout.hh"
@@ -31,6 +34,7 @@
 #include "disk/device_model.hh"
 #include "sim/event_queue.hh"
 #include "tune/scenario_runner.hh"
+#include "util/rng.hh"
 
 namespace {
 
@@ -279,6 +283,59 @@ TEST(AllocBudget, BurstOfMultiStripeWritesOnFreshController)
     EXPECT_LE(per_write, 1.5)
         << large << " allocations for " << 2 * burst << " writes, "
         << small << " for " << burst;
+}
+
+/** One self-rescheduling timer of the event-queue mesh. */
+struct Timer
+{
+    EventQueue *queue;
+    double delta_ms;
+    uint64_t fires = 0;
+    double lag_ms = 0.0;
+
+    void
+    fire()
+    {
+        // A deadline + generation payload (24 bytes with `this`):
+        // the footprint of the simulator's real completion closures,
+        // which must fit the callback's inline storage.
+        const uint64_t generation = fires + 1;
+        const double due_ms = queue->now() + delta_ms;
+        queue->scheduleAfter(delta_ms, [this, due_ms, generation] {
+            lag_ms += queue->now() - due_ms;
+            fires = generation;
+            fire();
+        });
+    }
+};
+
+TEST(AllocBudget, EventQueueTimerMesh)
+{
+    // `timers` callbacks perpetually reschedule themselves at
+    // staggered deltas, so the queue holds a steady population and
+    // every event is one schedule, one heap pop and one dispatch.
+    for (int timers : {64, 4096, 65536}) {
+        EventQueue events;
+        std::vector<Timer> mesh;
+        mesh.reserve(static_cast<size_t>(timers));
+        Rng rng(0xbe5affe);
+        for (int t = 0; t < timers; ++t) {
+            mesh.push_back(Timer{&events, 0.25 + 0.5 * rng.uniform()});
+            mesh.back().fire();
+        }
+        const uint64_t warmup = 2 * static_cast<uint64_t>(timers);
+        while (events.fired() < warmup)
+            events.runOne();
+        const uint64_t measured = 200000;
+        const uint64_t before = g_allocations.load();
+        while (events.fired() < warmup + measured)
+            events.runOne();
+        const double per_event =
+            static_cast<double>(g_allocations.load() - before) /
+            static_cast<double>(measured);
+        // The access path's budget, per fired event.
+        EXPECT_LE(per_event, kBudgetPerAccess) << timers << " timers";
+    }
 }
 
 } // namespace

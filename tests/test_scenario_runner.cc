@@ -8,7 +8,8 @@
  * against a verbatim copy of the Monte-Carlo reliability trial it
  * replaced, and for a sharded volume against the stack bench_scaleout
  * once built by hand. Plus the tail columns' independence from the
- * Probe facade (PDDL_OBS=OFF) and a failed trace capture.
+ * Probe facade (PDDL_OBS=OFF), an observed volume's independence
+ * from its thread count, and a failed trace capture.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,8 @@
 #include "disk/device_model.hh"
 #include "fault/fault_scheduler.hh"
 #include "obs/metrics.hh"
+#include "obs/probe.hh"
+#include "obs/trace.hh"
 #include "sim/event_queue.hh"
 #include "sim/parallel_engine.hh"
 #include "tune/scenario_runner.hh"
@@ -268,6 +271,72 @@ TEST(RunScenario, UnwritableCaptureThrows)
     options.capture_path =
         ::testing::TempDir() + "pddl-no-such-dir/sub/t.trace";
     EXPECT_THROW(tune::runScenario(spec, options), std::runtime_error);
+}
+
+TEST(RunScenarioObserved, FourShardsMatchAcrossSimThreads)
+{
+    // Every lane reports to one probe, and neither the tracer ring
+    // nor a registry's floating-point sums may see lanes interleave
+    // by thread schedule: an observed run must be single-writer, so
+    // outcome, metrics and trace are the same at 4 threads as at 1.
+    ScenarioSpec spec;
+    spec.shards.assign(4, ScenarioShard{});
+    spec.chunk_units = 8;
+    spec.dispatch_ms = 2.0;
+    spec.arrivals_per_s = 300.0;
+    spec.offsets = "zipf:0.99";
+    spec.mix = {{8, true, 0.5}, {32, false, 0.5}};
+    spec.cache_enabled = true;
+    spec.cache_kb = 4096;
+    spec.samples = 1500;
+    spec.warmup = 100;
+    spec.faults = {{40.0, 1, 2}};
+    std::string error;
+    ASSERT_TRUE(spec.normalize(error)) << error;
+
+    struct Observed
+    {
+        tune::ScenarioOutcome outcome;
+        std::string metrics;
+        std::string trace;
+    };
+    auto observe = [&spec](int sim_threads) {
+        obs::MetricsRegistry registry;
+        obs::Tracer tracer;
+        tune::RunScenarioOptions options;
+        options.seed = 9;
+        options.sim_threads = sim_threads;
+        options.probe = obs::Probe(&registry, &tracer);
+        Observed run;
+        run.outcome = tune::runScenario(spec, options);
+        run.metrics = registry.snapshot().toJson().dump();
+        run.trace = tracer.chromeJson();
+        return run;
+    };
+    const Observed serial = observe(1);
+    const Observed threaded = observe(4);
+    const tune::ScenarioOutcome &a = serial.outcome;
+    const tune::ScenarioOutcome &b = threaded.outcome;
+    EXPECT_EQ(a.mean_ms, b.mean_ms);
+    EXPECT_EQ(a.p50_ms, b.p50_ms);
+    EXPECT_EQ(a.p99_ms, b.p99_ms);
+    EXPECT_EQ(a.p999_ms, b.p999_ms);
+    EXPECT_EQ(a.throughput_per_s, b.throughput_per_s);
+    EXPECT_EQ(a.samples, b.samples);
+    EXPECT_EQ(a.hit_rate, b.hit_rate);
+    EXPECT_EQ(a.destage_units, b.destage_units);
+    EXPECT_EQ(a.shard_accesses, b.shard_accesses);
+    EXPECT_EQ(a.events_fired, b.events_fired);
+    EXPECT_EQ(a.sim_ms, b.sim_ms);
+    EXPECT_EQ(a.rebuilds_completed, 1);
+    EXPECT_EQ(b.rebuilds_completed, 1);
+    EXPECT_EQ(serial.metrics, threaded.metrics);
+    EXPECT_EQ(serial.trace, threaded.trace);
+    if (obs::kObsEnabled) {
+        EXPECT_NE(serial.metrics.find("disk."), std::string::npos);
+        EXPECT_NE(serial.trace.find("\"cat\": \"rebuild\""),
+                  std::string::npos);
+    }
 }
 
 // ---- Missions against the reliability trial they replaced ----

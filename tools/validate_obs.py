@@ -4,16 +4,20 @@
 Runs one bench binary with --trace/--metrics and checks the contract
 the docs promise:
 
- 1. the trace file is valid Chrome trace_event JSON: known phases,
-    monotone non-decreasing timestamps, paired async begin/end ids,
-    named lanes;
- 2. the metrics file is a valid pddl-metrics-v1 document with sorted
-    series names and internally consistent histograms;
- 3. the BENCH JSON (rows + embedded metrics) is bit-identical between
-    --threads=1 and --threads=N once the documented wall-clock fields
-    (wall_time_s, threads, wall_ms) are stripped.
+ 1. the trace file is valid Chrome trace_event JSON with at least one
+    recorded event: known phases, monotone non-decreasing timestamps,
+    paired async begin/end ids, named lanes;
+ 2. the metrics file is a valid pddl-metrics-v1 document with at least
+    one series, sorted series names and internally consistent
+    histograms;
+ 3. the BENCH JSON (rows + embedded metrics) and the metrics file are
+    bit-identical between --threads=1 and --threads=N once the
+    documented wall-clock fields (wall_time_s, threads, wall_ms) are
+    stripped -- and, with --sim-threads N, between one and N
+    intra-scenario threads too.
 
-Usage: validate_obs.py <bench-binary> [--threads N] [--keep]
+Usage: validate_obs.py <bench-binary> [--threads N] [--sim-threads N]
+                       [--keep]
 Exit code 0 on success; prints the first violated check otherwise.
 """
 
@@ -42,9 +46,12 @@ def check(condition, message):
         fail(message)
 
 
-def run_bench(binary, out_dir, threads, trace=False, metrics=False):
+def run_bench(binary, out_dir, threads, sim_threads=None, trace=False,
+              metrics=False):
     out_dir.mkdir(parents=True, exist_ok=True)
     cmd = [str(binary), f"--json={out_dir}", f"--threads={threads}"]
+    if sim_threads is not None:
+        cmd.append(f"--sim-threads={sim_threads}")
     if trace:
         cmd.append(f"--trace={out_dir}/trace.json")
     if metrics:
@@ -61,8 +68,9 @@ def validate_trace(path):
         doc = json.load(fh)
 
     events = doc.get("traceEvents")
-    check(isinstance(events, list) and events,
-          "trace has no traceEvents array")
+    check(isinstance(events, list), "trace has no traceEvents array")
+    check(any(e.get("ph") != "M" for e in events),
+          "trace recorded no events (was the probe passed on?)")
     dropped = doc.get("dropped", 0)
     check(dropped >= 0, "negative dropped count")
     # A wrapped flight recorder legitimately loses async begins.
@@ -127,6 +135,9 @@ def validate_metrics(path):
         names = list(series)
         check(names == sorted(names), f"{section} names not sorted")
 
+    check(any(metrics.get(section) for section in
+              ("counters", "gauges", "histograms")),
+          "metrics document has no series (was the probe passed on?)")
     check(metrics.get("counters"), "no counters recorded")
     for name, hist in metrics.get("histograms", {}).items():
         # "buckets" carries one entry per "le" bound plus the
@@ -169,6 +180,10 @@ def main():
     parser.add_argument("--threads", type=int, default=8,
                         help="parallel thread count for the "
                              "determinism check (default 8)")
+    parser.add_argument("--sim-threads", type=int, default=None,
+                        help="also compare --sim-threads=1 against "
+                             "this intra-scenario thread count "
+                             "(benches with fabric rows)")
     parser.add_argument("--keep", action="store_true",
                         help="keep the scratch directory")
     args = parser.parse_args()
@@ -178,23 +193,28 @@ def main():
 
     scratch = pathlib.Path(tempfile.mkdtemp(prefix="validate_obs_"))
     try:
+        serial_sim = 1 if args.sim_threads is not None else None
         serial = run_bench(binary, scratch / "serial", threads=1,
-                           trace=True, metrics=True)
+                           sim_threads=serial_sim, trace=True,
+                           metrics=True)
         validate_trace(serial / "trace.json")
         validate_metrics(serial / "metrics.json")
 
         parallel = run_bench(binary, scratch / "parallel",
-                             threads=args.threads, metrics=True)
+                             threads=args.threads,
+                             sim_threads=args.sim_threads, metrics=True)
+        counts = f"--threads={args.threads}"
+        if args.sim_threads is not None:
+            counts += f" --sim-threads={args.sim_threads}"
         check(canonical_bench(serial) == canonical_bench(parallel),
-              f"BENCH rows differ between --threads=1 and "
-              f"--threads={args.threads} (after stripping "
-              f"{sorted(WALL_FIELDS)})")
+              f"BENCH rows differ between --threads=1 and {counts} "
+              f"(after stripping {sorted(WALL_FIELDS)})")
         serial_metrics = (serial / "metrics.json").read_bytes()
         parallel_metrics = (parallel / "metrics.json").read_bytes()
         check(serial_metrics == parallel_metrics,
               "metrics files differ between thread counts")
         print(f"validate_obs: determinism OK "
-              f"(--threads=1 == --threads={args.threads})")
+              f"(--threads=1 == {counts})")
     finally:
         if args.keep:
             print(f"validate_obs: scratch kept at {scratch}")
