@@ -1,11 +1,16 @@
 #include "core/scenario_spec.hh"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
+#include <variant>
 
 #include "core/layout_spec.hh"
 #include "disk/device_model.hh"
@@ -16,102 +21,385 @@
 namespace pddl {
 namespace {
 
+template <typename S>
+struct Field;
+
+/** A member list whose items are objects with their own table. */
+template <typename S, typename T>
+struct List
+{
+    std::vector<T> S::*items;
+    std::span<const Field<T>> fields;
+};
+
+/** Members of S written as one nested object; its rules apply only
+ *  while `enabled` is true. */
+template <typename S>
+struct Group
+{
+    std::span<const Field<S>> fields;
+    bool S::*enabled;
+};
+
 /**
- * Typed member reader: leaves `out` untouched and returns false with
- * a field-anchored message when the member exists but has the wrong
- * shape; an absent member keeps the default. An integer field takes
- * a number only when it is whole and fits the field. A seed travels
- * as its signed-64 bit pattern (see Json(uint64_t)), so an unsigned
- * field reads the int64 range and keeps the bits.
+ * A rule on one field alone. A number (a list: its length) must be
+ * >= min (AtLeast, Even also even) or > min (Above). A OneOf string
+ * must be one of `names`; a OneOf bool is spelled names[0] (false)
+ * or names[1] (true). `text` replaces the derived error text.
+ */
+struct Rule
+{
+    enum Kind : uint8_t { None, AtLeast, Even, Above, OneOf };
+    Kind kind = None;
+    double min = 0.0;
+    std::array<const char *, 2> names = {};
+    const char *text = nullptr;
+};
+
+constexpr Rule kAtLeast0{Rule::AtLeast, 0}, kAtLeast1{Rule::AtLeast, 1},
+    kAbove0{Rule::Above, 0};
+
+/** Omitted while zero (false), so older texts stay exact. */
+constexpr bool kOmitZero = true;
+
+/** One JSON key of an object: its member, rule and emit rule. */
+template <typename S>
+struct Field
+{
+    const char *key;
+    std::variant<std::string S::*, bool S::*, int S::*, int64_t S::*,
+                 uint64_t S::*, double S::*, List<S, ScenarioShard>,
+                 List<S, ScenarioMix>, List<S, ScenarioFault>, Group<S>>
+        member;
+    Rule rule = {};
+    bool omit_zero = false;
+};
+
+// The field tables: one line per JSON key, in describe()'s order.
+// Rules that read more than one field live in normalize().
+
+constexpr Field<ScenarioShard> kShardFields[] = {
+    {"layout", &ScenarioShard::layout},
+    {"device", &ScenarioShard::device},
+    {"disks", &ScenarioShard::disks,
+     {Rule::AtLeast, 2, {}, "need at least 2 drives"}},
+    {"tier", &ScenarioShard::tier},
+    {"failed_disk", &ScenarioShard::failed_disk},
+    {"rebuilt", &ScenarioShard::rebuilt, {}, kOmitZero},
+};
+
+constexpr Field<ScenarioMix> kMixFields[] = {
+    {"kb", &ScenarioMix::kb, kAtLeast1},
+    {"op", &ScenarioMix::write, {Rule::OneOf, 0, {"read", "write"}}},
+    {"weight", &ScenarioMix::weight, kAbove0},
+};
+
+constexpr Field<ScenarioFault> kFaultFields[] = {
+    {"when_ms", &ScenarioFault::when_ms, kAtLeast0},
+    {"shard", &ScenarioFault::shard},
+    {"disk", &ScenarioFault::disk},
+};
+
+using Spec = ScenarioSpec;
+
+constexpr Field<Spec> kCacheFields[] = {
+    {"enabled", &Spec::cache_enabled},
+    {"kb", &Spec::cache_kb, kAtLeast1},
+    {"ways", &Spec::cache_ways, kAtLeast1},
+    {"high", &Spec::cache_high},
+    {"low", &Spec::cache_low},
+    {"hit_ms", &Spec::cache_hit_ms, kAtLeast0},
+    {"run_units", &Spec::cache_run_units, kAtLeast1},
+    {"width", &Spec::cache_width, kAtLeast1},
+};
+
+constexpr Field<Spec> kSpecFields[] = {
+    {"shards", List<Spec, ScenarioShard>{&Spec::shards, kShardFields},
+     {Rule::AtLeast, 1, {}, "at least one shard is required"}},
+    {"allocation", &Spec::allocation,
+     {Rule::OneOf, 0, {"striped", "tiered"}}},
+    {"placement", &Spec::placement},
+    {"chunk_units", &Spec::chunk_units, kAtLeast1},
+    {"dispatch_ms", &Spec::dispatch_ms},
+    {"unit_sectors", &Spec::unit_sectors,
+     {Rule::Even, 2, {}, "must be even and >= 2 (whole KB stripe units)"}},
+    {"sstf_window", &Spec::sstf_window, kAtLeast1},
+    {"client", &Spec::client, {Rule::OneOf, 0, {"open", "closed"}}},
+    {"arrivals_per_s", &Spec::arrivals_per_s, kAbove0},
+    {"clients", &Spec::clients, kAtLeast1},
+    {"think_ms", &Spec::think_ms, kAtLeast0},
+    {"offsets", &Spec::offsets},
+    {"arrival", &Spec::arrival},
+    {"mix", List<Spec, ScenarioMix>{&Spec::mix, kMixFields}},
+    {"samples", &Spec::samples, kAtLeast1},
+    {"warmup", &Spec::warmup, kAtLeast0},
+    {"ci_tolerance", &Spec::ci_tolerance, kAtLeast0, kOmitZero},
+    {"min_samples", &Spec::min_samples, {}, kOmitZero},
+    {"cache", Group<Spec>{kCacheFields, &Spec::cache_enabled}},
+    {"faults", List<Spec, ScenarioFault>{&Spec::faults, kFaultFields}},
+    {"rebuild_parallel", &Spec::rebuild_parallel, kAtLeast1},
+    {"rebuild_stripes", &Spec::rebuild_stripes, kAtLeast0, kOmitZero},
+    {"mission_ms", &Spec::mission_ms, kAtLeast0, kOmitZero},
+    {"fault_seed", &Spec::fault_seed, {}, kOmitZero},
+    {"disk_mttf_ms", &Spec::disk_mttf_ms, kAtLeast0, kOmitZero},
+    {"latent_mtbe_ms", &Spec::latent_mtbe_ms, kAtLeast0, kOmitZero},
+    {"scrub_interval_ms", &Spec::scrub_interval_ms, kAtLeast0,
+     kOmitZero},
+};
+
+bool
+holds(const Rule &rule, double value)
+{
+    switch (rule.kind) {
+    case Rule::AtLeast:
+        return value >= rule.min;
+    case Rule::Even:
+        return value >= rule.min && std::fmod(value, 2.0) == 0.0;
+    case Rule::Above:
+        return value > rule.min;
+    default:
+        return true;
+    }
+}
+
+std::string
+ruleText(const Rule &rule)
+{
+    if (rule.text != nullptr)
+        return rule.text;
+    if (rule.kind == Rule::OneOf)
+        return std::string("expected \"") + rule.names[0] + "\" or \"" +
+               rule.names[1] + "\"";
+    return (rule.kind == Rule::Above ? "must be > " : "must be >= ") +
+           spec_text::numStr(rule.min);
+}
+
+/** "key[i]", the anchor of a list item. */
+std::string
+itemAnchor(std::string_view key, size_t i)
+{
+    return std::string(key) + "[" + std::to_string(i) + "]";
+}
+
+template <typename T>
+bool
+isZero(const T &value)
+{
+    return value == T{};
+}
+
+/** The object `obj` as JSON, every key in table order. */
+template <typename S>
+Json
+writeFields(const S &obj, std::span<const Field<S>> fields)
+{
+    Json out = Json::object();
+    for (const Field<S> &field : fields) {
+        std::visit(
+            [&](const auto &member) {
+                using M = std::decay_t<decltype(member)>;
+                if constexpr (std::is_same_v<M, Group<S>>) {
+                    out.set(field.key, writeFields(obj, member.fields));
+                } else if constexpr (requires { member.items; }) {
+                    Json items = Json::array();
+                    for (const auto &item : obj.*member.items)
+                        items.push(writeFields(item, member.fields));
+                    out.set(field.key, std::move(items));
+                } else if (!field.omit_zero || !isZero(obj.*member)) {
+                    if constexpr (std::is_same_v<M, bool S::*>) {
+                        if (field.rule.kind == Rule::OneOf) {
+                            out.set(field.key,
+                                    field.rule.names[obj.*member]);
+                            return;
+                        }
+                    }
+                    out.set(field.key, obj.*member);
+                }
+            },
+            field.member);
+    }
+    return out;
+}
+
+/**
+ * Read one JSON value into a scalar member; on a wrong shape, leave
+ * `out` untouched and say in `why` what was expected. An integer
+ * member takes a number only when it is whole and fits. A seed
+ * travels as its signed-64 bit pattern (see Json(uint64_t)), so an
+ * unsigned member reads the int64 range and keeps the bits.
  */
 template <typename T>
 bool
-get(const Json &obj, const char *key, const std::string &anchor,
-    T &out, std::string &error)
+readScalar(const Json &v, const Rule &rule, T &out, std::string &why)
 {
-    const Json *v = obj.find(key);
-    if (v == nullptr)
-        return true;
-    std::string expected;
     if constexpr (std::is_same_v<T, std::string>) {
-        if (v->isString()) {
-            out = v->asString();
+        if (v.isString()) {
+            out = v.asString();
             return true;
         }
-        expected = "a string";
+        why = "expected a string";
     } else if constexpr (std::is_same_v<T, bool>) {
-        if (v->isBool()) {
-            out = v->asBool();
+        const bool named = rule.kind == Rule::OneOf;
+        if (named ? v.isString() && (v.asString() == rule.names[0] ||
+                                     v.asString() == rule.names[1])
+                  : v.isBool()) {
+            out = named ? v.asString() == rule.names[1] : v.asBool();
             return true;
         }
-        expected = "true or false";
+        why = named ? ruleText(rule) : "expected true or false";
     } else if constexpr (std::is_floating_point_v<T>) {
-        if (v->isNumber()) {
-            out = v->asDouble();
+        if (v.isNumber()) {
+            out = v.asDouble();
             return true;
         }
-        expected = "a number";
+        why = "expected a number";
     } else {
         using Wire = std::make_signed_t<T>;
         Wire wire = 0;
-        if (v->isInteger() ? spec_text::exactInt(v->asInt(), wire)
-                           : v->isNumber() &&
-                                 spec_text::exactInt(v->asDouble(), wire)) {
+        if (v.isInteger() ? spec_text::exactInt(v.asInt(), wire)
+                          : v.isNumber() &&
+                                spec_text::exactInt(v.asDouble(), wire)) {
             out = static_cast<T>(wire);
             return true;
         }
-        expected = "an integer in [" +
-                   std::to_string(std::numeric_limits<Wire>::min()) +
-                   ", " +
-                   std::to_string(std::numeric_limits<Wire>::max()) + "]";
+        why = "expected an integer in [" +
+              std::to_string(std::numeric_limits<Wire>::min()) + ", " +
+              std::to_string(std::numeric_limits<Wire>::max()) + "]";
     }
-    error = anchor + key + ": expected " + expected;
     return false;
 }
 
-/** Reject members outside `allowed` (typo defense with an anchor). */
+/**
+ * Read the JSON object `obj` into `out`. An absent key keeps its
+ * default; an unknown key or a value of the wrong shape fails, with
+ * the key path as the anchor.
+ */
+template <typename S>
 bool
-checkKeys(const Json &obj, const std::string &anchor,
-          std::initializer_list<const char *> allowed,
-          std::string &error)
+readFields(const Json &obj, std::span<const Field<S>> fields, S &out,
+           std::string &error)
 {
-    for (const auto &member : obj.members()) {
-        if (std::find(allowed.begin(), allowed.end(), member.first) ==
-            allowed.end()) {
-            error = anchor + "unknown field '" + member.first + "'";
+    // A nested object, its errors anchored at anchor().
+    auto object = [&](const Json &v, auto anchor, auto table, auto &into) {
+        if (!v.isObject())
+            error = anchor() + ": expected an object";
+        else if (!readFields(v, table, into, error))
+            error = anchor() + "." + error;
+        else
+            return true;
+        return false;
+    };
+    for (const auto &[key, value] : obj.members()) {
+        const auto field =
+            std::find_if(fields.begin(), fields.end(),
+                         [&](const Field<S> &f) { return key == f.key; });
+        if (field == fields.end()) {
+            error = "unknown field '" + key + "'";
             return false;
         }
+        const bool read = std::visit(
+            [&](const auto &member) {
+                using M = std::decay_t<decltype(member)>;
+                if constexpr (std::is_same_v<M, Group<S>>) {
+                    return object(value, [&] { return key; },
+                                  member.fields, out);
+                } else if constexpr (requires { member.items; }) {
+                    if (!value.isArray()) {
+                        error = key + ": expected an array";
+                        return false;
+                    }
+                    auto &items = out.*member.items;
+                    items.assign(value.size(), {});
+                    for (size_t i = 0; i < items.size(); ++i) {
+                        auto anchor = [&] { return itemAnchor(key, i); };
+                        if (!object(value.at(i), anchor, member.fields,
+                                    items[i]))
+                            return false;
+                    }
+                    return true;
+                } else {
+                    std::string why;
+                    if (readScalar(value, field->rule, out.*member, why))
+                        return true;
+                    error = key + ": " + why;
+                    return false;
+                }
+            },
+            field->member);
+        if (!read)
+            return false;
     }
     return true;
 }
 
+/** Check the single-field rules of `obj`, in table order. */
+template <typename S>
 bool
-parsePlacement(const std::string &text, std::string &canonical,
-               std::string &error)
+checkFields(const S &obj, std::span<const Field<S>> fields,
+            std::string &error)
 {
-    if (text == "static" || text == "rotate") {
-        canonical = text;
-        return true;
-    }
-    if (text == "shuffle") {
-        // The ShuffledPlacement default seed, spelled out so the
-        // canonical form is explicit.
-        canonical = "shuffle:11400714819323198485";
-        return true;
-    }
-    if (text.rfind("shuffle:", 0) == 0) {
-        uint64_t seed = 0;
-        if (!spec_text::parseInt(std::string_view(text).substr(8),
-                                 seed)) {
-            error = "expected shuffle:<seed> with a decimal seed in "
-                    "[0, 18446744073709551615]";
+    for (const Field<S> &field : fields) {
+        auto broken = [&] {
+            error = field.key + (": " + ruleText(field.rule));
             return false;
-        }
-        canonical = "shuffle:" + std::to_string(seed);
-        return true;
+        };
+        const bool ok = std::visit(
+            [&](const auto &member) {
+                using M = std::decay_t<decltype(member)>;
+                if constexpr (std::is_same_v<M, Group<S>>) {
+                    if (!(obj.*member.enabled) ||
+                        checkFields(obj, member.fields, error))
+                        return true;
+                    error = field.key + ("." + error);
+                    return false;
+                } else if constexpr (requires { member.items; }) {
+                    const auto &items = obj.*member.items;
+                    if (!holds(field.rule, static_cast<double>(items.size())))
+                        return broken();
+                    for (size_t i = 0; i < items.size(); ++i) {
+                        if (!checkFields(items[i], member.fields, error)) {
+                            error = itemAnchor(field.key, i) + "." + error;
+                            return false;
+                        }
+                    }
+                    return true;
+                } else if constexpr (std::is_same_v<M, std::string S::*>) {
+                    return field.rule.kind != Rule::OneOf ||
+                           obj.*member == field.rule.names[0] ||
+                           obj.*member == field.rule.names[1] || broken();
+                } else {
+                    return holds(field.rule,
+                                 static_cast<double>(obj.*member)) ||
+                           broken();
+                }
+            },
+            field.member);
+        if (!ok)
+            return false;
     }
-    error = "expected static, rotate or shuffle:<seed>";
-    return false;
+    return true;
+}
+
+/** Canonicalize a placement in place ("shuffle" gains its seed). */
+bool
+canonicalPlacement(std::string &text, std::string &why)
+{
+    if (text == "static" || text == "rotate")
+        return true;
+    // ShuffledPlacement's default seed, spelled out in the text.
+    uint64_t seed = 11400714819323198485ULL;
+    if (text != "shuffle" && text.rfind("shuffle:", 0) != 0) {
+        why = "expected static, rotate or shuffle:<seed>";
+        return false;
+    }
+    if (text != "shuffle" &&
+        !spec_text::parseInt(std::string_view(text).substr(8), seed)) {
+        why = "expected shuffle:<seed> with a decimal seed in "
+              "[0, 18446744073709551615]";
+        return false;
+    }
+    text = "shuffle:" + std::to_string(seed);
+    return true;
 }
 
 } // namespace
@@ -119,81 +407,7 @@ parsePlacement(const std::string &text, std::string &canonical,
 Json
 ScenarioSpec::toJson() const
 {
-    Json shard_list = Json::array();
-    for (const ScenarioShard &shard : shards) {
-        Json s = Json::object();
-        s.set("layout", shard.layout)
-            .set("device", shard.device)
-            .set("disks", shard.disks)
-            .set("tier", shard.tier)
-            .set("failed_disk", shard.failed_disk);
-        if (shard.rebuilt)
-            s.set("rebuilt", true);
-        shard_list.push(std::move(s));
-    }
-    Json mix_list = Json::array();
-    for (const ScenarioMix &entry : mix) {
-        Json m = Json::object();
-        m.set("kb", entry.kb)
-            .set("op", entry.write ? "write" : "read")
-            .set("weight", entry.weight);
-        mix_list.push(std::move(m));
-    }
-    Json fault_list = Json::array();
-    for (const ScenarioFault &fault : faults) {
-        Json f = Json::object();
-        f.set("when_ms", fault.when_ms)
-            .set("shard", fault.shard)
-            .set("disk", fault.disk);
-        fault_list.push(std::move(f));
-    }
-    Json cache = Json::object();
-    cache.set("enabled", cache_enabled)
-        .set("kb", cache_kb)
-        .set("ways", cache_ways)
-        .set("high", cache_high)
-        .set("low", cache_low)
-        .set("hit_ms", cache_hit_ms)
-        .set("run_units", cache_run_units)
-        .set("width", cache_width);
-
-    Json doc = Json::object();
-    doc.set("shards", std::move(shard_list))
-        .set("allocation", allocation)
-        .set("placement", placement)
-        .set("chunk_units", chunk_units)
-        .set("dispatch_ms", dispatch_ms)
-        .set("unit_sectors", unit_sectors)
-        .set("sstf_window", sstf_window)
-        .set("client", client)
-        .set("arrivals_per_s", arrivals_per_s)
-        .set("clients", clients)
-        .set("think_ms", think_ms)
-        .set("offsets", offsets)
-        .set("arrival", arrival)
-        .set("mix", std::move(mix_list))
-        .set("samples", samples)
-        .set("warmup", warmup);
-    if (ci_tolerance != 0.0)
-        doc.set("ci_tolerance", ci_tolerance);
-    if (min_samples != 0)
-        doc.set("min_samples", min_samples);
-    doc.set("cache", std::move(cache))
-        .set("faults", std::move(fault_list))
-        .set("rebuild_parallel", rebuild_parallel);
-    if (rebuild_stripes != 0)
-        doc.set("rebuild_stripes", rebuild_stripes);
-    if (mission_ms != 0.0)
-        doc.set("mission_ms", mission_ms);
-    if (fault_seed != 0)
-        doc.set("fault_seed", fault_seed);
-    if (disk_mttf_ms != 0.0)
-        doc.set("disk_mttf_ms", disk_mttf_ms);
-    if (latent_mtbe_ms != 0.0)
-        doc.set("latent_mtbe_ms", latent_mtbe_ms);
-    if (scrub_interval_ms != 0.0)
-        doc.set("scrub_interval_ms", scrub_interval_ms);
-    return doc;
+    return writeFields<Spec>(*this, kSpecFields);
 }
 
 std::string
@@ -210,159 +424,9 @@ ScenarioSpec::fromJson(const Json &doc, ScenarioSpec &spec,
         error = "scenario: expected a JSON object";
         return false;
     }
-    if (!checkKeys(doc, "",
-                   {"shards", "allocation", "placement", "chunk_units",
-                    "dispatch_ms", "unit_sectors", "sstf_window",
-                    "client", "arrivals_per_s", "clients", "think_ms",
-                    "offsets", "arrival", "mix", "samples", "warmup",
-                    "ci_tolerance", "min_samples", "cache", "faults",
-                    "rebuild_parallel", "rebuild_stripes", "mission_ms",
-                    "fault_seed", "disk_mttf_ms", "latent_mtbe_ms",
-                    "scrub_interval_ms"},
-                   error))
-        return false;
-
     ScenarioSpec out;
-
-    if (const Json *list = doc.find("shards")) {
-        if (!list->isArray()) {
-            error = "shards: expected an array";
-            return false;
-        }
-        out.shards.clear();
-        for (size_t i = 0; i < list->size(); ++i) {
-            const Json &item = list->at(i);
-            const std::string anchor =
-                "shards[" + std::to_string(i) + "].";
-            if (!item.isObject()) {
-                error = "shards[" + std::to_string(i) +
-                        "]: expected an object";
-                return false;
-            }
-            if (!checkKeys(item, anchor,
-                           {"layout", "device", "disks", "tier",
-                            "failed_disk", "rebuilt"},
-                           error))
-                return false;
-            ScenarioShard shard;
-            if (!get(item, "layout", anchor, shard.layout, error) ||
-                !get(item, "device", anchor, shard.device, error) ||
-                !get(item, "disks", anchor, shard.disks, error) ||
-                !get(item, "tier", anchor, shard.tier, error) ||
-                !get(item, "failed_disk", anchor, shard.failed_disk, error) ||
-                !get(item, "rebuilt", anchor, shard.rebuilt, error))
-                return false;
-            out.shards.push_back(std::move(shard));
-        }
-    }
-
-    if (!get(doc, "allocation", "", out.allocation, error) ||
-        !get(doc, "placement", "", out.placement, error) ||
-        !get(doc, "chunk_units", "", out.chunk_units, error) ||
-        !get(doc, "dispatch_ms", "", out.dispatch_ms, error) ||
-        !get(doc, "unit_sectors", "", out.unit_sectors, error) ||
-        !get(doc, "sstf_window", "", out.sstf_window, error) ||
-        !get(doc, "client", "", out.client, error) ||
-        !get(doc, "arrivals_per_s", "", out.arrivals_per_s, error) ||
-        !get(doc, "clients", "", out.clients, error) ||
-        !get(doc, "think_ms", "", out.think_ms, error) ||
-        !get(doc, "offsets", "", out.offsets, error) ||
-        !get(doc, "arrival", "", out.arrival, error) ||
-        !get(doc, "samples", "", out.samples, error) ||
-        !get(doc, "warmup", "", out.warmup, error) ||
-        !get(doc, "ci_tolerance", "", out.ci_tolerance, error) ||
-        !get(doc, "min_samples", "", out.min_samples, error) ||
-        !get(doc, "rebuild_parallel", "", out.rebuild_parallel, error) ||
-        !get(doc, "rebuild_stripes", "", out.rebuild_stripes, error) ||
-        !get(doc, "mission_ms", "", out.mission_ms, error) ||
-        !get(doc, "fault_seed", "", out.fault_seed, error) ||
-        !get(doc, "disk_mttf_ms", "", out.disk_mttf_ms, error) ||
-        !get(doc, "latent_mtbe_ms", "", out.latent_mtbe_ms, error) ||
-        !get(doc, "scrub_interval_ms", "", out.scrub_interval_ms, error))
-        return false;
-
-    if (const Json *list = doc.find("mix")) {
-        if (!list->isArray()) {
-            error = "mix: expected an array";
-            return false;
-        }
-        out.mix.clear();
-        for (size_t i = 0; i < list->size(); ++i) {
-            const Json &item = list->at(i);
-            const std::string anchor =
-                "mix[" + std::to_string(i) + "].";
-            if (!item.isObject()) {
-                error = "mix[" + std::to_string(i) +
-                        "]: expected an object";
-                return false;
-            }
-            if (!checkKeys(item, anchor, {"kb", "op", "weight"},
-                           error))
-                return false;
-            ScenarioMix entry;
-            std::string op = "read";
-            if (!get(item, "kb", anchor, entry.kb, error) ||
-                !get(item, "op", anchor, op, error) ||
-                !get(item, "weight", anchor, entry.weight, error))
-                return false;
-            if (op != "read" && op != "write") {
-                error = anchor + "op: expected \"read\" or \"write\"";
-                return false;
-            }
-            entry.write = op == "write";
-            out.mix.push_back(entry);
-        }
-    }
-
-    if (const Json *cache = doc.find("cache")) {
-        if (!cache->isObject()) {
-            error = "cache: expected an object";
-            return false;
-        }
-        if (!checkKeys(*cache, "cache.",
-                       {"enabled", "kb", "ways", "high", "low",
-                        "hit_ms", "run_units", "width"},
-                       error))
-            return false;
-        if (!get(*cache, "enabled", "cache.", out.cache_enabled, error) ||
-            !get(*cache, "kb", "cache.", out.cache_kb, error) ||
-            !get(*cache, "ways", "cache.", out.cache_ways, error) ||
-            !get(*cache, "high", "cache.", out.cache_high, error) ||
-            !get(*cache, "low", "cache.", out.cache_low, error) ||
-            !get(*cache, "hit_ms", "cache.", out.cache_hit_ms, error) ||
-            !get(*cache, "run_units", "cache.", out.cache_run_units, error) ||
-            !get(*cache, "width", "cache.", out.cache_width, error))
-            return false;
-    }
-
-    if (const Json *list = doc.find("faults")) {
-        if (!list->isArray()) {
-            error = "faults: expected an array";
-            return false;
-        }
-        out.faults.clear();
-        for (size_t i = 0; i < list->size(); ++i) {
-            const Json &item = list->at(i);
-            const std::string anchor =
-                "faults[" + std::to_string(i) + "].";
-            if (!item.isObject()) {
-                error = "faults[" + std::to_string(i) +
-                        "]: expected an object";
-                return false;
-            }
-            if (!checkKeys(item, anchor, {"when_ms", "shard", "disk"},
-                           error))
-                return false;
-            ScenarioFault fault;
-            if (!get(item, "when_ms", anchor, fault.when_ms, error) ||
-                !get(item, "shard", anchor, fault.shard, error) ||
-                !get(item, "disk", anchor, fault.disk, error))
-                return false;
-            out.faults.push_back(fault);
-        }
-    }
-
-    if (!out.normalize(error))
+    if (!readFields<Spec>(doc, kSpecFields, out, error) ||
+        !out.normalize(error))
         return false;
     spec = std::move(out);
     return true;
@@ -373,9 +437,7 @@ ScenarioSpec::parse(const std::string &text, ScenarioSpec &spec,
                     std::string &error)
 {
     Json doc;
-    if (!Json::parse(text, doc, error))
-        return false;
-    return fromJson(doc, spec, error);
+    return Json::parse(text, doc, error) && fromJson(doc, spec, error);
 }
 
 ScenarioSpec
@@ -391,23 +453,22 @@ ScenarioSpec::parseOrThrow(const std::string &text)
 bool
 ScenarioSpec::normalize(std::string &error)
 {
-    if (shards.empty()) {
-        error = "shards: at least one shard is required";
+    if (!checkFields<Spec>(*this, kSpecFields, error))
         return false;
-    }
+    auto fail = [&](std::string_view anchor, std::string_view why) {
+        error.reserve(anchor.size() + 2 + why.size());
+        error.assign(anchor).append(": ").append(why);
+        return false;
+    };
+    std::string why;
     for (size_t i = 0; i < shards.size(); ++i) {
         ScenarioShard &shard = shards[i];
-        const std::string anchor = "shards[" + std::to_string(i) + "]";
-        if (shard.disks < 2) {
-            error = anchor + ".disks: need at least 2 drives";
-            return false;
-        }
+        auto at = [&](const char *key) {
+            return itemAnchor("shards", i) + "." + key;
+        };
         layouts::ParsedLayoutSpec layout;
-        std::string why;
-        if (!layouts::parseLayoutSpec(shard.layout, layout, why)) {
-            error = anchor + ".layout: " + why;
-            return false;
-        }
+        if (!layouts::parseLayoutSpec(shard.layout, layout, why))
+            return fail(at("layout"), why);
         // A spec that parses but cannot build at this disk count
         // (mirror copies not dividing n, width > n) must fail here,
         // with the anchor, not mid-simulation.
@@ -416,224 +477,89 @@ ScenarioSpec::normalize(std::string &error)
             sparing = layouts::buildLayout(layout, shard.disks)
                           ->hasSparing();
         } catch (const std::exception &e) {
-            error = anchor + ".layout: " + e.what();
-            return false;
+            return fail(at("layout"), e.what());
         }
         shard.layout = layout.canonical();
         std::shared_ptr<const DeviceModel> model;
-        if (!device::parseDeviceSpec(shard.device, model, why)) {
-            error = anchor + ".device: " + why;
-            return false;
-        }
+        if (!device::parseDeviceSpec(shard.device, model, why))
+            return fail(at("device"), why);
         shard.device = model->describe();
-        if (shard.failed_disk < -1 ||
-            shard.failed_disk >= shard.disks) {
-            error = anchor + ".failed_disk: must be -1 (healthy) or "
-                             "a disk index below disks";
-            return false;
-        }
-        if (shard.rebuilt && (shard.failed_disk < 0 || !sparing)) {
-            error = anchor + ".rebuilt: needs failed_disk >= 0 and a "
-                             "layout with spare space";
-            return false;
-        }
+        if (shard.failed_disk < -1 || shard.failed_disk >= shard.disks)
+            return fail(at("failed_disk"), "must be -1 (healthy) or a "
+                                           "disk index below disks");
+        if (shard.rebuilt && (shard.failed_disk < 0 || !sparing))
+            return fail(at("rebuilt"), "needs failed_disk >= 0 and a "
+                                       "layout with spare space");
     }
-    if (allocation != "striped" && allocation != "tiered") {
-        error = "allocation: expected \"striped\" or \"tiered\"";
-        return false;
-    }
-    {
-        std::string canonical, why;
-        if (!parsePlacement(placement, canonical, why)) {
-            error = "placement: " + why;
-            return false;
-        }
-        placement = canonical;
-    }
-    if (chunk_units < 1) {
-        error = "chunk_units: must be >= 1";
-        return false;
-    }
-    if (!(dispatch_ms > 0.0) &&
-        (dispatch_ms != 0.0 || shards.size() != 1)) {
-        error = "dispatch_ms: must be > 0, or 0 (no fabric) with "
-                "exactly one shard";
-        return false;
-    }
-    if (unit_sectors < 2 || unit_sectors % 2 != 0) {
-        error = "unit_sectors: must be even and >= 2 (whole KB "
-                "stripe units)";
-        return false;
-    }
-    if (sstf_window < 1) {
-        error = "sstf_window: must be >= 1";
-        return false;
-    }
-    if (client != "open" && client != "closed") {
-        error = "client: expected \"open\" or \"closed\"";
-        return false;
-    }
-    if (!(arrivals_per_s > 0.0)) {
-        error = "arrivals_per_s: must be > 0";
-        return false;
-    }
-    if (clients < 1) {
-        error = "clients: must be >= 1";
-        return false;
-    }
-    if (think_ms < 0.0) {
-        error = "think_ms: must be >= 0";
-        return false;
-    }
-    {
-        traffic::OffsetSpec spec;
-        std::string why;
-        if (!traffic::parseOffsetSpec(offsets, spec, why)) {
-            error = "offsets: " + why;
-            return false;
-        }
-        offsets = traffic::offsetSpecName(spec);
-    }
-    {
-        traffic::ArrivalSpec spec;
-        std::string why;
-        if (!traffic::parseArrivalSpec(arrival, spec, why)) {
-            error = "arrival: " + why;
-            return false;
-        }
-        arrival = traffic::arrivalSpecString(spec);
-    }
-    for (size_t i = 0; i < mix.size(); ++i) {
-        const std::string anchor = "mix[" + std::to_string(i) + "]";
-        if (mix[i].kb < 1) {
-            error = anchor + ".kb: must be >= 1";
-            return false;
-        }
-        if (!(mix[i].weight > 0.0)) {
-            error = anchor + ".weight: must be > 0";
-            return false;
-        }
-    }
-    if (samples < 1) {
-        error = "samples: must be >= 1";
-        return false;
-    }
-    if (warmup < 0) {
-        error = "warmup: must be >= 0";
-        return false;
-    }
-    if (!(ci_tolerance >= 0.0) ||
-        (ci_tolerance > 0.0 && client != "closed")) {
-        error = "ci_tolerance: must be >= 0, and 0 unless client is "
-                "\"closed\"";
-        return false;
-    }
-    if (min_samples < (ci_tolerance > 0.0 ? 2 : 0) ||
-        min_samples > samples) {
-        error = "min_samples: must be at most samples, and at least 2 "
-                "with a ci_tolerance";
-        return false;
-    }
-    if (cache_enabled) {
-        if (cache_kb < 1) {
-            error = "cache.kb: must be >= 1";
-            return false;
-        }
-        if (cache_ways < 1) {
-            error = "cache.ways: must be >= 1";
-            return false;
-        }
-        const int64_t capacity_units =
-            cache_kb * 2 / static_cast<int64_t>(unit_sectors);
-        if (capacity_units < cache_ways) {
-            error = "cache.kb: capacity is below one set "
-                    "(kb too small for ways at this unit_sectors)";
-            return false;
-        }
-        if (!(cache_low >= 0.0 && cache_low <= cache_high &&
-              cache_high <= 1.0)) {
-            error = "cache.high/cache.low: need 0 <= low <= high <= 1";
-            return false;
-        }
-        if (cache_hit_ms < 0.0) {
-            error = "cache.hit_ms: must be >= 0";
-            return false;
-        }
-        if (cache_run_units < 1) {
-            error = "cache.run_units: must be >= 1";
-            return false;
-        }
-        if (cache_width < 1) {
-            error = "cache.width: must be >= 1";
-            return false;
-        }
-    }
+    if (!canonicalPlacement(placement, why))
+        return fail("placement", why);
+    if (!(dispatch_ms > 0.0) && (dispatch_ms != 0.0 || shards.size() != 1))
+        return fail("dispatch_ms", "must be > 0, or 0 (no fabric) with "
+                                   "exactly one shard");
+    traffic::OffsetSpec offset_spec;
+    if (!traffic::parseOffsetSpec(offsets, offset_spec, why))
+        return fail("offsets", why);
+    offsets = traffic::offsetSpecName(offset_spec);
+    traffic::ArrivalSpec arrival_spec;
+    if (!traffic::parseArrivalSpec(arrival, arrival_spec, why))
+        return fail("arrival", why);
+    arrival = traffic::arrivalSpecString(arrival_spec);
+    if (ci_tolerance > 0.0 && client != "closed")
+        return fail("ci_tolerance", "must be 0 unless client is \"closed\"");
+    if (min_samples < (ci_tolerance > 0.0 ? 2 : 0) || min_samples > samples)
+        return fail("min_samples", "must be at most samples, and at least "
+                                   "2 with a ci_tolerance");
+    if (cache_enabled && cache_kb / (unit_sectors / 2) < cache_ways)
+        return fail("cache.kb", "capacity is below one set (kb too small "
+                                "for ways at this unit_sectors)");
+    if (cache_enabled && !(cache_low >= 0.0 && cache_low <= cache_high &&
+                           cache_high <= 1.0))
+        return fail("cache.high/cache.low", "need 0 <= low <= high <= 1");
     for (size_t i = 0; i < faults.size(); ++i) {
-        const std::string anchor = "faults[" + std::to_string(i) + "]";
         const ScenarioFault &fault = faults[i];
-        if (fault.when_ms < 0.0) {
-            error = anchor + ".when_ms: must be >= 0";
-            return false;
-        }
-        if (fault.shard < 0 ||
-            fault.shard >= static_cast<int>(shards.size())) {
-            error = anchor + ".shard: no such shard";
-            return false;
-        }
-        if (fault.disk < 0 ||
-            fault.disk >= shards[fault.shard].disks) {
-            error = anchor + ".disk: no such disk in shard " +
-                    std::to_string(fault.shard);
-            return false;
-        }
+        auto at = [&](const char *key) {
+            return itemAnchor("faults", i) + "." + key;
+        };
+        if (fault.shard < 0 || fault.shard >= static_cast<int>(shards.size()))
+            return fail(at("shard"), "no such shard");
+        const ScenarioShard &shard = shards[fault.shard];
+        if (fault.disk < 0 || fault.disk >= shard.disks)
+            return fail(at("disk"), "no such disk in shard " +
+                                        std::to_string(fault.shard));
+        // A fault's lifecycle starts from a healthy array.
+        if (shard.failed_disk >= 0)
+            return fail(at("shard"),
+                        "shard " + std::to_string(fault.shard) +
+                            " starts with failed_disk " +
+                            std::to_string(shard.failed_disk) +
+                            "; scripted faults need a healthy shard");
     }
     // Canonical fault order (the schedulers sort anyway; sorting
     // here makes describe() independent of authoring order).
     std::sort(faults.begin(), faults.end(),
               [](const ScenarioFault &a, const ScenarioFault &b) {
-                  if (a.when_ms != b.when_ms)
-                      return a.when_ms < b.when_ms;
-                  if (a.shard != b.shard)
-                      return a.shard < b.shard;
-                  return a.disk < b.disk;
+                  return std::tie(a.when_ms, a.shard, a.disk) <
+                         std::tie(b.when_ms, b.shard, b.disk);
               });
-    if (rebuild_parallel < 1) {
-        error = "rebuild_parallel: must be >= 1";
-        return false;
-    }
-    // The fault knobs are all non-negative; without a mission, the
-    // draw fields (and a scrubber that would never stop) must be 0.
-    const struct
-    {
-        const char *name;
-        double value;
-        bool needs_mission;
-    } knobs[] = {
-        {"rebuild_stripes", static_cast<double>(rebuild_stripes), false},
-        {"mission_ms", mission_ms, false},
-        {"fault_seed", fault_seed != 0 ? 1.0 : 0.0, true},
-        {"disk_mttf_ms", disk_mttf_ms, true},
-        {"latent_mtbe_ms", latent_mtbe_ms, true},
-        {"scrub_interval_ms", scrub_interval_ms, true}};
-    for (const auto &knob : knobs) {
-        if (!(knob.value >= 0.0)) {
-            error = std::string(knob.name) + ": must be >= 0";
-            return false;
-        }
-        if (knob.needs_mission && knob.value != 0.0 && mission_ms == 0.0) {
-            error = std::string(knob.name) + ": needs mission_ms > 0";
-            return false;
-        }
+    // Without a mission, the draw fields (and a scrubber that would
+    // never stop) must stay 0.
+    const std::pair<const char *, bool> drawn[] = {
+        {"fault_seed", fault_seed != 0},
+        {"disk_mttf_ms", disk_mttf_ms != 0.0},
+        {"latent_mtbe_ms", latent_mtbe_ms != 0.0},
+        {"scrub_interval_ms", scrub_interval_ms != 0.0}};
+    for (const auto &[name, set] : drawn) {
+        if (set && mission_ms == 0.0)
+            return fail(name, "needs mission_ms > 0");
     }
     // One draw scheme: a mission is one bare healthy array under a
     // closed population, the shape of a Monte-Carlo reliability trial.
     if (mission_ms > 0.0 &&
         (shards.size() != 1 || dispatch_ms != 0.0 || client != "closed" ||
-         shards.front().failed_disk >= 0)) {
-        error = "mission_ms: a mission needs one healthy shard "
-                "(failed_disk -1), dispatch_ms 0 and client \"closed\"";
-        return false;
-    }
+         shards.front().failed_disk >= 0))
+        return fail("mission_ms", "a mission needs one healthy shard "
+                                  "(failed_disk -1), dispatch_ms 0 and "
+                                  "client \"closed\"");
     return true;
 }
 
@@ -641,11 +567,9 @@ bool
 loadScenario(const std::string &path_or_json, ScenarioSpec &spec,
              std::string &error)
 {
-    const size_t first =
-        path_or_json.find_first_not_of(" \t\r\n");
+    const size_t first = path_or_json.find_first_not_of(" \t\r\n");
     if (first != std::string::npos && path_or_json[first] == '{')
         return ScenarioSpec::parse(path_or_json, spec, error);
-
     std::ifstream in(path_or_json);
     if (!in) {
         error = path_or_json + ": cannot read file";
@@ -653,11 +577,10 @@ loadScenario(const std::string &path_or_json, ScenarioSpec &spec,
     }
     std::ostringstream text;
     text << in.rdbuf();
-    if (!ScenarioSpec::parse(text.str(), spec, error)) {
-        error = path_or_json + ": " + error;
-        return false;
-    }
-    return true;
+    if (ScenarioSpec::parse(text.str(), spec, error))
+        return true;
+    error = path_or_json + ": " + error;
+    return false;
 }
 
 } // namespace pddl

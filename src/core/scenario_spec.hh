@@ -1,39 +1,23 @@
 /**
  * @file
  * ScenarioSpec: one serializable description of a whole simulated
- * scenario.
+ * scenario -- volume, workload, cache tier and fault timeline -- as
+ * plain data: spec strings and numbers, never live objects, so it
+ * hashes, compares, mutates and serializes freely. It is the genome
+ * the src/tune search mutates and the format bench --scenario and the
+ * replay tool load.
  *
- * Benches used to assemble scenarios out of ad-hoc per-bench structs
- * (a Scenario here, a HybridConfig there); the self-tuning driver
- * needs one canonical, mutable, serializable description of
- * *everything* a scenario is:
- *
- *  - the volume: shards (layout spec x device spec x disk count x
- *    tier), allocation policy, chunk placement, striping chunk,
- *    fabric dispatch latency, stripe-unit size, SSTF window;
- *  - the workload: client model (open or closed loop), offered rate
- *    or population, offset skew, arrival process, access mix (sizes
- *    in KB so the stripe-unit knob stays byte-fair), sample budget;
- *  - the cache tier: enabled flag, capacity in KB, associativity,
- *    destage watermarks and widths;
- *  - the fault timeline: scripted disk failures per shard, rebuild
- *    aggressiveness, shards that start degraded, and optionally a
- *    mission -- a seeded random timeline of failures and latent
- *    errors, with scrubbing, over a fixed simulated length.
- *
- * The canonical text form IS compact JSON: describe() renders every
- * field in a fixed order with all nested spec strings normalized
+ * The canonical text form IS compact JSON: describe() writes every
+ * key in a fixed order with the nested spec strings normalized
  * (layout/device/offset/arrival registries), and parse(describe(s))
- * reproduces `s` field-for-field -- the round-trip the property
- * tests pin for every registered layout and device family. Errors
- * are anchored: JSON syntax errors carry "line L, column C", and
- * semantic errors name the offending field ("shards[1].layout:
- * ...").
+ * reproduces `s` field-for-field. Errors are anchored: JSON syntax
+ * errors carry "line L, column C", and semantic errors name the
+ * offending field ("shards[1].layout: ...").
  *
- * The spec deliberately holds *descriptions* (spec strings, plain
- * numbers), never live objects, so it hashes, compares, mutates and
- * serializes freely -- it is the genome the src/tune search mutates
- * and the format bench --scenario and the replay tool load.
+ * Each JSON key is declared once, in the field tables of
+ * scenario_spec.cc, with its member, its single-field range rule and
+ * when it is written; toJson(), fromJson() and normalize() read those
+ * tables, and normalize() adds the rules that span fields.
  */
 
 #ifndef PDDL_CORE_SCENARIO_SPEC_HH
@@ -167,11 +151,10 @@ struct ScenarioSpec
     bool operator==(const ScenarioSpec &o) const = default;
 
     /**
-     * Canonical compact one-line JSON: every field, fixed order,
-     * nested specs normalized (rebuilt, ci_tolerance, min_samples,
-     * rebuild_stripes and the mission fields only when not default).
-     * parse(describe()) == *this for any valid spec (construct via
-     * parse() or call normalize() first).
+     * Canonical compact one-line JSON: every field in table order,
+     * nested specs normalized, the fields added after the format was
+     * fixed only when non-zero. parse(describe()) == *this for any
+     * valid spec (construct via parse() or normalize() first).
      */
     std::string describe() const;
 

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hh"
@@ -214,6 +216,13 @@ hp2247()
 namespace {
 
 /**
+ * makeHdd's calibration runs 61 average-seek passes over every
+ * cylinder; at this cap they take about 0.15 s (RelWithDebInfo, one
+ * core of a 4-vCPU x86-64 VM).
+ */
+constexpr int kMaxHddCylinders = 1000000;
+
+/**
  * Build the parameterized mechanical drive. The seek curve is
  * a + b*sqrt(d) up to a knee at cylinders/5, joined C1-continuously
  * to a linear piece; b is calibrated by bisection so the random
@@ -233,7 +242,8 @@ makeHdd(const spec_text::KeyValues &params,
     double head_switch = 0.5;
     double cost = 1.0;
     if (!params.readReal("rpm", rpm, error) ||
-        !params.readInt("cylinders", cylinders, error, 2) ||
+        !params.readInt("cylinders", cylinders, error, 2,
+                        kMaxHddCylinders) ||
         !params.readInt("heads", heads, error, 1) ||
         !params.readInt("spt", spt, error, 1) ||
         !params.readReal("min_seek_ms", min_seek, error) ||
@@ -250,6 +260,13 @@ makeHdd(const spec_text::KeyValues &params,
     }
     if (avg_seek <= min_seek) {
         error = "avg_seek_ms must exceed min_seek_ms";
+        return false;
+    }
+    // The drive's byte count must fit the int64 sector arithmetic.
+    const __int128 bytes =
+        static_cast<__int128>(cylinders) * heads * spt * 512;
+    if (bytes > std::numeric_limits<int64_t>::max()) {
+        error = "cylinders x heads x spt x 512 bytes must fit in int64";
         return false;
     }
 

@@ -296,7 +296,9 @@ const HddDeviceModel &hp2247();
  *   hp2247
  *   hdd:rpm=<r>,cylinders=<c>,heads=<h>,spt=<s>,
  *       min_seek_ms=<m>,avg_seek_ms=<a>,head_switch_ms=<w>,
- *       cost=<u>                (every key optional)
+ *       cost=<u>                (every key optional; cylinders
+ *                                at most 1000000, and the drive's
+ *                                bytes must fit in an int64)
  *   ssd:read_us=<r>,write_us=<w>,sector_us=<t>,sectors=<n>,
  *       cost=<u>                (every key optional)
  *

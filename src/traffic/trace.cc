@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/spec_text.hh"
+
 namespace pddl {
 namespace traffic {
 
@@ -35,20 +37,24 @@ parseTrace(std::istream &in)
         const size_t hash = line.find('#');
         if (hash != std::string::npos)
             line.erase(hash);
-        std::istringstream fields(line);
-        double when;
-        std::string op;
-        int64_t unit;
-        long long units;
-        if (!(fields >> when)) {
-            // Blank or comment-only line.
-            continue;
-        }
-        if (!(fields >> op >> unit >> units))
+        std::istringstream words(line);
+        std::string fields[5];
+        size_t count = 0;
+        while (count < 5 && words >> fields[count])
+            ++count;
+        if (count == 0)
+            continue; // blank or comment-only line
+        if (count < 4)
             badLine(line_no, "expected 'when op offset units'");
-        std::string trailing;
-        if (fields >> trailing)
-            badLine(line_no, "trailing field '" + trailing + "'");
+        if (count > 4)
+            badLine(line_no, "trailing field '" + fields[4] + "'");
+        double when = 0.0;
+        int64_t unit = 0;
+        int units = 0;
+        if (!spec_text::parseReal(fields[0], when))
+            badLine(line_no, "time must be a finite number, got '" +
+                                 fields[0] + "'");
+        const std::string &op = fields[1];
         if (op != "r" && op != "w")
             badLine(line_no, "op must be 'r' or 'w', got '" + op +
                                  "'");
@@ -56,14 +62,16 @@ parseTrace(std::istream &in)
             badLine(line_no, "negative time");
         if (!records.empty() && when < last_when)
             badLine(line_no, "time decreases (trace must be sorted)");
-        if (unit < 0)
-            badLine(line_no, "negative offset");
-        if (units < 1 || units > INT32_MAX)
-            badLine(line_no, "units must be a positive int");
+        if (!spec_text::parseInt(fields[2], unit, int64_t{0}))
+            badLine(line_no, "offset must be an integer >= 0, got '" +
+                                 fields[2] + "'");
+        if (!spec_text::parseInt(fields[3], units, 1))
+            badLine(line_no, "units must be a positive int, got '" +
+                                 fields[3] + "'");
         records.push_back({when,
                            op == "r" ? AccessType::Read
                                      : AccessType::Write,
-                           unit, static_cast<int>(units)});
+                           unit, units});
         last_when = when;
     }
     return records;

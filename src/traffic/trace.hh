@@ -55,9 +55,10 @@ struct TraceRecord
 };
 
 /**
- * Parse the text format. @throws std::runtime_error naming the line
- * number on any malformed line (bad field count, unknown op,
- * negative offset, non-positive length, decreasing time).
+ * Parse the text format. Numbers follow util/spec_text's grammar.
+ * @throws std::runtime_error naming the line number on any malformed
+ * line (bad field count, a time that is not a finite number, unknown
+ * op, negative offset, non-positive length, decreasing time).
  */
 std::vector<TraceRecord> parseTrace(std::istream &in);
 

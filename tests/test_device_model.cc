@@ -206,6 +206,13 @@ TEST(DeviceSpec, RejectsNonFiniteAndOutOfRangeValuesNamingTheKey)
         {"hdd:cylinders=1", "cylinders"},
         {"hdd:spt=0", "spt"},
         {"hdd:cylinders=3000000000", "cylinders"},
+        // Calibration walks every cylinder 61 times: capped so a spec
+        // fails at once instead of calibrating for minutes.
+        {"hdd:cylinders=2147483647",
+         "cylinders must be an integer in [2, 1000000]"},
+        // The sector count is an int64: sized over all three keys.
+        {"hdd:heads=2147483647,spt=2147483647,cylinders=4",
+         "cylinders x heads x spt x 512 bytes must fit in int64"},
         {"hdd:heads=2.5", "heads"},
         {"ssd:sectors=99999999999999999999", "sectors"},
         {"ssd:sectors=0", "sectors"},

@@ -517,6 +517,25 @@ TEST(TraceFormat, RejectsMalformedLinesNamingTheLine)
     }
 }
 
+TEST(TraceFormat, RejectsNumbersItCannotReadNamingTheLine)
+{
+    // The first four were once skipped as if blank, and a leading '+'
+    // was accepted; every number now goes through spec_text.
+    for (const char *bad :
+         {"nan r 1 1", "inf w 0 1", "1e999 r 0 1", "abc w 0 1",
+          "+0.5 r 1 1", "0.5 r +1 1", "0.5 r 1.5 1", "0.5 r 1 2.5"}) {
+        std::istringstream in(std::string("0 r 0 1\n") + bad + "\n");
+        try {
+            traffic::parseTrace(in);
+            ADD_FAILURE() << bad << " parsed";
+        } catch (const std::runtime_error &error) {
+            EXPECT_EQ(std::string(error.what()).rfind("trace line 2: ", 0),
+                      0u)
+                << bad << ": " << error.what();
+        }
+    }
+}
+
 TEST(TraceReplay, RejectsRecordsBeyondTheTarget)
 {
     EventQueue events;
