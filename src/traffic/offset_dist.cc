@@ -1,10 +1,12 @@
 #include "traffic/offset_dist.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <mutex>
 #include <vector>
 
+#include "util/modmath.hh"
 #include "util/spec_text.hh"
 
 namespace pddl {
@@ -19,12 +21,63 @@ namespace {
  */
 constexpr uint64_t kScrambleSeed = 0x7ea75c4a1b0ffeedULL;
 
-/** `sum` plus zeta terms first..last, added one at a time in order. */
+/** Zeta term i, 1 / i^theta, as the reference loop computes it. */
+double
+zetaTerm(int64_t i, double theta)
+{
+    return 1.0 / std::pow(static_cast<double>(i), theta);
+}
+
+/** Terms below this index are added by the plain loop. */
+constexpr int64_t kZetaDirectTerms = int64_t{1} << 16;
+/** Terms per block that one reference term anchors. */
+constexpr int kZetaBlock = 32;
+
+/**
+ * `sum` plus zeta terms first..last, rounded exactly as adding the
+ * reference terms one at a time in order rounds it. `sum` must be
+ * the running sum of terms 1..first-1.
+ *
+ * Below kZetaDirectTerms that is the reference loop. Past it, each
+ * block's first term i0 is the reference term, and term i0 + j is
+ * that anchor times the degree-5 Taylor polynomial of
+ * (1 + j / i0)^-theta, within 2^-40 of the reference term relative
+ * to it (DESIGN §11). addCertified adds such a term only where every
+ * value that close gives the same rounded sum, so the reference
+ * term would too; elsewhere the reference term is computed and added.
+ * The estimates go through `terms` so that no product of them can be
+ * contracted into the sum.
+ */
 double
 addZetaTerms(double sum, int64_t first, int64_t last, double theta)
 {
-    for (int64_t i = first; i <= last; ++i)
-        sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    int64_t i = first;
+    for (; i <= last && i < kZetaDirectTerms; ++i)
+        sum += zetaTerm(i, theta);
+    // c[k] = binomial(-theta, k), the Taylor coefficients.
+    double c[6] = {1.0};
+    for (int k = 1; k < 6; ++k)
+        c[k] = c[k - 1] * (-theta - (k - 1)) / k;
+    double terms[kZetaBlock] = {};
+    while (i <= last) {
+        const int count =
+            static_cast<int>(std::min<int64_t>(kZetaBlock, last - i + 1));
+        const double anchor = zetaTerm(i, theta);
+        const double step = 1.0 / static_cast<double>(i);
+        for (int j = 1; j < count; ++j) {
+            const double x = j * step;
+            double poly = c[5];
+            for (int k = 4; k >= 0; --k)
+                poly = c[k] + x * poly;
+            terms[j] = anchor * poly;
+        }
+        sum += anchor;
+        for (int j = 1; j < count; ++j) {
+            if (!addCertified(sum, terms[j], terms[j] * 0x1p-40))
+                sum += zetaTerm(i + j, theta);
+        }
+        i += count;
+    }
     return sum;
 }
 
@@ -62,7 +115,10 @@ zetaMemo()
 double
 zipfZetaReference(int64_t n, double theta)
 {
-    return addZetaTerms(0.0, 1, n, theta);
+    double sum = 0.0;
+    for (int64_t i = 1; i <= n; ++i)
+        sum += zetaTerm(i, theta);
+    return sum;
 }
 
 double

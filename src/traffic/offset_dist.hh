@@ -18,8 +18,9 @@
  *    YCSB convention; 0.99 is the classic "zipfian" workload),
  *    sampled with the Gray et al. closed-form generator -- one
  *    uniform draw per sample after a zeta precompute that is memoized
- *    per theta (zipfZeta): O(domain) once, then at most 4095 terms
- *    for each later sampler over a domain no larger.
+ *    per theta (zipfZeta): O(domain) once, with one pow() per 32
+ *    terms past 2^16, then at most 4095 terms for each later sampler
+ *    over a domain no larger.
  *    Ranks are scrambled across the address space with a stateless
  *    hash so the hot set is spread over the volume (and over its
  *    shards) instead of clustered at offset zero.
@@ -79,10 +80,13 @@ std::string offsetSpecName(const OffsetSpec &spec);
  * Memoized process-wide and bit-identical to zipfZetaReference(): the
  * memo keeps, per theta, the running sum every 4096 terms exactly as
  * the reference loop holds it there, and a lookup resumes the same
- * loop from the checkpoint at or below n. The first call for a theta
- * costs the reference's O(n); later calls, for any n up to the largest
- * seen, add at most 4095 terms. The first 16 distinct thetas are
- * memoized; later ones are summed directly. Thread-safe.
+ * running sum from the checkpoint at or below n. Past term 2^16 the
+ * sum calls pow() only for the first term of each block of 32 and for
+ * the rare term whose rounding an estimate cannot certify, so a call
+ * that extends the memo is O(n) at about a quarter of the reference's
+ * cost per term; later calls, for any n up to the largest seen, add at
+ * most 4095 terms. The first 16 distinct thetas are memoized; later
+ * ones are summed directly, the same way. Thread-safe.
  */
 double zipfZeta(int64_t n, double theta);
 

@@ -12,6 +12,7 @@
 #ifndef PDDL_UTIL_MODMATH_HH
 #define PDDL_UTIL_MODMATH_HH
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -52,6 +53,40 @@ fmodExact(double x, double y)
         static_cast<double>(static_cast<int64_t>(quotient));
     const double r = std::fma(-n, y, x);
     return r < 0.0 ? std::fma(-(n - 1.0), y, x) : r;
+}
+
+/**
+ * Adds `term` to `sum` when one double is the rounded sum of `sum`
+ * and every value within `error` of `term`; returns false and leaves
+ * `sum` as it was when that cannot be shown. Needs
+ * |sum| >= |term| and error >= 0.
+ *
+ * s = sum + term, and residual = term - (s - sum) is exact (Fast2Sum
+ * under that precondition), so sum + term == s + residual. Any t
+ * within `error` of `term` puts sum + t within |residual| + error of
+ * s; below half the gap from s to its nearer neighbour (ulp(s) / 2,
+ * or ulp(s) / 4 when s is a power of two, whose lower gap is half as
+ * wide) that sum rounds to s. Both sides of the test are rounded
+ * sums of non-negative values and the half gap is a power of two, so
+ * the rounded test never passes where the exact one fails. A tie
+ * fails, and so does a subnormal, infinite or NaN s.
+ */
+inline bool
+addCertified(double &sum, double term, double error)
+{
+    constexpr uint64_t kExponentBits = 0x7ff0000000000000ULL;
+    constexpr uint64_t kFractionBits = 0x000fffffffffffffULL;
+    const double s = sum + term;
+    const double residual = term - (s - sum);
+    const uint64_t bits = std::bit_cast<uint64_t>(s);
+    // 2^floor(log2 |s|), from the exponent field alone.
+    const double binade = std::bit_cast<double>(bits & kExponentBits);
+    const double half_gap =
+        binade * ((bits & kFractionBits) != 0 ? 0x1p-53 : 0x1p-54);
+    if (!(std::fabs(residual) + error < half_gap))
+        return false;
+    sum = s;
+    return true;
 }
 
 /** (a * b) mod m without overflow for m < 2^31. */

@@ -1,11 +1,12 @@
 /**
  * @file
- * Unit tests for modular arithmetic, primality, primitive roots, and
- * the exact floating-point remainder.
+ * Unit tests for modular arithmetic, primality, primitive roots, the
+ * exact floating-point remainder and the certified sum.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -143,6 +144,111 @@ TEST(FmodExact, LargeQuotientsAndOddArgumentsTakeTheLibraryPath)
     EXPECT_TRUE(matchesFmod(1234.5, 0.0));
     EXPECT_TRUE(matchesFmod(1234.5, nan));
     EXPECT_TRUE(matchesFmod(inf, inf));
+}
+
+constexpr double kTwoToMinus55 = 0x1p-55;
+
+/**
+ * addCertified(sum, term, error) with the outcome `certified`; when
+ * it certifies, the new sum is sum + term.
+ */
+void
+expectCertified(double sum, double term, double error, bool certified)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << std::hexfloat << sum << " + " << term << " within "
+                 << error);
+    double got = sum;
+    EXPECT_EQ(addCertified(got, term, error), certified);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got),
+              std::bit_cast<uint64_t>(certified ? sum + term : sum));
+}
+
+TEST(AddCertified, PowerOfTwoSumFromBelow)
+{
+    // 1.75 + (0.25 - 2^-55) rounds up to 2, whose lower neighbour is
+    // only 2^-52 away: the midpoint sits 4 * 2^-55 below 2.
+    const double term = 0.25 - kTwoToMinus55;
+    expectCertified(1.75, term, 0.0, true);
+    expectCertified(1.75, term, 2 * kTwoToMinus55, true);
+    expectCertified(1.75, term, 3 * kTwoToMinus55, false);
+    // Three quanta below with two of slack would pass a test that took
+    // ulp(2) / 2 as the half gap, yet the term five quanta below rounds
+    // to the lower neighbour.
+    expectCertified(1.75, 0.25 - 3 * kTwoToMinus55, 2 * kTwoToMinus55,
+                    false);
+    EXPECT_LT(1.75 + (0.25 - 5 * kTwoToMinus55), 2.0);
+}
+
+TEST(AddCertified, PowerOfTwoSumFromAbove)
+{
+    // 1.875 + (0.125 + 2^-55) rounds down to 2; the half gap is taken
+    // as ulp(2) / 4 on both sides.
+    const double term = 0.125 + kTwoToMinus55;
+    expectCertified(1.875, term, 0.0, true);
+    expectCertified(1.875, term, 2 * kTwoToMinus55, true);
+    expectCertified(1.875, term, 3 * kTwoToMinus55, false);
+}
+
+TEST(AddCertified, ExactTiesAreRefused)
+{
+    // 1.5 + ulp(1.5) / 2 is a tie between 1.5 and its upper neighbour;
+    // 1.5 + 3 ulp / 2 one between two neighbours above it.
+    expectCertified(1.5, 0x1p-53, 0.0, false);
+    expectCertified(1.5, 3 * 0x1p-53, 0.0, false);
+    // Just inside the tie, and just inside it with no room to spare.
+    expectCertified(1.5, 0x1p-53 - 0x1p-60, 0.0, true);
+    expectCertified(1.5, 0x1p-53 - 0x1p-60, 0x1p-60, false);
+}
+
+TEST(AddCertified, ExactSumsLeaveHalfAGapOfSlack)
+{
+    // 1.5 + 0.25 is exact: the residual is zero, so any error below
+    // half of ulp(1.75), 2^-53, passes.
+    expectCertified(1.5, 0.25, 0.0, true);
+    expectCertified(1.5, 0.25, std::nextafter(0x1p-53, 0.0), true);
+    expectCertified(1.5, 0.25, 0x1p-53, false);
+    expectCertified(1.0, 0.0, 0.0, true);
+}
+
+TEST(AddCertified, OddSumsAreRefused)
+{
+    const double inf = HUGE_VAL;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    expectCertified(tiny, tiny, 0.0, false);
+    expectCertified(inf, 1.0, 0.0, false);
+    expectCertified(std::numeric_limits<double>::max(),
+                    std::numeric_limits<double>::max(), 0.0, false);
+    expectCertified(nan, 1.0, 0.0, false);
+    expectCertified(1.0, 0.5, nan, false);
+}
+
+TEST(AddCertified, EveryTermWithinTheErrorRoundsAlike)
+{
+    // Terms in [0.5, 1) share the quantum 2^-53, so term +- k quanta is
+    // exact; sums in [1, 256) have half gaps of 1/2 to 128 quanta, so a
+    // slack of up to 64 quanta both passes and fails often.
+    Rng rng(0xadd5);
+    constexpr double kQuantum = 0x1p-53;
+    int certified = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const double sum = std::exp2(rng.uniform() * 8.0);
+        const double term =
+            0.5 + (std::floor(rng.uniform() * 0x1p51) + 64.0) * kQuantum;
+        const int k = static_cast<int>(rng.below(65));
+        double got = sum;
+        if (!addCertified(got, term, k * kQuantum))
+            continue;
+        ++certified;
+        for (int j = -k; j <= k; ++j) {
+            ASSERT_EQ(sum + (term + j * kQuantum), got)
+                << std::hexfloat << sum << " + " << term << " + " << j
+                << " quanta";
+        }
+    }
+    EXPECT_GT(certified, 2000);
+    EXPECT_LT(certified, 18000);
 }
 
 TEST(PowMod, MatchesDirectComputation)

@@ -237,6 +237,39 @@ TEST(ZipfZetaTest, ThetasPastTheMemoCapacityStayExact)
         expectExactZeta(5000 + 97 * k, 0.01 + 0.02 * k);
 }
 
+TEST(ZipfZetaTest, CertifiedWalkIsExactAtTheTunerDomains)
+{
+    // The tuner's 2-shard domain and the one its halved stripe unit
+    // extends the memo to, past 2^16 where terms are certified rather
+    // than computed. Then a query below the largest domain resumes from
+    // an inner checkpoint, inside the certified range.
+    for (double theta : {0.99, 0.5, 0.9, 0.999, 0.01}) {
+        expectExactZeta(2274480, theta);
+        expectExactZeta(4549184, theta);
+    }
+    for (double theta : {0.99, 0.01})
+        expectExactZeta(3000001, theta);
+}
+
+TEST(ZipfZetaTest, QueriesAcrossTheDirectPrefixStayExact)
+{
+    // Small domains first, so the checkpoint that ends at 2^16, the
+    // first one past it and a tail after it are each summed by one
+    // extension.
+    for (int64_t n : {65535, 65536, 65537, 69632, 70001})
+        expectExactZeta(n, 0.4321);
+}
+
+TEST(ZipfZetaTest, LargeDomainsPastTheMemoCapacityStayExact)
+{
+    // Fill the memo, so a 17th theta is summed directly from term 1:
+    // one walk from the plain prefix across 2^16 to the tuner's domain.
+    for (int k = 0; k < 16; ++k)
+        traffic::zipfZeta(1, 0.6 + 0.001 * k);
+    expectExactZeta(4549184, 0.654321);
+    expectExactZeta(65537, 0.654321);
+}
+
 TEST(ZipfZetaTest, ConcurrentLookupsAgreeWithTheReference)
 {
     // A theta no other test uses, so the threads race to build its
