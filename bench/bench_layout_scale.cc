@@ -130,7 +130,7 @@ addDraidPoints(std::vector<harness::Experiment> &experiments,
             opt.chains = kChains;
             opt.moves = derand ? movesFor(shape.n) : 0;
             opt.seed = shapeSeed(shape.n, shape.k, shape.spares);
-            // Chains ride the intra-scenario lanes; the grid pool
+            // Chains ride the intra-scenario lanes; the grid runner
             // already parallelizes across points.
             opt.threads = bench::options().sim_threads;
             LayoutSearchResult search = searchDevelopedRows(

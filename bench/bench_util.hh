@@ -10,8 +10,8 @@
  * 2%-at-95%-confidence rule.
  *
  * Grid execution is parallel: every (size, layout, clients) point is
- * an independent simulation, dispatched onto the work-stealing
- * runner of src/harness. PDDL_BENCH_THREADS (or --threads) picks the
+ * an independent simulation, fanned out by the experiment runner of
+ * src/harness. PDDL_BENCH_THREADS (or --threads) picks the
  * worker count; results are bit-identical for every thread count
  * because each point's RNG seed is derived from its identity, never
  * from scheduling. --json <dir> additionally emits one machine-
@@ -40,7 +40,6 @@
 #include "disk/device_model.hh"
 #include "harness/arg_parser.hh"
 #include "harness/runner.hh"
-#include "harness/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "tune/scenario_runner.hh"
@@ -87,10 +86,10 @@ struct BenchOptions
     std::string metrics_path;
     /**
      * Intra-scenario worker threads (the parallel engine's lanes,
-     * distinct from the grid-point pool above); 0 defers to
-     * PDDL_SIM_THREADS / 1. Output is identical at every value.
+     * distinct from the grid-point threads above); --sim-threads,
+     * default 1. Output is identical at every value.
      */
-    int sim_threads = 0;
+    int sim_threads = 1;
     /** Chrome trace JSON file; empty disables tracing. */
     std::string trace_path;
     /** The tracer observes only the first figure's first point. */
@@ -389,8 +388,8 @@ class BenchCli
             parser_.addInt("sim-threads", "n",
                            "worker threads within one scenario (the "
                            "parallel engine's shard lanes; default: "
-                           "PDDL_SIM_THREADS or 1; results are "
-                           "bit-identical for any value)",
+                           "1; results are bit-identical for any "
+                           "value)",
                            1, false, INT_MAX);
         }
         if (obs::kObsEnabled && (flags & kMetrics)) {
@@ -462,10 +461,6 @@ class BenchCli
             "(slower)\n";
         if (flags & kThreads)
             epilog += "  PDDL_BENCH_THREADS=n  default worker count\n";
-        if (flags & kSimThreads) {
-            epilog += "  PDDL_SIM_THREADS=n    default intra-scenario "
-                      "worker count\n";
-        }
         if (flags & kDevice) {
             epilog += "\nregistered device specs:\n";
             for (const std::string &name : device::deviceSpecNames())
@@ -533,9 +528,7 @@ class BenchCli
         options().threads =
             static_cast<int>(parser_.getInt("threads", 0));
         options().sim_threads =
-            static_cast<int>(parser_.getInt("sim-threads", 0));
-        if (options().sim_threads < 1)
-            options().sim_threads = harness::defaultSimThreads();
+            static_cast<int>(parser_.getInt("sim-threads", 1));
         options().metrics_path = parser_.getString("metrics");
         options().trace_path = parser_.getString("trace");
         options().device_spec = parser_.getString("device");

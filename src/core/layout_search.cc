@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "harness/thread_pool.hh"
+#include "harness/parallel_for.hh"
 #include "util/rng.hh"
 
 namespace pddl {
@@ -65,8 +65,7 @@ searchDevelopedRows(int n, int k, int spares, int rows,
         throw std::invalid_argument("layout search: bad options");
     std::vector<ChainState> states(
         static_cast<size_t>(opt.chains));
-    harness::ThreadPool pool(opt.threads);
-    pool.parallelFor(states.size(), [&](size_t c) {
+    harness::parallelFor(opt.threads, states.size(), [&](size_t c) {
         states[c] = runChain(n, k, spares, rows,
                              static_cast<int>(c), opt);
     });

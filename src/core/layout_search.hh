@@ -13,8 +13,8 @@
  * chain's final map is a pure function of (chain seed, move count),
  * and the whole result is a pure function of the options.
  *
- * Chains are scheduled on the harness work-stealing pool (one task
- * per chain); since chains never communicate, the result is
+ * Chains are fanned out with harness::parallelFor (one item per
+ * chain); since chains never communicate, the result is
  * byte-identical at every thread count. The best chain is chosen by
  * (worst-case single-fault imbalance, cost, chain index), and the
  * best *initial* map across chains doubles as the "best raw random
@@ -38,7 +38,7 @@ struct LayoutSearchOptions
     int chains = 4;        ///< independent seeded chains
     int64_t moves = 20000; ///< candidate transpositions per chain
     uint64_t seed = 1;     ///< master seed (chain c uses mix(c, seed))
-    int threads = 0;       ///< pool workers; < 1 = defaultThreads()
+    int threads = 0;       ///< chain threads; < 1 = defaultThreads()
 };
 
 /** Outcome of one chain (its map lives in LayoutSearchResult). */

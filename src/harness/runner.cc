@@ -5,7 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "harness/thread_pool.hh"
+#include "harness/parallel_for.hh"
 #include "util/rng.hh"
 
 namespace pddl {
@@ -78,8 +78,8 @@ ExperimentRunner::run(const std::vector<Experiment> &experiments) const
         out.point = experiment.point;
         out.seed = deriveSeed(experiment.point);
         const auto point_start = Clock::now();
-        // One registry per point, written by exactly one worker: a
-        // single shard whose snapshot cannot depend on thread
+        // One registry per point, written by the one thread that
+        // runs it, so its snapshot cannot depend on thread
         // interleaving. The tracer (if any) observes only point 0 so
         // the trace is one deterministic simulation.
         obs::MetricsRegistry registry;
@@ -97,8 +97,7 @@ ExperimentRunner::run(const std::vector<Experiment> &experiments) const
                 .count();
     };
 
-    ThreadPool pool(threads_);
-    pool.parallelFor(experiments.size(), runPoint);
+    parallelFor(threads_, experiments.size(), runPoint);
 
     for (const PointResult &point : summary.points) {
         summary.totals.add("points");

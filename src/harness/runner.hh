@@ -4,8 +4,8 @@
  *
  * Every figure of the paper's evaluation is a grid of independent
  * closed-loop simulations (access size x client count x layout). The
- * runner executes grid points concurrently on a work-stealing pool
- * and guarantees that the aggregated results are bit-identical to a
+ * runner executes grid points concurrently with parallelFor and
+ * guarantees that the aggregated results are bit-identical to a
  * serial run:
  *
  *  - each point's RNG seed is derived from a stable hash of its
@@ -107,7 +107,7 @@ struct RunSummary
     Welford point_wall_ms;
 };
 
-/** Executes experiment batches on a work-stealing pool. */
+/** Executes experiment batches with parallelFor. */
 class ExperimentRunner
 {
   public:
@@ -119,8 +119,9 @@ class ExperimentRunner
     /**
      * Collect a per-point metrics snapshot from whatever each point
      * records through its probe. Each point writes its own registry
-     * (one writer, one shard) and snapshots are merged in submission
-     * order, so the output stays bit-identical across thread counts.
+     * from the one thread that runs it, and snapshots are merged in
+     * submission order, so the output stays bit-identical across
+     * thread counts.
      */
     void enableMetrics(bool on) { metrics_enabled_ = on; }
 

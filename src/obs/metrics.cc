@@ -1,8 +1,6 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <string_view>
@@ -207,13 +205,6 @@ MetricsSnapshot::toJson() const
 
 namespace {
 
-/** Instance identity that survives address reuse (see localShard). */
-std::atomic<uint64_t> next_registry_id{1};
-
-/** Per-thread writer identity; never reused, unlike thread ids. */
-std::atomic<uint64_t> next_thread_token{1};
-thread_local const uint64_t this_thread_token = next_thread_token++;
-
 constexpr size_t kInitialSlots = 64;
 
 size_t
@@ -228,14 +219,13 @@ slotOf(const char *name, size_t mask)
 
 } // namespace
 
-MetricsRegistry::NameIndex::NameIndex() : slots_(kInitialSlots) {}
-
 uint32_t
 MetricsRegistry::NameIndex::resolve(const char *name, bool &created)
 {
     created = false;
     const size_t mask = slots_.size() - 1;
-    for (size_t i = slotOf(name, mask);; i = (i + 1) & mask) {
+    for (size_t i = slotOf(name, mask); !slots_.empty();
+         i = (i + 1) & mask) {
         Slot &slot = slots_[i];
         if (slot.key == nullptr)
             break;
@@ -275,7 +265,9 @@ MetricsRegistry::NameIndex::remember(const char *name, uint32_t id)
         std::vector<Slot> old;
         old.swap(slots_);
         const bool stale = old.size() >= 8 * (names_.size() + 8);
-        slots_.assign(stale ? kInitialSlots : 2 * old.size(), Slot{});
+        slots_.assign(stale ? kInitialSlots
+                            : std::max(kInitialSlots, 2 * old.size()),
+                      Slot{});
         used_ = 0;
         if (!stale) {
             for (const Slot &slot : old) {
@@ -292,89 +284,38 @@ MetricsRegistry::NameIndex::remember(const char *name, uint32_t id)
     ++used_;
 }
 
-MetricsRegistry::MetricsRegistry() : id_(next_registry_id++) {}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry::Shard &
-MetricsRegistry::localShard()
-{
-    // Per-thread cache of (registry identity -> shard), newest first.
-    // Keying on the id makes a hit safe even when a destroyed
-    // registry's address is recycled by a later one. A miss looks the
-    // thread up among the registry's shards before creating one, so a
-    // thread owns exactly one shard per registry however many
-    // registries it writes round-robin.
-    struct CacheEntry
-    {
-        uint64_t id;
-        Shard *shard;
-    };
-    constexpr size_t kCacheEntries = 16;
-    thread_local std::array<CacheEntry, kCacheEntries> cache{};
-    thread_local size_t cached = 0;
-    for (size_t i = 0; i < cached; ++i) {
-        if (cache[i].id == id_)
-            return *cache[i].shard;
-    }
-
-    Shard *shard = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const uint64_t token = this_thread_token;
-        for (const auto &candidate : shards_) {
-            if (candidate->writer == token)
-                shard = candidate.get();
-        }
-        if (shard == nullptr) {
-            shards_.push_back(std::make_unique<Shard>());
-            shard = shards_.back().get();
-            shard->writer = token;
-        }
-    }
-    if (cached < kCacheEntries)
-        ++cached;
-    std::move_backward(cache.begin(), cache.begin() + cached - 1,
-                       cache.begin() + cached);
-    cache[0] = {id_, shard};
-    return *shard;
-}
-
 void
 MetricsRegistry::add(const char *name, double delta)
 {
-    Shard &shard = localShard();
     bool created = false;
-    const uint32_t id = shard.counter_ids.resolve(name, created);
+    const uint32_t id = counter_ids_.resolve(name, created);
     if (created)
-        shard.counters.push_back(0.0);
-    shard.counters[id] += delta;
+        counters_.push_back(0.0);
+    counters_[id] += delta;
 }
 
 void
 MetricsRegistry::gaugeMax(const char *name, double value)
 {
-    Shard &shard = localShard();
     bool created = false;
-    const uint32_t id = shard.gauge_ids.resolve(name, created);
+    const uint32_t id = gauge_ids_.resolve(name, created);
     if (created)
-        shard.gauges.push_back(value);
+        gauges_.push_back(value);
     else
-        shard.gauges[id] = std::max(shard.gauges[id], value);
+        gauges_[id] = std::max(gauges_[id], value);
 }
 
 void
 MetricsRegistry::observe(const char *name, double value_ms)
 {
-    Shard &shard = localShard();
     bool created = false;
-    const uint32_t id = shard.histogram_ids.resolve(name, created);
+    const uint32_t id = histogram_ids_.resolve(name, created);
     if (created) {
-        shard.histograms.emplace_back(histogram_bounds_.empty()
-                                          ? defaultLatencyBoundsMs()
-                                          : histogram_bounds_);
+        histograms_.emplace_back(histogram_bounds_.empty()
+                                     ? defaultLatencyBoundsMs()
+                                     : histogram_bounds_);
     }
-    shard.histograms[id].add(value_ms);
+    histograms_[id].add(value_ms);
 }
 
 void
@@ -386,7 +327,7 @@ MetricsRegistry::setHistogramBounds(std::vector<double> bounds)
 
 namespace {
 
-/** One series kind of a shard as a name-sorted (name, value) list. */
+/** One series kind as a name-sorted (name, value) list. */
 template <typename T, typename Index>
 std::vector<std::pair<std::string, T>>
 sortedSeries(const Index &index, const std::vector<T> &values)
@@ -403,24 +344,11 @@ sortedSeries(const Index &index, const std::vector<T> &values)
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    MetricsSnapshot merged;
-    for (const auto &shard : shards_) {
-        MetricsSnapshot view;
-        view.counters = sortedSeries(shard->counter_ids, shard->counters);
-        view.gauges = sortedSeries(shard->gauge_ids, shard->gauges);
-        view.histograms =
-            sortedSeries(shard->histogram_ids, shard->histograms);
-        merged.merge(view);
-    }
-    return merged;
-}
-
-size_t
-MetricsRegistry::shardCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return shards_.size();
+    MetricsSnapshot snap;
+    snap.counters = sortedSeries(counter_ids_, counters_);
+    snap.gauges = sortedSeries(gauge_ids_, gauges_);
+    snap.histograms = sortedSeries(histogram_ids_, histograms_);
+    return snap;
 }
 
 MetricsSnapshot

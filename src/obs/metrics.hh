@@ -3,20 +3,21 @@
  * Metrics registry: named counters, gauges and fixed-bucket latency
  * histograms.
  *
- * Writers record through per-thread shards -- after a shard is
- * created (one mutex acquisition per thread per registry) every
- * increment touches thread-private storage only, so concurrent
- * harness workers never contend or race. A snapshot merges the
- * shards into one name-sorted view; merging is associative and
- * order-fixed (counters and histogram buckets sum, gauges keep the
- * maximum), so any shard arrangement of the same recorded values
- * yields the identical snapshot, which is what keeps BENCH output
- * bit-identical across --threads.
+ * A registry has the Tracer's contract, since both sit behind the
+ * same Probe: one writer at a time, with every handoff between
+ * threads ordered by the caller's own synchronization (thread start
+ * and join, the parallel engine's window barrier). Every writer in
+ * the simulator keeps it: the harness gives each grid point its own
+ * registry, and a parallel scenario gives each engine lane its own
+ * (folded in lane order by snapshotAll) or runs its probe on one
+ * thread. Values therefore accumulate in the one order the
+ * simulation fixes, which keeps the floating-point sums, and with
+ * them BENCH output, bit-identical across --threads.
  *
  * Metric names follow `component.metric[_unit]` (see README
  * "Observability"). A name is any NUL-terminated string and is
- * compared by content: each shard interns it once and resolves it to
- * a dense series id through a table keyed by the name's address, so
+ * compared by content: the registry interns it once and resolves it
+ * to a dense series id through a table keyed by the name's address, so
  * after a series' first record every call is a pointer hash plus one
  * strcmp -- no allocation, no string construction. Callers normally
  * pass string literals; a buffer that is reused for different text
@@ -28,8 +29,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,20 +107,15 @@ struct MetricsSnapshot
 };
 
 /**
- * Registry of named metrics with per-thread shards.
- *
- * add/gaugeMax/observe are safe to call from any number of threads
- * concurrently; snapshot() must only run while no writer is active
- * (the harness snapshots after its workers join; single-threaded
- * simulations trivially satisfy this).
+ * Registry of named metrics with a single writer (see the file
+ * comment): add/gaugeMax/observe/snapshot must never overlap.
  */
 class MetricsRegistry
 {
   public:
-    MetricsRegistry();
+    MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-    ~MetricsRegistry();
 
     /** Add `delta` to counter `name` (created at zero). */
     void add(const char *name, double delta = 1.0);
@@ -144,15 +138,12 @@ class MetricsRegistry
      */
     void setHistogramBounds(std::vector<double> bounds);
 
-    /** Merge every shard into one name-sorted snapshot. */
+    /** Every series, name-sorted. */
     MetricsSnapshot snapshot() const;
-
-    /** Shards created so far (one per writer thread). */
-    size_t shardCount() const;
 
   private:
     /**
-     * Name -> dense series id within one shard. A pointer-keyed
+     * Name -> dense series id. A pointer-keyed
      * open-addressing table fronts a content index: a hit hashes the
      * name's address and confirms the text with one strcmp against
      * the interned copy; a miss (new address, or a recycled address
@@ -162,8 +153,6 @@ class MetricsRegistry
     class NameIndex
     {
       public:
-        NameIndex();
-
         /** Id of `name`; `created` is set when the series is new. */
         uint32_t resolve(const char *name, bool &created);
 
@@ -184,31 +173,24 @@ class MetricsRegistry
         uint32_t intern(const char *name, bool &created);
         void remember(const char *name, uint32_t id);
 
-        std::vector<Slot> slots_; ///< power-of-two sized
+        /**
+         * Power-of-two sized; empty until the first name, so a
+         * registry nothing writes allocates nothing.
+         */
+        std::vector<Slot> slots_;
         size_t used_ = 0;
         std::map<std::string, uint32_t, std::less<>> by_text_;
         /** Interned text by id (keys of by_text_; nodes are stable). */
         std::vector<const std::string *> names_;
     };
 
-    /** One writer thread's series, stored flat by id. */
-    struct Shard
-    {
-        uint64_t writer = 0; ///< token of the thread that owns it
-        NameIndex counter_ids;
-        NameIndex gauge_ids;
-        NameIndex histogram_ids;
-        std::vector<double> counters;
-        std::vector<double> gauges;
-        std::vector<HistogramData> histograms;
-    };
-
-    /** This thread's shard, created on its first write. */
-    Shard &localShard();
-
-    const uint64_t id_; ///< instance identity for shard caching
-    mutable std::mutex mutex_; ///< guards shards_ layout only
-    std::vector<std::unique_ptr<Shard>> shards_;
+    /** Series values stored flat by id. */
+    NameIndex counter_ids_;
+    NameIndex gauge_ids_;
+    NameIndex histogram_ids_;
+    std::vector<double> counters_;
+    std::vector<double> gauges_;
+    std::vector<HistogramData> histograms_;
     /** Bounds for new histograms; empty = defaultLatencyBoundsMs(). */
     std::vector<double> histogram_bounds_;
 };
@@ -216,9 +198,9 @@ class MetricsRegistry
 /**
  * Snapshot several registries and fold them in caller order.
  *
- * A parallel scenario keeps one single-writer registry per lane
- * (shard) instead of letting lanes share thread-local shards of one
- * registry: histogram sums are floating-point folds, so only a merge
+ * Engine lanes run on different threads at once, so a parallel
+ * scenario that records from every lane keeps one registry per lane
+ * (shard): histogram sums are floating-point folds, so only a merge
  * order fixed by the caller -- shard 0, 1, 2, ... -- keeps the
  * grouping, and with it the merged snapshot, byte-identical across
  * worker-thread counts. Null entries are skipped.

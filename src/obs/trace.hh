@@ -72,7 +72,11 @@ struct TraceEvent
     int num_args = 0;
 };
 
-/** Fixed-capacity flight recorder with Chrome JSON export. */
+/**
+ * Fixed-capacity flight recorder with Chrome JSON export. It takes no
+ * lock: one writer at a time, with every handoff between threads
+ * ordered by the caller (the MetricsRegistry contract).
+ */
 class Tracer
 {
   public:

@@ -7,7 +7,7 @@
 
 #include "core/imbalance.hh"
 #include "core/layout_spec.hh"
-#include "harness/thread_pool.hh"
+#include "harness/parallel_for.hh"
 #include "util/rng.hh"
 
 namespace pddl {
@@ -313,13 +313,12 @@ tune(const ScenarioSpec &baseline, const TuneOptions &options)
                          result.baseline_objective};
     result.chains.resize(static_cast<size_t>(options.chains));
 
-    // Chains are fully independent; the pool only changes wall
-    // time. Merging below walks chain index order, so the outcome
-    // is byte-identical for every thread count.
-    harness::ThreadPool pool(options.threads > 0 ? options.threads
-                                                 : options.chains);
-    pool.parallelFor(
-        static_cast<size_t>(options.chains), [&](size_t chain) {
+    // Chains are fully independent; the thread count only changes
+    // wall time. Merging below walks chain index order, so the
+    // outcome is byte-identical for every thread count.
+    harness::parallelFor(
+        options.threads, static_cast<size_t>(options.chains),
+        [&](size_t chain) {
             result.chains[chain] =
                 runChain(static_cast<int>(chain), context);
         });

@@ -16,7 +16,7 @@
  * Search structure follows the PR-9 derandomization pattern: chains
  * are fully independent -- chain c's Rng is seeded
  * hashMix64(options.seed, c), its evaluations memoized per chain --
- * and scheduled on the PR-1 work-stealing pool, then merged in chain
+ * and fanned out with harness::parallelFor, then merged in chain
  * index order. The result is therefore byte-identical at every
  * --threads value.
  *
@@ -50,7 +50,7 @@ struct TuneOptions
     int moves = 16;
     /** Master seed; chain c draws from hashMix64(seed, c). */
     uint64_t seed = 0x7de5u;
-    /** Worker threads for the chain pool; 0 = one per chain. */
+    /** Threads running the chains; < 1 = harness::defaultThreads(). */
     int threads = 0;
     /** Engine lanes inside each evaluation simulation. */
     int sim_threads = 1;

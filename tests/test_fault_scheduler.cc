@@ -351,7 +351,7 @@ TEST_F(FaultFixture, ReliabilityTrialIsDeterministic)
 TEST_F(FaultFixture, ReliabilitySweepIsThreadCountInvariant)
 {
     // The bench_reliability grid in miniature: missions run on the
-    // harness pool give identical results for every worker count.
+    // harness threads give identical results for every thread count.
     std::vector<harness::Experiment> experiments;
     for (int parallel : {1, 4}) {
         harness::Experiment experiment;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the parallel experiment harness: the work-stealing pool,
+ * Tests for the parallel experiment harness: parallelFor,
  * deterministic per-point seeding, the serial-vs-parallel determinism
  * guarantee, and the BENCH_*.json emitter.
  */
@@ -8,18 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/scenario_spec.hh"
+#include "harness/parallel_for.hh"
 #include "harness/runner.hh"
-#include "harness/thread_pool.hh"
 #include "tune/scenario_runner.hh"
 #include "util/json.hh"
 
@@ -30,16 +34,10 @@ using harness::deriveSeed;
 using harness::Experiment;
 using harness::ExperimentRunner;
 using harness::GridPoint;
+using harness::parallelFor;
 using harness::RunSummary;
-using harness::ThreadPool;
 
-TEST(ThreadPool, ReportsRequestedThreadCount)
-{
-    EXPECT_EQ(ThreadPool(1).threads(), 1);
-    EXPECT_EQ(ThreadPool(4).threads(), 4);
-}
-
-TEST(ThreadPool, DefaultThreadsHonorsEnvironment)
+TEST(ParallelFor, DefaultThreadsHonorsEnvironment)
 {
     ::setenv("PDDL_BENCH_THREADS", "7", 1);
     EXPECT_EQ(harness::defaultThreads(), 7);
@@ -50,51 +48,77 @@ TEST(ThreadPool, DefaultThreadsHonorsEnvironment)
     EXPECT_GE(harness::defaultThreads(), 1);
 }
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
     for (int threads : {1, 2, 4, 8}) {
-        ThreadPool pool(threads);
         const size_t count = 500;
         std::vector<std::atomic<int>> hits(count);
-        pool.parallelFor(count,
-                         [&](size_t i) { hits[i].fetch_add(1); });
+        parallelFor(threads, count,
+                    [&](size_t i) { hits[i].fetch_add(1); });
         for (size_t i = 0; i < count; ++i)
             EXPECT_EQ(hits[i].load(), 1) << "index " << i << " with "
                                          << threads << " threads";
     }
 }
 
-TEST(ThreadPool, EmptyBatchIsANoop)
+TEST(ParallelFor, EmptyBatchIsANoop)
 {
-    ThreadPool pool(4);
-    pool.parallelFor(0, [](size_t) { FAIL() << "must not be called"; });
+    parallelFor(4, 0, [](size_t) { FAIL() << "must not be called"; });
 }
 
-TEST(ThreadPool, ReusableAcrossBatches)
+TEST(ParallelFor, PropagatesTaskExceptions)
 {
-    ThreadPool pool(4);
-    std::atomic<int> total{0};
-    for (int batch = 0; batch < 5; ++batch)
-        pool.parallelFor(100, [&](size_t) { total.fetch_add(1); });
-    EXPECT_EQ(total.load(), 500);
-}
-
-TEST(ThreadPool, PropagatesTaskExceptions)
-{
+    // The first failure surfaces only after every other index ran,
+    // so no result slot is left unwritten behind the error.
     for (int threads : {1, 4}) {
-        ThreadPool pool(threads);
-        EXPECT_THROW(pool.parallelFor(64,
-                                      [](size_t i) {
-                                          if (i == 17)
-                                              throw std::runtime_error(
-                                                  "boom");
-                                      }),
+        std::vector<std::atomic<int>> hits(64);
+        EXPECT_THROW(parallelFor(threads, hits.size(),
+                                 [&](size_t i) {
+                                     hits[i].fetch_add(1);
+                                     if (i == 17)
+                                         throw std::runtime_error(
+                                             "boom");
+                                 }),
                      std::runtime_error);
-        // The pool must stay usable after a failed batch.
-        std::atomic<int> ran{0};
-        pool.parallelFor(8, [&](size_t) { ran.fetch_add(1); });
-        EXPECT_EQ(ran.load(), 8);
+        for (size_t i = 0; i < hits.size(); ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "index " << i << " with "
+                                         << threads << " threads";
     }
+}
+
+TEST(ParallelFor, OneThreadRunsInlineInIndexOrder)
+{
+    // threads = 1, and threads = 0 resolved through
+    // PDDL_BENCH_THREADS=1: the serial reference schedule.
+    ::setenv("PDDL_BENCH_THREADS", "1", 1);
+    for (int threads : {1, 0}) {
+        std::vector<size_t> order;
+        std::vector<std::thread::id> ids;
+        parallelFor(threads, 6, [&](size_t i) {
+            order.push_back(i);
+            ids.push_back(std::this_thread::get_id());
+        });
+        EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5}))
+            << "threads " << threads;
+        for (const std::thread::id &id : ids)
+            EXPECT_EQ(id, std::this_thread::get_id());
+    }
+    ::unsetenv("PDDL_BENCH_THREADS");
+}
+
+TEST(ParallelFor, NeverRunsMoreThreadsThanItems)
+{
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    parallelFor(8, 3, [&](size_t) {
+        // Hold each item long enough that idle threads, if any had
+        // been started, would be seen claiming work.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), 3u);
 }
 
 TEST(DeriveSeed, StableAndFieldSensitive)

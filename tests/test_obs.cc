@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -58,95 +57,6 @@ TEST(MetricsRegistry, MissingSeriesReadAsZeroOrNull)
     EXPECT_DOUBLE_EQ(snap.counter("nope"), 0.0);
     EXPECT_DOUBLE_EQ(snap.gauge("nope"), 0.0);
     EXPECT_EQ(snap.histogram("nope"), nullptr);
-}
-
-TEST(MetricsRegistry, ShardMergeMatchesSingleThreadTotals)
-{
-    // The same values recorded from four threads (four shards) and
-    // from one thread (one shard) must snapshot identically: merge
-    // is order-fixed and associative.
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 1000;
-
-    MetricsRegistry sharded;
-    std::vector<std::thread> writers;
-    for (int t = 0; t < kThreads; ++t) {
-        writers.emplace_back([&sharded, t] {
-            for (int i = 0; i < kPerThread; ++i) {
-                sharded.add("w.ops");
-                sharded.gaugeMax("w.peak", t * kPerThread + i);
-                sharded.observe("w.lat_ms", (i % 50) * 0.3);
-            }
-        });
-    }
-    for (std::thread &w : writers)
-        w.join();
-    EXPECT_GE(sharded.shardCount(), 1u);
-
-    MetricsRegistry single;
-    for (int t = 0; t < kThreads; ++t) {
-        for (int i = 0; i < kPerThread; ++i) {
-            single.add("w.ops");
-            single.gaugeMax("w.peak", t * kPerThread + i);
-            single.observe("w.lat_ms", (i % 50) * 0.3);
-        }
-    }
-
-    MetricsSnapshot a = sharded.snapshot();
-    MetricsSnapshot b = single.snapshot();
-    EXPECT_EQ(a.counters, b.counters);
-    EXPECT_EQ(a.gauges, b.gauges);
-    ASSERT_EQ(a.histograms.size(), b.histograms.size());
-    const HistogramData *ha = a.histogram("w.lat_ms");
-    const HistogramData *hb = b.histogram("w.lat_ms");
-    ASSERT_NE(ha, nullptr);
-    ASSERT_NE(hb, nullptr);
-    EXPECT_EQ(ha->counts, hb->counts);
-    EXPECT_EQ(ha->count, hb->count);
-    EXPECT_DOUBLE_EQ(ha->sum, hb->sum);
-    EXPECT_DOUBLE_EQ(ha->min, hb->min);
-    EXPECT_DOUBLE_EQ(ha->max, hb->max);
-
-    // The JSON rendering (what lands in BENCH rows) matches too.
-    EXPECT_EQ(a.toJson().dump(), b.toJson().dump());
-}
-
-TEST(MetricsRegistry, ThreadLocalCacheSurvivesRegistryReuse)
-{
-    // Registries die and new ones reuse their addresses (the harness
-    // creates one per grid point); the thread-local shard cache must
-    // key on instance identity, not address.
-    for (int round = 0; round < 8; ++round) {
-        MetricsRegistry registry;
-        registry.add("r.count", round + 1);
-        MetricsSnapshot snap = registry.snapshot();
-        EXPECT_DOUBLE_EQ(snap.counter("r.count"), round + 1.0);
-    }
-}
-
-TEST(MetricsRegistry, OneShardPerThreadAcrossManyRegistries)
-{
-    // A thread writing round-robin to more registries than its shard
-    // cache holds must still own exactly one shard in each, and each
-    // registry must snapshot exactly like one fed the same values.
-    constexpr int kRegistries = 17;
-    constexpr int kRounds = 100;
-    std::vector<std::unique_ptr<MetricsRegistry>> registries;
-    for (int r = 0; r < kRegistries; ++r)
-        registries.push_back(std::make_unique<MetricsRegistry>());
-    MetricsRegistry single;
-    for (int round = 0; round < kRounds; ++round) {
-        for (int r = 0; r < kRegistries; ++r) {
-            registries[r]->add("x");
-            registries[r]->observe("x.lat_ms", 0.1 * round + 0.01 * r);
-        }
-        single.add("x");
-        single.observe("x.lat_ms", 0.1 * round);
-    }
-    EXPECT_EQ(registries[0]->shardCount(), 1u);
-    EXPECT_EQ(registries[kRegistries - 1]->shardCount(), 1u);
-    EXPECT_EQ(registries[0]->snapshot().toJson().dump(),
-              single.snapshot().toJson().dump());
 }
 
 /**
@@ -268,7 +178,6 @@ TEST(MetricsRegistry, InternedIdsMatchNameKeyedReference)
             reference.observe(name, value);
         }
     }
-    EXPECT_EQ(registry.shardCount(), 1u);
     const MetricsSnapshot snap = registry.snapshot();
     EXPECT_EQ(snap.toJson().dump(), reference.json());
 
@@ -281,6 +190,33 @@ TEST(MetricsRegistry, InternedIdsMatchNameKeyedReference)
     ASSERT_NE(during, nullptr);
     EXPECT_EQ(before->bounds, defaultLatencyBoundsMs());
     EXPECT_EQ(during->bounds, fine);
+}
+
+TEST(MetricsRegistry, HandoffBetweenThreadsMatchesReference)
+{
+    // One writer at a time, handed from thread to thread through
+    // start and join, accumulates exactly like one thread doing all
+    // the writes: the sums see the same values in the same order.
+    constexpr int kWriters = 4;
+    constexpr int kPerWriter = 1000;
+    MetricsRegistry registry;
+    ReferenceRegistry reference;
+    for (int t = 0; t < kWriters; ++t) {
+        std::thread writer([&registry, t] {
+            for (int i = 0; i < kPerWriter; ++i) {
+                registry.add("w.ops", 1.0);
+                registry.gaugeMax("w.peak", t * kPerWriter + i);
+                registry.observe("w.lat_ms", (i % 50) * 0.3);
+            }
+        });
+        writer.join();
+        for (int i = 0; i < kPerWriter; ++i) {
+            reference.add("w.ops", 1.0);
+            reference.gaugeMax("w.peak", t * kPerWriter + i);
+            reference.observe("w.lat_ms", (i % 50) * 0.3);
+        }
+    }
+    EXPECT_EQ(registry.snapshot().toJson().dump(), reference.json());
 }
 
 TEST(MetricsRegistry, ReusedBufferNeverAliasesOldSeries)

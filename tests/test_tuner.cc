@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the self-tuning scenario search: byte-identical results
- * across chain-pool thread counts, reproducibility per seed, the
+ * across chain thread counts, reproducibility per seed, the
  * never-worse-than-baseline guarantee, chain accounting, and the
  * determinism of the shared evaluation protocol across engine lanes.
  */
