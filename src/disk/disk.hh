@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "disk/device_model.hh"
 #include "disk/geometry.hh"
@@ -26,7 +27,6 @@
 #include "obs/probe.hh"
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
-#include "util/ring_queue.hh"
 
 namespace pddl {
 
@@ -40,13 +40,6 @@ struct DiskRequest
     uint64_t access_id = 0;
     /** Completion callback, fired at service completion time. */
     InlineCallback done;
-    /** Arrival time, stamped by Disk::submit (queue-wait metric). */
-    double submit_ms = 0.0;
-    /**
-     * Media position of `lba`, decoded once by Disk::submit; the SSTF
-     * pick, classify() and serviceTime() all read it.
-     */
-    DiskPosition position{};
 };
 
 /**
@@ -68,7 +61,7 @@ class Disk
          int sstf_window = 20, int id = 0, obs::Probe probe = {});
 
     /** Enqueue a request; service begins as the arm frees up. */
-    void submit(DiskRequest request);
+    void submit(DiskRequest &&request);
 
     /**
      * Mark one sector as a latent (undetected) medium error. The
@@ -110,13 +103,45 @@ class Disk
     SimTime busyMs() const { return busy_ms_; }
 
     /** Requests waiting (excluding the one in service). */
-    size_t queueDepth() const { return queue_.size(); }
+    size_t queueDepth() const { return waiting_; }
 
     bool busy() const { return busy_; }
 
     const DeviceModel &device() const { return *device_; }
 
   private:
+    static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
+    /**
+     * One slab entry: a request and what the disk keeps beside it.
+     * The SSTF scan reads only the position and the link, which lead
+     * the slot, and no request bytes.
+     */
+    struct Slot
+    {
+        /**
+         * Media position of the request's LBA, decoded once at
+         * submit; the SSTF pick, classify() and serviceTime() read it.
+         */
+        DiskPosition position{};
+        /** Next waiting slot in arrival order, or next free slot. */
+        uint32_t next = kNoSlot;
+        /** Arrival time (queue-wait metric). */
+        double submit_ms = 0.0;
+        DiskRequest request;
+    };
+    static_assert(sizeof(Slot) == 128, "a slab slot is 128 bytes");
+
+    /** Waiting requests the slab holds before it must grow. */
+    size_t
+    capacity() const
+    {
+        return slab_.empty() ? 0 : slab_.size() - 1;
+    }
+
+    /** Double the waiting capacity (8 at first), keeping slot ids. */
+    void grow();
+
     /** Pick the next request (SSTF within the window) and serve it. */
     void startNext();
 
@@ -133,11 +158,21 @@ class Disk
     obs::Probe probe_;
     int lane_;
 
-    /** Arrival-ordered waiting requests (capacity kept for reuse). */
-    RingQueue<DiskRequest> queue_;
+    /**
+     * Requests stay in their slot from submit to completion. The slab
+     * has one slot more than its waiting capacity, for the request in
+     * service, and grows exactly when a ring of waiting requests
+     * would: 8, 16, 32, ... waiting. Waiting slots form a singly
+     * linked list in arrival order; free slots a stack.
+     */
+    std::vector<Slot> slab_;
+    uint32_t head_ = kNoSlot; ///< earliest waiting arrival
+    uint32_t tail_ = kNoSlot; ///< latest waiting arrival
+    uint32_t free_ = kNoSlot; ///< top of the free-slot stack
+    size_t waiting_ = 0;
     bool busy_ = false;
-    /** The request the arm is serving; valid only while busy_. */
-    DiskRequest in_service_;
+    /** Slot of the request the arm is serving; valid while busy_. */
+    uint32_t in_service_ = kNoSlot;
 
     MechState mech_;
     uint64_t last_access_id_ = ~0ULL;

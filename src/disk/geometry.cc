@@ -42,9 +42,11 @@ Chs
 DiskGeometry::lbaToChs(int64_t lba, int &sectors_per_track) const
 {
     assert(lba >= 0 && lba < total_sectors_);
+    // The zone is the number of later zone starts at or below lba:
+    // a fixed-length count with no data-dependent branch.
     size_t zi = 0;
-    while (lba >= zone_first_lba_[zi + 1])
-        ++zi;
+    for (size_t i = 1; i < zones_.size(); ++i)
+        zi += static_cast<size_t>(lba >= zone_first_lba_[i]);
     const Zone &z = zones_[zi];
     int64_t in_zone = lba - zone_first_lba_[zi];
     int64_t per_cyl = static_cast<int64_t>(heads_) * z.sectors_per_track;

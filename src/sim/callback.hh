@@ -17,8 +17,8 @@
  * restricted to trivially copyable, trivially destructible captures
  * -- pointers, integers, doubles, PODs -- precisely so that a move is
  * a raw copy of the buffer and destruction is a no-op: the steady
- * state path (construct, move into the event pool, move out, fire,
- * destroy) makes exactly one indirect call, the invoke itself.
+ * state path (construct in the event pool, move out, fire, destroy)
+ * makes exactly one indirect call, the invoke itself.
  * Closures capturing non-trivially-copyable state (std::function,
  * std::string, vectors) take the heap cell automatically.
  */
@@ -51,17 +51,7 @@ class InlineCallback
             std::is_invocable_r_v<void, std::decay_t<F> &>>>
     InlineCallback(F &&callable) // NOLINT: implicit by design
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (storage_.inline_bytes)
-                Fn(std::forward<F>(callable));
-            invoke_ = &invokeInline<Fn>;
-            // No destroy hook: trivially destructible by construction.
-        } else {
-            storage_.heap = new Fn(std::forward<F>(callable));
-            invoke_ = &invokeHeap<Fn>;
-            destroy_ = &destroyHeap<Fn>;
-        }
+        construct(std::forward<F>(callable));
     }
 
     /**
@@ -72,8 +62,7 @@ class InlineCallback
     InlineCallback(std::function<void()> fn)
     {
         if (fn)
-            *this = InlineCallback(
-                [f = std::move(fn)] { f(); });
+            construct([f = std::move(fn)] { f(); });
     }
 
     InlineCallback(InlineCallback &&other) noexcept { steal(other); }
@@ -100,6 +89,30 @@ class InlineCallback
     {
         assert(invoke_ != nullptr && "calling an empty callback");
         invoke_(&storage_);
+    }
+
+    /**
+     * Replace the held closure with `callable`, building it directly
+     * in this object's storage: the event queue's pool slots take
+     * their closures this way, with no temporary to relocate. An
+     * InlineCallback argument is moved in; a std::function converts
+     * as the constructor does.
+     */
+    template <typename F>
+    void
+    emplace(F &&callable)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (std::is_same_v<Fn, InlineCallback>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "move an InlineCallback in");
+            *this = std::move(callable);
+        } else if constexpr (std::is_same_v<Fn, std::function<void()>>) {
+            *this = InlineCallback(Fn(std::forward<F>(callable)));
+        } else {
+            reset();
+            construct(std::forward<F>(callable));
+        }
     }
 
     /** Destroy the held closure (no-op when empty or inline). */
@@ -141,6 +154,24 @@ class InlineCallback
                alignof(Fn) <= alignof(std::max_align_t) &&
                std::is_trivially_copyable_v<Fn> &&
                std::is_trivially_destructible_v<Fn>;
+    }
+
+    /** Build `callable` into an empty callback's storage. */
+    template <typename F>
+    void
+    construct(F &&callable)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (fitsInline<Fn>()) {
+            ::new (storage_.inline_bytes)
+                Fn(std::forward<F>(callable));
+            invoke_ = &invokeInline<Fn>;
+            // No destroy hook: trivially destructible by construction.
+        } else {
+            storage_.heap = new Fn(std::forward<F>(callable));
+            invoke_ = &invokeHeap<Fn>;
+            destroy_ = &destroyHeap<Fn>;
+        }
     }
 
     using Invoke = void (*)(Storage *);

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -12,8 +13,9 @@ uint64_t
 EventQueue::whenBits(SimTime when)
 {
     // `when + 0.0` normalizes -0.0 to +0.0 so equal times get equal
-    // bit images; schedule() rejects times before now(), so every
-    // stored time is >= +0.0 and its bit pattern orders correctly.
+    // bit images; schedule() rejects NaN and times before now(), so
+    // every stored time is >= +0.0 and its bit pattern orders
+    // correctly.
     return std::bit_cast<uint64_t>(when + 0.0);
 }
 
@@ -31,33 +33,19 @@ EventQueue::throwPastSchedule(SimTime when) const
     // the message always shows which time was asked for, where the
     // clock stood, and by how much the request landed in the past.
     char message[192];
-    std::snprintf(message, sizeof(message),
-                  "EventQueue::schedule: event time %.17g ms is "
-                  "%.17g ms before the current simulated time "
-                  "%.17g ms",
-                  when, now_ - when, now_);
-    throw std::logic_error(message);
-}
-
-EventQueue::Handle
-EventQueue::allocEvent(Callback &&callback)
-{
-    if (!free_list_.empty()) {
-        const Handle handle = free_list_.back();
-        free_list_.pop_back();
-        pool_[handle] = std::move(callback);
-        return handle;
+    if (std::isnan(when)) {
+        std::snprintf(message, sizeof(message),
+                      "EventQueue::schedule: event time is NaN; the "
+                      "current simulated time is %.17g ms",
+                      now_);
+    } else {
+        std::snprintf(message, sizeof(message),
+                      "EventQueue::schedule: event time %.17g ms is "
+                      "%.17g ms before the current simulated time "
+                      "%.17g ms",
+                      when, now_ - when, now_);
     }
-    const Handle handle = static_cast<Handle>(pool_.size());
-    pool_.push_back(std::move(callback));
-    return handle;
-}
-
-void
-EventQueue::freeEvent(Handle handle)
-{
-    pool_[handle].reset();
-    free_list_.push_back(handle);
+    throw std::logic_error(message);
 }
 
 /** Move the node at logical `index` up to its place (keys+handles). */
@@ -79,11 +67,8 @@ EventQueue::siftUp(size_t index)
 }
 
 void
-EventQueue::schedule(SimTime when, Callback callback)
+EventQueue::enqueue(SimTime when, Handle handle)
 {
-    if (when < now_)
-        throwPastSchedule(when);
-    const Handle handle = allocEvent(std::move(callback));
     keys_.push_back(makeKey(whenBits(when), next_seq_++));
     handles_.push_back(handle);
     siftUp(keys_.size() - 1 - kPad);
@@ -150,9 +135,10 @@ EventQueue::runOne()
     }
     probe_.count("sim.events");
     // Move the closure out and recycle the slot before dispatch: the
-    // callback may schedule new events that reuse it immediately.
+    // callback may schedule new events that reuse the slot at once,
+    // or enough of them to reallocate the pool under it.
     Callback callback = std::move(pool_[root_handle]);
-    freeEvent(root_handle);
+    free_list_.push_back(root_handle);
     callback();
     return true;
 }

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "obs/probe.hh"
@@ -100,17 +101,31 @@ class EventQueue
     size_t pending() const { return keys_.size() - kPad; }
 
     /**
-     * Schedule a callback at absolute time `when`.
-     * @throws std::logic_error when `when` < now() (scheduling into
-     *         the past would silently reorder history)
+     * Schedule a callback at absolute time `when`. The closure is
+     * built directly in its pool slot; an InlineCallback argument is
+     * moved there.
+     * @throws std::logic_error when `when` < now() or is NaN
+     *         (scheduling into the past would silently reorder
+     *         history; a NaN time would fire after +inf and set the
+     *         clock to NaN, after which every past-time check passes)
      */
-    void schedule(SimTime when, Callback callback);
+    template <typename F>
+    void
+    schedule(SimTime when, F &&callback)
+    {
+        if (!(when >= now_))
+            throwPastSchedule(when);
+        const Handle handle = allocEvent();
+        pool_[handle].emplace(std::forward<F>(callback));
+        enqueue(when, handle);
+    }
 
     /** Schedule a callback `delay` milliseconds from now. */
+    template <typename F>
     void
-    scheduleAfter(SimTime delay, Callback callback)
+    scheduleAfter(SimTime delay, F &&callback)
     {
-        schedule(now_ + delay, std::move(callback));
+        schedule(now_ + delay, std::forward<F>(callback));
     }
 
     /**
@@ -217,8 +232,21 @@ class EventQueue
     static uint64_t whenBits(SimTime when);
     static SimTime whenOf(Key key);
 
-    Handle allocEvent(Callback &&callback);
-    void freeEvent(Handle handle);
+    /** An empty pool slot: the last one freed, or a new one. */
+    Handle
+    allocEvent()
+    {
+        if (!free_list_.empty()) {
+            const Handle handle = free_list_.back();
+            free_list_.pop_back();
+            return handle;
+        }
+        pool_.emplace_back();
+        return static_cast<Handle>(pool_.size() - 1);
+    }
+
+    /** Push the event in pool slot `handle` onto the heap at `when`. */
+    void enqueue(SimTime when, Handle handle);
     void siftUp(size_t index);
     [[noreturn]] void throwPastSchedule(SimTime when) const;
 
@@ -227,7 +255,8 @@ class EventQueue
      * (sizeof(InlineCallback) == 64): a dispatch touches exactly one
      * pool line. Recycled slots stack up in `free_list_`, so the slot
      * freed by the firing event is the slot its reschedule reuses,
-     * still hot in L1.
+     * still hot in L1. A slot on the free list holds an empty
+     * callback: runOne() moves each closure out before dispatch.
      */
     std::vector<Callback, detail::CacheAlignedAllocator<Callback>>
         pool_;

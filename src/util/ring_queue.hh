@@ -3,12 +3,9 @@
  * RingQueue: an order-preserving FIFO that keeps its capacity.
  *
  * std::deque allocates and frees a fixed-size chunk every few hundred
- * push/pop pairs even at a steady depth, which puts heap traffic on
- * every disk and cache queue of the simulation's access path. A ring
- * over a power-of-two vector grows to the queue's peak depth once and
- * then recycles its slots. take(i) removes element i keeping the
- * order of the rest by shifting the i elements in front of it back by
- * one slot -- O(i), cheap for the SSTF scan window near the head.
+ * push/pop pairs even at a steady depth, which would put heap traffic
+ * on the cache tier's stall queue. A ring over a power-of-two vector
+ * grows to the queue's peak depth once and then recycles its slots.
  */
 
 #ifndef PDDL_UTIL_RING_QUEUE_HH
@@ -55,17 +52,6 @@ class RingQueue
         slots_[head_] = T();
         head_ = (head_ + 1) & (slots_.size() - 1);
         --size_;
-    }
-
-    /** Remove and return element `i`; the others keep their order. */
-    T
-    take(size_t i)
-    {
-        T taken = std::move((*this)[i]);
-        for (size_t j = i; j > 0; --j)
-            (*this)[j] = std::move((*this)[j - 1]);
-        pop_front();
-        return taken;
     }
 
   private:

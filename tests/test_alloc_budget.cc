@@ -16,7 +16,9 @@
  * writes on a fresh controller, where every access opens a new
  * request-arena slot. The bare event queue has a budget of its own:
  * a self-rescheduling timer mesh must fire its events without
- * allocating, at small and large pending-set sizes.
+ * allocating, at small and large pending-set sizes. So does one disk:
+ * its request storage grows no faster than a doubling ring and then
+ * stays put.
  */
 
 #include <gtest/gtest.h>
@@ -24,14 +26,17 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/controller.hh"
 #include "core/pddl_layout.hh"
 #include "core/scenario_spec.hh"
 #include "disk/device_model.hh"
+#include "disk/disk.hh"
 #include "sim/event_queue.hh"
 #include "tune/scenario_runner.hh"
 #include "util/rng.hh"
@@ -336,6 +341,75 @@ TEST(AllocBudget, EventQueueTimerMesh)
         // The access path's budget, per fired event.
         EXPECT_LE(per_event, kBudgetPerAccess) << timers << " timers";
     }
+}
+
+TEST(AllocBudget, DiskQueueGrowsLikeADoublingRing)
+{
+    // A disk's request storage grows to its peak depth in doubling
+    // steps -- no more allocations than a ring of waiting requests
+    // with capacities 8, 16, 32, 64 -- and recycles its slots from
+    // then on. bench/perf's allocs_per_access counts every one.
+    EventQueue events;
+    // Warm the queue's own arrays beyond the one event a disk keeps
+    // pending, so only the disk's allocations are counted below.
+    for (int i = 0; i < 4; ++i)
+        events.schedule(0.0, [] {});
+    events.runUntilEmpty();
+
+    const HddDeviceModel &model = device::hp2247();
+    uint64_t before = g_allocations.load();
+    Disk disk(events, model);
+    EXPECT_EQ(g_allocations.load() - before, 0u)
+        << "a new disk allocates before its first submit";
+
+    std::vector<int64_t> lbas;
+    Rng rng(0xd15c);
+    for (int i = 0; i < 4096; ++i)
+        lbas.push_back(static_cast<int64_t>(
+            rng.below(static_cast<uint64_t>(model.totalSectors() - 16))));
+    int64_t submitted = 0;
+    int64_t completed = 0;
+    int64_t refills = 0;
+    std::function<void()> submit = [&] {
+        DiskRequest request;
+        request.lba = lbas[static_cast<size_t>(submitted) % lbas.size()];
+        request.sectors = 16;
+        request.write = (submitted & 1) != 0;
+        request.access_id = static_cast<uint64_t>(submitted);
+        request.done = [&] {
+            ++completed;
+            if (refills > 0) {
+                --refills;
+                submit();
+            }
+        };
+        ++submitted;
+        disk.submit(std::move(request));
+    };
+
+    // Ring blocks a queue of each depth needs: 8, 16, 32, 64 slots.
+    const std::pair<size_t, uint64_t> depths[] = {{8, 1}, {16, 2}, {40, 4}};
+    before = g_allocations.load();
+    for (const auto &[depth, ring_blocks] : depths) {
+        while (disk.queueDepth() < depth)
+            submit();
+        EXPECT_LE(g_allocations.load() - before, ring_blocks)
+            << "at depth " << depth;
+    }
+    events.runUntilEmpty();
+    ASSERT_EQ(completed, submitted);
+
+    // Steady state: each completion submits the next request, which
+    // keeps the disk 32 deep for 200k submit/complete cycles.
+    refills = 200000;
+    before = g_allocations.load();
+    for (int i = 0; i < 33; ++i)
+        submit();
+    events.runUntilEmpty();
+    EXPECT_EQ(refills, 0);
+    EXPECT_EQ(completed, submitted);
+    EXPECT_EQ(g_allocations.load() - before, 0u)
+        << "steady-state submit/complete cycles allocate";
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -207,26 +208,82 @@ TEST_F(DiskFixture, DeterministicReplay)
     EXPECT_DOUBLE_EQ(run(), run());
 }
 
-TEST(RingQueue, MatchesDequeUnderRandomPushPopAndTake)
+TEST_F(DiskFixture, ScriptedQueueDispatchesInExactSstfOrder)
 {
-    // The disk queue's container: FIFO order, order-preserving
-    // removal from the middle (SSTF), growth while wrapped around.
+    // A 3-deep window over a deeper queue. Once A is done the arm sits
+    // at cylinder 100: B (90) and C (110) tie at distance 10 and B
+    // arrived first, while E (100, distance 0) waits outside the
+    // window. A's completion callback submits F to the same disk as
+    // A's slot is freed; that submit starts B on the spot.
+    Disk disk(events, model, 3);
+    const DiskGeometry &geo = model.geometry();
+    struct Step
+    {
+        char name;
+        size_t depth;
+        bool busy;
+        bool operator==(const Step &) const = default;
+    };
+    std::vector<Step> steps;
+    auto record = [&](char name) {
+        steps.push_back({name, disk.queueDepth(), disk.busy()});
+    };
+    auto submitAt = [&](char name, int cylinder,
+                        std::function<void()> after = {}) {
+        disk.submit(request(geo.chsToLba({cylinder, 0, 0}), 1,
+                            static_cast<uint64_t>(name),
+                            [&record, name, after] {
+                                record(name);
+                                if (after)
+                                    after();
+                            }));
+        record('+');
+    };
+    submitAt('A', 100, [&] {
+        submitAt('F', 95);
+    });
+    submitAt('B', 90);
+    submitAt('C', 110);
+    submitAt('D', 300);
+    submitAt('E', 100);
+    events.runUntilEmpty();
+
+    const std::vector<Step> expected{
+        {'+', 0, true}, // A starts at once
+        {'+', 1, true}, {'+', 2, true}, {'+', 3, true}, {'+', 4, true},
+        {'A', 4, false}, // B C D E wait, the arm is free
+        {'+', 4, true},  // F queued, B picked from {B, C, D}
+        {'B', 4, false}, // then E (distance 10) from {C, D, E}
+        {'E', 3, false}, // then F (distance 5) from {C, D, F}
+        {'F', 2, false}, // then C
+        {'C', 1, false}, // then D
+        {'D', 0, false},
+    };
+    ASSERT_EQ(steps.size(), expected.size());
+    for (size_t i = 0; i < steps.size(); ++i) {
+        EXPECT_EQ(steps[i], expected[i])
+            << "step " << i << ": got " << steps[i].name << " depth "
+            << steps[i].depth << " busy " << steps[i].busy;
+    }
+    EXPECT_FALSE(disk.busy());
+    EXPECT_EQ(disk.queueDepth(), 0u);
+}
+
+TEST(RingQueue, MatchesDequeUnderRandomPushAndPop)
+{
+    // The cache tier's stall queue: FIFO order, growth while wrapped
+    // around.
     RingQueue<int> ring;
     std::deque<int> reference;
     Rng rng(7);
     for (int step = 0; step < 20000; ++step) {
-        const uint64_t op = rng.below(4);
-        if (op < 2 || reference.empty()) {
+        if (rng.below(3) < 2 || reference.empty()) {
             ring.push_back(step);
             reference.push_back(step);
-        } else if (op == 2) {
+        } else {
             ASSERT_EQ(ring.front(), reference.front());
             ring.pop_front();
             reference.pop_front();
-        } else {
-            const size_t i = rng.below(reference.size());
-            ASSERT_EQ(ring.take(i), reference[i]);
-            reference.erase(reference.begin() + i);
         }
         ASSERT_EQ(ring.size(), reference.size());
     }

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -152,6 +153,24 @@ TEST(EventQueue, SchedulingInThePastThrows)
     EXPECT_EQ(fired, 2);
 }
 
+TEST(EventQueue, SchedulingAtNaNThrows)
+{
+    // NaN compares false against everything, so a plain `when <
+    // now()` check lets it in; it would then fire after +inf, set the
+    // clock to NaN and let every later past-time request through.
+    EventQueue q;
+    const SimTime nan = std::nan("");
+    EXPECT_THROW(q.schedule(nan, [] {}), std::logic_error);
+    EXPECT_THROW(q.scheduleAfter(nan, [] {}), std::logic_error);
+    EXPECT_EQ(q.pending(), 0u);
+    q.schedule(5.0, [] {});
+    q.runUntilEmpty();
+    EXPECT_EQ(q.now(), 5.0);
+    EXPECT_THROW(q.schedule(nan, [] {}), std::logic_error);
+    EXPECT_THROW(q.schedule(1.0, [] {}), std::logic_error);
+    EXPECT_EQ(q.pending(), 0u);
+}
+
 TEST(EventQueue, PastScheduleMessageReportsBothTimesExactly)
 {
     EventQueue q;
@@ -259,6 +278,53 @@ TEST(EventQueue, NowAdvancesMonotonically)
         });
     q.runUntilEmpty();
     EXPECT_TRUE(monotonic);
+}
+
+TEST(EventQueue, PoolGrowsUnderAFiringCallback)
+{
+    // The pool holds one slot when the first event fires; its callback
+    // schedules 1000 more, reallocating the pool several times while
+    // the callback runs. Every event must still fire, in (when, seq)
+    // order.
+    EventQueue q;
+    std::vector<std::pair<SimTime, int>> fired;
+    q.schedule(1.0, [&] {
+        for (int i = 0; i < 1000; ++i) {
+            const SimTime when = 2.0 + (i * 7919) % 13;
+            q.schedule(when, [&fired, &q, i] {
+                fired.emplace_back(q.now(), i);
+            });
+        }
+    });
+    q.runUntilEmpty();
+    ASSERT_EQ(fired.size(), 1000u);
+    for (size_t k = 1; k < fired.size(); ++k) {
+        // Equal times keep scheduling order, i.e. ascending i.
+        EXPECT_TRUE(fired[k - 1] < fired[k]) << "at " << k;
+    }
+}
+
+TEST(EventQueue, TakesReadyMadeAndHeapBackedClosures)
+{
+    EventQueue q;
+    std::vector<std::string> order;
+    // A ready-made callback is moved into its slot.
+    InlineCallback ready([&order] { order.push_back("ready"); });
+    q.schedule(2.0, std::move(ready));
+    EXPECT_FALSE(ready);
+    // A closure too big for inline storage goes through the same
+    // path to its heap cell.
+    std::string big(200, 'x');
+    auto heavy = [&order, big] { order.push_back(big.substr(0, 5)); };
+    static_assert(!InlineCallback::storedInline<decltype(heavy)>());
+    q.schedule(1.0, heavy);
+    q.scheduleAfter(3.0, std::move(heavy));
+    q.scheduleAfter(0.5, [&order] { order.push_back("inline"); });
+    EXPECT_EQ(q.pending(), 4u);
+    q.runUntilEmpty();
+    const std::vector<std::string> expected{"inline", "xxxxx", "ready",
+                                            "xxxxx"};
+    EXPECT_EQ(order, expected);
 }
 
 } // namespace

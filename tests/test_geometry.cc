@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "disk/device_model.hh"
 #include "disk/geometry.hh"
 
@@ -79,6 +83,64 @@ TEST(Geometry, ConsecutiveLbasAdvanceAlongTrackThenHeadThenCylinder)
         }
         prev = cur;
     }
+}
+
+/**
+ * lbaToChs must invert chsToLba with every coordinate in range at the
+ * given addresses and their neighbours, plus the zone starts and the
+ * multiples of 2^32 sectors.
+ */
+void
+expectExactDecode(const DiskGeometry &geo, std::vector<int64_t> lbas)
+{
+    int64_t zone_start = 0;
+    for (const DiskGeometry::Zone &z : geo.zones()) {
+        lbas.push_back(zone_start);
+        zone_start += static_cast<int64_t>(z.cylinders) * geo.heads() *
+                      z.sectors_per_track;
+    }
+    for (int64_t wrap = int64_t{1} << 32; wrap < geo.totalSectors();
+         wrap += int64_t{1} << 32)
+        lbas.push_back(wrap);
+    lbas.push_back(geo.totalSectors() - 1);
+    for (int64_t center : lbas) {
+        for (int64_t lba = center - 1; lba <= center + 1; ++lba) {
+            if (lba < 0 || lba >= geo.totalSectors())
+                continue;
+            int spt = 0;
+            const Chs chs = geo.lbaToChs(lba, spt);
+            ASSERT_GE(chs.cylinder, 0) << "lba " << lba;
+            ASSERT_LT(chs.cylinder, geo.cylinders()) << "lba " << lba;
+            EXPECT_EQ(spt, geo.sectorsPerTrack(chs.cylinder));
+            EXPECT_GE(chs.head, 0);
+            EXPECT_LT(chs.head, geo.heads());
+            EXPECT_GE(chs.sector, 0);
+            EXPECT_LT(chs.sector, spt);
+            EXPECT_EQ(geo.chsToLba(chs), lba) << "lba " << lba;
+        }
+    }
+}
+
+TEST(Geometry, LbaChsExactAcrossTheThirtyTwoBitBoundary)
+{
+    // Zones of more than 2^32 sectors, and cylinders of more.
+    DiskGeometry wide(64,
+                      {{0, 1000, 70000},    // 4.48e9 sectors
+                       {1000, 2000, 65536}, // 8.4e9
+                       {3000, 5, 40000000}}, // 2.56e9 per cylinder
+                      512);
+    expectExactDecode(wide, {4294967295, 4294967296, 9876543210,
+                             int64_t{1} << 33});
+    // The largest drive the hdd: spec builds in little time.
+    std::shared_ptr<const DeviceModel> hdd = device::makeDevice(
+        "hdd:cylinders=20000,heads=1000,spt=100000");
+    const auto *mech = dynamic_cast<const HddDeviceModel *>(hdd.get());
+    ASSERT_NE(mech, nullptr);
+    expectExactDecode(mech->geometry(), {int64_t{1} << 40});
+    const DiskPosition position = mech->locate((int64_t{1} << 40) + 7);
+    EXPECT_EQ(mech->geometry().chsToLba({position.cylinder, position.head,
+                                         position.sector}),
+              (int64_t{1} << 40) + 7);
 }
 
 TEST(Geometry, ZoneOfFindsCorrectZone)
