@@ -104,8 +104,7 @@ double
 holdoutObjective(const ScenarioSpec &spec, tune::Objective objective)
 {
     return tune::evaluateScenario(holdoutVariant(spec), kHoldoutSeeds,
-                                  objective, 0, -1,
-                                  bench::options().sim_threads);
+                                  objective, 0, -1);
 }
 
 /** The pddl-autotune-v1 winner document (self-contained replay). */
@@ -175,8 +174,7 @@ replayDocument(const std::string &text, double &replayed,
     for (size_t i = 0; i < seeds->size(); ++i)
         seed_list.push_back(
             static_cast<uint64_t>(seeds->at(i).asInt()));
-    replayed = tune::evaluateScenario(spec, seed_list, objective, 0, -1,
-                                      bench::options().sim_threads);
+    replayed = tune::evaluateScenario(spec, seed_list, objective, 0, -1);
     recorded = value->asDouble();
     return true;
 }
@@ -243,7 +241,7 @@ main(int argc, char **argv)
         "placement and cache knobs from the hand-picked traffic "
         "defaults, then verify the winner on a held-out workload "
         "(rows are bit-identical for every --threads value).",
-        bench::kObserved | bench::kSimThreads);
+        bench::kObserved);
     cli.addInt("chains", "n", "independent annealing chains", 1);
     cli.addInt("moves", "n", "mutation attempts per chain", 1);
     cli.addString("objective", "kind",
@@ -290,7 +288,6 @@ main(int argc, char **argv)
         cli.getInt("moves", bench::fullFidelity() ? 16 : 10));
     toptions.seed = 0xA070u;
     toptions.threads = bench::options().threads;
-    toptions.sim_threads = bench::options().sim_threads;
     toptions.objective = objective;
     toptions.eval_seeds = kTrainSeeds;
 

@@ -40,8 +40,8 @@
  * (device::latencyBoundsForDevices, applied inside the runner):
  * flash-class rows keep sub-millisecond resolution instead of
  * collapsing into bucket 0. Rows contain only simulated quantities,
- * so BENCH_hybrid.json is byte-identical across --threads and
- * --sim-threads; CI diffs the raw files.
+ * so BENCH_hybrid.json is byte-identical across --threads; CI diffs
+ * the raw files.
  *
  * --check enforces the CI floors: every configuration spends the
  * same cost budget, and the hybrid beats every capacity-feasible
@@ -252,9 +252,8 @@ main(int argc, char **argv)
         "Heterogeneous-volume benchmark: a flash-mirror tier "
         "fronting PDDL rotating disks vs homogeneous configurations "
         "of equal hardware cost, under hot-spot traffic (rows are "
-        "bit-identical for every --threads and --sim-threads "
-        "value).",
-        bench::kObserved | bench::kSimThreads | bench::kScenario);
+        "bit-identical for every --threads value).",
+        bench::kObserved | bench::kScenario);
     cli.addBool("check",
                 "enforce CI floors (equal cost budgets; the hybrid "
                 "beats every capacity-feasible homogeneous config on "
@@ -323,9 +322,8 @@ main(int argc, char **argv)
         "(p50/p95/p99/p99.9 ms)",
         experiments);
 
-    std::printf("Heterogeneous volumes at equal cost (%d "
-                "sim-thread(s))\n",
-                bench::options().sim_threads);
+    std::printf("Heterogeneous volumes at equal cost (1 "
+                "sim-thread(s))\n");
     std::printf("%-24s %8s %8s %8s %8s %8s %10s %6s\n",
                 "configuration", "req/s", "p50", "p95", "p99",
                 "p99.9", "capacity", "cost");

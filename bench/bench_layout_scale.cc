@@ -130,9 +130,9 @@ addDraidPoints(std::vector<harness::Experiment> &experiments,
             opt.chains = kChains;
             opt.moves = derand ? movesFor(shape.n) : 0;
             opt.seed = shapeSeed(shape.n, shape.k, shape.spares);
-            // Chains ride the intra-scenario lanes; the grid runner
-            // already parallelizes across points.
-            opt.threads = bench::options().sim_threads;
+            // One thread: the grid runner already spreads the points
+            // over --threads.
+            opt.threads = 1;
             LayoutSearchResult search = searchDevelopedRows(
                 shape.n, shape.k, shape.spares, shape.n, opt);
             ImbalanceEvaluator eval{search.best};
@@ -307,7 +307,7 @@ main(int argc, char **argv)
         "derandomized-random and t-design layouts. Rows are exact "
         "integer tallies -- BENCH_layout_scale.json is byte-identical "
         "at every --threads value.",
-        bench::kGrid | bench::kSimThreads);
+        bench::kGrid);
     cli.addBool("check",
                 "verify incremental deltas match the full-recompute "
                 "audit bit-for-bit, enforce the 10x candidate-"

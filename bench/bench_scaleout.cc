@@ -7,9 +7,9 @@
  * shard, 24 KB accesses) against a VolumeManager on the parallel
  * engine and reports simulated rates only -- requests per simulated
  * second and engine events per simulated second -- so
- * BENCH_scaleout.json is bit-identical for every --threads AND
- * every --sim-threads value (host wall time never enters a row, and
- * the engine's windows are a pure function of simulation state).
+ * BENCH_scaleout.json is bit-identical for every --threads value
+ * (host wall time never enters a row, and the engine's windows are a
+ * pure function of simulation state).
  * The fault rows additionally play a scripted disk-failure timeline
  * against shard 0, measuring how one rebuilding shard's spillover
  * shows up against the healthy remainder (degraded sub-access
@@ -18,23 +18,14 @@
  * Every row is a ScenarioSpec run by tune::runScenario; the outcome
  * carries the engine and volume counters the rows report.
  *
- * --speedup (implied by --check) adds the wall-clock rows: one big
- * 64-shard volume run at 1, 2 and 4 intra-scenario threads, same
- * simulated history at every count, host wall time of the whole
- * runScenario call printed per row (stdout only -- wall time never
- * reaches the JSON).
- *
  * --check enforces the scale-out acceptance floors in CI: the
  * 4-shard healthy row must deliver at least 3x the 1-shard
- * aggregate request rate, no fault row may end in data loss, and --
- * on hosts with at least 4 hardware threads -- the 64-shard volume
- * must run at least 3x faster at 4 intra-scenario threads.
+ * aggregate request rate, and every fault row must finish its
+ * rebuild without data loss.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -76,7 +67,7 @@ volumeSpec(int shard_count, int clients, int kb, int64_t samples,
 /**
  * A scale-out row's extras: simulated rates only. Host wall time must
  * never reach a row, or the JSON would stop being bit-identical
- * across --threads and --sim-threads.
+ * across --threads.
  */
 void
 rowExtras(const ScenarioSpec &spec, const tune::ScenarioOutcome &outcome,
@@ -102,65 +93,9 @@ rowExtras(const ScenarioSpec &spec, const tune::ScenarioOutcome &outcome,
     }
 }
 
-/** One wall-clock row: host time of the whole runScenario call. */
-struct WallRun
-{
-    double wall_ms = 0.0;
-    tune::ScenarioOutcome outcome;
-};
-
-/**
- * The wall-clock scenario: a 64-shard volume under a heavy
- * closed-loop population of large accesses, so nearly all event work
- * lives on the shard lanes and the windows stay dense. Prints one
- * row per intra-scenario thread count (stdout only, never JSON),
- * timing the whole runScenario call, stack setup included, and
- * returns the runs for floor checking (the simulated outcome must be
- * identical across thread counts).
- */
-std::map<int, WallRun>
-runSpeedupRows(int shard_count)
-{
-    // 16 clients per shard reading one whole 64 KB chunk each: 8
-    // disk ops per sub-access.
-    const ScenarioSpec spec =
-        volumeSpec(shard_count, 16 * shard_count, 64,
-                   bench::fullFidelity() ? 40000 : 12000, 500);
-    std::map<int, WallRun> runs;
-    std::printf("\n64-shard wall-clock speedup (host time; identical "
-                "simulated history per row)\n");
-    std::printf("%12s %10s %12s %12s %10s %9s\n", "sim-threads",
-                "wall ms", "events", "Mev/s-wall", "speedup",
-                "resp ms");
-    bench::printRule(7);
-    double base_ms = 0.0;
-    for (int threads : {1, 2, 4}) {
-        tune::RunScenarioOptions options;
-        options.seed = 0x5ca1ab1eULL;
-        options.sim_threads = threads;
-        WallRun run;
-        const auto start = std::chrono::steady_clock::now();
-        run.outcome = tune::runScenario(spec, options);
-        run.wall_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-        if (threads == 1)
-            base_ms = run.wall_ms;
-        const auto events =
-            static_cast<unsigned long long>(run.outcome.events_fired);
-        std::printf("%12d %10.0f %12llu %12.2f %9.2fx %9.2f\n",
-                    threads, run.wall_ms, events,
-                    static_cast<double>(events) / 1e3 / run.wall_ms,
-                    base_ms / run.wall_ms, run.outcome.mean_ms);
-        runs[threads] = run;
-    }
-    return runs;
-}
-
 /** Enforce the scale-out acceptance floors. @return exit code. */
 int
-checkFloors(const harness::RunSummary &summary,
-            const std::map<int, WallRun> &wall_runs)
+checkFloors(const harness::RunSummary &summary)
 {
     int failures = 0;
     std::map<int, double> healthy_req_per_s;
@@ -200,45 +135,6 @@ checkFloors(const harness::RunSummary &summary,
                      "rate\n",
                      four / base);
     }
-
-    // Wall-clock floor: the 64-shard volume must run >= 3x faster
-    // at 4 intra-scenario threads. Host-dependent by nature, so it
-    // only binds where 4 hardware threads exist to run on.
-    const auto one = wall_runs.find(1);
-    const auto fourt = wall_runs.find(4);
-    if (one != wall_runs.end() && fourt != wall_runs.end()) {
-        const tune::ScenarioOutcome &a = one->second.outcome;
-        const tune::ScenarioOutcome &b = fourt->second.outcome;
-        if (a.events_fired != b.events_fired || a.sim_ms != b.sim_ms ||
-            a.mean_ms != b.mean_ms) {
-            std::fprintf(stderr,
-                         "[check] FAIL speedup rows: simulated "
-                         "history differs across thread counts\n");
-            ++failures;
-        }
-        const double speedup =
-            one->second.wall_ms / fourt->second.wall_ms;
-        if (std::thread::hardware_concurrency() < 4) {
-            std::fprintf(stderr,
-                         "[check] SKIP wall-clock floor: host has "
-                         "%u hardware threads (< 4); measured "
-                         "%.2fx\n",
-                         std::thread::hardware_concurrency(),
-                         speedup);
-        } else if (speedup < 3.0) {
-            std::fprintf(stderr,
-                         "[check] FAIL wall-clock: 64-shard volume "
-                         "at 4 sim-threads is %.2fx the serial "
-                         "engine (floor 3x)\n",
-                         speedup);
-            ++failures;
-        } else {
-            std::fprintf(stderr,
-                         "[check] 64-shard wall-clock speedup "
-                         "%.2fx at 4 sim-threads\n",
-                         speedup);
-        }
-    }
     if (failures == 0)
         std::fprintf(stderr, "[check] all scale-out floors met\n");
     return failures == 0 ? 0 : 1;
@@ -257,17 +153,12 @@ main(int argc, char **argv)
         "Scale-out benchmark: request and event rates of one volume "
         "striped over 1/2/4/8 PDDL shards, healthy and with a "
         "single-shard disk failure (simulated rates; rows are "
-        "bit-identical for every --threads and --sim-threads "
-        "value).",
-        bench::kObserved | bench::kSimThreads);
+        "bit-identical for every --threads value).",
+        bench::kObserved);
     cli.addBool("check",
                 "enforce CI floors (4-shard >= 3x 1-shard req/s, "
-                "fault rows rebuild without data loss, 64-shard "
-                ">= 3x wall speedup at 4 sim-threads) and exit 1 "
+                "fault rows rebuild without data loss) and exit 1 "
                 "on regression");
-    cli.addBool("speedup",
-                "also run the 64-shard wall-clock speedup rows at "
-                "1/2/4 intra-scenario threads");
     cli.parseOrExit(argc, argv);
     // Every row is a simulated rate: strip the informational host
     // wall fields so BENCH_scaleout.json is byte-identical for any
@@ -303,8 +194,8 @@ main(int argc, char **argv)
         experiments);
 
     std::printf("Volume scale-out (%d clients per shard, 24 KB "
-                "reads, %d sim-thread(s))\n",
-                kClientsPerShard, bench::options().sim_threads);
+                "reads, 1 sim-thread(s))\n",
+                kClientsPerShard);
     std::printf("%7s %16s %12s %14s %9s %9s %10s\n", "shards",
                 "scenario", "req/s", "events/sim-s", "resp ms",
                 "sub/acc", "max depth");
@@ -322,11 +213,7 @@ main(int argc, char **argv)
                     bench::extra(point, "max_in_flight"));
     }
 
-    std::map<int, WallRun> wall_runs;
-    if (cli.getBool("check") || cli.getBool("speedup"))
-        wall_runs = runSpeedupRows(64);
-
     if (cli.getBool("check"))
-        return checkFloors(summary, wall_runs);
+        return checkFloors(summary);
     return 0;
 }

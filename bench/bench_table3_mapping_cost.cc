@@ -111,6 +111,12 @@ BENCHMARK(BM_PddlVirtual2PhysicalKernel);
 int
 main(int argc, char **argv)
 {
+    // Google Benchmark takes its --benchmark_* flags; any other
+    // argument exits 2 like an unknown flag of the other benches.
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 2;
+
     std::printf("Table 3: Comparison of PDDL with other declustering "
                 "schemes (n=13, k=4, p=1)\n\n");
     std::printf("%-22s %14s %10s %18s\n", "scheme", "table size",
@@ -133,7 +139,6 @@ main(int argc, char **argv)
                     PddlLayout::make(13, 4).stripesPerPeriod()));
     std::printf("\nTranslation time (measured):\n");
 
-    benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

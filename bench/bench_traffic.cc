@@ -23,7 +23,7 @@
  * histogram as first-class JSON columns, plus the cache counters
  * (hit rate, absorbed writes, destage runs, stalls). Rows contain
  * only simulated quantities, so BENCH_traffic.json is byte-identical
- * across --threads and --sim-threads; CI diffs the raw files.
+ * across --threads; CI diffs the raw files.
  *
  * --skew <spec> narrows the traffic panel to one validated offset
  * spec ("uniform", "zipf:<theta>", "hot:<fraction>,<weight>").
@@ -235,9 +235,8 @@ main(int argc, char **argv)
         "Production traffic benchmark: tail latency (p50..p99.9) "
         "under skewed/bursty load over a 2-shard PDDL volume, with "
         "and without the write-back cache tier (rows are "
-        "bit-identical for every --threads and --sim-threads "
-        "value).",
-        bench::kObserved | bench::kSimThreads | bench::kScenario);
+        "bit-identical for every --threads value).",
+        bench::kObserved | bench::kScenario);
     cli.addString("skew", "spec",
                   "narrow the traffic panel to one offset spec: "
                   "uniform, zipf:<theta> or hot:<fraction>,<weight>",
@@ -377,9 +376,8 @@ main(int argc, char **argv)
         "write-back cache x shard health (p50/p95/p99/p99.9 ms)",
         experiments);
 
-    std::printf("Production traffic (2-shard PDDL volume, %d "
-                "sim-thread(s))\n",
-                bench::options().sim_threads);
+    std::printf("Production traffic (2-shard PDDL volume, 1 "
+                "sim-thread(s))\n");
     std::printf("%-34s %8s %8s %8s %8s %8s %8s %7s\n", "scenario",
                 "req/s", "p50", "p95", "p99", "p99.9", "hit", "stall");
     bench::printRule(10);

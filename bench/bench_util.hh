@@ -84,12 +84,6 @@ struct BenchOptions
     int threads = 0;
     /** Merged metrics JSON file; empty disables metrics. */
     std::string metrics_path;
-    /**
-     * Intra-scenario worker threads (the parallel engine's lanes,
-     * distinct from the grid-point threads above); --sim-threads,
-     * default 1. Output is identical at every value.
-     */
-    int sim_threads = 1;
     /** Chrome trace JSON file; empty disables tracing. */
     std::string trace_path;
     /** The tracer observes only the first figure's first point. */
@@ -231,7 +225,7 @@ struct ScenarioRow
 
 /**
  * A grid point that runs `spec` through runScenario with the point's
- * derived seed (or `row.seed`), its probe and --sim-threads.
+ * derived seed (or `row.seed`) and its probe.
  */
 inline harness::Experiment
 scenarioExperiment(harness::GridPoint point, const ScenarioSpec &spec,
@@ -243,7 +237,6 @@ scenarioExperiment(harness::GridPoint point, const ScenarioSpec &spec,
                 harness::Extras &extras) {
                 tune::RunScenarioOptions run;
                 run.seed = row.seed.value_or(seed);
-                run.sim_threads = options().sim_threads;
                 run.capture_path = row.capture_path;
                 run.replay = row.replay;
                 run.probe = probe;
@@ -339,14 +332,13 @@ enum SharedFlag : unsigned
 {
     kJson = 1u << 0,
     kThreads = 1u << 1,
-    kSimThreads = 1u << 2,
     /** --metrics; registered only when probes are compiled in. */
-    kMetrics = 1u << 3,
+    kMetrics = 1u << 2,
     /** --trace; registered only when probes are compiled in. */
-    kTrace = 1u << 4,
-    kDevice = 1u << 5,
-    kLayout = 1u << 6,
-    kScenario = 1u << 7,
+    kTrace = 1u << 3,
+    kDevice = 1u << 4,
+    kLayout = 1u << 5,
+    kScenario = 1u << 6,
 };
 
 /** --json and --threads: every binary that runs a grid. */
@@ -382,14 +374,6 @@ class BenchCli
                            "(default: PDDL_BENCH_THREADS or hardware "
                            "concurrency; results are bit-identical "
                            "for any value)",
-                           1, false, INT_MAX);
-        }
-        if (flags & kSimThreads) {
-            parser_.addInt("sim-threads", "n",
-                           "worker threads within one scenario (the "
-                           "parallel engine's shard lanes; default: "
-                           "1; results are bit-identical for any "
-                           "value)",
                            1, false, INT_MAX);
         }
         if (obs::kObsEnabled && (flags & kMetrics)) {
@@ -527,8 +511,6 @@ class BenchCli
         options().json_dir = parser_.getString("json");
         options().threads =
             static_cast<int>(parser_.getInt("threads", 0));
-        options().sim_threads =
-            static_cast<int>(parser_.getInt("sim-threads", 1));
         options().metrics_path = parser_.getString("metrics");
         options().trace_path = parser_.getString("trace");
         options().device_spec = parser_.getString("device");

@@ -24,9 +24,9 @@
  *    client tail latency instead of unbounded absorbed state.
  *
  * Everything runs on the EventQueue handed in at construction (the
- * hub lane under ParallelEngine), so histories are byte-identical
- * across --sim-threads: the cache adds no randomness and no
- * wall-clock dependence.
+ * hub lane under ParallelEngine), and the cache adds no randomness
+ * and no wall-clock dependence, so its histories repeat byte for
+ * byte.
  */
 
 #ifndef PDDL_CACHE_CACHE_TIER_HH

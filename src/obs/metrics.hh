@@ -6,13 +6,11 @@
  * A registry has the Tracer's contract, since both sit behind the
  * same Probe: one writer at a time, with every handoff between
  * threads ordered by the caller's own synchronization (thread start
- * and join, the parallel engine's window barrier). Every writer in
- * the simulator keeps it: the harness gives each grid point its own
- * registry, and a parallel scenario gives each engine lane its own
- * (folded in lane order by snapshotAll) or runs its probe on one
- * thread. Values therefore accumulate in the one order the
- * simulation fixes, which keeps the floating-point sums, and with
- * them BENCH output, bit-identical across --threads.
+ * and join). Every writer in the simulator keeps it: the harness
+ * gives each grid point its own registry, and a scenario's engine
+ * lanes all run on its one thread. Values therefore accumulate in
+ * the one order the simulation fixes, which keeps the floating-point
+ * sums, and with them BENCH output, bit-identical across --threads.
  *
  * Metric names follow `component.metric[_unit]` (see README
  * "Observability"). A name is any NUL-terminated string and is
@@ -198,12 +196,11 @@ class MetricsRegistry
 /**
  * Snapshot several registries and fold them in caller order.
  *
- * Engine lanes run on different threads at once, so a parallel
- * scenario that records from every lane keeps one registry per lane
- * (shard): histogram sums are floating-point folds, so only a merge
+ * A scenario that keeps one registry per engine lane (shard) merges
+ * them here: histogram sums are floating-point folds, so only a merge
  * order fixed by the caller -- shard 0, 1, 2, ... -- keeps the
- * grouping, and with it the merged snapshot, byte-identical across
- * worker-thread counts. Null entries are skipped.
+ * grouping, and with it the merged snapshot, byte-identical from run
+ * to run. Null entries are skipped.
  */
 MetricsSnapshot
 snapshotAll(const std::vector<const MetricsRegistry *> &registries);

@@ -108,6 +108,8 @@ class EventQueue
      *         (scheduling into the past would silently reorder
      *         history; a NaN time would fire after +inf and set the
      *         clock to NaN, after which every past-time check passes)
+     * @throws whatever building the closure throws, with the queue
+     *         left as it was
      */
     template <typename F>
     void
@@ -116,7 +118,13 @@ class EventQueue
         if (!(when >= now_))
             throwPastSchedule(when);
         const Handle handle = allocEvent();
-        pool_[handle].emplace(std::forward<F>(callback));
+        try {
+            pool_[handle].emplace(std::forward<F>(callback));
+        } catch (...) {
+            // A throwing closure leaves its slot empty; recycle it.
+            free_list_.push_back(handle);
+            throw;
+        }
         enqueue(when, handle);
     }
 
@@ -166,7 +174,7 @@ class EventQueue
      * Opt-in replay digest: once enabled, every fired event folds
      * (time bits, pending count) into an FNV-1a hash, giving a cheap
      * fingerprint of the queue's whole dispatch history. The golden
-     * replay tests pin per-lane digests across worker-thread counts.
+     * replay tests pin per-lane digests.
      */
     void enableHistoryDigest() { digest_on_ = true; }
 

@@ -1,11 +1,10 @@
 /**
  * @file
- * Conservative time-window parallel simulation engine.
+ * Conservative time-window simulation engine over per-shard lanes.
  *
- * One big scenario (a sharded volume) still runs all S shards on a
- * single EventQueue, so wall-clock cost grows linearly with S even
- * though the shards only couple at the VolumeManager. This engine
- * exploits that structure the classic conservative-PDES way:
+ * A sharded volume's shards only couple at the VolumeManager, so the
+ * engine gives each shard a private lane and synchronizes the lanes
+ * the classic conservative-PDES way:
  *
  *  - Every shard owns a private "lane": its own EventQueue (event
  *    pool + indexed 4-ary heap), its own controller, disks and fault
@@ -19,34 +18,28 @@
  *    any hub-side event inside the window can only schedule lane
  *    work at >= W + lookahead -- the *next* window.
  *
- * The run loop is a sequence of synchronous windows:
+ * The run loop is a sequence of synchronous windows, all on the
+ * calling thread:
  *
  *   1. window start = min next-event time over all lanes + hub
- *      (a pure function of simulation state, never of thread count);
- *   2. worker threads run their statically assigned lanes with
- *      EventQueue::runBefore(start + lookahead);
- *   3. barrier: the coordinator drains every lane's mailbox of
- *      posted hub work (shard completion notifications), sorted by
- *      (time, lane, FIFO seq) -- a fixed order no schedule can
- *      perturb -- interleaved with the hub's own events via
- *      runUntil, then runs remaining hub events with runBefore.
+ *      (a pure function of simulation state);
+ *   2. each lane runs EventQueue::runBefore(start + lookahead);
+ *   3. barrier: every lane's mailbox of posted hub work (shard
+ *      completion notifications) is replayed sorted by (time, lane,
+ *      FIFO seq) -- a fixed order that no lane's position in the loop
+ *      can perturb -- interleaved with the hub's own events via
+ *      runUntil, then the remaining hub events run with runBefore.
  *
- * Lane-to-thread assignment is static (lane l on worker l mod T), a
- * lane's mailbox is appended only by the thread running that lane,
- * and the barrier is the only writer of hub state -- so the tracer
- * stays single-writer per lane and Probe registries can be kept
- * single-writer per lane and merged in fixed shard order. Every
- * quantity that reaches an event callback (window edges, mailbox
- * order, lane clocks) is independent of the thread count, which is
- * what makes 1-, 2- and N-thread runs byte-identical (DESIGN.md §10).
+ * Every quantity that reaches an event callback (window edges,
+ * mailbox order, lane clocks) is a function of simulation state
+ * alone, which is what makes a volume run repeatable byte for byte.
+ * DESIGN.md §10 says why the lanes share one thread.
  */
 
 #ifndef PDDL_SIM_PARALLEL_ENGINE_HH
 #define PDDL_SIM_PARALLEL_ENGINE_HH
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -59,11 +52,8 @@ class ParallelEngine
   public:
     struct Config
     {
-        /**
-         * Worker threads running shard lanes (the calling thread is
-         * worker 0). Clamped to [1, lanes]; 1 runs everything inline
-         * with no threads spawned and no atomics touched.
-         */
+        /** Ignored: the lanes always run on the calling thread. Kept
+         *  only for callers that still set it. */
         int threads = 1;
         /**
          * Conservative window width in simulated ms. Must not exceed
@@ -75,7 +65,6 @@ class ParallelEngine
     };
 
     ParallelEngine(int shard_lanes, Config config);
-    ~ParallelEngine();
 
     ParallelEngine(const ParallelEngine &) = delete;
     ParallelEngine &operator=(const ParallelEngine &) = delete;
@@ -89,14 +78,12 @@ class ParallelEngine
     EventQueue &hubQueue() { return hub_; }
 
     SimTime lookahead() const { return config_.lookahead; }
-    int threads() const { return config_.threads; }
 
     /**
      * Post hub work from inside lane `from_lane` at simulated time
      * `when` (>= the lane's clock). The closure runs at the next
      * barrier with the hub clock at `when`, after all posts with
-     * earlier (when, lane, seq). Only the thread currently running
-     * `from_lane` may call this.
+     * earlier (when, lane, seq).
      */
     void post(int from_lane, SimTime when, EventQueue::Callback fn);
 
@@ -120,34 +107,20 @@ class ParallelEngine
         EventQueue::Callback fn;
     };
 
-    /**
-     * A shard lane: queue plus its barrier mailbox, cache-line
-     * separated so neighboring lanes never false-share.
-     */
-    struct alignas(64) Lane
+    /** A shard lane: queue plus its barrier mailbox. */
+    struct Lane
     {
         EventQueue queue;
         std::vector<Post> mailbox;
     };
 
     SimTime minNextEventTime() const;
-    void runWindowSerial(SimTime window_end);
     void drainBarrier(SimTime window_end);
-    void workerLoop(int worker);
 
     Config config_;
     std::vector<Lane> lanes_;
     EventQueue hub_;
     uint64_t windows_ = 0;
-
-    /** Participating workers this run (coordinator included). */
-    int participants_ = 1;
-    std::vector<std::thread> workers_;
-    /** Window edge published to workers by the epoch release. */
-    SimTime window_end_ = 0.0;
-    std::atomic<uint64_t> epoch_{0};
-    std::atomic<int> done_{0};
-    std::atomic<bool> stop_{false};
 
     /** Barrier scratch: (when, lane, seq) references into mailboxes. */
     struct PostRef

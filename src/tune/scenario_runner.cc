@@ -155,11 +155,6 @@ runScenario(const ScenarioSpec &spec,
             arrayConfig(spec, shard, options.probe));
     } else {
         ParallelEngine::Config engine_config;
-        // Probes have one writer: a tracer ring and a registry's
-        // floating-point sums must see every lane's events in one
-        // order. The history is identical at any thread count.
-        engine_config.threads =
-            options.probe.on() ? 1 : options.sim_threads;
         engine_config.lookahead = spec.dispatch_ms;
         engine = std::make_unique<ParallelEngine>(shard_count,
                                                   engine_config);
@@ -286,7 +281,7 @@ runScenario(const ScenarioSpec &spec,
 
     // Client latencies land in one always-compiled histogram; every
     // percentile read from it is integer-counted, so the numbers are
-    // exact for any lane/thread arrangement. Histogram resolution is
+    // exact for any lane arrangement. Histogram resolution is
     // a property of the device classes present: a flash shard keeps
     // sub-ms buckets, a pure-hdd volume the default mechanical bounds.
     obs::HistogramData latency(device::latencyBoundsForDevices(devices));

@@ -11,10 +11,10 @@
  * backend is one bare ArrayController on one EventQueue for a
  * one-shard spec with dispatch_ms 0 ("no fabric", the paper's array
  * exactly as the figure benches always built it), else the sharded
- * VolumeManager on the parallel engine. Nothing in the outcome
- * depends on host timing or thread count: the volume rides the
- * conservative-window engine, so the history -- and hence every
- * number here -- is byte-identical at any --sim-threads.
+ * VolumeManager on the windowed engine. Nothing in the outcome
+ * depends on host timing: the engine's windows and barrier order are
+ * a function of simulation state alone, so the history -- and hence
+ * every number here -- is byte-identical from run to run.
  *
  * Byte-fairness: the spec's access mix is in KB and its cache
  * capacity in KB, so runs of the same scenario at different
@@ -122,8 +122,8 @@ struct ScenarioOutcome
 struct RunScenarioOptions
 {
     uint64_t seed = 42;
-    /** Parallel-engine shard lanes; outcome identical at any value.
-     *  An observed run (probe on) runs its lanes on one thread. */
+    /** Ignored: the engine runs its lanes on the calling thread.
+     *  Kept only for callers that still set it. */
     int sim_threads = 1;
     /** Record the offered accesses into this trace file when set;
      *  an unwritable path throws std::runtime_error after the run. */

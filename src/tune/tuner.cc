@@ -241,8 +241,7 @@ runChain(int chain, const ChainContext &context)
             ++result.memo_hits;
         } else {
             objective = evaluateScenario(
-                candidate, options.eval_seeds, options.objective, 0,
-                -1, options.sim_threads);
+                candidate, options.eval_seeds, options.objective, 0, -1);
             memo.emplace(key, objective);
             ++result.evaluated;
         }
@@ -274,7 +273,7 @@ double
 evaluateScenario(const ScenarioSpec &spec,
                  const std::vector<uint64_t> &seeds,
                  Objective objective, int64_t eval_samples,
-                 int64_t eval_warmup, int sim_threads)
+                 int64_t eval_warmup, int /*sim_threads*/)
 {
     ScenarioSpec trimmed = spec;
     if (eval_samples > 0)
@@ -286,7 +285,6 @@ evaluateScenario(const ScenarioSpec &spec,
     for (uint64_t seed : seeds) {
         RunScenarioOptions options;
         options.seed = seed;
-        options.sim_threads = sim_threads;
         const double score =
             objectiveOf(runScenario(trimmed, options), objective);
         if (!std::isfinite(score))
@@ -307,7 +305,7 @@ tune(const ScenarioSpec &baseline, const TuneOptions &options)
     // "did tuning help" comparison both read this number.
     result.baseline_objective =
         evaluateScenario(baseline, options.eval_seeds,
-                         options.objective, 0, -1, options.sim_threads);
+                         options.objective, 0, -1);
 
     ChainContext context{&baseline, &options,
                          result.baseline_objective};

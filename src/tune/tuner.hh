@@ -52,7 +52,7 @@ struct TuneOptions
     uint64_t seed = 0x7de5u;
     /** Threads running the chains; < 1 = harness::defaultThreads(). */
     int threads = 0;
-    /** Engine lanes inside each evaluation simulation. */
+    /** Ignored: kept only for callers that still set it. */
     int sim_threads = 1;
 
     Objective objective = Objective::P99;
@@ -100,15 +100,16 @@ TuneResult tune(const ScenarioSpec &baseline,
  * The tuner's evaluation protocol as a reusable scoring call: apply
  * the eval_samples/eval_warmup override (eval_samples <= 0 and
  * eval_warmup < 0 keep the spec's own budget, which is what the tuner
- * itself passes), simulate once per seed with
- * `sim_threads` lanes, return the mean objective. This is also what
- * bench_autotune's held-out scoring and the replay check call, so
- * "the recorded objective" always means the same procedure.
+ * itself passes), simulate once per seed, return the mean objective.
+ * This is also what bench_autotune's held-out scoring and the replay
+ * check call, so "the recorded objective" always means the same
+ * procedure. `sim_threads` is ignored, kept only for callers that
+ * still pass it.
  */
 double evaluateScenario(const ScenarioSpec &spec,
                         const std::vector<uint64_t> &seeds,
                         Objective objective, int64_t eval_samples,
-                        int64_t eval_warmup, int sim_threads);
+                        int64_t eval_warmup, int sim_threads = 1);
 
 } // namespace tune
 } // namespace pddl

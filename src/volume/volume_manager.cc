@@ -227,12 +227,12 @@ VolumeManager::allocFlight()
 }
 
 /**
- * A shard-side completion at shard time `t`. Serially the volume's
- * join bookkeeping runs inline; in a parallel run the callback is
- * executing on the lane's worker thread, so the join is posted to
- * the engine's mailbox and replayed at the next barrier with the hub
- * clock at `t` -- same simulated time, same (time, shard, FIFO)
- * order a shared queue would have produced.
+ * A shard-side completion at shard time `t`. On one shared queue the
+ * volume's join bookkeeping runs inline; on the engine the callback
+ * runs inside the shard's lane, whose window may run ahead of the
+ * hub, so the join is posted to the engine's mailbox and replayed at
+ * the next barrier with the hub clock at `t` -- same simulated time,
+ * same (time, shard, FIFO) order a shared queue would have produced.
  */
 void
 VolumeManager::subAccessDone(uint32_t handle, int shard)

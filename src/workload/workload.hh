@@ -42,7 +42,8 @@ class Workload
      * queue (use startOnHub): clients read now() in completion
      * callbacks and schedule think/arrival timers, and only the hub
      * lane runs those at the barrier with the correct clock. A
-     * workload started on a shard lane would race the other lanes.
+     * workload started on a shard lane would read a clock that runs
+     * ahead of the hub's within a window.
      */
     virtual void start(EventQueue &events, Target &target) = 0;
 };

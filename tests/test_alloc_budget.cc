@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -341,6 +342,39 @@ TEST(AllocBudget, EventQueueTimerMesh)
         // The access path's budget, per fired event.
         EXPECT_LE(per_event, kBudgetPerAccess) << timers << " timers";
     }
+}
+
+TEST(AllocBudget, ThrowingClosureGivesItsEventSlotBack)
+{
+    // A closure whose copy throws must not cost the queue its pool
+    // slot: once the schedule throws, later schedule/run cycles reuse
+    // the warmed slots instead of growing the pool.
+    struct Throwing
+    {
+        Throwing() = default;
+        Throwing(const Throwing &) { throw std::runtime_error("copy"); }
+        void operator()() const {}
+    };
+    constexpr int kEvents = 64;
+    EventQueue events;
+    auto cycle = [&events] {
+        for (int i = 0; i < kEvents; ++i)
+            events.schedule(events.now() + 1.0, [] {});
+        events.runUntilEmpty();
+    };
+    cycle();
+    const Throwing throwing;
+    for (int i = 0; i < 4 * kEvents; ++i) {
+        EXPECT_THROW(events.schedule(events.now() + 1.0, throwing),
+                     std::runtime_error);
+    }
+    EXPECT_EQ(events.pending(), 0u);
+
+    const uint64_t before = g_allocations.load();
+    for (int round = 0; round < 8; ++round)
+        cycle();
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+    EXPECT_EQ(events.fired(), 9u * kEvents);
 }
 
 TEST(AllocBudget, DiskQueueGrowsLikeADoublingRing)

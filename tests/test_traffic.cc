@@ -24,6 +24,7 @@
 
 #include "array/controller.hh"
 #include "core/pddl_layout.hh"
+#include "harness/parallel_for.hh"
 #include "layout/raid5.hh"
 #include "sim/parallel_engine.hh"
 #include "traffic/arrival.hh"
@@ -633,9 +634,10 @@ TEST(TraceReplay, CaptureFormatParseReplayReproducesTheSimulation)
 }
 
 /**
- * Skewed offsets and bursty arrivals must not perturb the parallel
- * engine's determinism contract: a volume workload produces the
- * identical result at every worker thread count.
+ * Skewed offsets and bursty arrivals must not perturb the engine's
+ * determinism contract: a volume workload on the engine's lanes
+ * produces the identical result as on one shared queue, at every
+ * count of worker threads running such scenarios at once.
  */
 struct VolumeRun
 {
@@ -647,7 +649,7 @@ struct VolumeRun
 
 template <typename MakeWorkload, typename Extract>
 VolumeRun
-runTrafficOnVolume(int threads, MakeWorkload make_workload,
+runTrafficOnVolume(bool one_queue, MakeWorkload make_workload,
                    Extract extract)
 {
     const int shards = 2;
@@ -663,19 +665,45 @@ runTrafficOnVolume(int threads, MakeWorkload make_workload,
     vconfig.chunk_units = 16;
     vconfig.dispatch_ms = dispatch_ms;
     ParallelEngine::Config engine_config;
-    engine_config.threads = threads;
     engine_config.lookahead = dispatch_ms;
     ParallelEngine engine(shards, engine_config);
-    VolumeManager volume(engine, std::move(specs), vconfig);
+    EventQueue queue;
+    VolumeManager volume =
+        one_queue ? VolumeManager(queue, std::move(specs), vconfig)
+                  : VolumeManager(engine, std::move(specs), vconfig);
 
     auto workload = make_workload();
-    startOnHub(*workload, engine, volume);
-    engine.run();
+    if (one_queue) {
+        workload->start(queue, volume);
+        queue.runUntilEmpty();
+    } else {
+        startOnHub(*workload, engine, volume);
+        engine.run();
+    }
 
     VolumeRun run;
     run.volume_accesses = volume.volumeAccessesIssued();
     extract(*workload, run);
     return run;
+}
+
+/** Run `engine_run` on 1 and 4 worker threads at once; every copy
+ * must match the one-queue `serial` run exactly. */
+template <typename EngineRun>
+void
+expectEngineMatches(const VolumeRun &serial, EngineRun engine_run)
+{
+    for (int threads : {1, 4}) {
+        std::vector<VolumeRun> runs(static_cast<size_t>(threads));
+        harness::parallelFor(threads, runs.size(),
+                             [&](size_t i) { runs[i] = engine_run(); });
+        for (const VolumeRun &lanes : runs) {
+            EXPECT_EQ(serial.volume_accesses, lanes.volume_accesses);
+            EXPECT_EQ(serial.samples, lanes.samples);
+            EXPECT_EQ(serial.mean_response_ms, lanes.mean_response_ms);
+            EXPECT_EQ(serial.extra, lanes.extra);
+        }
+    }
 }
 
 TEST(ParallelTraffic, ZipfClosedLoopIsThreadCountInvariant)
@@ -698,16 +726,14 @@ TEST(ParallelTraffic, ZipfClosedLoopIsThreadCountInvariant)
         run.mean_response_ms = result.mean_response_ms;
         run.extra = result.throughput_per_s;
     };
-    VolumeRun one = runTrafficOnVolume(1, make, extract);
-    VolumeRun four = runTrafficOnVolume(4, make, extract);
-    EXPECT_EQ(one.volume_accesses, four.volume_accesses);
-    EXPECT_EQ(one.samples, four.samples);
-    EXPECT_EQ(one.mean_response_ms, four.mean_response_ms);
-    EXPECT_EQ(one.extra, four.extra);
+    const VolumeRun serial = runTrafficOnVolume(true, make, extract);
+    expectEngineMatches(serial, [&] {
+        return runTrafficOnVolume(false, make, extract);
+    });
     // The sticky stopping rule measures in-flight completions after
     // it latches, so the count can exceed max_samples by at most the
     // client population.
-    EXPECT_GE(one.samples, 300);
+    EXPECT_GE(serial.samples, 300);
 }
 
 TEST(ParallelTraffic, MmppOpenLoopIsThreadCountInvariant)
@@ -734,13 +760,11 @@ TEST(ParallelTraffic, MmppOpenLoopIsThreadCountInvariant)
         run.mean_response_ms = result.mean_response_ms;
         run.extra = result.completed_per_s;
     };
-    VolumeRun one = runTrafficOnVolume(1, make, extract);
-    VolumeRun four = runTrafficOnVolume(4, make, extract);
-    EXPECT_EQ(one.volume_accesses, four.volume_accesses);
-    EXPECT_EQ(one.samples, four.samples);
-    EXPECT_EQ(one.mean_response_ms, four.mean_response_ms);
-    EXPECT_EQ(one.extra, four.extra);
-    EXPECT_EQ(one.samples, 260);
+    const VolumeRun serial = runTrafficOnVolume(true, make, extract);
+    expectEngineMatches(serial, [&] {
+        return runTrafficOnVolume(false, make, extract);
+    });
+    EXPECT_EQ(serial.samples, 260);
 }
 
 } // namespace

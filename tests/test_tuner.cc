@@ -125,16 +125,16 @@ TEST(Tuner, ChainAccountingIsConsistent)
     EXPECT_GE(result.evaluations, evaluations);
 }
 
-TEST(Tuner, EvaluateScenarioDeterministicAcrossLanes)
+TEST(Tuner, EvaluateScenarioIsRepeatable)
 {
     const ScenarioSpec base = baseline();
     const std::vector<uint64_t> seeds = {0x5eed1u, 0x5eed2u};
-    const double one = tune::evaluateScenario(
-        base, seeds, tune::Objective::P99, 300, 50, 1);
-    const double two = tune::evaluateScenario(
-        base, seeds, tune::Objective::P99, 300, 50, 2);
-    EXPECT_EQ(one, two);
-    EXPECT_GT(one, 0.0);
+    const double first = tune::evaluateScenario(
+        base, seeds, tune::Objective::P99, 300, 50);
+    EXPECT_EQ(first, tune::evaluateScenario(base, seeds,
+                                            tune::Objective::P99, 300,
+                                            50));
+    EXPECT_GT(first, 0.0);
 }
 
 } // namespace

@@ -13,11 +13,9 @@ the docs promise:
  3. the BENCH JSON (rows + embedded metrics) and the metrics file are
     bit-identical between --threads=1 and --threads=N once the
     documented wall-clock fields (wall_time_s, threads, wall_ms) are
-    stripped -- and, with --sim-threads N, between one and N
-    intra-scenario threads too.
+    stripped.
 
-Usage: validate_obs.py <bench-binary> [--threads N] [--sim-threads N]
-                       [--keep]
+Usage: validate_obs.py <bench-binary> [--threads N] [--keep]
 Exit code 0 on success; prints the first violated check otherwise.
 """
 
@@ -46,12 +44,9 @@ def check(condition, message):
         fail(message)
 
 
-def run_bench(binary, out_dir, threads, sim_threads=None, trace=False,
-              metrics=False):
+def run_bench(binary, out_dir, threads, trace=False, metrics=False):
     out_dir.mkdir(parents=True, exist_ok=True)
     cmd = [str(binary), f"--json={out_dir}", f"--threads={threads}"]
-    if sim_threads is not None:
-        cmd.append(f"--sim-threads={sim_threads}")
     if trace:
         cmd.append(f"--trace={out_dir}/trace.json")
     if metrics:
@@ -180,10 +175,6 @@ def main():
     parser.add_argument("--threads", type=int, default=8,
                         help="parallel thread count for the "
                              "determinism check (default 8)")
-    parser.add_argument("--sim-threads", type=int, default=None,
-                        help="also compare --sim-threads=1 against "
-                             "this intra-scenario thread count "
-                             "(benches with fabric rows)")
     parser.add_argument("--keep", action="store_true",
                         help="keep the scratch directory")
     args = parser.parse_args()
@@ -193,19 +184,14 @@ def main():
 
     scratch = pathlib.Path(tempfile.mkdtemp(prefix="validate_obs_"))
     try:
-        serial_sim = 1 if args.sim_threads is not None else None
         serial = run_bench(binary, scratch / "serial", threads=1,
-                           sim_threads=serial_sim, trace=True,
-                           metrics=True)
+                           trace=True, metrics=True)
         validate_trace(serial / "trace.json")
         validate_metrics(serial / "metrics.json")
 
         parallel = run_bench(binary, scratch / "parallel",
-                             threads=args.threads,
-                             sim_threads=args.sim_threads, metrics=True)
+                             threads=args.threads, metrics=True)
         counts = f"--threads={args.threads}"
-        if args.sim_threads is not None:
-            counts += f" --sim-threads={args.sim_threads}"
         check(canonical_bench(serial) == canonical_bench(parallel),
               f"BENCH rows differ between --threads=1 and {counts} "
               f"(after stripping {sorted(WALL_FIELDS)})")
