@@ -322,8 +322,7 @@ main(int argc, char **argv)
         "(p50/p95/p99/p99.9 ms)",
         experiments);
 
-    std::printf("Heterogeneous volumes at equal cost (1 "
-                "sim-thread(s))\n");
+    std::printf("Heterogeneous volumes at equal cost\n");
     std::printf("%-24s %8s %8s %8s %8s %8s %10s %6s\n",
                 "configuration", "req/s", "p50", "p95", "p99",
                 "p99.9", "capacity", "cost");

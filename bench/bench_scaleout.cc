@@ -193,8 +193,7 @@ main(int argc, char **argv)
         "healthy and with one shard rebuilding (simulated rates)",
         experiments);
 
-    std::printf("Volume scale-out (%d clients per shard, 24 KB "
-                "reads, 1 sim-thread(s))\n",
+    std::printf("Volume scale-out (%d clients per shard, 24 KB reads)\n",
                 kClientsPerShard);
     std::printf("%7s %16s %12s %14s %9s %9s %10s\n", "shards",
                 "scenario", "req/s", "events/sim-s", "resp ms",

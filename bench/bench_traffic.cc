@@ -376,8 +376,7 @@ main(int argc, char **argv)
         "write-back cache x shard health (p50/p95/p99/p99.9 ms)",
         experiments);
 
-    std::printf("Production traffic (2-shard PDDL volume, 1 "
-                "sim-thread(s))\n");
+    std::printf("Production traffic (2-shard PDDL volume)\n");
     std::printf("%-34s %8s %8s %8s %8s %8s %8s %7s\n", "scenario",
                 "req/s", "p50", "p95", "p99", "p99.9", "hit", "stall");
     bench::printRule(10);

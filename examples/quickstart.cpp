@@ -31,8 +31,9 @@ printPhysicalArray(const PddlLayout &layout)
         for (int pos = 0; pos < layout.stripeWidth(); ++pos) {
             PhysAddr a = layout.map({s, pos});
             if (pos < layout.dataUnitsPerStripe()) {
-                grid[a.unit][a.disk] =
-                    std::string(1, letter) + std::to_string(pos);
+                std::string &cell = grid[a.unit][a.disk];
+                cell.assign(1, letter);
+                cell += std::to_string(pos);
             } else {
                 grid[a.unit][a.disk] = std::string("P") + letter;
             }

@@ -5,11 +5,13 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <variant>
 
 #include "core/layout_spec.hh"
@@ -461,6 +463,12 @@ ScenarioSpec::normalize(std::string &error)
         return false;
     };
     std::string why;
+    // Each distinct (canonical layout, disks) is built once, and each
+    // distinct device string parsed once; a shard that repeats one
+    // takes its verdict. The first failure returns, so every error
+    // keeps its own shard's anchor.
+    std::map<std::pair<std::string, int>, bool> sparing_of;
+    std::map<std::string, std::string> device_of;
     for (size_t i = 0; i < shards.size(); ++i) {
         ScenarioShard &shard = shards[i];
         auto at = [&](const char *key) {
@@ -469,25 +477,34 @@ ScenarioSpec::normalize(std::string &error)
         layouts::ParsedLayoutSpec layout;
         if (!layouts::parseLayoutSpec(shard.layout, layout, why))
             return fail(at("layout"), why);
-        // A spec that parses but cannot build at this disk count
-        // (mirror copies not dividing n, width > n) must fail here,
-        // with the anchor, not mid-simulation.
-        bool sparing = false;
-        try {
-            sparing = layouts::buildLayout(layout, shard.disks)
-                          ->hasSparing();
-        } catch (const std::exception &e) {
-            return fail(at("layout"), e.what());
+        const std::pair<std::string, int> key(layout.canonical(), shard.disks);
+        auto built = sparing_of.find(key);
+        if (built == sparing_of.end()) {
+            // A spec that parses but cannot build at this disk count
+            // (mirror copies not dividing n, width > n) must fail
+            // here, with the anchor, not mid-simulation.
+            bool sparing = false;
+            try {
+                sparing = layouts::buildLayout(layout, shard.disks)
+                              ->hasSparing();
+            } catch (const std::exception &e) {
+                return fail(at("layout"), e.what());
+            }
+            built = sparing_of.emplace(key, sparing).first;
         }
-        shard.layout = layout.canonical();
-        std::shared_ptr<const DeviceModel> model;
-        if (!device::parseDeviceSpec(shard.device, model, why))
-            return fail(at("device"), why);
-        shard.device = model->describe();
+        shard.layout = key.first;
+        auto device = device_of.find(shard.device);
+        if (device == device_of.end()) {
+            std::shared_ptr<const DeviceModel> model;
+            if (!device::parseDeviceSpec(shard.device, model, why))
+                return fail(at("device"), why);
+            device = device_of.emplace(shard.device, model->describe()).first;
+        }
+        shard.device = device->second;
         if (shard.failed_disk < -1 || shard.failed_disk >= shard.disks)
             return fail(at("failed_disk"), "must be -1 (healthy) or a "
                                            "disk index below disks");
-        if (shard.rebuilt && (shard.failed_disk < 0 || !sparing))
+        if (shard.rebuilt && (shard.failed_disk < 0 || !built->second))
             return fail(at("rebuilt"), "needs failed_disk >= 0 and a "
                                        "layout with spare space");
     }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/layout_spec.hh"
 #include "disk/disk.hh"
@@ -61,27 +62,51 @@ VolumeManager::init(std::vector<ShardSpec> &shards)
     shards_.reserve(shards.size());
     devices_.reserve(shards.size());
     tiers_.reserve(shards.size());
+    // A spec-built layout or device is immutable once built (the
+    // layout's lazy map table is published under its mutex), so a
+    // shard whose spec repeats an earlier spec-built shard's shares
+    // that shard's object -- and all shards of one layout spec map
+    // through one table. The search scans the earlier shards and
+    // allocates nothing.
+    auto layoutSpec = [](const ShardSpec &spec) {
+        return spec.layout_spec.empty() ? std::string_view("pddl:width=4")
+                                        : std::string_view(spec.layout_spec);
+    };
     for (size_t s = 0; s < shards.size(); ++s) {
         const ShardSpec &spec = shards[s];
 
-        // Resolve the layout: prebuilt pointer wins, else the spec
-        // registry builds one the volume owns.
+        // Resolve the layout: prebuilt pointer wins, else an earlier
+        // spec-built shard's with the same (spec, disks), else the
+        // spec registry builds one the volume owns.
         const Layout *layout = spec.layout;
+        for (size_t e = 0; layout == nullptr && e < s; ++e) {
+            const ShardSpec &earlier = shards[e];
+            if (earlier.layout == nullptr && earlier.disks == spec.disks &&
+                layoutSpec(earlier) == layoutSpec(spec))
+                layout = &shards_[e]->layout();
+        }
         if (layout == nullptr) {
-            owned_layouts_.push_back(layouts::makeLayout(
-                spec.layout_spec.empty() ? "pddl:width=4"
-                                         : spec.layout_spec,
-                spec.disks));
+            const std::string name(layoutSpec(spec));
+            owned_layouts_.push_back(layouts::makeLayout(name, spec.disks));
             layout = owned_layouts_.back().get();
         }
 
-        // Resolve the device: prebuilt pointer, spec registry, or
-        // the HP 2247 default -- in that order.
+        // Resolve the device: prebuilt pointer, an earlier shard's
+        // built from the same spec, the spec registry, or the HP
+        // 2247 default -- in that order.
         const DeviceModel *device = spec.device;
         if (device == nullptr && !spec.device_spec.empty()) {
-            owned_devices_.push_back(
-                pddl::device::makeDevice(spec.device_spec));
-            device = owned_devices_.back().get();
+            for (size_t e = 0; device == nullptr && e < s; ++e) {
+                const ShardSpec &earlier = shards[e];
+                if (earlier.device == nullptr &&
+                    earlier.device_spec == spec.device_spec)
+                    device = devices_[e];
+            }
+            if (device == nullptr) {
+                owned_devices_.push_back(
+                    pddl::device::makeDevice(spec.device_spec));
+                device = owned_devices_.back().get();
+            }
         }
         if (device == nullptr)
             device = &pddl::device::hp2247();

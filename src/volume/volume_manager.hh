@@ -85,11 +85,16 @@ struct ShardSpec
     /**
      * Layout spec (core/layout_spec.hh), built over `disks` drives;
      * empty selects "pddl:width=4". Ignored when `layout` is set.
+     * Spec-built shards with the same spec (after that default) and
+     * the same `disks` share one immutable Layout, so they also map
+     * through one table.
      */
     std::string layout_spec;
     /**
      * Device spec (disk/device_model.hh); empty selects "hp2247".
-     * Ignored when `device` is set.
+     * Ignored when `device` is set. Shards with the same non-empty
+     * spec share one DeviceModel (immutable; drive state lives in
+     * each Disk).
      */
     std::string device_spec;
     /** Drives in this shard; used when building from layout_spec. */
@@ -100,9 +105,12 @@ struct ShardSpec
      */
     std::string tier;
 
-    /** Prebuilt layout (must outlive the volume); wins over specs. */
+    /**
+     * Prebuilt layout (must outlive the volume); wins over specs and
+     * is never swapped for a spec-built layout, or vice versa.
+     */
     const Layout *layout = nullptr;
-    /** Prebuilt device model (must outlive the volume). */
+    /** Prebuilt device model (must outlive the volume); the same. */
     const DeviceModel *device = nullptr;
     /** Controller construction knobs (per-shard probe included). */
     ArrayConfig array;
@@ -300,7 +308,10 @@ class VolumeManager : public Target
     const PlacementPolicy *placement_;
     int64_t chunk_units_;
 
-    /** Spec-built layouts/devices; must outlive shards_. */
+    /**
+     * Spec-built layouts/devices, one per distinct spec (shards with
+     * equal specs share an entry); must outlive shards_.
+     */
     std::vector<std::unique_ptr<Layout>> owned_layouts_;
     std::vector<std::shared_ptr<const DeviceModel>> owned_devices_;
 

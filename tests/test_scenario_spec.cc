@@ -212,6 +212,26 @@ TEST(ScenarioSpec, SemanticErrorsAnchorTheField)
     EXPECT_NE(error.find("shards[0].layout"), std::string::npos)
         << error;
 
+    // A layout is built once per distinct (layout, disks): a shard
+    // that repeats shard 0's string at a disk count where it cannot
+    // build still fails, at its own anchor and with the same reason.
+    const std::string mirror_error = error.substr(error.find(':'));
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"shards\": [{\"layout\": \"mirror:copies=2\", "
+        "\"disks\": 12}, {\"layout\": \"mirror:copies=2\", "
+        "\"disks\": 12}, {\"layout\": \"mirror:copies=2\", "
+        "\"disks\": 13}]}",
+        spec, error));
+    EXPECT_EQ(error, "shards[2].layout" + mirror_error);
+
+    // The same for the sparing check: rebuilt on a shard repeating a
+    // non-sparing layout fails at that shard's own field.
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"shards\": [{\"layout\": \"raid5\"}, {\"layout\": "
+        "\"raid5\", \"failed_disk\": 0, \"rebuilt\": true}]}",
+        spec, error));
+    EXPECT_EQ(error.rfind("shards[1].rebuilt:", 0), 0u) << error;
+
     // Inverted cache watermarks.
     ScenarioSpec bad;
     bad.cache_enabled = true;

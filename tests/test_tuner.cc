@@ -47,19 +47,19 @@ smallSearch()
 std::string
 fingerprint(const tune::TuneResult &result)
 {
-    std::string text = result.best.describe() + "|" +
-                       std::to_string(result.best_objective) + "|" +
-                       std::to_string(result.baseline_objective) +
-                       "|" + std::to_string(result.evaluations);
+    std::string text = result.best.describe();
+    text.append("|").append(std::to_string(result.best_objective));
+    text.append("|").append(std::to_string(result.baseline_objective));
+    text.append("|").append(std::to_string(result.evaluations));
     for (const tune::TuneChain &chain : result.chains) {
-        text += "|" + std::to_string(chain.chain) + ":" +
-                std::to_string(chain.best_objective) + ":" +
-                chain.best.describe() + ":" +
-                std::to_string(chain.evaluated) + ":" +
-                std::to_string(chain.memo_hits) + ":" +
-                std::to_string(chain.accepted) + ":" +
-                std::to_string(chain.surrogate_rejects) + ":" +
-                std::to_string(chain.invalid_moves);
+        text.append("|").append(std::to_string(chain.chain));
+        text.append(":").append(std::to_string(chain.best_objective));
+        text.append(":").append(chain.best.describe());
+        text.append(":").append(std::to_string(chain.evaluated));
+        text.append(":").append(std::to_string(chain.memo_hits));
+        text.append(":").append(std::to_string(chain.accepted));
+        text.append(":").append(std::to_string(chain.surrogate_rejects));
+        text.append(":").append(std::to_string(chain.invalid_moves));
     }
     return text;
 }

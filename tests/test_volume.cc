@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/pddl_layout.hh"
@@ -463,6 +464,49 @@ TEST(VolumeTiered, SpecBuiltStripedVolumeMatchesPrebuiltLayouts)
         ASSERT_EQ(a.shard, b.shard) << unit;
         ASSERT_EQ(a.unit, b.unit) << unit;
     }
+}
+
+TEST(VolumeSharing, ShardsWithEqualSpecsShareOneLayoutAndDevice)
+{
+    // A spec-built layout or device is immutable, so shards built
+    // from equal specs share one object (and one map table); any
+    // difference in spec or disk count gets its own, and a prebuilt
+    // pointer is never merged with a spec-built one.
+    const std::string hdd = "hdd:rpm=7200,avg_seek_ms=8";
+    PddlLayout prebuilt = PddlLayout::make(13, 4);
+    const auto prebuilt_device = device::makeDevice(hdd);
+    std::vector<ShardSpec> specs(6);
+    specs[0].layout = &prebuilt;
+    specs[0].layout_spec = "pddl:width=4";
+    specs[0].device = prebuilt_device.get();
+    specs[0].device_spec = hdd;
+    specs[1].layout_spec = "pddl:width=4";
+    specs[1].device_spec = hdd;
+    specs[2].device_spec = hdd; // empty layout_spec = "pddl:width=4"
+    specs[3].layout_spec = "pddl:width=4";
+    specs[3].disks = 17;
+    specs[3].device_spec = "hdd:rpm=5400,avg_seek_ms=8";
+    specs[4].layout_spec = "raid5";
+    specs[5].layout_spec = "pddl:width=4";
+    EventQueue events;
+    VolumeConfig config;
+    config.chunk_units = 8;
+    VolumeManager volume(events, specs, config);
+
+    EXPECT_EQ(&volume.shard(0).layout(), &prebuilt);
+    const Layout *shared = &volume.shard(1).layout();
+    EXPECT_NE(shared, &prebuilt);
+    EXPECT_EQ(&volume.shard(2).layout(), shared);
+    EXPECT_EQ(&volume.shard(5).layout(), shared);
+    EXPECT_NE(&volume.shard(3).layout(), shared);
+    EXPECT_EQ(volume.shard(3).layout().numDisks(), 17);
+    EXPECT_STREQ(volume.shard(4).layout().family(), "raid5");
+
+    EXPECT_EQ(&volume.shardDevice(0), prebuilt_device.get());
+    EXPECT_NE(&volume.shardDevice(1), prebuilt_device.get());
+    EXPECT_EQ(&volume.shardDevice(2), &volume.shardDevice(1));
+    EXPECT_NE(&volume.shardDevice(3), &volume.shardDevice(1));
+    EXPECT_EQ(&volume.shardDevice(5), &device::hp2247());
 }
 
 TEST(VolumeTiered, DegradedMirrorShardKeepsServingTheFastTier)
