@@ -130,9 +130,6 @@ addDraidPoints(std::vector<harness::Experiment> &experiments,
             opt.chains = kChains;
             opt.moves = derand ? movesFor(shape.n) : 0;
             opt.seed = shapeSeed(shape.n, shape.k, shape.spares);
-            // One thread: the grid runner already spreads the points
-            // over --threads.
-            opt.threads = 1;
             LayoutSearchResult search = searchDevelopedRows(
                 shape.n, shape.k, shape.spares, shape.n, opt);
             ImbalanceEvaluator eval{search.best};

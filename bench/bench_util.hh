@@ -374,7 +374,7 @@ class BenchCli
                            "(default: PDDL_BENCH_THREADS or hardware "
                            "concurrency; results are bit-identical "
                            "for any value)",
-                           1, false, INT_MAX);
+                           1, INT_MAX);
         }
         if (obs::kObsEnabled && (flags & kMetrics)) {
             parser_.addString("metrics", "file",
@@ -394,7 +394,7 @@ class BenchCli
                 "drive model for every simulated disk (default: "
                 "hp2247, the paper's drive; see the spec grammar "
                 "below)",
-                false, [](const std::string &value) {
+                [](const std::string &value) {
                     std::shared_ptr<const DeviceModel> model;
                     std::string error;
                     return device::parseDeviceSpec(value, model, error)
@@ -407,7 +407,7 @@ class BenchCli
                 "layout", "spec",
                 "replace the bench's evaluated layout set with this "
                 "one layout (see the spec grammar below)",
-                false, [](const std::string &value) {
+                [](const std::string &value) {
                     layouts::ParsedLayoutSpec spec;
                     std::string error;
                     if (!layouts::parseLayoutSpec(value, spec, error))
@@ -431,7 +431,7 @@ class BenchCli
                 "a ScenarioSpec JSON file, or the JSON inline; "
                 "validated at the flag with field-anchored "
                 "diagnostics",
-                false, [](const std::string &value) {
+                [](const std::string &value) {
                     ScenarioSpec spec;
                     std::string error;
                     return loadScenario(value, spec, error)
@@ -470,25 +470,16 @@ class BenchCli
     addInt(const std::string &name, const std::string &value_name,
            const std::string &help, long long min_value)
     {
-        parser_.addInt(name, value_name, help, min_value, false,
-                       INT_MAX);
+        parser_.addInt(name, value_name, help, min_value, INT_MAX);
     }
 
-    void
-    addString(const std::string &name, const std::string &value_name,
-              const std::string &help)
-    {
-        parser_.addString(name, value_name, help);
-    }
-
-    /** String flag rejected at parse time when `validator` objects. */
+    /** String flag, rejected at parse time when `validator` objects. */
     void
     addString(const std::string &name, const std::string &value_name,
               const std::string &help,
-              harness::ArgParser::Validator validator)
+              harness::ArgParser::Validator validator = {})
     {
-        parser_.addString(name, value_name, help, false,
-                          std::move(validator));
+        parser_.addString(name, value_name, help, std::move(validator));
     }
 
     /**

@@ -49,11 +49,10 @@ ArrayController::init(const DeviceModel &device)
         });
     }
     config_.probe.lane(obs::kLaneArray, "array");
-    // Usable client space: whole layout patterns that fit the media.
-    int64_t rows = device.totalSectors() / config_.unit_sectors;
-    int64_t patterns = rows / layout_.unitsPerDiskPerPeriod();
-    assert(patterns >= 1 && "disk too small for one layout pattern");
-    data_units_ = patterns * layout_.dataUnitsPerPeriod();
+    data_units_ = arrayDataUnits(device.totalSectors(), config_.unit_sectors,
+                                 layout_.unitsPerDiskPerPeriod(),
+                                 layout_.dataUnitsPerPeriod());
+    assert(data_units_ >= 1 && "disk too small for one layout pattern");
 }
 
 ArrayController::PendingHandle

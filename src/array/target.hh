@@ -6,8 +6,8 @@
  * onto completions: a single simulated array (ArrayController) or a
  * sharded volume composed of many arrays (VolumeManager). Workload
  * drivers (src/workload) are written against this interface only, so
- * every synthetic client -- closed loop, open loop, future trace
- * replay -- runs unchanged against one array or a whole volume.
+ * every client -- closed loop, open loop, trace replay -- runs
+ * unchanged against one array or a whole volume.
  *
  * The statistics hooks exist because the drivers report seek
  * classifications and issue counts over their measurement window;

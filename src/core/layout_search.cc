@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "harness/parallel_for.hh"
 #include "util/rng.hh"
 
 namespace pddl {
@@ -65,10 +64,8 @@ searchDevelopedRows(int n, int k, int spares, int rows,
         throw std::invalid_argument("layout search: bad options");
     std::vector<ChainState> states(
         static_cast<size_t>(opt.chains));
-    harness::parallelFor(opt.threads, states.size(), [&](size_t c) {
-        states[c] = runChain(n, k, spares, rows,
-                             static_cast<int>(c), opt);
-    });
+    for (int c = 0; c < opt.chains; ++c)
+        states[c] = runChain(n, k, spares, rows, c, opt);
 
     LayoutSearchResult result;
     int best = 0;

@@ -13,9 +13,9 @@
  * chain's final map is a pure function of (chain seed, move count),
  * and the whole result is a pure function of the options.
  *
- * Chains are fanned out with harness::parallelFor (one item per
- * chain); since chains never communicate, the result is
- * byte-identical at every thread count. The best chain is chosen by
+ * Chains run one after another in index order; they never
+ * communicate, and benches spread whole searches over their grid
+ * threads instead. The best chain is chosen by
  * (worst-case single-fault imbalance, cost, chain index), and the
  * best *initial* map across chains doubles as the "best raw random
  * seed" baseline the derandomized result is judged against.
@@ -38,7 +38,6 @@ struct LayoutSearchOptions
     int chains = 4;        ///< independent seeded chains
     int64_t moves = 20000; ///< candidate transpositions per chain
     uint64_t seed = 1;     ///< master seed (chain c uses mix(c, seed))
-    int threads = 0;       ///< chain threads; < 1 = defaultThreads()
 };
 
 /** Outcome of one chain (its map lives in LayoutSearchResult). */
@@ -64,7 +63,7 @@ struct LayoutSearchResult
 
 /**
  * Derandomize a (n, k, spares, rows) developed-random map. Output
- * depends only on the map shape and `opt` (never on opt.threads).
+ * depends only on the map shape and `opt`.
  */
 LayoutSearchResult searchDevelopedRows(int n, int k, int spares,
                                        int rows,

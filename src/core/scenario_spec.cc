@@ -465,10 +465,17 @@ ScenarioSpec::normalize(std::string &error)
     std::string why;
     // Each distinct (canonical layout, disks) is built once, and each
     // distinct device string parsed once; a shard that repeats one
-    // takes its verdict. The first failure returns, so every error
-    // keeps its own shard's anchor.
-    std::map<std::pair<std::string, int>, bool> sparing_of;
-    std::map<std::string, std::string> device_of;
+    // takes its verdict, and what the capacity checks need. The first
+    // failure returns, so every error keeps its own shard's anchor.
+    struct Shape
+    {
+        bool sparing;
+        int64_t units_per_disk_per_period;
+        int64_t data_units_per_period;
+    };
+    std::map<std::pair<std::string, int>, Shape> layout_of;
+    std::map<std::string, std::pair<std::string, int64_t>> device_of;
+    int64_t min_capacity = std::numeric_limits<int64_t>::max();
     for (size_t i = 0; i < shards.size(); ++i) {
         ScenarioShard &shard = shards[i];
         auto at = [&](const char *key) {
@@ -478,19 +485,20 @@ ScenarioSpec::normalize(std::string &error)
         if (!layouts::parseLayoutSpec(shard.layout, layout, why))
             return fail(at("layout"), why);
         const std::pair<std::string, int> key(layout.canonical(), shard.disks);
-        auto built = sparing_of.find(key);
-        if (built == sparing_of.end()) {
+        auto built = layout_of.find(key);
+        if (built == layout_of.end()) {
             // A spec that parses but cannot build at this disk count
             // (mirror copies not dividing n, width > n) must fail
             // here, with the anchor, not mid-simulation.
-            bool sparing = false;
+            Shape shape;
             try {
-                sparing = layouts::buildLayout(layout, shard.disks)
-                              ->hasSparing();
+                const auto made = layouts::buildLayout(layout, shard.disks);
+                shape = {made->hasSparing(), made->unitsPerDiskPerPeriod(),
+                         made->dataUnitsPerPeriod()};
             } catch (const std::exception &e) {
                 return fail(at("layout"), e.what());
             }
-            built = sparing_of.emplace(key, sparing).first;
+            built = layout_of.emplace(key, shape).first;
         }
         shard.layout = key.first;
         auto device = device_of.find(shard.device);
@@ -498,13 +506,25 @@ ScenarioSpec::normalize(std::string &error)
             std::shared_ptr<const DeviceModel> model;
             if (!device::parseDeviceSpec(shard.device, model, why))
                 return fail(at("device"), why);
-            device = device_of.emplace(shard.device, model->describe()).first;
+            device = device_of
+                         .emplace(shard.device,
+                                  std::make_pair(model->describe(),
+                                                 model->totalSectors()))
+                         .first;
         }
-        shard.device = device->second;
+        shard.device = device->second.first;
+        const Shape &shape = built->second;
+        const int64_t capacity = arrayDataUnits(
+            device->second.second, unit_sectors,
+            shape.units_per_disk_per_period, shape.data_units_per_period);
+        if (capacity < 1)
+            return fail(at("device"), "too small for one pattern of the "
+                                      "shard's layout at this unit_sectors");
+        min_capacity = std::min(min_capacity, capacity);
         if (shard.failed_disk < -1 || shard.failed_disk >= shard.disks)
             return fail(at("failed_disk"), "must be -1 (healthy) or a "
                                            "disk index below disks");
-        if (shard.rebuilt && (shard.failed_disk < 0 || !built->second))
+        if (shard.rebuilt && (shard.failed_disk < 0 || !shape.sparing))
             return fail(at("rebuilt"), "needs failed_disk >= 0 and a "
                                        "layout with spare space");
     }
@@ -513,6 +533,12 @@ ScenarioSpec::normalize(std::string &error)
     if (!(dispatch_ms > 0.0) && (dispatch_ms != 0.0 || shards.size() != 1))
         return fail("dispatch_ms", "must be > 0, or 0 (no fabric) with "
                                    "exactly one shard");
+    // Behind a fabric every volume group levels to its smallest
+    // member, which must hold one whole chunk.
+    if (dispatch_ms > 0.0 && min_capacity < chunk_units)
+        return fail("chunk_units", "exceeds the " +
+                                       std::to_string(min_capacity) +
+                                       " data units of the smallest shard");
     traffic::OffsetSpec offset_spec;
     if (!traffic::parseOffsetSpec(offsets, offset_spec, why))
         return fail("offsets", why);

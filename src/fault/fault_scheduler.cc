@@ -52,33 +52,12 @@ FaultScheduler::FaultScheduler(EventQueue &events,
            "fault timelines are time-ordered");
 }
 
-FaultScheduler::FaultScheduler(EventQueue &events,
-                               ArrayController &array,
-                               FaultSchedule schedule, Options options)
-    : FaultScheduler(events, std::move(schedule), std::move(options))
-{
-    bindArray(array);
-}
-
 void
 FaultScheduler::bindArray(ArrayController &array)
 {
-    assert(!started_ && "rebind only before the timeline plays");
+    assert(array_ == nullptr && "a scheduler binds one array, once");
     assert(array.mode() == ArrayMode::FaultFree &&
            "the lifecycle starts from a healthy array");
-    if (array_ == &array)
-        return;
-    if (array_ != nullptr) {
-        // Detach from the previous shard and reset the lifecycle:
-        // the scheduler is a per-shard blueprint, not shared state.
-        array_->setMediumErrorHook(nullptr);
-        scrubber_.reset();
-        engine_.reset();
-        state_ = FaultState::FaultFree;
-        stats_ = FaultStats{};
-        degraded_since_ = 0.0;
-        degraded_total_ = 0.0;
-    }
     array_ = &array;
     if (options_.scrub_interval_ms > 0.0) {
         scrubber_ = std::make_unique<Scrubber>(events_, *array_,

@@ -146,8 +146,9 @@ class FaultScheduler
 
     /**
      * Unbound scheduler: carries its timeline and knobs but drives no
-     * array yet. Sharded volumes construct one scheduler per shard up
-     * front and bindArray() each to its shard's controller.
+     * array yet; bindArray() it once before start(). Sharded volumes
+     * construct one scheduler per shard up front and bind each to its
+     * shard's controller.
      *
      * @param events shared simulation event queue
      * @param schedule fault timeline to play
@@ -157,22 +158,8 @@ class FaultScheduler
                    Options options);
 
     /**
-     * Bound in one step (the single-array convenience).
-     *
-     * @param events shared simulation event queue
-     * @param array the live array (starts fault-free)
-     * @param schedule fault timeline to play
-     * @param options lifecycle knobs
-     */
-    FaultScheduler(EventQueue &events, ArrayController &array,
-                   FaultSchedule schedule, Options options);
-
-    /**
-     * Bind (or rebind) the scheduler to `array`. Legal any time
-     * before start(): rebinding detaches from the previous array
-     * (its medium-error hook is cleared) and resets the lifecycle
-     * state, so one scheduler blueprint can be pointed at any shard.
-     * The array must be fault-free.
+     * Bind the scheduler to `array`, once, before start(). The array
+     * must be fault-free.
      */
     void bindArray(ArrayController &array);
 

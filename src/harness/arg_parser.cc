@@ -16,7 +16,7 @@ ArgParser::ArgParser(std::string program, std::string description)
 void
 ArgParser::addString(const std::string &name,
                      const std::string &value_name,
-                     const std::string &help, bool required)
+                     const std::string &help, Validator validator)
 {
     assert(findFlag(name) == nullptr && "duplicate flag");
     Flag flag;
@@ -24,25 +24,15 @@ ArgParser::addString(const std::string &name,
     flag.value_name = value_name;
     flag.help = help;
     flag.kind = Kind::String;
-    flag.required = required;
+    flag.validator = std::move(validator);
     flags_.push_back(std::move(flag));
-}
-
-void
-ArgParser::addString(const std::string &name,
-                     const std::string &value_name,
-                     const std::string &help, bool required,
-                     Validator validator)
-{
-    addString(name, value_name, help, required);
-    flags_.back().validator = std::move(validator);
 }
 
 void
 ArgParser::addInt(const std::string &name,
                   const std::string &value_name,
                   const std::string &help, long long min_value,
-                  bool required, long long max_value)
+                  long long max_value)
 {
     assert(findFlag(name) == nullptr && "duplicate flag");
     Flag flag;
@@ -50,7 +40,6 @@ ArgParser::addInt(const std::string &name,
     flag.value_name = value_name;
     flag.help = help;
     flag.kind = Kind::Int;
-    flag.required = required;
     flag.min_value = min_value;
     flag.max_value = max_value;
     flags_.push_back(std::move(flag));
@@ -159,13 +148,6 @@ ArgParser::parse(int argc, char *const *argv)
         flag->seen = true;
         flag->value = std::move(value);
     }
-
-    for (const Flag &flag : flags_) {
-        if (flag.required && !flag.seen) {
-            return fail("required option '--" + flag.name +
-                        "' is missing");
-        }
-    }
     return true;
 }
 
@@ -206,8 +188,7 @@ ArgParser::usage() const
         std::string spelling = "--" + flag.name;
         if (flag.kind != Kind::Bool)
             spelling += " <" + flag.value_name + ">";
-        text += flag.required ? " " + spelling
-                              : " [" + spelling + "]";
+        text += " [" + spelling + "]";
     }
     text += " [--help]\n";
     if (!description_.empty())

@@ -3,8 +3,8 @@
  * Typed command-line flag parser for the bench binaries.
  *
  * Replaces the hand-rolled argv loops that every bench binary used
- * to carry: flags are declared once (name, type, help, required or
- * optional with a default), `--help` is generated, and both
+ * to carry: flags are declared once (name, type, help; every flag is
+ * optional), `--help` is generated, and both
  * `--flag value` and `--flag=value` spellings are accepted. Parsing
  * never exits or prints on its own -- callers inspect
  * helpRequested()/error() -- so the parser is unit-testable and the
@@ -41,23 +41,19 @@ class ArgParser
      */
     using Validator = std::function<std::string(const std::string &)>;
 
-    /** Declare a string flag (`--name <value>` or `--name=value`). */
+    /**
+     * Declare a string flag (`--name <value>` or `--name=value`),
+     * checked by `validator` when one is given.
+     */
     void addString(const std::string &name,
                    const std::string &value_name,
-                   const std::string &help, bool required = false);
-
-    /** Declare a validated string flag (see Validator). */
-    void addString(const std::string &name,
-                   const std::string &value_name,
-                   const std::string &help, bool required,
-                   Validator validator);
+                   const std::string &help, Validator validator = {});
 
     /** Declare an integer flag with an inclusive range; a flag stored
      *  in an `int` passes INT_MAX, so a larger value fails at the flag. */
     void addInt(const std::string &name,
                 const std::string &value_name, const std::string &help,
-                long long min_value, bool required = false,
-                long long max_value = LLONG_MAX);
+                long long min_value, long long max_value = LLONG_MAX);
 
     /** Declare a valueless boolean flag (`--name`). */
     void addBool(const std::string &name, const std::string &help);
@@ -67,9 +63,9 @@ class ArgParser
 
     /**
      * Parse argv. @return false on any error (unknown flag, missing
-     * value, bad integer, missing required flag); error() explains.
-     * --help/-h set helpRequested() and parse returns true without
-     * enforcing required flags.
+     * value, bad integer, rejected value); error() explains.
+     * --help/-h set helpRequested() and parse returns true at once,
+     * checking no later argument.
      */
     bool parse(int argc, char *const *argv);
 
@@ -102,7 +98,6 @@ class ArgParser
         std::string value_name;
         std::string help;
         Kind kind = Kind::String;
-        bool required = false;
         long long min_value = 0;
         long long max_value = LLONG_MAX;
 

@@ -318,6 +318,22 @@ class Layout
     mutable std::mutex table_mutex_;
 };
 
+/**
+ * Client data units one array holds: the whole layout patterns --
+ * `units_per_disk_per_period` rows on every disk and
+ * `data_units_per_period` client units each -- that fit drives of
+ * `disk_sectors` sectors cut into `unit_sectors`-sector stripe units.
+ * 0 when not even one pattern fits.
+ */
+inline int64_t
+arrayDataUnits(int64_t disk_sectors, int unit_sectors,
+               int64_t units_per_disk_per_period,
+               int64_t data_units_per_period)
+{
+    const int64_t rows = disk_sectors / unit_sectors;
+    return rows / units_per_disk_per_period * data_units_per_period;
+}
+
 } // namespace pddl
 
 #endif // PDDL_LAYOUT_LAYOUT_HH

@@ -69,8 +69,6 @@ phaseString(TraceEvent::Phase phase)
 {
     switch (phase) {
       case TraceEvent::Phase::Complete: return "X";
-      case TraceEvent::Phase::Begin: return "B";
-      case TraceEvent::Phase::End: return "E";
       case TraceEvent::Phase::AsyncBegin: return "b";
       case TraceEvent::Phase::AsyncEnd: return "e";
       case TraceEvent::Phase::Instant: return "i";

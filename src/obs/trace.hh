@@ -51,8 +51,6 @@ struct TraceEvent
     enum class Phase : uint8_t
     {
         Complete,   ///< "X": span with explicit duration
-        Begin,      ///< "B": nested sync span opens
-        End,        ///< "E": nested sync span closes
         AsyncBegin, ///< "b": overlapping span opens (id-matched)
         AsyncEnd,   ///< "e": overlapping span closes
         Instant,    ///< "i": point event
@@ -116,61 +114,6 @@ class Tracer
     size_t next_ = 0; ///< overwrite cursor once the ring is full
     uint64_t recorded_ = 0;
     std::vector<std::pair<int, std::string>> lane_names_;
-};
-
-/** RAII helper for nested sync spans (Begin/End pairing). */
-class SpanGuard
-{
-  public:
-    /**
-     * @param tracer destination (may be null: no-op)
-     * @param now_ms caller-supplied current simulated time
-     */
-    SpanGuard(Tracer *tracer, const char *name, const char *cat,
-              int tid, double now_ms)
-        : tracer_(tracer), name_(name), cat_(cat), tid_(tid),
-          end_ms_(now_ms)
-    {
-        if (tracer_ == nullptr)
-            return;
-        TraceEvent event;
-        event.name = name_;
-        event.cat = cat_;
-        event.phase = TraceEvent::Phase::Begin;
-        event.tid = tid_;
-        event.ts_ms = now_ms;
-        tracer_->record(event);
-    }
-
-    /** Update the close timestamp (defaults to the open time). */
-    void
-    closeAt(double now_ms)
-    {
-        end_ms_ = now_ms;
-    }
-
-    ~SpanGuard()
-    {
-        if (tracer_ == nullptr)
-            return;
-        TraceEvent event;
-        event.name = name_;
-        event.cat = cat_;
-        event.phase = TraceEvent::Phase::End;
-        event.tid = tid_;
-        event.ts_ms = end_ms_;
-        tracer_->record(event);
-    }
-
-    SpanGuard(const SpanGuard &) = delete;
-    SpanGuard &operator=(const SpanGuard &) = delete;
-
-  private:
-    Tracer *tracer_;
-    const char *name_;
-    const char *cat_;
-    int tid_;
-    double end_ms_;
 };
 
 } // namespace obs

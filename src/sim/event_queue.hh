@@ -193,6 +193,9 @@ class EventQueue
      */
     static constexpr size_t kPad = 3;
 
+    static_assert(__SIZEOF_INT128__ == 16,
+                  "the event key needs unsigned __int128");
+
     /**
      * Sort key: (when, seq) packed into 128 bits. The high half is
      * the bit image of the fire time -- IEEE-754 doubles >= +0.0
@@ -201,7 +204,6 @@ class EventQueue
      * compare implements the original engine's exact tie-break, and
      * seq uniqueness makes the order total.
      */
-#if defined(__SIZEOF_INT128__)
     using Key = unsigned __int128;
     static Key
     makeKey(uint64_t when_bits, uint64_t seq)
@@ -213,29 +215,6 @@ class EventQueue
     {
         return static_cast<uint64_t>(key >> 64);
     }
-#else
-    struct Key
-    {
-        uint64_t hi, lo;
-        friend bool
-        operator<(const Key &a, const Key &b)
-        {
-            if (a.hi != b.hi)
-                return a.hi < b.hi;
-            return a.lo < b.lo;
-        }
-    };
-    static Key
-    makeKey(uint64_t when_bits, uint64_t seq)
-    {
-        return Key{when_bits, seq};
-    }
-    static uint64_t
-    whenBitsOf(Key key)
-    {
-        return key.hi;
-    }
-#endif
 
     static uint64_t whenBits(SimTime when);
     static SimTime whenOf(Key key);

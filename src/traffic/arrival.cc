@@ -10,20 +10,6 @@
 namespace pddl {
 namespace traffic {
 
-const char *
-arrivalSpecName(const ArrivalSpec &spec)
-{
-    switch (spec.kind) {
-    case ArrivalSpec::Kind::Poisson:
-        return "poisson";
-    case ArrivalSpec::Kind::Diurnal:
-        return "diurnal";
-    case ArrivalSpec::Kind::Mmpp:
-        return "mmpp";
-    }
-    return "poisson";
-}
-
 std::string
 arrivalSpecString(const ArrivalSpec &spec)
 {

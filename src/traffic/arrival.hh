@@ -72,9 +72,6 @@ struct ArrivalSpec
     double burst_ms = 400.0;
 };
 
-/** Short label for tables ("poisson", "diurnal", "mmpp"). */
-const char *arrivalSpecName(const ArrivalSpec &spec);
-
 /**
  * Canonical spec string carrying the parameters, the form
  * ScenarioSpec serializes: "poisson",

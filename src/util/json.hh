@@ -67,7 +67,6 @@ class Json
 
     // ---- Read API (for parsed documents) ----
 
-    bool isNull() const { return kind_ == Kind::Null; }
     bool isBool() const { return kind_ == Kind::Bool; }
     bool isString() const { return kind_ == Kind::String; }
     bool isArray() const { return kind_ == Kind::Array; }

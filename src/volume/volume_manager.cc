@@ -62,12 +62,11 @@ VolumeManager::init(std::vector<ShardSpec> &shards)
     shards_.reserve(shards.size());
     devices_.reserve(shards.size());
     tiers_.reserve(shards.size());
-    // A spec-built layout or device is immutable once built (the
-    // layout's lazy map table is published under its mutex), so a
-    // shard whose spec repeats an earlier spec-built shard's shares
-    // that shard's object -- and all shards of one layout spec map
-    // through one table. The search scans the earlier shards and
-    // allocates nothing.
+    // A layout or device is immutable once built (the layout's lazy
+    // map table is published under its mutex), so a shard whose spec
+    // repeats an earlier shard's shares that shard's object -- and
+    // all shards of one layout spec map through one table. The search
+    // scans the earlier shards and allocates nothing.
     auto layoutSpec = [](const ShardSpec &spec) {
         return spec.layout_spec.empty() ? std::string_view("pddl:width=4")
                                         : std::string_view(spec.layout_spec);
@@ -75,14 +74,12 @@ VolumeManager::init(std::vector<ShardSpec> &shards)
     for (size_t s = 0; s < shards.size(); ++s) {
         const ShardSpec &spec = shards[s];
 
-        // Resolve the layout: prebuilt pointer wins, else an earlier
-        // spec-built shard's with the same (spec, disks), else the
-        // spec registry builds one the volume owns.
-        const Layout *layout = spec.layout;
+        // Resolve the layout: an earlier shard's with the same (spec,
+        // disks), else the spec registry builds one the volume owns.
+        const Layout *layout = nullptr;
         for (size_t e = 0; layout == nullptr && e < s; ++e) {
-            const ShardSpec &earlier = shards[e];
-            if (earlier.layout == nullptr && earlier.disks == spec.disks &&
-                layoutSpec(earlier) == layoutSpec(spec))
+            if (shards[e].disks == spec.disks &&
+                layoutSpec(shards[e]) == layoutSpec(spec))
                 layout = &shards_[e]->layout();
         }
         if (layout == nullptr) {
@@ -91,25 +88,20 @@ VolumeManager::init(std::vector<ShardSpec> &shards)
             layout = owned_layouts_.back().get();
         }
 
-        // Resolve the device: prebuilt pointer, an earlier shard's
-        // built from the same spec, the spec registry, or the HP
-        // 2247 default -- in that order.
-        const DeviceModel *device = spec.device;
-        if (device == nullptr && !spec.device_spec.empty()) {
-            for (size_t e = 0; device == nullptr && e < s; ++e) {
-                const ShardSpec &earlier = shards[e];
-                if (earlier.device == nullptr &&
-                    earlier.device_spec == spec.device_spec)
-                    device = devices_[e];
-            }
-            if (device == nullptr) {
-                owned_devices_.push_back(
-                    pddl::device::makeDevice(spec.device_spec));
-                device = owned_devices_.back().get();
-            }
-        }
-        if (device == nullptr)
+        // Resolve the device: the HP 2247 default, an earlier shard's
+        // built from the same spec, or the spec registry.
+        const DeviceModel *device = nullptr;
+        if (spec.device_spec.empty())
             device = &pddl::device::hp2247();
+        for (size_t e = 0; device == nullptr && e < s; ++e) {
+            if (shards[e].device_spec == spec.device_spec)
+                device = devices_[e];
+        }
+        if (device == nullptr) {
+            owned_devices_.push_back(
+                pddl::device::makeDevice(spec.device_spec));
+            device = owned_devices_.back().get();
+        }
 
         shards_.push_back(std::make_unique<ArrayController>(
             *shard_events_[s], *layout, *device, spec.array));

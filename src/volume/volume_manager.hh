@@ -76,25 +76,22 @@
 namespace pddl {
 
 /**
- * One shard of a volume: what to build it from, plus controller
- * knobs. Specs are the primary interface; the pointer fields exist
- * for callers that prebuilt objects.
+ * One shard of a volume: the specs it is built from, plus controller
+ * knobs. The volume builds and owns every layout and device.
  */
 struct ShardSpec
 {
     /**
      * Layout spec (core/layout_spec.hh), built over `disks` drives;
-     * empty selects "pddl:width=4". Ignored when `layout` is set.
-     * Spec-built shards with the same spec (after that default) and
-     * the same `disks` share one immutable Layout, so they also map
-     * through one table.
+     * empty selects "pddl:width=4". Shards with the same spec (after
+     * that default) and the same `disks` share one immutable Layout,
+     * so they also map through one table.
      */
     std::string layout_spec;
     /**
      * Device spec (disk/device_model.hh); empty selects "hp2247".
-     * Ignored when `device` is set. Shards with the same non-empty
-     * spec share one DeviceModel (immutable; drive state lives in
-     * each Disk).
+     * Shards with the same non-empty spec share one DeviceModel
+     * (immutable; drive state lives in each Disk).
      */
     std::string device_spec;
     /** Drives in this shard; used when building from layout_spec. */
@@ -105,13 +102,6 @@ struct ShardSpec
      */
     std::string tier;
 
-    /**
-     * Prebuilt layout (must outlive the volume); wins over specs and
-     * is never swapped for a spec-built layout, or vice versa.
-     */
-    const Layout *layout = nullptr;
-    /** Prebuilt device model (must outlive the volume); the same. */
-    const DeviceModel *device = nullptr;
     /** Controller construction knobs (per-shard probe included). */
     ArrayConfig array;
 };
@@ -173,8 +163,7 @@ class VolumeManager : public Target
      * Serial volume: every shard shares one event queue.
      *
      * @param events shared simulation event queue
-     * @param shards one spec per shard (prebuilt layouts/devices must
-     *        outlive the volume; spec-built ones are owned here)
+     * @param shards one spec per shard
      * @param config volume-level knobs
      */
     VolumeManager(EventQueue &events, std::vector<ShardSpec> shards,
@@ -309,8 +298,8 @@ class VolumeManager : public Target
     int64_t chunk_units_;
 
     /**
-     * Spec-built layouts/devices, one per distinct spec (shards with
-     * equal specs share an entry); must outlive shards_.
+     * Layouts/devices, one per distinct spec (shards with equal specs
+     * share an entry); must outlive shards_.
      */
     std::vector<std::unique_ptr<Layout>> owned_layouts_;
     std::vector<std::shared_ptr<const DeviceModel>> owned_devices_;

@@ -101,8 +101,7 @@ TEST(ArgParser, IntFlagsRejectWhatTheirStorageCannotHold)
     };
     for (const auto &c : cases) {
         ArgParser parser("prog", "test parser");
-        parser.addInt("threads", "N", "worker threads", 1, false,
-                      INT_MAX);
+        parser.addInt("threads", "N", "worker threads", 1, INT_MAX);
         EXPECT_EQ(parseArgs(parser, {"--threads", c.value}), c.ok)
             << "'" << c.value << "'";
         if (!c.ok) {
@@ -123,35 +122,23 @@ TEST(ArgParser, IntFlagsRejectWhatTheirStorageCannotHold)
     EXPECT_NE(past.error().find("--seed"), std::string::npos);
 }
 
-TEST(ArgParser, EnforcesRequiredFlags)
-{
-    ArgParser parser("prog", "test parser");
-    parser.addString("out", "PATH", "output file", true);
-    EXPECT_FALSE(parseArgs(parser, {}));
-    EXPECT_NE(parser.error().find("--out"), std::string::npos);
-
-    ArgParser parser2("prog", "test parser");
-    parser2.addString("out", "PATH", "output file", true);
-    EXPECT_TRUE(parseArgs(parser2, {"--out=x"}));
-}
-
 TEST(ArgParser, HelpShortCircuitsRequiredChecks)
 {
-    ArgParser parser("prog", "test parser");
-    parser.addString("out", "PATH", "output file", true);
-    EXPECT_TRUE(parseArgs(parser, {"--help"}));
+    // --help/-h stop parsing at once: no later argument is checked.
+    ArgParser parser = benchLikeParser();
+    EXPECT_TRUE(parseArgs(parser, {"--help", "--bogus"}));
     EXPECT_TRUE(parser.helpRequested());
+    EXPECT_TRUE(parser.error().empty());
 
-    ArgParser parser2("prog", "test parser");
-    parser2.addString("out", "PATH", "output file", true);
-    EXPECT_TRUE(parseArgs(parser2, {"-h"}));
+    ArgParser parser2 = benchLikeParser();
+    EXPECT_TRUE(parseArgs(parser2, {"-h", "--threads", "0"}));
     EXPECT_TRUE(parser2.helpRequested());
 }
 
 TEST(ArgParser, ValidatorAcceptsAndExposesValue)
 {
     ArgParser parser("prog", "test parser");
-    parser.addString("skew", "SPEC", "offset spec", false,
+    parser.addString("skew", "SPEC", "offset spec",
                      [](const std::string &value) {
                          return value.rfind("zipf:", 0) == 0
                                     ? std::string()
@@ -165,7 +152,7 @@ TEST(ArgParser, ValidatorAcceptsAndExposesValue)
 TEST(ArgParser, ValidatorRejectsWithFlagAndComplaint)
 {
     ArgParser parser("prog", "test parser");
-    parser.addString("skew", "SPEC", "offset spec", false,
+    parser.addString("skew", "SPEC", "offset spec",
                      [](const std::string &value) {
                          return value.rfind("zipf:", 0) == 0
                                     ? std::string()
@@ -184,7 +171,7 @@ TEST(ArgParser, ValidatorRejectsWithFlagAndComplaint)
 TEST(ArgParser, ValidatorRunsOnEqualsSpellingToo)
 {
     ArgParser parser("prog", "test parser");
-    parser.addString("trace", "PATH", "trace file", false,
+    parser.addString("trace", "PATH", "trace file",
                      [](const std::string &value) {
                          return value.empty()
                                     ? std::string("path is empty")
@@ -195,7 +182,7 @@ TEST(ArgParser, ValidatorRunsOnEqualsSpellingToo)
               std::string::npos);
 
     ArgParser parser2("prog", "test parser");
-    parser2.addString("trace", "PATH", "trace file", false,
+    parser2.addString("trace", "PATH", "trace file",
                       [](const std::string &value) {
                           return value.empty()
                                      ? std::string("path is empty")
@@ -209,7 +196,7 @@ TEST(ArgParser, ValidatorNotConsultedWhenFlagAbsent)
 {
     bool ran = false;
     ArgParser parser("prog", "test parser");
-    parser.addString("skew", "SPEC", "offset spec", false,
+    parser.addString("skew", "SPEC", "offset spec",
                      [&ran](const std::string &) {
                          ran = true;
                          return std::string("never valid");
@@ -229,6 +216,11 @@ TEST(ArgParser, UsageListsFlagsAndEpilog)
     EXPECT_NE(usage.find("--verbose"), std::string::npos);
     EXPECT_NE(usage.find("PDDL_BENCH_THREADS"), std::string::npos);
     EXPECT_NE(usage.find("test parser"), std::string::npos);
+    // Every flag is optional, so the usage line brackets each one.
+    EXPECT_NE(usage.find("usage: prog [--json <DIR>] [--threads <N>] "
+                         "[--verbose] [--help]\n"),
+              std::string::npos)
+        << usage;
 }
 
 } // namespace

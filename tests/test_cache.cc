@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "cache/cache_tier.hh"
-#include "core/pddl_layout.hh"
 #include "harness/parallel_for.hh"
 #include "sim/event_queue.hh"
 #include "sim/parallel_engine.hh"
@@ -300,13 +299,9 @@ runCachedVolume(bool one_queue)
 {
     const int shards = 2;
     const double dispatch_ms = 2.0;
-    PddlLayout layout = PddlLayout::make(13, 4);
-    const DeviceModel &model = device::hp2247();
     std::vector<ShardSpec> specs(shards);
-    for (ShardSpec &spec : specs) {
-        spec.layout = &layout;
-        spec.device = &model;
-    }
+    for (ShardSpec &spec : specs)
+        spec.layout_spec = "pddl:width=4";
     VolumeConfig vconfig;
     vconfig.chunk_units = 16;
     vconfig.dispatch_ms = dispatch_ms;

@@ -50,9 +50,9 @@ TEST_F(FaultFixture, LiveLifecycleRunsToRestoredOnOneController)
         transitions.push_back(state);
     };
     FaultScheduler scheduler(
-        events, array,
-        scripted({{100.0, FaultEvent::Kind::DiskFailure, 3, 0}}),
+        events, scripted({{100.0, FaultEvent::Kind::DiskFailure, 3, 0}}),
         options);
+    scheduler.bindArray(array);
     scheduler.start();
     events.runUntilEmpty();
 
@@ -91,10 +91,10 @@ TEST_F(FaultFixture, SecondFailureBeforeRebuildCompleteIsDataLoss)
     FaultScheduler::Options options;
     options.rebuild_stripes = 390;
     FaultScheduler scheduler(
-        events, array,
-        scripted({{10.0, FaultEvent::Kind::DiskFailure, 0, 0},
-                  {12.0, FaultEvent::Kind::DiskFailure, 5, 0}}),
+        events, scripted({{10.0, FaultEvent::Kind::DiskFailure, 0, 0},
+                          {12.0, FaultEvent::Kind::DiskFailure, 5, 0}}),
         options);
+    scheduler.bindArray(array);
     scheduler.start();
     events.runUntilEmpty();
 
@@ -116,10 +116,10 @@ TEST_F(FaultFixture, FailureAfterSpareConsumedIsDataLoss)
     options.rebuild_stripes = 13;
     options.rebuild_parallel = 8;
     FaultScheduler scheduler(
-        events, array,
-        scripted({{10.0, FaultEvent::Kind::DiskFailure, 0, 0},
-                  {20000.0, FaultEvent::Kind::DiskFailure, 7, 0}}),
+        events, scripted({{10.0, FaultEvent::Kind::DiskFailure, 0, 0},
+                          {20000.0, FaultEvent::Kind::DiskFailure, 7, 0}}),
         options);
+    scheduler.bindArray(array);
     scheduler.start();
     events.runUntilEmpty();
 
@@ -136,10 +136,10 @@ TEST_F(FaultFixture, RepeatFailureOfTheDownDiskIsIgnored)
     FaultScheduler::Options options;
     options.rebuild_stripes = 13;
     FaultScheduler scheduler(
-        events, array,
-        scripted({{10.0, FaultEvent::Kind::DiskFailure, 2, 0},
-                  {11.0, FaultEvent::Kind::DiskFailure, 2, 0}}),
+        events, scripted({{10.0, FaultEvent::Kind::DiskFailure, 2, 0},
+                          {11.0, FaultEvent::Kind::DiskFailure, 2, 0}}),
         options);
+    scheduler.bindArray(array);
     scheduler.start();
     events.runUntilEmpty();
     EXPECT_FALSE(scheduler.stats().data_loss);
@@ -170,8 +170,8 @@ TEST_F(FaultFixture, ScrubFindsAndRepairsInjectedLatentErrors)
 
     FaultScheduler::Options options;
     options.scrub_interval_ms = 1.0;
-    FaultScheduler scheduler(events, array, scripted(timeline),
-                             options);
+    FaultScheduler scheduler(events, scripted(timeline), options);
+    scheduler.bindArray(array);
     scheduler.start();
     events.runUntil(2000.0);
 
@@ -202,29 +202,6 @@ TEST_F(FaultFixture, UnboundSchedulerBindsToAnyShard)
     events.runUntilEmpty();
     EXPECT_EQ(scheduler.state(), FaultState::Restored);
     EXPECT_EQ(array.mode(), ArrayMode::PostReconstruction);
-}
-
-TEST_F(FaultFixture, RebindDetachesThePreviousArray)
-{
-    ArrayController first(events, layout, model, ArrayConfig{});
-    ArrayController second(events, layout, model, ArrayConfig{});
-    FaultScheduler::Options options;
-    options.rebuild_stripes = 130;
-    options.scrub_interval_ms = 1.0;
-    FaultScheduler scheduler(
-        events, scripted({{50.0, FaultEvent::Kind::DiskFailure, 1, 0}}),
-        options);
-    scheduler.bindArray(first);
-    scheduler.bindArray(second);
-    EXPECT_EQ(scheduler.array(), &second);
-    scheduler.start();
-    events.runUntil(30000.0);
-
-    // The timeline played against the rebound shard only.
-    EXPECT_EQ(scheduler.state(), FaultState::Restored);
-    EXPECT_EQ(second.mode(), ArrayMode::PostReconstruction);
-    EXPECT_EQ(first.mode(), ArrayMode::FaultFree);
-    EXPECT_EQ(first.aggregateTally().total(), 0);
 }
 
 TEST_F(FaultFixture, IdenticalTimelinesGiveIdenticalShardVerdicts)

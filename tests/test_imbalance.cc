@@ -18,6 +18,7 @@
 
 #include "core/imbalance.hh"
 #include "core/layout_search.hh"
+#include "harness/parallel_for.hh"
 #include "layout/bibd.hh"
 #include "layout/developed_random.hh"
 #include "layout/tdesign.hh"
@@ -308,32 +309,40 @@ TEST(DevelopedRandomLayout, MappingContractAndSparing)
 
 TEST(LayoutSearch, DeterministicAcrossThreadCounts)
 {
-    LayoutSearchOptions opt;
-    opt.chains = 4;
-    opt.moves = 3000;
-    opt.seed = 17;
+    // Benches spread whole searches over their grid threads; each
+    // search must come out the same however many run at once.
+    const std::vector<uint64_t> seeds = {17, 18, 19, 20};
+    auto runAll = [&](int threads) {
+        std::vector<LayoutSearchResult> out(seeds.size());
+        harness::parallelFor(threads, seeds.size(), [&](size_t i) {
+            LayoutSearchOptions opt;
+            opt.chains = 4;
+            opt.moves = 3000;
+            opt.seed = seeds[i];
+            out[i] = searchDevelopedRows(13, 4, 1, 13, opt);
+        });
+        return out;
+    };
+    const std::vector<LayoutSearchResult> serial = runAll(1);
+    const std::vector<LayoutSearchResult> parallel = runAll(4);
 
-    opt.threads = 1;
-    LayoutSearchResult serial =
-        searchDevelopedRows(13, 4, 1, 13, opt);
-    opt.threads = 4;
-    LayoutSearchResult parallel =
-        searchDevelopedRows(13, 4, 1, 13, opt);
-
-    ASSERT_EQ(serial.chains.size(), parallel.chains.size());
-    for (size_t c = 0; c < serial.chains.size(); ++c) {
-        EXPECT_EQ(serial.chains[c].chain_seed,
-                  parallel.chains[c].chain_seed);
-        EXPECT_EQ(serial.chains[c].initial_cost,
-                  parallel.chains[c].initial_cost);
-        EXPECT_EQ(serial.chains[c].final_cost,
-                  parallel.chains[c].final_cost);
-        EXPECT_EQ(serial.chains[c].accepted,
-                  parallel.chains[c].accepted);
+    for (size_t i = 0; i < seeds.size(); ++i) {
+        ASSERT_EQ(serial[i].chains.size(), parallel[i].chains.size());
+        for (size_t c = 0; c < serial[i].chains.size(); ++c) {
+            EXPECT_EQ(serial[i].chains[c].chain_seed,
+                      parallel[i].chains[c].chain_seed);
+            EXPECT_EQ(serial[i].chains[c].initial_cost,
+                      parallel[i].chains[c].initial_cost);
+            EXPECT_EQ(serial[i].chains[c].final_cost,
+                      parallel[i].chains[c].final_cost);
+            EXPECT_EQ(serial[i].chains[c].accepted,
+                      parallel[i].chains[c].accepted);
+        }
+        EXPECT_EQ(serial[i].best_chain, parallel[i].best_chain);
+        EXPECT_EQ(serial[i].best.rows, parallel[i].best.rows);
+        EXPECT_EQ(serial[i].best_raw_worst1,
+                  parallel[i].best_raw_worst1);
     }
-    EXPECT_EQ(serial.best_chain, parallel.best_chain);
-    EXPECT_EQ(serial.best.rows, parallel.best.rows);
-    EXPECT_EQ(serial.best_raw_worst1, parallel.best_raw_worst1);
 }
 
 TEST(LayoutSearch, ChainsAreReproducibleFromTheirSeeds)
@@ -342,7 +351,6 @@ TEST(LayoutSearch, ChainsAreReproducibleFromTheirSeeds)
     opt.chains = 3;
     opt.moves = 1500;
     opt.seed = 23;
-    opt.threads = 2;
     LayoutSearchResult result =
         searchDevelopedRows(12, 4, 0, 12, opt);
 
@@ -363,10 +371,21 @@ TEST(LayoutSearch, ChainsAreReproducibleFromTheirSeeds)
     EXPECT_EQ(best.cost(),
               result.chains[result.best_chain].final_cost);
 
-    // Same options => identical result (pure function).
+    // Same options => identical result (pure function), chain by
+    // chain.
     LayoutSearchResult again =
         searchDevelopedRows(12, 4, 0, 12, opt);
+    ASSERT_EQ(again.chains.size(), result.chains.size());
+    for (size_t c = 0; c < result.chains.size(); ++c) {
+        EXPECT_EQ(again.chains[c].chain_seed, result.chains[c].chain_seed);
+        EXPECT_EQ(again.chains[c].initial_cost,
+                  result.chains[c].initial_cost);
+        EXPECT_EQ(again.chains[c].final_cost, result.chains[c].final_cost);
+        EXPECT_EQ(again.chains[c].accepted, result.chains[c].accepted);
+    }
+    EXPECT_EQ(again.best_chain, result.best_chain);
     EXPECT_EQ(again.best.rows, result.best.rows);
+    EXPECT_EQ(again.best_raw_worst1, result.best_raw_worst1);
 }
 
 TEST(LayoutSearch, RejectsBadOptions)

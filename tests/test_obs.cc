@@ -398,27 +398,27 @@ instantAt(const char *name, int tid, double ts_ms)
 TEST(Tracer, RecordsSpansAndKeepsOrder)
 {
     Tracer tracer(64);
-    {
-        SpanGuard span(&tracer, "outer", "test", 1, 10.0);
-        span.closeAt(30.0);
-        {
-            SpanGuard inner(&tracer, "inner", "test", 1, 12.0);
-            inner.closeAt(20.0);
-        }
-    }
+    TraceEvent outer = instantAt("outer", 1, 10.0);
+    outer.phase = TraceEvent::Phase::Complete;
+    outer.dur_ms = 20.0;
+    tracer.record(outer);
+    TraceEvent inner = instantAt("inner", 1, 12.0);
+    inner.phase = TraceEvent::Phase::Complete;
+    inner.dur_ms = 8.0;
+    tracer.record(inner);
     tracer.record(instantAt("tick", 1, 15.0));
 
+    // events() keeps recording order; only the export sorts.
     std::vector<TraceEvent> events = tracer.events();
-    ASSERT_EQ(events.size(), 5u);
-    // Recording order: outer B, inner B, inner E, outer E, instant.
+    ASSERT_EQ(events.size(), 3u);
     EXPECT_EQ(std::string(events[0].name), "outer");
-    EXPECT_EQ(events[0].phase, TraceEvent::Phase::Begin);
+    EXPECT_EQ(events[0].phase, TraceEvent::Phase::Complete);
+    EXPECT_DOUBLE_EQ(events[0].dur_ms, 20.0);
     EXPECT_EQ(std::string(events[1].name), "inner");
-    EXPECT_EQ(events[1].phase, TraceEvent::Phase::Begin);
-    EXPECT_EQ(events[2].phase, TraceEvent::Phase::End);
-    EXPECT_EQ(std::string(events[3].name), "outer");
-    EXPECT_EQ(events[3].phase, TraceEvent::Phase::End);
-    EXPECT_EQ(events[4].phase, TraceEvent::Phase::Instant);
+    EXPECT_EQ(events[1].phase, TraceEvent::Phase::Complete);
+    EXPECT_DOUBLE_EQ(events[1].dur_ms, 8.0);
+    EXPECT_EQ(std::string(events[2].name), "tick");
+    EXPECT_EQ(events[2].phase, TraceEvent::Phase::Instant);
 }
 
 TEST(Tracer, RingOverflowDropsOldestAndCounts)

@@ -39,7 +39,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pddl_layout.hh"
 #include "fault/fault_scheduler.hh"
 #include "obs/metrics.hh"
 #include "sim/parallel_engine.hh"
@@ -107,9 +106,6 @@ constexpr double kDispatchMs = 0.75;
 Fingerprint
 runScenario(const ScenarioParams &params)
 {
-    PddlLayout layout = PddlLayout::make(13, 4);
-    const DeviceModel &model = device::hp2247();
-
     const size_t shard_count = static_cast<size_t>(params.shards);
     std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
     for (size_t s = 0; s <= shard_count; ++s)
@@ -119,8 +115,7 @@ runScenario(const ScenarioParams &params)
 
     std::vector<ShardSpec> specs(shard_count);
     for (size_t s = 0; s < shard_count; ++s) {
-        specs[s].layout = &layout;
-        specs[s].device = &model;
+        specs[s].layout_spec = "pddl:width=4";
         specs[s].array.probe =
             obs::Probe(registries[s].get(), nullptr);
     }
@@ -152,6 +147,7 @@ runScenario(const ScenarioParams &params)
 
     // Per-shard randomized fault timelines, identical for every
     // execution mode because they are drawn from (seed, shard).
+    const Layout &layout = volume->shard(0).layout();
     int64_t rows_per_disk = volume->shard(0).dataUnits() /
                             layout.dataUnitsPerPeriod() *
                             layout.unitsPerDiskPerPeriod();
@@ -490,10 +486,7 @@ TEST(ParallelEngine, ValidatesConfig)
 
 TEST(ParallelEngine, VolumeRejectsUndersizedDispatchOrLanes)
 {
-    PddlLayout layout = PddlLayout::make(13, 4);
     std::vector<ShardSpec> specs(2);
-    for (ShardSpec &spec : specs)
-        spec.layout = &layout;
 
     ParallelEngine::Config config;
     config.lookahead = 1.0;

@@ -104,8 +104,9 @@ runScenario()
     options.rebuild_parallel = 2;
     options.rebuild_stripes = 60;
     options.scrub_interval_ms = 15.0;
-    FaultScheduler scheduler(events, array, std::move(schedule),
+    FaultScheduler scheduler(events, std::move(schedule),
                              std::move(options));
+    scheduler.bindArray(array);
 
     Rng rng(0x5ca1ab1eULL);
     Welford response;
@@ -187,8 +188,6 @@ runScenario()
 Fingerprint
 runVolumeScenario()
 {
-    PddlLayout layout = PddlLayout::make(13, 4);
-    const DeviceModel &model = device::hp2247();
     constexpr int kShards = 4;
     constexpr double kDispatchMs = 0.75;
 
@@ -201,16 +200,15 @@ runVolumeScenario()
 
     ShuffledPlacement placement(0x243f6a8885a308d3ULL);
     std::vector<ShardSpec> specs(kShards);
-    for (ShardSpec &spec : specs) {
-        spec.layout = &layout;
-        spec.device = &model;
-    }
+    for (ShardSpec &spec : specs)
+        spec.layout_spec = "pddl:width=4";
     VolumeConfig vconfig;
     vconfig.chunk_units = 4;
     vconfig.placement = &placement;
     vconfig.dispatch_ms = kDispatchMs;
     VolumeManager volume(engine, std::move(specs), vconfig);
 
+    const Layout &layout = volume.shard(0).layout();
     int64_t rows_per_disk = volume.shard(0).dataUnits() /
                             layout.dataUnitsPerPeriod() *
                             layout.unitsPerDiskPerPeriod();

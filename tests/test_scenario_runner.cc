@@ -21,7 +21,6 @@
 
 #include "array/controller.hh"
 #include "core/layout_spec.hh"
-#include "core/pddl_layout.hh"
 #include "core/scenario_spec.hh"
 #include "disk/device_model.hh"
 #include "fault/fault_scheduler.hh"
@@ -410,8 +409,9 @@ runReliabilityTrial(const Layout &layout, const DeviceModel &device,
         if (state == FaultState::DataLoss)
             stopped = true;
     };
-    FaultScheduler scheduler(events, array, std::move(schedule),
+    FaultScheduler scheduler(events, std::move(schedule),
                              std::move(options));
+    scheduler.bindArray(array);
 
     TrialResult result;
     Rng rng(hashMix64(config.seed, 0xc11e));
@@ -616,13 +616,9 @@ TEST(RunScenarioVolume, ShardFailureMatchesHandBuiltScaleoutStack)
     ParallelEngine::Config engine_config;
     engine_config.lookahead = 2.0;
     ParallelEngine engine(shards, engine_config);
-    PddlLayout layout = PddlLayout::make(13, 4);
-    const DeviceModel &model = device::hp2247();
     std::vector<ShardSpec> specs(shards);
-    for (ShardSpec &spec : specs) {
-        spec.layout = &layout;
-        spec.device = &model;
-    }
+    for (ShardSpec &spec : specs)
+        spec.layout_spec = "pddl:width=4";
     VolumeConfig vconfig;
     vconfig.chunk_units = 8;
     vconfig.dispatch_ms = 2.0;

@@ -232,6 +232,22 @@ TEST(ScenarioSpec, SemanticErrorsAnchorTheField)
         spec, error));
     EXPECT_EQ(error.rfind("shards[1].rebuilt:", 0), 0u) << error;
 
+    // A drive too small for one pattern of its shard's layout: the
+    // controller could not place a single data unit.
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"shards\":[{\"device\":\"ssd:sectors=16\"}, {}],"
+        "\"dispatch_ms\":2}",
+        spec, error));
+    EXPECT_EQ(error.rfind("shards[0].device:", 0), 0u) << error;
+
+    // A chunk larger than a shard's capacity: the volume could not
+    // give each shard one whole chunk.
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"shards\":[{},{}],\"chunk_units\":100000000,"
+        "\"dispatch_ms\":2}",
+        spec, error));
+    EXPECT_EQ(error.rfind("chunk_units:", 0), 0u) << error;
+
     // Inverted cache watermarks.
     ScenarioSpec bad;
     bad.cache_enabled = true;

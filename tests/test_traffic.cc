@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "array/controller.hh"
-#include "core/pddl_layout.hh"
 #include "harness/parallel_for.hh"
 #include "layout/raid5.hh"
 #include "sim/parallel_engine.hh"
@@ -654,13 +653,9 @@ runTrafficOnVolume(bool one_queue, MakeWorkload make_workload,
 {
     const int shards = 2;
     const double dispatch_ms = 2.0;
-    PddlLayout layout = PddlLayout::make(13, 4);
-    const DeviceModel &model = device::hp2247();
     std::vector<ShardSpec> specs(shards);
-    for (ShardSpec &spec : specs) {
-        spec.layout = &layout;
-        spec.device = &model;
-    }
+    for (ShardSpec &spec : specs)
+        spec.layout_spec = "pddl:width=4";
     VolumeConfig vconfig;
     vconfig.chunk_units = 16;
     vconfig.dispatch_ms = dispatch_ms;

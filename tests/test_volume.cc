@@ -15,10 +15,6 @@
 #include <vector>
 
 #include "core/pddl_layout.hh"
-#include "layout/datum.hh"
-#include "layout/parity_decluster.hh"
-#include "layout/prime.hh"
-#include "layout/raid5.hh"
 #include "volume/volume_manager.hh"
 #include "workload/closed_loop.hh"
 
@@ -26,26 +22,19 @@ namespace pddl {
 namespace {
 
 /** The five evaluated layout families on the paper's 13-disk array. */
-std::vector<std::unique_ptr<Layout>>
+std::vector<std::string>
 allFamilies()
 {
-    std::vector<std::unique_ptr<Layout>> layouts;
-    layouts.push_back(std::make_unique<DatumLayout>(13, 4));
-    layouts.push_back(std::make_unique<ParityDeclusterLayout>(
-        ParityDeclusterLayout::make(13, 4)));
-    layouts.push_back(std::make_unique<Raid5Layout>(13));
-    layouts.push_back(
-        std::make_unique<PddlLayout>(PddlLayout::make(13, 4)));
-    layouts.push_back(std::make_unique<PrimeLayout>(13, 4));
-    return layouts;
+    return {"datum:width=4", "parity:width=4", "raid5", "pddl:width=4",
+            "prime:width=4"};
 }
 
 std::vector<ShardSpec>
-uniformShards(const Layout &layout, int count)
+uniformShards(const std::string &layout, int count)
 {
     std::vector<ShardSpec> specs(static_cast<size_t>(count));
     for (ShardSpec &spec : specs)
-        spec.layout = &layout;
+        spec.layout_spec = layout;
     return specs;
 }
 
@@ -107,8 +96,7 @@ TEST(VolumeRouting, BijectionAcrossShardCountsPoliciesAndFamilies)
     ShuffledPlacement shuffled;
     const PlacementPolicy *policies[] = {&fixed, &rotated, &shuffled};
 
-    auto layouts = allFamilies();
-    for (const auto &layout : layouts) {
+    for (const std::string &layout : allFamilies()) {
         for (int shard_count : {1, 2, 3, 4, 8}) {
             for (const PlacementPolicy *policy : policies) {
                 EventQueue events;
@@ -116,7 +104,7 @@ TEST(VolumeRouting, BijectionAcrossShardCountsPoliciesAndFamilies)
                 config.chunk_units = 16;
                 config.placement = policy;
                 VolumeManager volume(
-                    events, uniformShards(*layout, shard_count),
+                    events, uniformShards(layout, shard_count),
                     config);
 
                 ASSERT_EQ(volume.dataUnits(),
@@ -137,7 +125,7 @@ TEST(VolumeRouting, BijectionAcrossShardCountsPoliciesAndFamilies)
                     ASSERT_GE(addr.unit, 0);
                     ASSERT_LT(addr.unit, volume.shardDataUnits());
                     EXPECT_EQ(volume.volumeUnitOf(addr), unit)
-                        << layout->name() << " S=" << shard_count
+                        << layout << " S=" << shard_count
                         << " policy=" << policy->name();
                     EXPECT_TRUE(
                         homes.emplace(addr.shard, addr.unit).second)
@@ -156,7 +144,7 @@ TEST(VolumeRouting, BijectionAcrossShardCountsPoliciesAndFamilies)
 
 TEST(VolumeRouting, EveryShardServesOneChunkPerPeriod)
 {
-    PddlLayout layout = PddlLayout::make(13, 4);
+    const std::string layout = "pddl:width=4";
     ShuffledPlacement shuffled;
     EventQueue events;
     VolumeConfig config;
@@ -185,7 +173,7 @@ TEST(VolumeRouting, EveryShardServesOneChunkPerPeriod)
 struct VolumeFixture : ::testing::Test
 {
     EventQueue events;
-    PddlLayout layout = PddlLayout::make(13, 4);
+    const std::string layout = "pddl:width=4";
 
     std::unique_ptr<VolumeManager>
     makeVolume(int shard_count, int chunk_units = 8)
@@ -310,7 +298,8 @@ TEST_F(VolumeFixture, WorkloadRunsAgainstArrayAndVolumeAlike)
     config.warmup = 20;
 
     EventQueue queue_a;
-    ArrayController array(queue_a, layout, device::hp2247(),
+    PddlLayout pddl = PddlLayout::make(13, 4);
+    ArrayController array(queue_a, pddl, device::hp2247(),
                           ArrayConfig{});
     ClosedLoopClient on_array(config);
     on_array.start(queue_a, array);
@@ -440,46 +429,51 @@ TEST(VolumeTiered, AccessesCrossTheTierBoundaryAndComplete)
 
 TEST(VolumeTiered, SpecBuiltStripedVolumeMatchesPrebuiltLayouts)
 {
-    // A Striped volume whose shards come from spec strings routes
-    // identically to one built from prebuilt layout/device pointers
-    // -- the registry changes construction, never addressing.
+    // Shards built from spec strings map and size exactly as a layout
+    // built directly -- the registry changes construction, never
+    // addressing.
     PddlLayout layout = PddlLayout::make(13, 4);
     EventQueue events;
+    ArrayController array(events, layout, device::hp2247(),
+                          ArrayConfig{});
     VolumeConfig config;
     config.chunk_units = 8;
-
     std::vector<ShardSpec> by_spec(2);
     for (ShardSpec &spec : by_spec) {
         spec.layout_spec = "pddl:width=4";
         spec.device_spec = "hp2247";
     }
-    VolumeManager from_specs(events, by_spec, config);
-    VolumeManager from_objects(events, uniformShards(layout, 2),
-                               config);
+    VolumeManager volume(events, by_spec, config);
 
-    ASSERT_EQ(from_specs.dataUnits(), from_objects.dataUnits());
-    for (int64_t unit = 0; unit < 4096; ++unit) {
-        VolumeAddress a = from_specs.route(unit);
-        VolumeAddress b = from_objects.route(unit);
-        ASSERT_EQ(a.shard, b.shard) << unit;
-        ASSERT_EQ(a.unit, b.unit) << unit;
+    for (int s = 0; s < volume.shardCount(); ++s) {
+        const Layout &built = volume.shard(s).layout();
+        EXPECT_EQ(built.name(), layout.name());
+        ASSERT_EQ(built.stripesPerPeriod(), layout.stripesPerPeriod());
+        EXPECT_EQ(volume.shard(s).dataUnits(), array.dataUnits());
+        for (int64_t stripe = 0; stripe < 2 * layout.stripesPerPeriod();
+             ++stripe) {
+            for (int pos = 0; pos < layout.stripeWidth(); ++pos) {
+                const PhysAddr a = built.map({stripe, pos});
+                const PhysAddr b = layout.map({stripe, pos});
+                ASSERT_EQ(a.disk, b.disk) << stripe << "/" << pos;
+                ASSERT_EQ(a.unit, b.unit) << stripe << "/" << pos;
+            }
+        }
     }
+    EXPECT_EQ(volume.shardDataUnits(),
+              array.dataUnits() - array.dataUnits() % 8);
 }
 
 TEST(VolumeSharing, ShardsWithEqualSpecsShareOneLayoutAndDevice)
 {
-    // A spec-built layout or device is immutable, so shards built
-    // from equal specs share one object (and one map table); any
-    // difference in spec or disk count gets its own, and a prebuilt
-    // pointer is never merged with a spec-built one.
+    // A layout or device is immutable, so shards built from equal
+    // specs share one object (and one map table); any difference in
+    // spec or disk count gets its own, and an empty device spec is
+    // the HP 2247.
     const std::string hdd = "hdd:rpm=7200,avg_seek_ms=8";
-    PddlLayout prebuilt = PddlLayout::make(13, 4);
-    const auto prebuilt_device = device::makeDevice(hdd);
     std::vector<ShardSpec> specs(6);
-    specs[0].layout = &prebuilt;
-    specs[0].layout_spec = "pddl:width=4";
-    specs[0].device = prebuilt_device.get();
-    specs[0].device_spec = hdd;
+    specs[0].layout_spec = "raid5";
+    specs[0].device_spec = "hp2247";
     specs[1].layout_spec = "pddl:width=4";
     specs[1].device_spec = hdd;
     specs[2].device_spec = hdd; // empty layout_spec = "pddl:width=4"
@@ -493,20 +487,19 @@ TEST(VolumeSharing, ShardsWithEqualSpecsShareOneLayoutAndDevice)
     config.chunk_units = 8;
     VolumeManager volume(events, specs, config);
 
-    EXPECT_EQ(&volume.shard(0).layout(), &prebuilt);
     const Layout *shared = &volume.shard(1).layout();
-    EXPECT_NE(shared, &prebuilt);
     EXPECT_EQ(&volume.shard(2).layout(), shared);
     EXPECT_EQ(&volume.shard(5).layout(), shared);
     EXPECT_NE(&volume.shard(3).layout(), shared);
     EXPECT_EQ(volume.shard(3).layout().numDisks(), 17);
-    EXPECT_STREQ(volume.shard(4).layout().family(), "raid5");
+    EXPECT_STREQ(volume.shard(0).layout().family(), "raid5");
+    EXPECT_EQ(&volume.shard(4).layout(), &volume.shard(0).layout());
 
-    EXPECT_EQ(&volume.shardDevice(0), prebuilt_device.get());
-    EXPECT_NE(&volume.shardDevice(1), prebuilt_device.get());
     EXPECT_EQ(&volume.shardDevice(2), &volume.shardDevice(1));
     EXPECT_NE(&volume.shardDevice(3), &volume.shardDevice(1));
     EXPECT_EQ(&volume.shardDevice(5), &device::hp2247());
+    EXPECT_EQ(&volume.shardDevice(4), &device::hp2247());
+    EXPECT_EQ(&volume.shardDevice(0), &device::hp2247());
 }
 
 TEST(VolumeTiered, DegradedMirrorShardKeepsServingTheFastTier)

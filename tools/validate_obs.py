@@ -27,7 +27,7 @@ import subprocess
 import sys
 import tempfile
 
-KNOWN_PHASES = {"X", "B", "E", "b", "e", "i", "C", "M"}
+KNOWN_PHASES = {"X", "b", "e", "i", "C", "M"}
 
 # Host-dependent fields, documented in README as the only ones that
 # may differ between runs of the same grid.
