@@ -9,32 +9,12 @@
 
 namespace pddl {
 
-const char *
-arrayStateName(ArrayState state)
-{
-    switch (state) {
-      case ArrayState::FaultFree:
-        return "fault_free";
-      case ArrayState::Degraded:
-        return "degraded";
-      case ArrayState::PostReconstruction:
-        return "post_reconstruction";
-    }
-    return "unknown";
-}
-
 ArrayController::ArrayController(EventQueue &events,
                                  const Layout &layout,
                                  const DeviceModel &device,
                                  const ArrayConfig &config)
     : events_(events), layout_(layout), config_(config),
       mapper_(layout, config.mode, config.failed_disk)
-{
-    init(device);
-}
-
-void
-ArrayController::init(const DeviceModel &device)
 {
     for (int d = 0; d < layout_.numDisks(); ++d) {
         disks_.push_back(std::make_unique<Disk>(events_, device,
@@ -192,7 +172,7 @@ ArrayController::transition(ArrayState next, int disk)
     auto illegal = [&](const char *why) {
         throw std::logic_error(
             std::string("illegal array transition ") +
-            arrayStateName(from) + " -> " + arrayStateName(next) +
+            arrayModeName(from) + " -> " + arrayModeName(next) +
             " (disk " + std::to_string(disk) + "): " + why);
     };
 
@@ -224,8 +204,8 @@ ArrayController::transition(ArrayState next, int disk)
     probe.count("array.transitions");
     probe.instant("array.transition", "state", obs::kLaneArray,
                   events_.now(),
-                  {{"from", arrayStateName(from)},
-                   {"to", arrayStateName(next)},
+                  {{"from", arrayModeName(from)},
+                   {"to", arrayModeName(next)},
                    {"disk", static_cast<double>(disk)}});
 }
 

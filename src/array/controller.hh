@@ -36,11 +36,9 @@ namespace pddl {
  *   Degraded -> PostReconstruction   (rebuilt into spare space)
  *   Degraded -> FaultFree            (replaced without sparing)
  *   PostReconstruction -> FaultFree  (replaced and copied back)
+ * arrayModeName() names a state.
  */
 using ArrayState = ArrayMode;
-
-/** Stable lowercase name of a state ("fault_free", ...). */
-const char *arrayStateName(ArrayState state);
 
 /** Controller configuration (paper Table 2 defaults). */
 struct ArrayConfig
@@ -111,9 +109,6 @@ class ArrayController : public Target
      */
     void transition(ArrayState next, int disk = -1);
 
-    /** Current failure-lifecycle state. */
-    ArrayState state() const { return mapper_.mode(); }
-
     ArrayMode mode() const { return mapper_.mode(); }
     int failedDisk() const { return mapper_.failedDisk(); }
 
@@ -158,9 +153,6 @@ class ArrayController : public Target
         InlineCallback done;
         PendingHandle next_free = kNilPending;
     };
-
-    /** Shared constructor tail: disks, hooks, capacity. */
-    void init(const DeviceModel &device);
 
     PendingHandle allocPending();
     void freePending(PendingHandle handle);

@@ -6,6 +6,18 @@
 
 namespace pddl {
 
+const char *
+arrayModeName(ArrayMode mode)
+{
+    switch (mode) {
+      case ArrayMode::FaultFree: return "fault_free";
+      case ArrayMode::Degraded: return "degraded";
+      case ArrayMode::PostReconstruction:
+        return "post_reconstruction";
+    }
+    return "unknown";
+}
+
 RequestMapper::RequestMapper(const Layout &layout, ArrayMode mode,
                              int failed_disk)
     : layout_(layout)

@@ -57,6 +57,9 @@ enum class ArrayMode
     PostReconstruction
 };
 
+/** Stable lowercase name of a mode ("fault_free", ...). */
+const char *arrayModeName(ArrayMode mode);
+
 /** One physical stripe-unit operation. */
 struct PhysOp
 {

@@ -188,41 +188,6 @@ makeLayout(const std::string &spec, int disks)
     return buildLayout(parsed, disks);
 }
 
-std::string
-specOf(const Layout &layout)
-{
-    const LayoutInfo info = layout.describe();
-    ParsedLayoutSpec spec;
-    if (info.family == "parity_decluster")
-        spec.family = "parity";
-    else if (info.family == "pddl_wrapped")
-        spec.family = "wrapped";
-    else
-        spec.family = info.family;
-    spec.width = info.width;
-    spec.check = info.check_units;
-    if (spec.family == "mirror") {
-        spec.copies = layout.mirrorCopies();
-        spec.sched = layout.replicaSched();
-    } else if (spec.family == "draid") {
-        // Renders the seeded construction parameters; a searched
-        // (explicit-map) layout is reproducible from its recorded
-        // (seed, move count) instead, not from this spec.
-        const auto &draid =
-            static_cast<const DevelopedRandomLayout &>(layout);
-        spec.spares = draid.spares();
-        spec.rows = draid.rowCount();
-        spec.seed = draid.seed();
-    } else if (spec.family != "pddl" && spec.family != "wrapped" &&
-               spec.family != "raid5" &&
-               spec.family != "datum" && spec.family != "parity" &&
-               spec.family != "prime" && spec.family != "tdesign") {
-        throw std::runtime_error("layout family '" + spec.family +
-                                 "' has no registered spec");
-    }
-    return spec.canonical();
-}
-
 const std::vector<std::string> &
 layoutSpecNames()
 {

@@ -25,11 +25,10 @@
  *
  * Every key is optional. parseLayoutSpec() normalizes a spec into a
  * ParsedLayoutSpec whose canonical() string round-trips
- * (parse(canonical(p)) == p), and specOf() renders the canonical
- * spec of a live Layout, so parse(specOf(*makeLayout(s, n))) equals
- * parse(s) for every registered family -- the round-trip the
- * registry tests pin. The disk count is *not* part of a spec: it
- * stays a property of the shard (VolumeManager) or bench grid.
+ * (parse(canonical(p)) == p). The spec is a layout's one name: a
+ * built Layout does not describe itself. The disk count is *not*
+ * part of a spec: it stays a property of the shard (VolumeManager)
+ * or bench grid.
  */
 
 #ifndef PDDL_CORE_LAYOUT_SPEC_HH
@@ -81,12 +80,6 @@ std::unique_ptr<Layout> buildLayout(const ParsedLayoutSpec &spec,
 
 /** Parse-or-throw + build convenience. */
 std::unique_ptr<Layout> makeLayout(const std::string &spec, int disks);
-
-/**
- * Canonical spec of a live layout (the inverse of makeLayout, minus
- * the disk count). Throws for families outside the registry.
- */
-std::string specOf(const Layout &layout);
 
 /** Registered spec grammars, one line each (--help listings). */
 const std::vector<std::string> &layoutSpecNames();

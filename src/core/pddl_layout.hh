@@ -83,8 +83,6 @@ class PddlLayout : public Layout
         return static_cast<int64_t>(group_.size()) * numDisks();
     }
 
-    const char *family() const override { return "pddl"; }
-
     PhysAddr mapUnit(int64_t stripe, int pos) const override;
 
     bool hasSparing() const override { return true; }
@@ -120,9 +118,6 @@ class PddlLayout : public Layout
         return group_.develop(group_.perms[r / numDisks()][disk],
                               r % numDisks());
     }
-
-  protected:
-    int groupCount() const override { return group_.g; }
 
   private:
     PermutationGroup group_;

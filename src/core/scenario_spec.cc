@@ -15,6 +15,7 @@
 #include <variant>
 
 #include "core/layout_spec.hh"
+#include "core/volume_capacity.hh"
 #include "disk/device_model.hh"
 #include "traffic/arrival.hh"
 #include "traffic/offset_dist.hh"
@@ -462,6 +463,9 @@ ScenarioSpec::normalize(std::string &error)
         error.assign(anchor).append(": ").append(why);
         return false;
     };
+    if (shards.size() > static_cast<size_t>(kMaxVolumeShards))
+        return fail("shards", "at most " + std::to_string(kMaxVolumeShards) +
+                                  " shards per volume");
     std::string why;
     // Each distinct (canonical layout, disks) is built once, and each
     // distinct device string parsed once; a shard that repeats one
@@ -476,6 +480,7 @@ ScenarioSpec::normalize(std::string &error)
     std::map<std::pair<std::string, int>, Shape> layout_of;
     std::map<std::string, std::pair<std::string, int64_t>> device_of;
     int64_t min_capacity = std::numeric_limits<int64_t>::max();
+    int64_t capacity_of[kMaxVolumeShards] = {}; // on the stack: no allocation
     for (size_t i = 0; i < shards.size(); ++i) {
         ScenarioShard &shard = shards[i];
         auto at = [&](const char *key) {
@@ -521,6 +526,7 @@ ScenarioSpec::normalize(std::string &error)
             return fail(at("device"), "too small for one pattern of the "
                                       "shard's layout at this unit_sectors");
         min_capacity = std::min(min_capacity, capacity);
+        capacity_of[i] = capacity;
         if (shard.failed_disk < -1 || shard.failed_disk >= shard.disks)
             return fail(at("failed_disk"), "must be -1 (healthy) or a "
                                            "disk index below disks");
@@ -539,6 +545,31 @@ ScenarioSpec::normalize(std::string &error)
         return fail("chunk_units", "exceeds the " +
                                        std::to_string(min_capacity) +
                                        " data units of the smallest shard");
+    // Every access must fit the backend: the bare array, or the
+    // volume its shards level into. A closed client with no mix
+    // issues one default entry.
+    const int64_t backend_units =
+        dispatch_ms > 0.0
+            ? volumeDataUnits(
+                  static_cast<int>(shards.size()), allocation == "tiered",
+                  chunk_units, [&](int s) { return capacity_of[s]; },
+                  [&](int s) {
+                      std::string_view kind, body;
+                      spec_text::splitFamily(shards[s].device, kind, body);
+                      return allocationTier(shards[s].tier, kind);
+                  })
+            : capacity_of[0];
+    const bool closed_default = mix.empty() && client == "closed";
+    for (size_t i = 0; i < (closed_default ? 1 : mix.size()); ++i) {
+        const int64_t units = unitsForKb(
+            closed_default ? ScenarioMix{}.kb : mix[i].kb, unit_sectors);
+        if (units > backend_units)
+            return fail(closed_default ? "mix" : itemAnchor("mix", i) + ".kb",
+                        "an access of " + std::to_string(units) +
+                            " stripe units exceeds the " +
+                            std::to_string(backend_units) +
+                            " data units of the backend");
+    }
     traffic::OffsetSpec offset_spec;
     if (!traffic::parseOffsetSpec(offsets, offset_spec, why))
         return fail("offsets", why);

@@ -53,8 +53,6 @@ class WrappedLayout : public Layout
                inner_.unitsPerDiskPerPeriod();
     }
 
-    const char *family() const override { return "pddl_wrapped"; }
-
     PhysAddr mapUnit(int64_t stripe, int pos) const override;
 
     bool hasSparing() const override { return true; }
@@ -63,9 +61,6 @@ class WrappedLayout : public Layout
         const override;
 
     const PddlLayout &inner() const { return inner_; }
-
-  protected:
-    int groupCount() const override { return inner_.stripesPerRow(); }
 
   private:
     /** Disk sitting out super-block `block` (leave-one-out colex). */

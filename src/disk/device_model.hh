@@ -126,9 +126,6 @@ class DeviceModel
     /** Total addressable sectors. */
     virtual int64_t totalSectors() const = 0;
 
-    /** Bytes per sector. */
-    virtual int sectorBytes() const = 0;
-
     /**
      * Decode an LBA into its media position. The SSTF scheduler
      * compares the cylinders; position-free devices return the same
@@ -204,10 +201,6 @@ class HddDeviceModel : public DeviceModel
     {
         return geometry_.totalSectors();
     }
-    int sectorBytes() const override
-    {
-        return geometry_.sectorBytes();
-    }
     DiskPosition locate(int64_t lba) const override;
     SeekClass classify(const MechState &state, const DiskPosition &start,
                        bool same_access) const override;
@@ -219,7 +212,6 @@ class HddDeviceModel : public DeviceModel
 
     const DiskGeometry &geometry() const { return geometry_; }
     const SeekModel &seek() const { return seek_; }
-    double rpm() const { return rpm_; }
     double revolutionMs() const { return 60000.0 / rpm_; }
 
   private:
@@ -248,7 +240,6 @@ class SsdDeviceModel : public DeviceModel
     const char *kind() const override { return "ssd"; }
     std::string describe() const override;
     int64_t totalSectors() const override { return sectors_; }
-    int sectorBytes() const override { return 512; }
     DiskPosition locate(int64_t) const override { return {}; }
     SeekClass classify(const MechState &, const DiskPosition &,
                        bool same_access) const override

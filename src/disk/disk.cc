@@ -91,7 +91,6 @@ Disk::touchLatentErrors(int64_t lba, int sectors, bool write)
         } else {
             // A read surfaces the error; the sector stays bad until
             // something rewrites it.
-            ++errors_detected_;
             probe_.count("disk.medium_errors_detected");
             probe_.instant("medium error", "fault", lane_,
                            events_.now(),

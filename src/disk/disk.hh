@@ -80,9 +80,6 @@ class Disk
     /** True when [lba, lba+sectors) covers a latent error. */
     bool hasLatentErrorIn(int64_t lba, int sectors) const;
 
-    /** Latent-error sectors surfaced by reads so far. */
-    int64_t mediumErrorsDetected() const { return errors_detected_; }
-
     /** Latent-error sectors healed by overwrites so far. */
     int64_t mediumErrorsRepaired() const { return errors_repaired_; }
 
@@ -182,7 +179,6 @@ class Disk
     SimTime busy_ms_ = 0.0;
 
     std::set<int64_t> latent_lbas_;
-    int64_t errors_detected_ = 0;
     int64_t errors_repaired_ = 0;
     std::function<void(int64_t)> medium_error_hook_;
 };

@@ -17,18 +17,6 @@ accessTypeName(AccessType type)
     return type == AccessType::Read ? "read" : "write";
 }
 
-const char *
-arrayModeName(ArrayMode mode)
-{
-    switch (mode) {
-      case ArrayMode::FaultFree: return "fault_free";
-      case ArrayMode::Degraded: return "degraded";
-      case ArrayMode::PostReconstruction:
-        return "post_reconstruction";
-    }
-    return "unknown";
-}
-
 uint64_t
 deriveSeed(const GridPoint &point)
 {

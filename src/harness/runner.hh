@@ -54,7 +54,6 @@ struct GridPoint
 
 /** Short lowercase name used in hashing and JSON. */
 const char *accessTypeName(AccessType type);
-const char *arrayModeName(ArrayMode mode);
 
 /**
  * Deterministic per-point seed: FNV-1a over the point's canonical

@@ -44,8 +44,6 @@ class DatumLayout : public Layout
         return rows_;
     }
 
-    const char *family() const override { return "datum"; }
-
     PhysAddr mapUnit(int64_t stripe, int pos) const override;
 
   private:

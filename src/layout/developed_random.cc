@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <stdexcept>
-#include <utility>
 
 #include "util/rng.hh"
 
@@ -54,15 +53,8 @@ randomDevelopedRows(int n, int k, int spares, int rows, uint64_t seed)
 DevelopedRandomLayout::DevelopedRandomLayout(int disks, int width,
                                              int spares, int rows,
                                              uint64_t seed)
-    : DevelopedRandomLayout(
-          randomDevelopedRows(disks, width, spares, rows, seed), seed)
-{
-}
-
-DevelopedRandomLayout::DevelopedRandomLayout(DevelopedRows map,
-                                             uint64_t seed)
-    : Layout("Developed Random Rows", map.n, map.k, 1),
-      map_(std::move(map)), seed_(seed)
+    : Layout("Developed Random Rows", disks, width, 1),
+      map_(randomDevelopedRows(disks, width, spares, rows, seed))
 {
     validateDevelopedRows(map_);
 }

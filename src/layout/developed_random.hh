@@ -10,8 +10,8 @@
  * slots followed by g = (n - spares) / k stripe groups of width k;
  * the row permutations are drawn deterministically from a seed
  * (randomDevelopedRows), so a layout is reproducible from
- * (disks, width, spares, rows, seed) alone -- or from an explicit
- * map handed back by the derandomization search (core/layout_search).
+ * (disks, width, spares, rows, seed) alone. The derandomization
+ * search (core/layout_search) scores such maps directly.
  */
 
 #ifndef PDDL_LAYOUT_DEVELOPED_RANDOM_HH
@@ -52,8 +52,7 @@ void validateDevelopedRows(const DevelopedRows &map);
 DevelopedRows randomDevelopedRows(int n, int k, int spares, int rows,
                                   uint64_t seed);
 
-/** Seeded (or searched) developed-random-rows layout with
- *  distributed sparing. */
+/** Seeded developed-random-rows layout with distributed sparing. */
 class DevelopedRandomLayout : public Layout
 {
   public:
@@ -69,15 +68,6 @@ class DevelopedRandomLayout : public Layout
      */
     DevelopedRandomLayout(int disks, int width, int spares, int rows,
                           uint64_t seed);
-
-    /**
-     * Adopt an explicit developed map (a derandomization-search
-     * result). `seed` records the chain seed the map grew from so
-     * describe() callers can still identify the run.
-     */
-    DevelopedRandomLayout(DevelopedRows map, uint64_t seed);
-
-    const char *family() const override { return "draid"; }
 
     int64_t
     stripesPerPeriod() const override
@@ -112,16 +102,11 @@ class DevelopedRandomLayout : public Layout
 
     int rowCount() const { return static_cast<int>(map_.rows.size()); }
 
-    uint64_t seed() const { return seed_; }
-
   protected:
     PhysAddr mapUnit(int64_t stripe, int pos) const override;
 
-    int groupCount() const override { return map_.groupsPerRow(); }
-
   private:
     DevelopedRows map_;
-    uint64_t seed_;
 };
 
 } // namespace pddl

@@ -11,8 +11,8 @@
  *
  * The mapping API is uniform across all layout families:
  * map(VirtualAddress) resolves one virtual stripe unit to its
- * physical home, and describe() reports the family's shape
- * (LayoutInfo) for benches, JSON output and tests.
+ * physical home. A layout is named by its spec string
+ * (core/layout_spec.hh); the object reports only its shape.
  *
  * map() serves from a lazily built per-period table (one PhysAddr per
  * (stripe-in-period, position)) whenever the family's mapping is
@@ -53,9 +53,6 @@ struct PhysAddr
     }
 };
 
-/** Canonical spelling of PhysAddr in the unified mapping API. */
-using PhysicalAddress = PhysAddr;
-
 /**
  * Replica-selection policy for mirrored (RAID-1/0) layouts: which
  * surviving copy serves a read.
@@ -83,21 +80,6 @@ struct VirtualAddress
     {
         return stripe == o.stripe && pos == o.pos;
     }
-};
-
-/** Shape of a layout as reported by Layout::describe(). */
-struct LayoutInfo
-{
-    std::string name;   ///< human-readable scheme name
-    std::string family; ///< stable lowercase family id
-    int disks = 0;      ///< n
-    int width = 0;      ///< stripe width k (data + check)
-    int check_units = 0;
-    /** Declustered stripe groups per row (PDDL's g; 0 = n/a). */
-    int group = 0;
-    bool sparing = false;
-    int64_t stripes_per_period = 0;
-    int64_t units_per_disk_per_period = 0;
 };
 
 /**
@@ -140,9 +122,6 @@ class Layout
 
     const std::string &name() const { return name_; }
 
-    /** Stable lowercase family id ("raid5", "pddl", ...). */
-    virtual const char *family() const = 0;
-
     /** Number of disks in the array (n). */
     int numDisks() const { return disks_; }
 
@@ -179,7 +158,7 @@ class Layout
      * no per-family arithmetic); falls back to mapUnit() for
      * non-periodic families and oversized periods.
      */
-    PhysicalAddress
+    PhysAddr
     map(VirtualAddress va) const
     {
         assert(va.stripe >= 0);
@@ -204,29 +183,12 @@ class Layout
      * result as map() by construction; exists so tests and tools can
      * cross-check the table against the family arithmetic.
      */
-    PhysicalAddress
+    PhysAddr
     mapUncached(VirtualAddress va) const
     {
         assert(va.stripe >= 0);
         assert(va.pos >= 0 && va.pos < width_);
         return mapUnit(va.stripe, va.pos);
-    }
-
-    /** Shape summary used by benches, JSON output and tests. */
-    LayoutInfo
-    describe() const
-    {
-        LayoutInfo info;
-        info.name = name_;
-        info.family = family();
-        info.disks = disks_;
-        info.width = width_;
-        info.check_units = check_units_;
-        info.group = groupCount();
-        info.sparing = hasSparing();
-        info.stripes_per_period = stripesPerPeriod();
-        info.units_per_disk_per_period = unitsPerDiskPerPeriod();
-        return info;
     }
 
     /** Virtual address holding client data unit `data_unit`. */
@@ -282,9 +244,6 @@ class Layout
      * position `pos` of stripe `stripe`. Arguments arrive validated.
      */
     virtual PhysAddr mapUnit(int64_t stripe, int pos) const = 0;
-
-    /** Declustered stripe groups per row (describe().group). */
-    virtual int groupCount() const { return 0; }
 
   private:
     /**

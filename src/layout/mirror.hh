@@ -38,8 +38,6 @@ class MirrorLayout : public Layout
 
     int64_t unitsPerDiskPerPeriod() const override { return 1; }
 
-    const char *family() const override { return "mirror"; }
-
     int mirrorCopies() const override { return stripeWidth(); }
 
     ReplicaSched replicaSched() const override { return sched_; }

@@ -47,8 +47,6 @@ class ParityDeclusterLayout : public Layout
                stripeWidth();
     }
 
-    const char *family() const override { return "parity_decluster"; }
-
     PhysAddr mapUnit(int64_t stripe, int pos) const override;
 
     const Bibd &design() const { return design_; }

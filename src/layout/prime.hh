@@ -51,8 +51,6 @@ class PrimeLayout : public Layout
         return static_cast<int64_t>(stripeWidth()) * (numDisks() - 1);
     }
 
-    const char *family() const override { return "prime"; }
-
     PhysAddr mapUnit(int64_t stripe, int pos) const override;
 };
 

@@ -51,8 +51,6 @@ class PseudoRandomLayout : public Layout
     /** Rounds repeat in structure, never in content: no table. */
     bool mapIsPeriodic() const override { return false; }
 
-    const char *family() const override { return "pseudo_random"; }
-
     PhysAddr mapUnit(int64_t stripe, int pos) const override;
 
   private:

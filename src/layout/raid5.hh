@@ -27,8 +27,6 @@ class Raid5Layout : public Layout
 
     int64_t unitsPerDiskPerPeriod() const override { return numDisks(); }
 
-    const char *family() const override { return "raid5"; }
-
     PhysAddr mapUnit(int64_t stripe, int pos) const override;
 };
 

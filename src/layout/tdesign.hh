@@ -45,8 +45,6 @@ class TDesignLayout : public ParityDeclusterLayout
     /** @param disks array size; must be a power of two >= 8
      *  (stripe width is the SQS block size, 4). */
     explicit TDesignLayout(int disks);
-
-    const char *family() const override { return "tdesign"; }
 };
 
 } // namespace pddl

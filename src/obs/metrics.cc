@@ -351,16 +351,5 @@ MetricsRegistry::snapshot() const
     return snap;
 }
 
-MetricsSnapshot
-snapshotAll(const std::vector<const MetricsRegistry *> &registries)
-{
-    MetricsSnapshot merged;
-    for (const MetricsRegistry *registry : registries) {
-        if (registry != nullptr)
-            merged.merge(registry->snapshot());
-    }
-    return merged;
-}
-
 } // namespace obs
 } // namespace pddl

@@ -193,18 +193,6 @@ class MetricsRegistry
     std::vector<double> histogram_bounds_;
 };
 
-/**
- * Snapshot several registries and fold them in caller order.
- *
- * A scenario that keeps one registry per engine lane (shard) merges
- * them here: histogram sums are floating-point folds, so only a merge
- * order fixed by the caller -- shard 0, 1, 2, ... -- keeps the
- * grouping, and with it the merged snapshot, byte-identical from run
- * to run. Null entries are skipped.
- */
-MetricsSnapshot
-snapshotAll(const std::vector<const MetricsRegistry *> &registries);
-
 } // namespace obs
 } // namespace pddl
 

@@ -11,6 +11,7 @@
 #include "array/controller.hh"
 #include "cache/cache_tier.hh"
 #include "core/layout_spec.hh"
+#include "core/volume_capacity.hh"
 #include "disk/device_model.hh"
 #include "fault/fault_scheduler.hh"
 #include "obs/metrics.hh"
@@ -22,19 +23,12 @@
 #include "volume/volume_manager.hh"
 #include "workload/closed_loop.hh"
 #include "workload/open_loop.hh"
+#include "workload/trace_replay.hh"
 
 namespace pddl {
 namespace tune {
 
 namespace {
-
-/** KB -> stripe units at this spec's unit size, at least one unit. */
-int64_t
-unitsForKb(int64_t kb, int unit_sectors)
-{
-    const int64_t units = kb * 2 / unit_sectors;
-    return units < 1 ? 1 : units;
-}
 
 [[noreturn]] void
 badSpec(const std::string &what)
@@ -309,18 +303,18 @@ runScenario(const ScenarioSpec &spec,
     }
     Target &target = tier ? static_cast<Target &>(*tier) : backend;
 
-    std::unique_ptr<traffic::TraceCapture> capture;
+    std::unique_ptr<TraceCapture> capture;
     Target *workload_target = &target;
     if (!options.capture_path.empty()) {
-        capture = std::make_unique<traffic::TraceCapture>(hub, target);
+        capture = std::make_unique<TraceCapture>(hub, target);
         workload_target = capture.get();
     }
 
     std::string why;
     if (replaying) {
-        traffic::TraceReplayConfig rconfig;
+        TraceReplayConfig rconfig;
         rconfig.latency = &latency;
-        traffic::TraceReplayWorkload replay(*options.replay, rconfig);
+        TraceReplayWorkload replay(*options.replay, rconfig);
         replay.start(hub, *workload_target);
         run();
         outcome.mean_ms = replay.latency().mean();

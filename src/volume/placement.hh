@@ -32,9 +32,6 @@ class PlacementPolicy
   public:
     virtual ~PlacementPolicy();
 
-    /** Stable lowercase policy id ("static", "rotate", "shuffle"). */
-    virtual const char *name() const = 0;
-
     /**
      * Write a permutation of [0, shards) into perm[0..shards) for
      * chunk period `period`. Must be a pure function of (period,
@@ -49,7 +46,6 @@ class PlacementPolicy
 class StaticPlacement final : public PlacementPolicy
 {
   public:
-    const char *name() const override { return "static"; }
     void permutation(int64_t period, int shards,
                      int *perm) const override;
 };
@@ -61,7 +57,6 @@ class StaticPlacement final : public PlacementPolicy
 class RotatedPlacement final : public PlacementPolicy
 {
   public:
-    const char *name() const override { return "rotate"; }
     void permutation(int64_t period, int shards,
                      int *perm) const override;
 };
@@ -75,7 +70,6 @@ class ShuffledPlacement final : public PlacementPolicy
     {
     }
 
-    const char *name() const override { return "shuffle"; }
     void permutation(int64_t period, int shards,
                      int *perm) const override;
 

@@ -1,8 +1,6 @@
 #include "volume/volume_manager.hh"
 
-#include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <string_view>
 
@@ -52,8 +50,8 @@ VolumeManager::init(std::vector<ShardSpec> &shards)
 {
     if (shards.empty())
         throw std::logic_error("volume needs at least one shard");
-    if (static_cast<int>(shards.size()) > kMaxShards)
-        throw std::logic_error("volume shard count over kMaxShards");
+    if (static_cast<int>(shards.size()) > kMaxVolumeShards)
+        throw std::logic_error("volume shard count over kMaxVolumeShards");
     if (chunk_units_ < 1)
         throw std::logic_error("volume chunk_units must be >= 1");
     if (!(config_.dispatch_ms >= 0.0))
@@ -106,54 +104,34 @@ VolumeManager::init(std::vector<ShardSpec> &shards)
         shards_.push_back(std::make_unique<ArrayController>(
             *shard_events_[s], *layout, *device, spec.array));
         devices_.push_back(device);
-        tiers_.push_back(
-            !spec.tier.empty()
-                ? spec.tier
-                : (std::strcmp(device->kind(), "ssd") == 0 ? "fast"
-                                                           : "bulk"));
+        tiers_.emplace_back(allocationTier(spec.tier, device->kind()));
     }
 
-    // Assemble allocation groups. Striped: one group of everything
-    // (the legacy address math, byte-for-byte). Tiered: group by
-    // tier label, ordered by first appearance, address space =
-    // concatenated group spans.
+    // Assemble allocation groups: the shards of one tier label, in
+    // order of first appearance (striped: one group, "all", of every
+    // shard); the address space is the group spans end to end.
     group_of_shard_.assign(shards_.size(), -1);
     index_in_group_.assign(shards_.size(), -1);
-    if (config_.allocation == VolumeAllocation::Striped) {
-        Group all;
-        all.tier = "all";
-        for (int s = 0; s < static_cast<int>(shards_.size()); ++s)
-            all.shards.push_back(s);
-        groups_.push_back(std::move(all));
-    } else {
-        for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
-            int g = -1;
-            for (size_t i = 0; i < groups_.size(); ++i) {
-                if (groups_[i].tier == tiers_[s]) {
-                    g = static_cast<int>(i);
-                    break;
-                }
-            }
-            if (g < 0) {
-                g = static_cast<int>(groups_.size());
-                groups_.push_back(Group{tiers_[s], {}, 0, 0});
-            }
-            groups_[static_cast<size_t>(g)].shards.push_back(s);
-        }
+    const bool tiered = config_.allocation == VolumeAllocation::Tiered;
+    const std::string all = "all";
+    for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
+        const std::string &tier = tiered ? tiers_[s] : all;
+        size_t g = 0;
+        while (g < groups_.size() && groups_[g].tier != tier)
+            ++g;
+        if (g == groups_.size())
+            groups_.push_back(Group{tier, {}, 0, 0});
+        groups_[g].shards.push_back(s);
     }
     for (size_t g = 0; g < groups_.size(); ++g) {
         Group &group = groups_[g];
-        // Level each group to its smallest member, chunk-aligned:
-        // every member then holds exactly one chunk per group period
-        // and the bijection needs no per-shard capacity cases.
-        group.per_shard_units =
-            shards_[static_cast<size_t>(group.shards[0])]->dataUnits();
-        for (int s : group.shards) {
-            group.per_shard_units =
-                std::min(group.per_shard_units,
-                         shards_[static_cast<size_t>(s)]->dataUnits());
-        }
-        group.per_shard_units -= group.per_shard_units % chunk_units_;
+        // Every member holds exactly one chunk per group period, so
+        // the bijection needs no per-shard capacity cases.
+        group.per_shard_units = leveledShardUnits(
+            static_cast<int>(shards_.size()), group.shards[0], tiered,
+            chunk_units_,
+            [this](int s) { return shards_[s]->dataUnits(); },
+            [this](int s) -> const std::string & { return tiers_[s]; });
         if (group.per_shard_units < chunk_units_)
             throw std::logic_error(
                 "volume shards too small for one chunk");
@@ -199,7 +177,7 @@ VolumeManager::route(int64_t unit) const
     const int64_t offset = local % chunk_units_;
     const int64_t period = chunk / members;
     const int slot = static_cast<int>(chunk % members);
-    int perm[kMaxShards];
+    int perm[kMaxVolumeShards];
     placement_->permutation(period, members, perm);
     return {group.shards[static_cast<size_t>(perm[slot])],
             period * chunk_units_ + offset};
@@ -217,7 +195,7 @@ VolumeManager::volumeUnitOf(VolumeAddress addr) const
         index_in_group_[static_cast<size_t>(addr.shard)];
     const int64_t period = addr.unit / chunk_units_;
     const int64_t offset = addr.unit % chunk_units_;
-    int perm[kMaxShards];
+    int perm[kMaxVolumeShards];
     placement_->permutation(period, members, perm);
     int slot = -1;
     for (int i = 0; i < members; ++i) {

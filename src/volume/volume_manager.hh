@@ -68,6 +68,7 @@
 
 #include "array/controller.hh"
 #include "array/target.hh"
+#include "core/volume_capacity.hh"
 #include "disk/device_model.hh"
 #include "obs/probe.hh"
 #include "sim/event_queue.hh"
@@ -156,9 +157,6 @@ class ParallelEngine;
 class VolumeManager : public Target
 {
   public:
-    /** Hard shard-count cap (stack permutation buffers, ~2KB). */
-    static constexpr int kMaxShards = 256;
-
     /**
      * Serial volume: every shard shares one event queue.
      *
@@ -226,7 +224,6 @@ class VolumeManager : public Target
     }
 
     int64_t chunkUnits() const { return chunk_units_; }
-    const PlacementPolicy &placement() const { return *placement_; }
 
     // Target interface.
     int64_t dataUnits() const override { return data_units_; }

@@ -250,7 +250,7 @@ TEST_F(ControllerFixture, IllegalTransitionsThrow)
     EXPECT_THROW(array.transition(ArrayState::Degraded,
                                   pddl.numDisks()),
                  std::logic_error);
-    EXPECT_EQ(array.state(), ArrayState::FaultFree);
+    EXPECT_EQ(array.mode(), ArrayState::FaultFree);
 
     array.transition(ArrayState::Degraded, 4);
     // Second failure is data loss, not a transition.
@@ -259,7 +259,7 @@ TEST_F(ControllerFixture, IllegalTransitionsThrow)
     // Sparing must name the disk that actually failed.
     EXPECT_THROW(array.transition(ArrayState::PostReconstruction, 5),
                  std::logic_error);
-    EXPECT_EQ(array.state(), ArrayState::Degraded);
+    EXPECT_EQ(array.mode(), ArrayState::Degraded);
     EXPECT_EQ(array.failedDisk(), 4);
 }
 
@@ -272,7 +272,7 @@ TEST_F(ControllerFixture, SparingRequiresSpareSpace)
                  std::logic_error);
     // Repair without sparing goes straight back to fault-free.
     array.transition(ArrayState::FaultFree);
-    EXPECT_EQ(array.state(), ArrayState::FaultFree);
+    EXPECT_EQ(array.mode(), ArrayState::FaultFree);
 }
 
 TEST_F(ControllerFixture, TransitionsEmitTraceInstants)

@@ -43,7 +43,6 @@ expectSameModel(const DeviceModel &a, const DeviceModel &b)
     ASSERT_STREQ(a.kind(), b.kind());
     EXPECT_EQ(a.describe(), b.describe());
     EXPECT_EQ(a.totalSectors(), b.totalSectors());
-    EXPECT_EQ(a.sectorBytes(), b.sectorBytes());
     EXPECT_EQ(a.costUnits(), b.costUnits());
     EXPECT_EQ(&a.latencyBoundsMs(), &b.latencyBoundsMs());
 

@@ -227,8 +227,9 @@ TEST(ImbalanceEvaluator, ForLayoutMatchesExplicitMap)
 {
     // Wrapping the same developed map in a Layout and re-deriving the
     // groups from its period must reproduce the tallies exactly.
-    DevelopedRows map = randomDevelopedRows(13, 4, 1, 8, 5);
-    DevelopedRandomLayout layout(map, /*seed=*/5);
+    DevelopedRandomLayout layout(13, 4, 1, 8, /*seed=*/5);
+    const DevelopedRows &map = layout.developedMap();
+    EXPECT_EQ(map.rows, randomDevelopedRows(13, 4, 1, 8, 5).rows);
     ImbalanceEvaluator direct(map);
     ImbalanceEvaluator wrapped =
         ImbalanceEvaluator::forLayout(layout);
@@ -267,7 +268,6 @@ TEST(DevelopedRandomLayout, MappingContractAndSparing)
     DevelopedRandomLayout layout(/*disks=*/13, /*width=*/4,
                                  /*spares=*/1, /*rows=*/8,
                                  /*seed=*/7);
-    EXPECT_STREQ(layout.family(), "draid");
     EXPECT_EQ(layout.numDisks(), 13);
     EXPECT_EQ(layout.stripesPerPeriod(), 8 * 3);
     EXPECT_EQ(layout.unitsPerDiskPerPeriod(), 8);
@@ -439,7 +439,6 @@ TEST(TDesign, PerfectDoubleFaultBalance)
     // The headline 3-design property: joint double-fault rebuild
     // reads are exactly flat (worst ratio 1.0), as is single-fault.
     TDesignLayout layout(16);
-    EXPECT_STREQ(layout.family(), "tdesign");
     ImbalanceEvaluator eval = ImbalanceEvaluator::forLayout(layout);
     ImbalanceMetrics one = eval.metrics(1);
     ImbalanceMetrics two = eval.metrics(2);

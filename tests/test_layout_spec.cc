@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the layout-spec registry: normalization and canonical
- * round-trips (parse(canonical(p)) == p), specOf() as the inverse of
- * makeLayout(), and construction/validation errors.
+ * round-trips (parse(canonical(p)) == p), makeLayout() building each
+ * family with the spec's parameters, and construction/validation
+ * errors.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,15 @@
 #include <string>
 
 #include "core/layout_spec.hh"
+#include "core/pddl_layout.hh"
 #include "core/wrapped_layout.hh"
+#include "layout/datum.hh"
+#include "layout/developed_random.hh"
+#include "layout/mirror.hh"
+#include "layout/parity_decluster.hh"
+#include "layout/prime.hh"
+#include "layout/raid5.hh"
+#include "layout/tdesign.hh"
 
 namespace pddl {
 namespace {
@@ -26,6 +35,13 @@ parsed(const std::string &text)
     EXPECT_TRUE(layouts::parseLayoutSpec(text, spec, error))
         << text << ": " << error;
     return spec;
+}
+
+template <typename T>
+bool
+isA(const Layout &layout)
+{
+    return dynamic_cast<const T *>(&layout) != nullptr;
 }
 
 TEST(LayoutSpec, CanonicalRoundTripsEveryFamily)
@@ -53,30 +69,53 @@ TEST(LayoutSpec, CanonicalRoundTripsEveryFamily)
     }
 }
 
-TEST(LayoutSpec, SpecOfInvertsMakeLayout)
+TEST(LayoutSpec, MakeLayoutBuildsEveryRegisteredFamily)
 {
-    // parse(specOf(*makeLayout(s, n))) == parse(s) for every
-    // registered family -- the registry's documented contract.
+    // Each spec builds its family's type over the given disks, with
+    // the width, mirror copies and scheduler, and draid spares, rows
+    // and seed it names.
     const struct
     {
         const char *text;
         int disks;
+        bool (*type)(const Layout &);
+        int width;
     } cases[] = {
-        {"pddl:width=4", 13},  {"raid5", 13},
-        {"datum:width=4", 13}, {"parity:width=4", 13},
-        {"prime:width=4", 13}, {"mirror:copies=2", 26},
-        {"mirror:copies=2,sched=shortest_queue", 8},
-        {"draid:width=4,spares=1,rows=64,seed=1", 13},
-        {"draid:width=8,spares=2,rows=16,seed=7", 26},
-        {"tdesign", 16},
+        {"pddl:width=4", 13, isA<PddlLayout>, 4},
+        {"raid5", 13, isA<Raid5Layout>, 13},
+        {"datum:width=4", 13, isA<DatumLayout>, 4},
+        {"parity:width=4", 13, isA<ParityDeclusterLayout>, 4},
+        {"prime:width=4", 13, isA<PrimeLayout>, 4},
+        {"mirror:copies=2", 26, isA<MirrorLayout>, 2},
+        {"mirror:copies=2,sched=shortest_queue", 8, isA<MirrorLayout>, 2},
+        {"draid:width=4,spares=1,rows=64,seed=1", 13,
+         isA<DevelopedRandomLayout>, 4},
+        {"draid:width=8,spares=2,rows=16,seed=7", 26,
+         isA<DevelopedRandomLayout>, 8},
+        {"tdesign", 16, isA<TDesignLayout>, 4},
     };
     for (const auto &c : cases) {
         std::unique_ptr<Layout> layout =
             layouts::makeLayout(c.text, c.disks);
         ASSERT_NE(layout, nullptr) << c.text;
+        EXPECT_TRUE(c.type(*layout)) << c.text;
         EXPECT_EQ(layout->numDisks(), c.disks) << c.text;
-        EXPECT_EQ(parsed(layouts::specOf(*layout)), parsed(c.text))
-            << c.text;
+        EXPECT_EQ(layout->stripeWidth(), c.width) << c.text;
+        const ParsedLayoutSpec spec = parsed(c.text);
+        if (spec.family == "mirror") {
+            EXPECT_EQ(layout->mirrorCopies(), spec.copies) << c.text;
+            EXPECT_EQ(layout->replicaSched(), spec.sched) << c.text;
+        }
+        if (const auto *draid =
+                dynamic_cast<const DevelopedRandomLayout *>(layout.get())) {
+            EXPECT_EQ(draid->spares(), spec.spares) << c.text;
+            EXPECT_EQ(draid->rowCount(), spec.rows) << c.text;
+            EXPECT_EQ(draid->developedMap().rows,
+                      randomDevelopedRows(c.disks, spec.width, spec.spares,
+                                          spec.rows, spec.seed)
+                          .rows)
+                << c.text;
+        }
     }
 }
 
@@ -87,12 +126,9 @@ TEST(LayoutSpec, WrappedSpecBuildsTheWrappedLayout)
     EXPECT_EQ(parsed(spec.canonical()), spec);
 
     const WrappedLayout reference = WrappedLayout::make(14, 4);
-    EXPECT_EQ(parsed(layouts::specOf(reference)),
-              parsed("wrapped:width=4"));
-
     std::unique_ptr<Layout> built =
         layouts::makeLayout("wrapped:width=4", 14);
-    EXPECT_STREQ(built->family(), "pddl_wrapped");
+    EXPECT_TRUE(isA<WrappedLayout>(*built));
     EXPECT_EQ(built->name(), reference.name());
     ASSERT_EQ(built->stripesPerPeriod(), reference.stripesPerPeriod());
     for (int64_t stripe = 0; stripe < reference.stripesPerPeriod();
@@ -115,7 +151,7 @@ TEST(LayoutSpec, MirrorSpecCarriesSchedulerAndCopies)
 {
     std::unique_ptr<Layout> layout =
         layouts::makeLayout("mirror:copies=3,sched=primary", 9);
-    EXPECT_STREQ(layout->family(), "mirror");
+    EXPECT_TRUE(isA<MirrorLayout>(*layout));
     EXPECT_EQ(layout->mirrorCopies(), 3);
     EXPECT_EQ(layout->replicaSched(), ReplicaSched::Primary);
     EXPECT_EQ(layout->dataUnitsPerStripe(), 1);

@@ -283,11 +283,10 @@ runScenario(const ScenarioParams &params)
     // The merged metrics must be byte-identical: single-writer
     // per-lane registries merged in fixed shard order make every
     // floating-point fold associativity-stable.
-    std::vector<const obs::MetricsRegistry *> ordered;
+    obs::MetricsSnapshot merged;
     for (const auto &registry : registries)
-        ordered.push_back(registry.get());
-    print["metrics_json_hash"] =
-        foldString(obs::snapshotAll(ordered).toJson().dump());
+        merged.merge(registry->snapshot());
+    print["metrics_json_hash"] = foldString(merged.toJson().dump());
     return print;
 }
 

@@ -159,7 +159,7 @@ runScenario()
     print["seek_track"] = static_cast<uint64_t>(tally.track_switch);
     print["seek_none"] = static_cast<uint64_t>(tally.no_switch);
     print["accesses_issued"] = array.accessesIssued();
-    print["array_state"] = static_cast<uint64_t>(array.state());
+    print["array_state"] = static_cast<uint64_t>(array.mode());
     const FaultStats &stats = scheduler.stats();
     print["failures_applied"] =
         static_cast<uint64_t>(stats.failures_applied);

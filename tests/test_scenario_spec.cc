@@ -16,10 +16,12 @@
 
 #include "core/layout_spec.hh"
 #include "core/scenario_spec.hh"
+#include "core/volume_capacity.hh"
 #include "disk/device_model.hh"
 #include "traffic/arrival.hh"
 #include "traffic/offset_dist.hh"
 #include "util/json.hh"
+#include "volume/volume_manager.hh"
 
 namespace pddl {
 namespace {
@@ -248,6 +250,37 @@ TEST(ScenarioSpec, SemanticErrorsAnchorTheField)
         spec, error));
     EXPECT_EQ(error.rfind("chunk_units:", 0), 0u) << error;
 
+    // More shards than a volume routes over.
+    std::string many = "{\"shards\":[{}";
+    for (int s = 1; s <= kMaxVolumeShards; ++s)
+        many += ",{}";
+    EXPECT_FALSE(ScenarioSpec::parse(many + "],\"dispatch_ms\":2}", spec,
+                                     error));
+    EXPECT_EQ(error.rfind("shards:", 0), 0u) << error;
+
+    // An access larger than the backend, bare array or volume: the
+    // client could not place it anywhere.
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"dispatch_ms\":0,\"client\":\"closed\","
+        "\"mix\":[{\"kb\":900000000}]}",
+        spec, error));
+    EXPECT_EQ(error.rfind("mix[0].kb:", 0), 0u) << error;
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"shards\":[{\"device\":\"ssd:sectors=8192\"},"
+        "{\"device\":\"ssd:sectors=8192\"}],\"dispatch_ms\":2,"
+        "\"mix\":[{\"kb\":8},{\"kb\":1000000}]}",
+        spec, error));
+    EXPECT_EQ(error.rfind("mix[1].kb:", 0), 0u) << error;
+    // A closed client with no mix issues one 8 KB access, here 8
+    // units against an array of 2.
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"shards\":[{\"layout\":\"mirror\",\"disks\":2,"
+        "\"device\":\"ssd:sectors=4\"}],\"dispatch_ms\":0,"
+        "\"unit_sectors\":2,\"client\":\"closed\",\"mix\":[]}",
+        spec, error));
+    EXPECT_EQ(error.rfind("mix: an access of 8 stripe units", 0), 0u)
+        << error;
+
     // Inverted cache watermarks.
     ScenarioSpec bad;
     bad.cache_enabled = true;
@@ -263,6 +296,46 @@ TEST(ScenarioSpec, SemanticErrorsAnchorTheField)
     EXPECT_FALSE(ghost.normalize(error));
     EXPECT_NE(error.find("faults[0].disk"), std::string::npos)
         << error;
+}
+
+TEST(ScenarioSpec, AccessLimitIsTheCapacityTheVolumeBuilds)
+{
+    // A tiered volume of unequal shards: the ssd shards level to the
+    // smaller one and the hp2247 shard stands alone, each floored to
+    // whole chunks. normalize() takes an access of exactly the units
+    // the volume builds and refuses one unit more.
+    ScenarioSpec spec;
+    spec.shards = {{"pddl:width=4", "ssd:sectors=8192", 13, "", -1, false},
+                   {"pddl:width=4", "hp2247", 13, "", -1, false},
+                   {"pddl:width=4", "ssd:sectors=16384", 13, "", -1, false}};
+    spec.allocation = "tiered";
+    spec.chunk_units = 7;
+    spec.dispatch_ms = 2.0;
+    std::vector<ShardSpec> shards(spec.shards.size());
+    for (size_t s = 0; s < shards.size(); ++s) {
+        shards[s].layout_spec = spec.shards[s].layout;
+        shards[s].device_spec = spec.shards[s].device;
+        shards[s].disks = spec.shards[s].disks;
+    }
+    EventQueue events;
+    VolumeConfig config;
+    config.chunk_units = spec.chunk_units;
+    config.allocation = VolumeAllocation::Tiered;
+    const VolumeManager volume(events, shards, config);
+    ASSERT_EQ(volume.allocationGroups(), 2);
+
+    const int kb_per_unit = spec.unit_sectors / 2;
+    std::string error;
+    ScenarioSpec fits = spec;
+    fits.mix = {{static_cast<int>(volume.dataUnits()) * kb_per_unit,
+                 false, 1.0}};
+    EXPECT_TRUE(fits.normalize(error)) << error;
+    ScenarioSpec over = spec;
+    over.mix = {{8, false, 1.0},
+                {static_cast<int>(volume.dataUnits() + 1) * kb_per_unit,
+                 true, 1.0}};
+    EXPECT_FALSE(over.normalize(error));
+    EXPECT_EQ(error.rfind("mix[1].kb:", 0), 0u) << error;
 }
 
 TEST(ScenarioSpec, CanonicalTextOfExistingSpecsIsPinned)

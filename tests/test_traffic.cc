@@ -33,6 +33,7 @@
 #include "volume/volume_manager.hh"
 #include "workload/closed_loop.hh"
 #include "workload/open_loop.hh"
+#include "workload/trace_replay.hh"
 
 namespace pddl {
 namespace {
@@ -575,7 +576,7 @@ TEST(TraceReplay, RejectsRecordsBeyondTheTarget)
     Raid5Layout raid5(13);
     const DeviceModel &model = device::hp2247();
     ArrayController array(events, raid5, model, ArrayConfig{});
-    traffic::TraceReplayWorkload replay(
+    TraceReplayWorkload replay(
         {{0.0, AccessType::Read, array.dataUnits(), 1}});
     EXPECT_THROW(replay.start(events, array), std::runtime_error);
 }
@@ -594,7 +595,7 @@ TEST(TraceReplay, CaptureFormatParseReplayReproducesTheSimulation)
     EventQueue record_events;
     ArrayController recorded(record_events, raid5, model,
                              ArrayConfig{});
-    traffic::TraceCapture capture(record_events, recorded);
+    TraceCapture capture(record_events, recorded);
     OpenLoopConfig workload_config;
     workload_config.arrivals_per_s = 120.0;
     workload_config.warmup = 20;
@@ -615,7 +616,7 @@ TEST(TraceReplay, CaptureFormatParseReplayReproducesTheSimulation)
 
     EventQueue replay_events;
     ArrayController fresh(replay_events, raid5, model, ArrayConfig{});
-    traffic::TraceReplayWorkload replay(parsed);
+    TraceReplayWorkload replay(parsed);
     replay.start(replay_events, fresh);
     replay_events.runUntilEmpty();
 

@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "core/pddl_layout.hh"
+#include "layout/mirror.hh"
+#include "layout/raid5.hh"
 #include "volume/volume_manager.hh"
 #include "workload/closed_loop.hh"
 
@@ -43,20 +45,25 @@ TEST(Placement, PoliciesEmitPermutations)
     StaticPlacement fixed;
     RotatedPlacement rotated;
     ShuffledPlacement shuffled;
-    const PlacementPolicy *policies[] = {&fixed, &rotated, &shuffled};
-    for (const PlacementPolicy *policy : policies) {
+    const struct
+    {
+        const char *label;
+        const PlacementPolicy *policy;
+    } policies[] = {
+        {"static", &fixed}, {"rotate", &rotated}, {"shuffle", &shuffled}};
+    for (const auto &[label, policy] : policies) {
         for (int shards : {1, 2, 3, 5, 8, 64}) {
             for (int64_t period : {0, 1, 7, 1000}) {
-                int perm[VolumeManager::kMaxShards];
+                int perm[kMaxVolumeShards];
                 policy->permutation(period, shards, perm);
                 std::set<int> seen;
                 for (int i = 0; i < shards; ++i) {
-                    EXPECT_GE(perm[i], 0) << policy->name();
-                    EXPECT_LT(perm[i], shards) << policy->name();
+                    EXPECT_GE(perm[i], 0) << label;
+                    EXPECT_LT(perm[i], shards) << label;
                     seen.insert(perm[i]);
                 }
                 EXPECT_EQ(seen.size(), static_cast<size_t>(shards))
-                    << policy->name() << " period " << period;
+                    << label << " period " << period;
             }
         }
     }
@@ -94,11 +101,16 @@ TEST(VolumeRouting, BijectionAcrossShardCountsPoliciesAndFamilies)
     StaticPlacement fixed;
     RotatedPlacement rotated;
     ShuffledPlacement shuffled;
-    const PlacementPolicy *policies[] = {&fixed, &rotated, &shuffled};
+    const struct
+    {
+        const char *label;
+        const PlacementPolicy *policy;
+    } policies[] = {
+        {"static", &fixed}, {"rotate", &rotated}, {"shuffle", &shuffled}};
 
     for (const std::string &layout : allFamilies()) {
         for (int shard_count : {1, 2, 3, 4, 8}) {
-            for (const PlacementPolicy *policy : policies) {
+            for (const auto &[label, policy] : policies) {
                 EventQueue events;
                 VolumeConfig config;
                 config.chunk_units = 16;
@@ -126,7 +138,7 @@ TEST(VolumeRouting, BijectionAcrossShardCountsPoliciesAndFamilies)
                     ASSERT_LT(addr.unit, volume.shardDataUnits());
                     EXPECT_EQ(volume.volumeUnitOf(addr), unit)
                         << layout << " S=" << shard_count
-                        << " policy=" << policy->name();
+                        << " policy=" << label;
                     EXPECT_TRUE(
                         homes.emplace(addr.shard, addr.unit).second)
                         << "two volume units share a home";
@@ -196,7 +208,7 @@ TEST_F(VolumeFixture, RejectsInvalidConfigurations)
     EXPECT_THROW(
         VolumeManager(events,
                       uniformShards(layout,
-                                    VolumeManager::kMaxShards + 1)),
+                                    kMaxVolumeShards + 1)),
         std::logic_error);
 }
 
@@ -361,8 +373,11 @@ TEST(VolumeTiered, GroupsFormByDeviceClassInListingOrder)
     EXPECT_EQ(volume.shardTier(1), "bulk");
     EXPECT_STREQ(volume.shardDevice(0).kind(), "ssd");
     EXPECT_STREQ(volume.shardDevice(1).kind(), "hp2247");
-    EXPECT_STREQ(volume.shard(0).layout().family(), "mirror");
-    EXPECT_STREQ(volume.shard(1).layout().family(), "pddl");
+    EXPECT_NE(dynamic_cast<const MirrorLayout *>(
+                  &volume.shard(0).layout()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<const PddlLayout *>(&volume.shard(1).layout()),
+              nullptr);
 
     // The address space is the concatenation of the group spans,
     // each chunk-aligned.
@@ -492,7 +507,8 @@ TEST(VolumeSharing, ShardsWithEqualSpecsShareOneLayoutAndDevice)
     EXPECT_EQ(&volume.shard(5).layout(), shared);
     EXPECT_NE(&volume.shard(3).layout(), shared);
     EXPECT_EQ(volume.shard(3).layout().numDisks(), 17);
-    EXPECT_STREQ(volume.shard(0).layout().family(), "raid5");
+    EXPECT_NE(dynamic_cast<const Raid5Layout *>(&volume.shard(0).layout()),
+              nullptr);
     EXPECT_EQ(&volume.shard(4).layout(), &volume.shard(0).layout());
 
     EXPECT_EQ(&volume.shardDevice(2), &volume.shardDevice(1));
