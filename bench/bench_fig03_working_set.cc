@@ -13,6 +13,7 @@
 
 #include "array/working_set.hh"
 #include "bench_util.hh"
+#include "core/volume_capacity.hh"
 
 int
 main(int argc, char **argv)
@@ -38,7 +39,7 @@ main(int argc, char **argv)
                                 AccessType::Read,
                                 ArrayMode::FaultFree};
             const Layout *l = layout.get();
-            const int units = bench::unitsForKb(kb);
+            const int units = static_cast<int>(unitsForKb(kb, 16));
             experiment.run = [l, units](uint64_t, const obs::Probe &,
                                         harness::Extras &extras) {
                 extras.emplace_back(
@@ -85,7 +86,7 @@ main(int argc, char **argv)
     std::printf("  sizes  > 120 KB: DATUM <= PDDL <= Parity "
                 "Declustering <= PRIME <= RAID-5\n");
     for (int kb : {48, 96, 144, 192}) {
-        int units = bench::unitsForKb(kb);
+        int units = static_cast<int>(unitsForKb(kb, 16));
         std::printf("  %3d KB:", kb);
         for (const auto &layout : layouts) {
             std::printf(" %s=%.2f", layout->name().c_str(),

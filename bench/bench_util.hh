@@ -59,13 +59,6 @@ inline const std::vector<int> kAccessSizesKb = {8,   24,  48,  72,  96,
 /** Disks in the paper's evaluated array (Table 2). */
 inline constexpr int kDisks = 13;
 
-/** KB -> stripe units (8 KB units). */
-inline int
-unitsForKb(int kb)
-{
-    return kb / 8;
-}
-
 /** True when the paper-fidelity stopping rule is requested. */
 inline bool
 fullFidelity()
@@ -356,40 +349,39 @@ inline constexpr unsigned kFigure = kObserved | kDevice | kLayout;
  * exit policy: --help prints usage and exits 0, unknown flags and
  * missing values print a clear error and exit 2.
  */
-class BenchCli
+class BenchCli : public harness::ArgParser
 {
   public:
     BenchCli(const char *program, const char *description,
              unsigned flags)
-        : parser_(program, description)
+        : ArgParser(program, description)
     {
         if (flags & kJson) {
-            parser_.addString("json", "dir",
-                              "also write machine-readable "
-                              "BENCH_<figure>.json files into <dir>");
+            addString("json", "dir",
+                      "also write machine-readable "
+                      "BENCH_<figure>.json files into <dir>");
         }
         if (flags & kThreads) {
-            parser_.addInt("threads", "n",
-                           "worker threads for the experiment grid "
-                           "(default: PDDL_BENCH_THREADS or hardware "
-                           "concurrency; results are bit-identical "
-                           "for any value)",
-                           1, INT_MAX);
+            addInt("threads", "n",
+                   "worker threads for the experiment grid "
+                   "(default: PDDL_BENCH_THREADS or hardware "
+                   "concurrency; results are bit-identical for any "
+                   "value)",
+                   1);
         }
         if (obs::kObsEnabled && (flags & kMetrics)) {
-            parser_.addString("metrics", "file",
-                              "write the merged metrics snapshot as "
-                              "JSON and embed per-point metrics in "
-                              "BENCH rows");
+            addString("metrics", "file",
+                      "write the merged metrics snapshot as JSON and "
+                      "embed per-point metrics in BENCH rows");
         }
         if (obs::kObsEnabled && (flags & kTrace)) {
-            parser_.addString("trace", "file",
-                              "record the first grid point as Chrome "
-                              "trace_event JSON (load in Perfetto or "
-                              "chrome://tracing)");
+            addString("trace", "file",
+                      "record the first grid point as Chrome "
+                      "trace_event JSON (load in Perfetto or "
+                      "chrome://tracing)");
         }
         if (flags & kDevice) {
-            parser_.addString(
+            addString(
                 "device", "spec",
                 "drive model for every simulated disk (default: "
                 "hp2247, the paper's drive; see the spec grammar "
@@ -403,7 +395,7 @@ class BenchCli
                 });
         }
         if (flags & kLayout) {
-            parser_.addString(
+            addString(
                 "layout", "spec",
                 "replace the bench's evaluated layout set with this "
                 "one layout (see the spec grammar below)",
@@ -425,7 +417,7 @@ class BenchCli
                 });
         }
         if (flags & kScenario) {
-            parser_.addString(
+            addString(
                 "scenario", "file|json",
                 "base scenario in place of the bench's built-in one: "
                 "a ScenarioSpec JSON file, or the JSON inline; "
@@ -455,14 +447,7 @@ class BenchCli
             for (const std::string &name : layouts::layoutSpecNames())
                 epilog += "  " + name + "\n";
         }
-        parser_.setEpilog(epilog);
-    }
-
-    /** Register binary-specific flags before parseOrExit(). */
-    void
-    addBool(const std::string &name, const std::string &help)
-    {
-        parser_.addBool(name, help);
+        setEpilog(epilog);
     }
 
     /** An int-valued flag: values above INT_MAX fail at the flag. */
@@ -470,16 +455,7 @@ class BenchCli
     addInt(const std::string &name, const std::string &value_name,
            const std::string &help, long long min_value)
     {
-        parser_.addInt(name, value_name, help, min_value, INT_MAX);
-    }
-
-    /** String flag, rejected at parse time when `validator` objects. */
-    void
-    addString(const std::string &name, const std::string &value_name,
-              const std::string &help,
-              harness::ArgParser::Validator validator = {})
-    {
-        parser_.addString(name, value_name, help, std::move(validator));
+        ArgParser::addInt(name, value_name, help, min_value, INT_MAX);
     }
 
     /**
@@ -490,48 +466,23 @@ class BenchCli
     void
     parseOrExit(int argc, char **argv)
     {
-        if (!parser_.parse(argc, argv)) {
-            std::fprintf(stderr, "%s\n%s", parser_.error().c_str(),
-                         parser_.usage().c_str());
+        if (!parse(argc, argv)) {
+            std::fprintf(stderr, "%s\n%s", error().c_str(),
+                         usage().c_str());
             std::exit(2);
         }
-        if (parser_.helpRequested()) {
-            std::fputs(parser_.usage().c_str(), stdout);
+        if (helpRequested()) {
+            std::fputs(usage().c_str(), stdout);
             std::exit(0);
         }
-        options().json_dir = parser_.getString("json");
-        options().threads =
-            static_cast<int>(parser_.getInt("threads", 0));
-        options().metrics_path = parser_.getString("metrics");
-        options().trace_path = parser_.getString("trace");
-        options().device_spec = parser_.getString("device");
-        options().layout_spec = parser_.getString("layout");
-        options().scenario = parser_.getString("scenario");
+        options().json_dir = getString("json");
+        options().threads = static_cast<int>(getInt("threads", 0));
+        options().metrics_path = getString("metrics");
+        options().trace_path = getString("trace");
+        options().device_spec = getString("device");
+        options().layout_spec = getString("layout");
+        options().scenario = getString("scenario");
     }
-
-    bool has(const std::string &name) const { return parser_.has(name); }
-
-    bool
-    getBool(const std::string &name) const
-    {
-        return parser_.getBool(name);
-    }
-
-    long long
-    getInt(const std::string &name, long long fallback = 0) const
-    {
-        return parser_.getInt(name, fallback);
-    }
-
-    std::string
-    getString(const std::string &name,
-              const std::string &fallback = "") const
-    {
-        return parser_.getString(name, fallback);
-    }
-
-  private:
-    harness::ArgParser parser_;
 };
 
 /**
@@ -553,18 +504,19 @@ parseArgs(int argc, char **argv, const char *description,
  */
 struct SuiteTotals
 {
-    Tally counts;
+    int64_t points = 0;
+    int64_t samples = 0;
     Welford point_wall_ms;
 
     ~SuiteTotals()
     {
-        if (counts.empty())
+        if (points == 0)
             return;
         std::fprintf(stderr,
                      "[suite] %lld grid points, %lld samples, mean "
                      "point wall %.1f ms (max %.1f)\n",
-                     static_cast<long long>(counts.get("points")),
-                     static_cast<long long>(counts.get("samples")),
+                     static_cast<long long>(points),
+                     static_cast<long long>(samples),
                      point_wall_ms.mean(), point_wall_ms.max());
     }
 };
@@ -595,7 +547,8 @@ runGrid(const char *figure, const char *caption,
         options().trace_attached = true;
     }
     harness::RunSummary summary = runner.run(experiments);
-    suiteTotals().counts.merge(summary.totals);
+    suiteTotals().points += summary.point_count;
+    suiteTotals().samples += summary.sample_count;
     suiteTotals().point_wall_ms.merge(summary.point_wall_ms);
     if (!options().json_dir.empty()) {
         std::filesystem::create_directories(options().json_dir);

@@ -143,7 +143,7 @@ class ImbalanceEvaluator
 
     void rebuildFromGroups();
 
-    /** Tally one disk against the rest of a group slice, +/-1. */
+    /** Count one disk against the rest of a group slice, +/-1. */
     void accountAgainstGroup(int disk, const int *member, int sign);
 
     void bumpPair(int f, int d, int sign);

@@ -18,13 +18,24 @@ namespace layouts {
 
 namespace {
 
+struct SchedName
+{
+    ReplicaSched sched;
+    const char *name;
+};
+
+constexpr SchedName kSchedNames[] = {
+    {ReplicaSched::Primary, "primary"},
+    {ReplicaSched::RoundRobin, "round_robin"},
+    {ReplicaSched::ShortestQueue, "shortest_queue"},
+};
+
 const char *
 schedName(ReplicaSched sched)
 {
-    switch (sched) {
-      case ReplicaSched::Primary: return "primary";
-      case ReplicaSched::RoundRobin: return "round_robin";
-      case ReplicaSched::ShortestQueue: return "shortest_queue";
+    for (const SchedName &entry : kSchedNames) {
+        if (entry.sched == sched)
+            return entry.name;
     }
     return "?";
 }
@@ -90,17 +101,19 @@ parseLayoutSpec(const std::string &text, ParsedLayoutSpec &spec,
         if (!params.parse(body, family, {"copies", "sched"}, error) ||
             !params.readInt("copies", parsed.copies, error, 2))
             return false;
-        const std::string_view sched = params.value("sched");
-        if (sched == "primary") {
-            parsed.sched = ReplicaSched::Primary;
-        } else if (sched == "round_robin") {
-            parsed.sched = ReplicaSched::RoundRobin;
-        } else if (sched == "shortest_queue") {
-            parsed.sched = ReplicaSched::ShortestQueue;
-        } else if (params.has("sched")) {
-            error = "unknown sched '" + std::string(sched) +
-                    "' (primary, round_robin, shortest_queue)";
-            return false;
+        if (params.has("sched")) {
+            const std::string_view sched = params.value("sched");
+            const SchedName *match = nullptr;
+            for (const SchedName &entry : kSchedNames) {
+                if (sched == entry.name)
+                    match = &entry;
+            }
+            if (match == nullptr) {
+                error = "unknown sched '" + std::string(sched) +
+                        "' (primary, round_robin, shortest_queue)";
+                return false;
+            }
+            parsed.sched = match->sched;
         }
     } else if (family == "draid") {
         if (!params.parse(body, family,

@@ -545,6 +545,10 @@ ScenarioSpec::normalize(std::string &error)
         return fail("chunk_units", "exceeds the " +
                                        std::to_string(min_capacity) +
                                        " data units of the smallest shard");
+    // The closed loop issues one fixed access shape.
+    if (client == "closed" && mix.size() > 1)
+        return fail("mix", "a closed client issues one access shape, so "
+                           "at most one entry");
     // Every access must fit the backend: the bare array, or the
     // volume its shards level into. A closed client with no mix
     // issues one default entry.

@@ -88,8 +88,8 @@ ExperimentRunner::run(const std::vector<Experiment> &experiments) const
     parallelFor(threads_, experiments.size(), runPoint);
 
     for (const PointResult &point : summary.points) {
-        summary.totals.add("points");
-        summary.totals.add("samples", point.result.samples);
+        ++summary.point_count;
+        summary.sample_count += point.result.samples;
         summary.point_wall_ms.add(point.wall_ms);
     }
     summary.wall_s =
@@ -156,8 +156,10 @@ figureJson(const std::string &figure, const std::string &caption,
     }
 
     Json totals = Json::object();
-    for (const auto &entry : summary.totals.entries())
-        totals.set(entry.first, entry.second);
+    if (summary.point_count > 0) {
+        totals.set("points", summary.point_count)
+            .set("samples", summary.sample_count);
+    }
 
     Json doc = Json::object();
     doc.set("schema", "pddl-bench-v1")

@@ -33,7 +33,6 @@
 #include "obs/metrics.hh"
 #include "obs/probe.hh"
 #include "obs/trace.hh"
-#include "stats/tally.hh"
 #include "stats/welford.hh"
 #include "util/json.hh"
 #include "workload/closed_loop.hh"
@@ -100,8 +99,9 @@ struct RunSummary
     std::vector<PointResult> points;
     double wall_s = 0.0;
     int threads = 1;
-    /** Merged counters: grid points and samples. */
-    Tally totals;
+    /** Grid points run and samples they collected, summed. */
+    int64_t point_count = 0;
+    int64_t sample_count = 0;
     /** Distribution of per-point host wall times (informational). */
     Welford point_wall_ms;
 };

@@ -64,7 +64,7 @@ struct ReconstructionTally
 };
 
 /**
- * Tally the reconstruction of every unit of `failed_disk` over one
+ * Count the reconstruction of every unit of `failed_disk` over one
  * pattern: reads of the surviving stripe units, and, for sparing
  * layouts, the write of each reconstructed unit to its spare home.
  */

@@ -8,9 +8,11 @@
  * nest:
  *
  *  - compile time: building with -DPDDL_OBS=OFF (which defines
- *    PDDL_OBS_ENABLED=0) swaps in the no-op Probe below -- every
- *    hook inlines to nothing, so the instrumented hot paths cost
- *    literally zero;
+ *    PDDL_OBS_ENABLED=0) makes every hook return at an
+ *    `if constexpr` before it reaches a sink, and the accessors
+ *    report no sinks, so even an -O0 build emits no sink call. A
+ *    probe constructed with sinks then records nothing. CI checks
+ *    the OFF build's libraries for undefined sink symbols;
  *  - run time: a default-constructed Probe has no sinks, and every
  *    hook bails on one branch. Components never pay for metrics they
  *    are not asked to produce.
@@ -47,8 +49,6 @@ constexpr int kLaneFault = 3;
 constexpr int kLaneSim = 4;
 constexpr int kLaneDisk0 = 10;
 
-#if PDDL_OBS_ENABLED
-
 class Probe
 {
   public:
@@ -58,15 +58,22 @@ class Probe
     {
     }
 
-    bool on() const { return metrics_ != nullptr || tracer_ != nullptr; }
-    bool tracing() const { return tracer_ != nullptr; }
+    bool on() const { return metrics() != nullptr || tracing(); }
+    bool tracing() const { return tracer() != nullptr; }
 
-    MetricsRegistry *metrics() const { return metrics_; }
-    Tracer *tracer() const { return tracer_; }
+    MetricsRegistry *
+    metrics() const
+    {
+        return kObsEnabled ? metrics_ : nullptr;
+    }
+
+    Tracer *tracer() const { return kObsEnabled ? tracer_ : nullptr; }
 
     void
     count(const char *name, double delta = 1.0) const
     {
+        if constexpr (!kObsEnabled)
+            return;
         if (metrics_ != nullptr)
             metrics_->add(name, delta);
     }
@@ -74,6 +81,8 @@ class Probe
     void
     gaugeMax(const char *name, double value) const
     {
+        if constexpr (!kObsEnabled)
+            return;
         if (metrics_ != nullptr)
             metrics_->gaugeMax(name, value);
     }
@@ -81,6 +90,8 @@ class Probe
     void
     observe(const char *name, double value_ms) const
     {
+        if constexpr (!kObsEnabled)
+            return;
         if (metrics_ != nullptr)
             metrics_->observe(name, value_ms);
     }
@@ -88,6 +99,8 @@ class Probe
     void
     lane(int tid, std::string name) const
     {
+        if constexpr (!kObsEnabled)
+            return;
         if (tracer_ != nullptr)
             tracer_->setLaneName(tid, std::move(name));
     }
@@ -96,6 +109,8 @@ class Probe
     instant(const char *name, const char *cat, int tid, double ts_ms,
             std::initializer_list<TraceArg> args = {}) const
     {
+        if constexpr (!kObsEnabled)
+            return;
         if (tracer_ == nullptr)
             return;
         TraceEvent event;
@@ -113,6 +128,8 @@ class Probe
              double dur_ms,
              std::initializer_list<TraceArg> args = {}) const
     {
+        if constexpr (!kObsEnabled)
+            return;
         if (tracer_ == nullptr)
             return;
         TraceEvent event;
@@ -130,6 +147,8 @@ class Probe
     asyncBegin(const char *name, const char *cat, int tid, uint64_t id,
                double ts_ms) const
     {
+        if constexpr (!kObsEnabled)
+            return;
         async(TraceEvent::Phase::AsyncBegin, name, cat, tid, id, ts_ms);
     }
 
@@ -137,6 +156,8 @@ class Probe
     asyncEnd(const char *name, const char *cat, int tid, uint64_t id,
              double ts_ms) const
     {
+        if constexpr (!kObsEnabled)
+            return;
         async(TraceEvent::Phase::AsyncEnd, name, cat, tid, id, ts_ms);
     }
 
@@ -149,6 +170,8 @@ class Probe
     counterSample(const char *name, int tid, double ts_ms,
                   const char *key, double value) const
     {
+        if constexpr (!kObsEnabled)
+            return;
         if (tracer_ == nullptr)
             return;
         TraceEvent event;
@@ -194,47 +217,6 @@ class Probe
     Tracer *tracer_ = nullptr;
 };
 
-#else // !PDDL_OBS_ENABLED
-
-/** Compile-time no-op probe: every hook vanishes after inlining. */
-class Probe
-{
-  public:
-    Probe() = default;
-    Probe(MetricsRegistry *, Tracer *) {}
-
-    static constexpr bool on() { return false; }
-    static constexpr bool tracing() { return false; }
-    static constexpr MetricsRegistry *metrics() { return nullptr; }
-    static constexpr Tracer *tracer() { return nullptr; }
-
-    void count(const char *, double = 1.0) const {}
-    void gaugeMax(const char *, double) const {}
-    void observe(const char *, double) const {}
-    void lane(int, std::string) const {}
-    void instant(const char *, const char *, int, double,
-                 std::initializer_list<TraceArg> = {}) const
-    {
-    }
-    void complete(const char *, const char *, int, double, double,
-                  std::initializer_list<TraceArg> = {}) const
-    {
-    }
-    void asyncBegin(const char *, const char *, int, uint64_t,
-                    double) const
-    {
-    }
-    void asyncEnd(const char *, const char *, int, uint64_t,
-                  double) const
-    {
-    }
-    void counterSample(const char *, int, double, const char *,
-                       double) const
-    {
-    }
-};
-
-#endif // PDDL_OBS_ENABLED
 
 } // namespace obs
 } // namespace pddl

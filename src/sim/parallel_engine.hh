@@ -24,11 +24,13 @@
  *   1. window start = min next-event time over all lanes + hub
  *      (a pure function of simulation state);
  *   2. each lane runs EventQueue::runBefore(start + lookahead);
- *   3. barrier: every lane's mailbox of posted hub work (shard
- *      completion notifications) is replayed sorted by (time, lane,
- *      FIFO seq) -- a fixed order that no lane's position in the loop
- *      can perturb -- interleaved with the hub's own events via
- *      runUntil, then the remaining hub events run with runBefore.
+ *   3. barrier: the mailbox of posted hub work (shard completion
+ *      notifications) is replayed sorted by (time, append index),
+ *      interleaved with the hub's own events via runUntil, then the
+ *      remaining hub events run with runBefore. Step 2 runs the
+ *      lanes one after another in index order and only lane events
+ *      post, so append order is (lane, FIFO seq) order and the sort
+ *      gives the same total order per-lane mailboxes would.
  *
  * Every quantity that reaches an event callback (window edges,
  * mailbox order, lane clocks) is a function of simulation state
@@ -72,7 +74,7 @@ class ParallelEngine
     int shardLanes() const { return static_cast<int>(lanes_.size()); }
 
     /** The private event queue of shard lane `lane`. */
-    EventQueue &shardQueue(int lane) { return lanes_[lane].queue; }
+    EventQueue &shardQueue(int lane) { return lanes_[lane]; }
 
     /** The cross-shard lane (clients, volume joins, global timers). */
     EventQueue &hubQueue() { return hub_; }
@@ -80,12 +82,13 @@ class ParallelEngine
     SimTime lookahead() const { return config_.lookahead; }
 
     /**
-     * Post hub work from inside lane `from_lane` at simulated time
-     * `when` (>= the lane's clock). The closure runs at the next
-     * barrier with the hub clock at `when`, after all posts with
-     * earlier (when, lane, seq).
+     * Post hub work from inside a lane event at simulated time `when`
+     * (>= the lane's clock). The closure runs at the next barrier
+     * with the hub clock at `when`, after every post with an earlier
+     * `when`, and after earlier posts of the same `when` from a lower
+     * lane or earlier in the same lane.
      */
-    void post(int from_lane, SimTime when, EventQueue::Callback fn);
+    void post(SimTime when, EventQueue::Callback fn);
 
     /** Run windows until every lane and the hub are drained. */
     void run();
@@ -107,27 +110,24 @@ class ParallelEngine
         EventQueue::Callback fn;
     };
 
-    /** A shard lane: queue plus its barrier mailbox. */
-    struct Lane
-    {
-        EventQueue queue;
-        std::vector<Post> mailbox;
-    };
-
     SimTime minNextEventTime() const;
     void drainBarrier(SimTime window_end);
 
     Config config_;
-    std::vector<Lane> lanes_;
+    std::vector<EventQueue> lanes_;
     EventQueue hub_;
     uint64_t windows_ = 0;
+    /** True while step 2 runs the lanes, the only time posts arrive. */
+    bool in_lanes_ = false;
 
-    /** Barrier scratch: (when, lane, seq) references into mailboxes. */
+    /** Posts of the current window, in (lane, FIFO seq) order. */
+    std::vector<Post> mailbox_;
+
+    /** Barrier scratch: (when, append index) references into mailbox_. */
     struct PostRef
     {
         SimTime when;
-        int lane;
-        uint32_t seq;
+        uint32_t index;
     };
     std::vector<PostRef> barrier_order_;
 };

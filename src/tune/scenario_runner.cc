@@ -255,12 +255,12 @@ runScenario(const ScenarioSpec &spec,
             // Data loss stops the closed loop. The client lives on the
             // hub: a lane reaches it through the engine's mailbox, at
             // the loss's simulated time.
-            foptions.on_state_change = [&closed, &engine, lane = &lane,
-                                        s](FaultState state) {
+            foptions.on_state_change = [&closed, &engine,
+                                        lane = &lane](FaultState state) {
                 if (state != FaultState::DataLoss)
                     return;
                 if (engine)
-                    engine->post(s, lane->now(),
+                    engine->post(lane->now(),
                                  [&closed] { closed->stop(); });
                 else
                     closed->stop();
@@ -328,8 +328,8 @@ runScenario(const ScenarioSpec &spec,
     } else if (spec.client == "closed") {
         ClosedLoopConfig config;
         config.clients = spec.clients;
-        // The closed loop issues one fixed access shape; the first
-        // mix entry defines it (the spec default is one 8 KB read).
+        // The closed loop issues one fixed access shape: the one mix
+        // entry normalize() allows, or the spec default 8 KB read.
         const ScenarioMix entry =
             spec.mix.empty() ? ScenarioMix{} : spec.mix.front();
         config.access_units = static_cast<int>(
@@ -484,41 +484,42 @@ runScenario(const ScenarioSpec &spec,
     return outcome;
 }
 
+namespace {
+
+struct ObjectiveName
+{
+    Objective objective;
+    const char *name;
+};
+
+constexpr ObjectiveName kObjectiveNames[] = {
+    {Objective::P99, "p99"},
+    {Objective::P999, "p999"},
+    {Objective::Mean, "mean"},
+    {Objective::P95, "p95"},
+};
+
+} // namespace
+
 const char *
 objectiveName(Objective objective)
 {
-    switch (objective) {
-    case Objective::P99:
-        return "p99";
-    case Objective::P999:
-        return "p999";
-    case Objective::Mean:
-        return "mean";
-    case Objective::P95:
-        return "p95";
+    for (const ObjectiveName &entry : kObjectiveNames) {
+        if (entry.objective == objective)
+            return entry.name;
     }
-    return "p99";
+    return kObjectiveNames[0].name;
 }
 
 bool
 parseObjective(const std::string &text, Objective &objective,
                std::string &error)
 {
-    if (text == "p99") {
-        objective = Objective::P99;
-        return true;
-    }
-    if (text == "p999") {
-        objective = Objective::P999;
-        return true;
-    }
-    if (text == "mean") {
-        objective = Objective::Mean;
-        return true;
-    }
-    if (text == "p95") {
-        objective = Objective::P95;
-        return true;
+    for (const ObjectiveName &entry : kObjectiveNames) {
+        if (text == entry.name) {
+            objective = entry.objective;
+            return true;
+        }
     }
     error = "expected p99, p999, p95 or mean";
     return false;

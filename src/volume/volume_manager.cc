@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <stdexcept>
-#include <string_view>
 
 #include "core/layout_spec.hh"
 #include "disk/disk.hh"
@@ -65,10 +64,6 @@ VolumeManager::init(std::vector<ShardSpec> &shards)
     // repeats an earlier shard's shares that shard's object -- and
     // all shards of one layout spec map through one table. The search
     // scans the earlier shards and allocates nothing.
-    auto layoutSpec = [](const ShardSpec &spec) {
-        return spec.layout_spec.empty() ? std::string_view("pddl:width=4")
-                                        : std::string_view(spec.layout_spec);
-    };
     for (size_t s = 0; s < shards.size(); ++s) {
         const ShardSpec &spec = shards[s];
 
@@ -77,20 +72,18 @@ VolumeManager::init(std::vector<ShardSpec> &shards)
         const Layout *layout = nullptr;
         for (size_t e = 0; layout == nullptr && e < s; ++e) {
             if (shards[e].disks == spec.disks &&
-                layoutSpec(shards[e]) == layoutSpec(spec))
+                shards[e].layout_spec == spec.layout_spec)
                 layout = &shards_[e]->layout();
         }
         if (layout == nullptr) {
-            const std::string name(layoutSpec(spec));
-            owned_layouts_.push_back(layouts::makeLayout(name, spec.disks));
+            owned_layouts_.push_back(
+                layouts::makeLayout(spec.layout_spec, spec.disks));
             layout = owned_layouts_.back().get();
         }
 
-        // Resolve the device: the HP 2247 default, an earlier shard's
-        // built from the same spec, or the spec registry.
+        // Resolve the device: an earlier shard's built from the same
+        // spec, else the spec registry ("hp2247" is its singleton).
         const DeviceModel *device = nullptr;
-        if (spec.device_spec.empty())
-            device = &pddl::device::hp2247();
         for (size_t e = 0; device == nullptr && e < s; ++e) {
             if (shards[e].device_spec == spec.device_spec)
                 device = devices_[e];
@@ -236,10 +229,9 @@ VolumeManager::subAccessDone(uint32_t handle, int shard)
         subComplete(handle, shard);
         return;
     }
-    engine_->post(shard, shard_events_[shard]->now(),
-                  [this, handle, shard] {
-                      subComplete(handle, shard);
-                  });
+    engine_->post(shard_events_[shard]->now(), [this, handle, shard] {
+        subComplete(handle, shard);
+    });
 }
 
 void

@@ -83,18 +83,17 @@ namespace pddl {
 struct ShardSpec
 {
     /**
-     * Layout spec (core/layout_spec.hh), built over `disks` drives;
-     * empty selects "pddl:width=4". Shards with the same spec (after
-     * that default) and the same `disks` share one immutable Layout,
-     * so they also map through one table.
+     * Layout spec (core/layout_spec.hh), built over `disks` drives.
+     * Shards with the same spec and the same `disks` share one
+     * immutable Layout, so they also map through one table.
      */
-    std::string layout_spec;
+    std::string layout_spec = "pddl:width=4";
     /**
-     * Device spec (disk/device_model.hh); empty selects "hp2247".
-     * Shards with the same non-empty spec share one DeviceModel
-     * (immutable; drive state lives in each Disk).
+     * Device spec (disk/device_model.hh). Shards with the same spec
+     * share one DeviceModel (immutable; drive state lives in each
+     * Disk), and every "hp2247" shard shares the hp2247() singleton.
      */
-    std::string device_spec;
+    std::string device_spec = "hp2247";
     /** Drives in this shard; used when building from layout_spec. */
     int disks = 13;
     /**

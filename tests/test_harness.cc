@@ -241,10 +241,14 @@ TEST(ExperimentRunner, ParallelRunMatchesSerialBitForBit)
         EXPECT_EQ(a.track_switches, b.track_switches) << "row " << i;
         EXPECT_EQ(a.no_switches, b.no_switches) << "row " << i;
     }
-    EXPECT_EQ(serial.totals.get("points"),
-              parallel.totals.get("points"));
-    EXPECT_EQ(serial.totals.get("samples"),
-              parallel.totals.get("samples"));
+    int64_t samples = 0;
+    for (const harness::PointResult &point : serial.points)
+        samples += point.result.samples;
+    EXPECT_EQ(serial.point_count,
+              static_cast<int64_t>(experiments.size()));
+    EXPECT_EQ(serial.sample_count, samples);
+    EXPECT_EQ(serial.point_count, parallel.point_count);
+    EXPECT_EQ(serial.sample_count, parallel.sample_count);
 }
 
 TEST(ExperimentRunner, CustomExperimentsReceiveTheDerivedSeed)
@@ -370,6 +374,17 @@ TEST(WriteFigureJson, EmitsAParsableDocument)
         ++rows;
     EXPECT_EQ(rows, experiments.size());
     std::filesystem::remove_all(dir);
+
+    // Totals name points then samples, and stay empty for an empty
+    // grid.
+    const std::string totals =
+        "\"totals\":{\"points\":" + std::to_string(summary.point_count) +
+        ",\"samples\":" + std::to_string(summary.sample_count) + "}";
+    EXPECT_NE(harness::figureJson("F", "c", summary).dump(0).find(totals),
+              std::string::npos);
+    EXPECT_NE(harness::figureJson("F", "c", RunSummary{}).dump(0).find(
+                  "\"totals\":{}"),
+              std::string::npos);
 }
 
 } // namespace

@@ -520,6 +520,32 @@ TEST(Probe, DispatchesToAttachedSinks)
     EXPECT_EQ(tracer.size(), 1u);
 }
 
+TEST(Probe, CompiledOutProbeRecordsNothing)
+{
+    if (kObsEnabled)
+        GTEST_SKIP() << "hooks compiled in (PDDL_OBS=ON)";
+    MetricsRegistry registry;
+    Tracer tracer(16);
+    Probe probe(&registry, &tracer);
+    EXPECT_FALSE(probe.on());
+    EXPECT_FALSE(probe.tracing());
+    EXPECT_EQ(probe.metrics(), nullptr);
+    EXPECT_EQ(probe.tracer(), nullptr);
+    probe.count("x");
+    probe.gaugeMax("x", 1.0);
+    probe.observe("x", 1.0);
+    probe.lane(0, "lane");
+    probe.instant("x", "t", 0, 0.0);
+    probe.complete("x", "t", 0, 0.0, 1.0);
+    probe.asyncBegin("x", "t", 0, 1, 0.0);
+    probe.asyncEnd("x", "t", 0, 1, 0.0);
+    probe.counterSample("x", 0, 0.0, "v", 1.0);
+
+    EXPECT_TRUE(registry.snapshot().empty());
+    EXPECT_EQ(tracer.recorded(), 0u);
+    EXPECT_EQ(tracer.chromeJson(), Tracer(16).chromeJson());
+}
+
 TEST(MetricsRegistry, HistogramBoundsAreARegistryProperty)
 {
     // Sub-millisecond samples (an ssd-class device) collapse into

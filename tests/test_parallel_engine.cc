@@ -425,12 +425,9 @@ TEST(ParallelEngine, BarrierDrainsMailboxesInDeterministicOrder)
     for (int lane : {2, 0, 1}) {
         engine.shardQueue(lane).schedule(0.5, [&engine, &order,
                                                lane] {
-            engine.post(lane, 0.5,
-                        [&order, lane] { order.push_back(lane); });
-            if (lane == 2) {
-                engine.post(lane, 0.5,
-                            [&order] { order.push_back(12); });
-            }
+            engine.post(0.5, [&order, lane] { order.push_back(lane); });
+            if (lane == 2)
+                engine.post(0.5, [&order] { order.push_back(12); });
         });
     }
     engine.run();
@@ -455,7 +452,7 @@ TEST(ParallelEngine, PostsInterleaveWithHubEventsByTime)
         trace.emplace_back('h', engine.hubQueue().now());
     });
     engine.shardQueue(0).schedule(0.5, [&] {
-        engine.post(0, 0.5, [&] {
+        engine.post(0.5, [&] {
             trace.emplace_back('p', engine.hubQueue().now());
         });
     });

@@ -280,6 +280,15 @@ TEST(ScenarioSpec, SemanticErrorsAnchorTheField)
         spec, error));
     EXPECT_EQ(error.rfind("mix: an access of 8 stripe units", 0), 0u)
         << error;
+    // A closed client issues one access shape; a second entry would
+    // be ignored, so it is refused.
+    EXPECT_FALSE(ScenarioSpec::parse(
+        "{\"client\":\"closed\",\"clients\":2,"
+        "\"mix\":[{\"kb\":8},{\"kb\":64,\"op\":\"write\"}]}",
+        spec, error));
+    EXPECT_EQ(error.rfind("mix: a closed client issues one access shape", 0),
+              0u)
+        << error;
 
     // Inverted cache watermarks.
     ScenarioSpec bad;

@@ -483,7 +483,7 @@ TEST(VolumeSharing, ShardsWithEqualSpecsShareOneLayoutAndDevice)
 {
     // A layout or device is immutable, so shards built from equal
     // specs share one object (and one map table); any difference in
-    // spec or disk count gets its own, and an empty device spec is
+    // spec or disk count gets its own, and the default device spec is
     // the HP 2247.
     const std::string hdd = "hdd:rpm=7200,avg_seek_ms=8";
     std::vector<ShardSpec> specs(6);
@@ -491,7 +491,7 @@ TEST(VolumeSharing, ShardsWithEqualSpecsShareOneLayoutAndDevice)
     specs[0].device_spec = "hp2247";
     specs[1].layout_spec = "pddl:width=4";
     specs[1].device_spec = hdd;
-    specs[2].device_spec = hdd; // empty layout_spec = "pddl:width=4"
+    specs[2].device_spec = hdd; // default layout_spec "pddl:width=4"
     specs[3].layout_spec = "pddl:width=4";
     specs[3].disks = 17;
     specs[3].device_spec = "hdd:rpm=5400,avg_seek_ms=8";

@@ -7,7 +7,6 @@
 
 #include <cmath>
 
-#include "stats/tally.hh"
 #include "stats/welford.hh"
 #include "util/rng.hh"
 
@@ -76,34 +75,6 @@ TEST(Welford, MergeWithEmptySides)
     EXPECT_DOUBLE_EQ(fresh.mean(), 2.0);
     EXPECT_DOUBLE_EQ(fresh.min(), 1.0);
     EXPECT_DOUBLE_EQ(fresh.max(), 3.0);
-}
-
-TEST(Tally, CountsAndKeepsInsertionOrder)
-{
-    Tally tally;
-    EXPECT_TRUE(tally.empty());
-    tally.add("reads");
-    tally.add("writes", 5);
-    tally.add("reads", 2);
-    EXPECT_EQ(tally.get("reads"), 3);
-    EXPECT_EQ(tally.get("writes"), 5);
-    EXPECT_EQ(tally.get("absent"), 0);
-    ASSERT_EQ(tally.entries().size(), 2u);
-    EXPECT_EQ(tally.entries()[0].first, "reads");
-    EXPECT_EQ(tally.entries()[1].first, "writes");
-}
-
-TEST(Tally, MergeAddsCountsAndAppendsNewKeys)
-{
-    Tally a, b;
-    a.add("points", 2);
-    b.add("points", 3);
-    b.add("samples", 100);
-    a.merge(b);
-    EXPECT_EQ(a.get("points"), 5);
-    EXPECT_EQ(a.get("samples"), 100);
-    ASSERT_EQ(a.entries().size(), 2u);
-    EXPECT_EQ(a.entries()[1].first, "samples");
 }
 
 TEST(Welford, NumericallyStableForLargeOffsets)
