@@ -164,7 +164,7 @@ baseSpec()
 struct Row
 {
     std::string label;
-    ScenarioSpec spec;
+    std::optional<CompiledScenario> scenario;
     bool feasible = true;
 };
 
@@ -266,13 +266,13 @@ main(int argc, char **argv)
     std::vector<Row> rows;
     for (const HybridConfig &config : configurations()) {
         for (bool write_heavy : {true, false}) {
+            ScenarioSpec spec = base;
+            spec.shards = config.shards;
+            spec.allocation = config.allocation;
+            bench::applyTrafficMix(spec, write_heavy);
             Row row;
-            row.spec = base;
-            row.spec.shards = config.shards;
-            row.spec.allocation = config.allocation;
-            bench::applyTrafficMix(row.spec, write_heavy);
             row.feasible = config.feasible;
-            row.spec = bench::normalized(row.spec, config.name);
+            row.scenario = bench::compiled(spec, config.name);
             row.label = config.name + "/" +
                         (write_heavy ? "write-heavy" : "read-heavy");
             rows.push_back(std::move(row));
@@ -281,14 +281,13 @@ main(int argc, char **argv)
 
     std::vector<harness::Experiment> experiments;
     for (const Row &row : rows) {
-        const bool write_heavy =
-            !row.spec.mix.empty() && row.spec.mix.front().write;
+        const ScenarioSpec &spec = row.scenario->spec();
+        const bool write_heavy = !spec.mix.empty() && spec.mix.front().write;
         experiments.push_back(bench::scenarioExperiment(
-            {"Hybrid", row.label, 8,
-             static_cast<int>(row.spec.arrivals_per_s),
+            {"Hybrid", row.label, 8, static_cast<int>(spec.arrivals_per_s),
              write_heavy ? AccessType::Write : AccessType::Read,
              ArrayMode::FaultFree},
-            row.spec,
+            *row.scenario,
             // Tails, volume shape and how the tiering split the
             // traffic.
             {.extras = [feasible = row.feasible](

@@ -78,7 +78,7 @@ constexpr Health kHealths[] = {{"healthy", -1, false},
 struct Row
 {
     std::string label;
-    ScenarioSpec spec;
+    std::optional<CompiledScenario> scenario;
     /** Replay this trace instead of synthetic traffic (may be empty). */
     std::vector<traffic::TraceRecord> replay;
     /** Capture the offered accesses into this file (may be empty). */
@@ -282,25 +282,25 @@ main(int argc, char **argv)
     for (const std::string &skew : panel_skews) {
         for (const char *arrival_name :
              {"poisson", "diurnal", "mmpp"}) {
-            Row row;
-            row.spec = base;
-            row.spec.cache_enabled = false;
-            row.spec.offsets = skew;
+            ScenarioSpec spec = base;
+            spec.cache_enabled = false;
+            spec.offsets = skew;
             if (std::string(arrival_name) == "diurnal") {
                 // Quiet / busy / peak / busy, 500 ms phases.
-                row.spec.arrival = "diurnal:0.25,1,2.5,1@500";
+                spec.arrival = "diurnal:0.25,1,2.5,1@500";
             } else {
-                row.spec.arrival = arrival_name;
+                spec.arrival = arrival_name;
             }
-            row.spec.arrivals_per_s = 150.0;
-            bench::applyTrafficMix(row.spec, false);
-            row.spec.samples = bench::fullFidelity() ? 8000 : 2000;
-            row.spec.warmup = 200;
-            row.spec = bench::normalized(row.spec, "traffic");
+            spec.arrivals_per_s = 150.0;
+            bench::applyTrafficMix(spec, false);
+            spec.samples = bench::fullFidelity() ? 8000 : 2000;
+            spec.warmup = 200;
+            Row row;
+            row.scenario = bench::compiled(spec, "traffic");
             // Label with the canonical offset name so --skew and
             // the default panel produce identical row keys.
-            row.label = std::string("traffic/") + row.spec.offsets +
-                        "+" + arrival_name;
+            row.label = std::string("traffic/") +
+                        row.scenario->spec().offsets + "+" + arrival_name;
             rows.push_back(std::move(row));
         }
     }
@@ -310,26 +310,26 @@ main(int argc, char **argv)
          {std::string("zipf:0.99"), std::string(hot)}) {
         for (bool cached : {false, true}) {
             for (const Health &health : kHealths) {
-                Row row;
-                row.spec = base;
-                row.spec.offsets = skew;
-                row.spec.arrival = "poisson";
-                row.spec.arrivals_per_s = 100.0;
+                ScenarioSpec spec = base;
+                spec.offsets = skew;
+                spec.arrival = "poisson";
+                spec.arrivals_per_s = 100.0;
                 // A long warm-up lets the tier reach steady state
                 // (hot set resident, pump cycling) before the
                 // measured window opens.
-                row.spec.samples = bench::fullFidelity() ? 12000 : 4000;
-                row.spec.warmup = bench::fullFidelity() ? 3000 : 1500;
-                bench::applyTrafficMix(row.spec, true);
-                row.spec.cache_enabled = cached;
+                spec.samples = bench::fullFidelity() ? 12000 : 4000;
+                spec.warmup = bench::fullFidelity() ? 3000 : 1500;
+                bench::applyTrafficMix(spec, true);
+                spec.cache_enabled = cached;
                 if (health.failed_disk >= 0)
-                    row.spec.shards[0].failed_disk = health.failed_disk;
+                    spec.shards[0].failed_disk = health.failed_disk;
                 if (health.rebuilding)
-                    row.spec.faults = {{40.0, 0, 2}};
-                row.spec = bench::normalized(row.spec, "slo");
-                row.label = std::string("slo/") + row.spec.offsets +
-                            "/" + (cached ? "wb" : "nocache") + "/" +
-                            health.name;
+                    spec.faults = {{40.0, 0, 2}};
+                Row row;
+                row.scenario = bench::compiled(spec, "slo");
+                row.label = std::string("slo/") +
+                            row.scenario->spec().offsets + "/" +
+                            (cached ? "wb" : "nocache") + "/" + health.name;
                 rows.push_back(std::move(row));
             }
         }
@@ -344,27 +344,26 @@ main(int argc, char **argv)
         }
     }
     if (cli.has("replay")) {
+        ScenarioSpec spec = base;
+        spec.cache_enabled = false;
         Row row;
         row.label = "replay/" + cli.getString("replay");
-        row.spec = base;
-        row.spec.cache_enabled = false;
-        row.spec = bench::normalized(row.spec, "replay");
+        row.scenario = bench::compiled(spec, "replay");
         row.replay = traffic::loadTrace(cli.getString("replay"));
         rows.push_back(std::move(row));
     }
 
     std::vector<harness::Experiment> experiments;
     for (const Row &row : rows) {
-        const bool write_heavy =
-            !row.spec.mix.empty() && row.spec.mix.front().write;
+        const ScenarioSpec &spec = row.scenario->spec();
+        const bool write_heavy = !spec.mix.empty() && spec.mix.front().write;
         experiments.push_back(bench::scenarioExperiment(
-            {"Traffic", row.label, 8,
-             static_cast<int>(row.spec.arrivals_per_s),
+            {"Traffic", row.label, 8, static_cast<int>(spec.arrivals_per_s),
              write_heavy ? AccessType::Write : AccessType::Read,
-             row.spec.shards[0].failed_disk < 0 && row.spec.faults.empty()
+             spec.shards[0].failed_disk < 0 && spec.faults.empty()
                  ? ArrayMode::FaultFree
                  : ArrayMode::Degraded},
-            row.spec,
+            *row.scenario,
             {.extras = rowExtras,
              .capture_path = row.capture_path,
              .replay = &row.replay}));

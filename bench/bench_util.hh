@@ -132,19 +132,27 @@ benchDevice()
 }
 
 /**
- * Validate and canonicalize a row's spec. A spec the bench cannot
- * build -- its own grid, or an edit a --scenario base cannot take --
- * exits 2 like a bad flag, naming the row.
+ * Compile a row's spec. A spec the bench cannot build -- its own
+ * grid, or an edit a --scenario base cannot take -- exits 2 like a
+ * bad flag, naming the row.
  */
-inline ScenarioSpec
-normalized(ScenarioSpec spec, const std::string &row = "bench")
+inline CompiledScenario
+compiled(const ScenarioSpec &spec, const std::string &row = "bench")
 {
     std::string error;
-    if (!spec.normalize(error)) {
+    std::optional<CompiledScenario> out = compileScenario(spec, error);
+    if (!out) {
         std::fprintf(stderr, "%s row: %s\n", row.c_str(), error.c_str());
         std::exit(2);
     }
-    return spec;
+    return std::move(*out);
+}
+
+/** compiled()'s canonical spec, for a row that edits it further. */
+inline ScenarioSpec
+normalized(const ScenarioSpec &spec, const std::string &row = "bench")
+{
+    return compiled(spec, row).spec();
 }
 
 /**
@@ -217,15 +225,15 @@ struct ScenarioRow
 };
 
 /**
- * A grid point that runs `spec` through runScenario with the point's
- * derived seed (or `row.seed`) and its probe.
+ * A grid point that runs `scenario` through runScenario with the
+ * point's derived seed (or `row.seed`) and its probe.
  */
 inline harness::Experiment
-scenarioExperiment(harness::GridPoint point, const ScenarioSpec &spec,
+scenarioExperiment(harness::GridPoint point, CompiledScenario scenario,
                    ScenarioRow row = {})
 {
     return {std::move(point),
-            [spec = normalized(spec), row = std::move(row)](
+            [scenario = std::move(scenario), row = std::move(row)](
                 uint64_t seed, const obs::Probe &probe,
                 harness::Extras &extras) {
                 tune::RunScenarioOptions run;
@@ -234,11 +242,20 @@ scenarioExperiment(harness::GridPoint point, const ScenarioSpec &spec,
                 run.replay = row.replay;
                 run.probe = probe;
                 const tune::ScenarioOutcome outcome =
-                    tune::runScenario(spec, run);
+                    tune::runScenario(scenario, run);
                 if (row.extras)
-                    row.extras(spec, outcome, extras);
+                    row.extras(scenario.spec(), outcome, extras);
                 return simResult(outcome);
             }};
+}
+
+/** The same for `spec`, compiled once here. */
+inline harness::Experiment
+scenarioExperiment(harness::GridPoint point, const ScenarioSpec &spec,
+                   ScenarioRow row = {})
+{
+    return scenarioExperiment(std::move(point), compiled(spec),
+                              std::move(row));
 }
 
 /**

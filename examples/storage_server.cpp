@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "tune/scenario_runner.hh"
@@ -39,11 +40,13 @@ measure(const std::string &layout, ArrayMode mode, int clients, int kb,
     spec.samples = 6000;
     spec.warmup = 150;
     std::string error;
-    if (!spec.normalize(error)) {
+    const std::optional<CompiledScenario> scenario =
+        compileScenario(spec, error);
+    if (!scenario) {
         std::fprintf(stderr, "bad scenario: %s\n", error.c_str());
         std::exit(1);
     }
-    return tune::runScenario(spec, tune::RunScenarioOptions{});
+    return tune::runScenario(*scenario, tune::RunScenarioOptions{});
 }
 
 void

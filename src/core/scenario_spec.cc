@@ -5,7 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <map>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -17,8 +17,7 @@
 #include "core/layout_spec.hh"
 #include "core/volume_capacity.hh"
 #include "disk/device_model.hh"
-#include "traffic/arrival.hh"
-#include "traffic/offset_dist.hh"
+#include "layout/layout.hh"
 #include "util/spec_text.hh"
 
 namespace pddl {
@@ -385,10 +384,14 @@ checkFields(const S &obj, std::span<const Field<S>> fields,
 
 /** Canonicalize a placement in place ("shuffle" gains its seed). */
 bool
-canonicalPlacement(std::string &text, std::string &why)
+canonicalPlacement(std::string &text, ScenarioPlacement &placement,
+                   std::string &why)
 {
-    if (text == "static" || text == "rotate")
+    if (text == "static" || text == "rotate") {
+        placement.kind = text == "static" ? ScenarioPlacement::Static
+                                          : ScenarioPlacement::Rotate;
         return true;
+    }
     // ShuffledPlacement's default seed, spelled out in the text.
     uint64_t seed = 11400714819323198485ULL;
     if (text != "shuffle" && text.rfind("shuffle:", 0) != 0) {
@@ -402,6 +405,7 @@ canonicalPlacement(std::string &text, std::string &why)
         return false;
     }
     text = "shuffle:" + std::to_string(seed);
+    placement = {ScenarioPlacement::Shuffle, seed};
     return true;
 }
 
@@ -456,6 +460,94 @@ ScenarioSpec::parseOrThrow(const std::string &text)
 bool
 ScenarioSpec::normalize(std::string &error)
 {
+    CompiledScenario compiled;
+    compiled.spec_ = std::move(*this);
+    const bool ok = compiled.spec_.compile(compiled, error);
+    *this = std::move(compiled.spec_);
+    return ok;
+}
+
+bool
+buildShard(std::span<const ScenarioShard> specs,
+           std::span<const CompiledShard> built, ScenarioShard &shard,
+           CompiledShard &out, const char *&field, std::string &why)
+{
+    // The earlier shard whose canonical text is `key`'s (a canonical
+    // spec parses to itself, so a repeat needs no parse), or null.
+    auto find = [&](std::string ScenarioShard::*key,
+                    bool disks) -> const CompiledShard * {
+        for (size_t e = 0; e < specs.size(); ++e) {
+            if (specs[e].*key == shard.*key &&
+                (!disks || specs[e].disks == shard.disks))
+                return &built[e];
+        }
+        return nullptr;
+    };
+    const CompiledShard *same = find(&ScenarioShard::layout, true);
+    if (same == nullptr) {
+        field = "layout";
+        layouts::ParsedLayoutSpec parsed;
+        if (!layouts::parseLayoutSpec(shard.layout, parsed, why))
+            return false;
+        shard.layout = parsed.canonical();
+        same = find(&ScenarioShard::layout, true);
+        // A spec that parses but cannot build at this disk count
+        // (mirror copies not dividing n, width > n) fails here, with
+        // the anchor, not mid-simulation.
+        try {
+            if (same == nullptr)
+                out.layout = layouts::buildLayout(parsed, shard.disks);
+        } catch (const std::exception &e) {
+            why = e.what();
+            return false;
+        }
+    }
+    if (same != nullptr)
+        out.layout = same->layout;
+    same = find(&ScenarioShard::device, false);
+    if (same == nullptr) {
+        field = "device";
+        if (!device::parseDeviceSpec(shard.device, out.device, why))
+            return false;
+        shard.device = out.device->describe();
+        same = find(&ScenarioShard::device, false);
+    }
+    if (same != nullptr)
+        out.device = same->device;
+    return true;
+}
+
+void
+CompiledScenario::setFaultSeed(uint64_t seed)
+{
+    if (seed != 0 && spec_.mission_ms == 0.0)
+        throw std::invalid_argument("fault_seed: needs mission_ms > 0");
+    spec_.fault_seed = seed;
+}
+
+std::optional<CompiledScenario>
+compileScenario(const ScenarioSpec &spec, std::string &error)
+{
+    CompiledScenario out;
+    out.spec_ = spec;
+    if (!out.spec_.compile(out, error))
+        return std::nullopt;
+    return out;
+}
+
+CompiledScenario
+compileOrThrow(const ScenarioSpec &spec)
+{
+    std::string error;
+    std::optional<CompiledScenario> compiled = compileScenario(spec, error);
+    if (!compiled)
+        throw std::runtime_error("scenario: " + error);
+    return std::move(*compiled);
+}
+
+bool
+ScenarioSpec::compile(CompiledScenario &out, std::string &error)
+{
     if (!checkFields<Spec>(*this, kSpecFields, error))
         return false;
     auto fail = [&](std::string_view anchor, std::string_view why) {
@@ -467,74 +559,36 @@ ScenarioSpec::normalize(std::string &error)
         return fail("shards", "at most " + std::to_string(kMaxVolumeShards) +
                                   " shards per volume");
     std::string why;
-    // Each distinct (canonical layout, disks) is built once, and each
-    // distinct device string parsed once; a shard that repeats one
-    // takes its verdict, and what the capacity checks need. The first
-    // failure returns, so every error keeps its own shard's anchor.
-    struct Shape
-    {
-        bool sparing;
-        int64_t units_per_disk_per_period;
-        int64_t data_units_per_period;
-    };
-    std::map<std::pair<std::string, int>, Shape> layout_of;
-    std::map<std::string, std::pair<std::string, int64_t>> device_of;
+    // The first failure returns, so every error keeps its own shard's
+    // anchor, also on a shard that repeats an earlier one's layout.
+    out.shards_.resize(shards.size());
     int64_t min_capacity = std::numeric_limits<int64_t>::max();
-    int64_t capacity_of[kMaxVolumeShards] = {}; // on the stack: no allocation
     for (size_t i = 0; i < shards.size(); ++i) {
         ScenarioShard &shard = shards[i];
+        CompiledShard &built = out.shards_[i];
         auto at = [&](const char *key) {
             return itemAnchor("shards", i) + "." + key;
         };
-        layouts::ParsedLayoutSpec layout;
-        if (!layouts::parseLayoutSpec(shard.layout, layout, why))
-            return fail(at("layout"), why);
-        const std::pair<std::string, int> key(layout.canonical(), shard.disks);
-        auto built = layout_of.find(key);
-        if (built == layout_of.end()) {
-            // A spec that parses but cannot build at this disk count
-            // (mirror copies not dividing n, width > n) must fail
-            // here, with the anchor, not mid-simulation.
-            Shape shape;
-            try {
-                const auto made = layouts::buildLayout(layout, shard.disks);
-                shape = {made->hasSparing(), made->unitsPerDiskPerPeriod(),
-                         made->dataUnitsPerPeriod()};
-            } catch (const std::exception &e) {
-                return fail(at("layout"), e.what());
-            }
-            built = layout_of.emplace(key, shape).first;
-        }
-        shard.layout = key.first;
-        auto device = device_of.find(shard.device);
-        if (device == device_of.end()) {
-            std::shared_ptr<const DeviceModel> model;
-            if (!device::parseDeviceSpec(shard.device, model, why))
-                return fail(at("device"), why);
-            device = device_of
-                         .emplace(shard.device,
-                                  std::make_pair(model->describe(),
-                                                 model->totalSectors()))
-                         .first;
-        }
-        shard.device = device->second.first;
-        const Shape &shape = built->second;
-        const int64_t capacity = arrayDataUnits(
-            device->second.second, unit_sectors,
-            shape.units_per_disk_per_period, shape.data_units_per_period);
-        if (capacity < 1)
+        const char *field = "";
+        if (!buildShard({shards.data(), i}, {out.shards_.data(), i}, shard,
+                        built, field, why))
+            return fail(at(field), why);
+        const Layout &layout = *built.layout;
+        built.data_units = arrayDataUnits(
+            built.device->totalSectors(), unit_sectors,
+            layout.unitsPerDiskPerPeriod(), layout.dataUnitsPerPeriod());
+        if (built.data_units < 1)
             return fail(at("device"), "too small for one pattern of the "
                                       "shard's layout at this unit_sectors");
-        min_capacity = std::min(min_capacity, capacity);
-        capacity_of[i] = capacity;
+        min_capacity = std::min(min_capacity, built.data_units);
         if (shard.failed_disk < -1 || shard.failed_disk >= shard.disks)
             return fail(at("failed_disk"), "must be -1 (healthy) or a "
                                            "disk index below disks");
-        if (shard.rebuilt && (shard.failed_disk < 0 || !shape.sparing))
+        if (shard.rebuilt && (shard.failed_disk < 0 || !layout.hasSparing()))
             return fail(at("rebuilt"), "needs failed_disk >= 0 and a "
                                        "layout with spare space");
     }
-    if (!canonicalPlacement(placement, why))
+    if (!canonicalPlacement(placement, out.placement_, why))
         return fail("placement", why);
     if (!(dispatch_ms > 0.0) && (dispatch_ms != 0.0 || shards.size() != 1))
         return fail("dispatch_ms", "must be > 0, or 0 (no fabric) with "
@@ -556,13 +610,12 @@ ScenarioSpec::normalize(std::string &error)
         dispatch_ms > 0.0
             ? volumeDataUnits(
                   static_cast<int>(shards.size()), allocation == "tiered",
-                  chunk_units, [&](int s) { return capacity_of[s]; },
+                  chunk_units, [&](int s) { return out.shards_[s].data_units; },
                   [&](int s) {
-                      std::string_view kind, body;
-                      spec_text::splitFamily(shards[s].device, kind, body);
-                      return allocationTier(shards[s].tier, kind);
+                      return allocationTier(shards[s].tier,
+                                            out.shards_[s].device->kind());
                   })
-            : capacity_of[0];
+            : out.shards_[0].data_units;
     const bool closed_default = mix.empty() && client == "closed";
     for (size_t i = 0; i < (closed_default ? 1 : mix.size()); ++i) {
         const int64_t units = unitsForKb(
@@ -574,22 +627,31 @@ ScenarioSpec::normalize(std::string &error)
                             std::to_string(backend_units) +
                             " data units of the backend");
     }
-    traffic::OffsetSpec offset_spec;
-    if (!traffic::parseOffsetSpec(offsets, offset_spec, why))
+    if (!traffic::parseOffsetSpec(offsets, out.offsets_, why))
         return fail("offsets", why);
-    offsets = traffic::offsetSpecName(offset_spec);
-    traffic::ArrivalSpec arrival_spec;
-    if (!traffic::parseArrivalSpec(arrival, arrival_spec, why))
+    offsets = traffic::offsetSpecName(out.offsets_);
+    if (!traffic::parseArrivalSpec(arrival, out.arrival_, why))
         return fail("arrival", why);
-    arrival = traffic::arrivalSpecString(arrival_spec);
+    arrival = traffic::arrivalSpecString(out.arrival_);
     if (ci_tolerance > 0.0 && client != "closed")
         return fail("ci_tolerance", "must be 0 unless client is \"closed\"");
     if (min_samples < (ci_tolerance > 0.0 ? 2 : 0) || min_samples > samples)
         return fail("min_samples", "must be at most samples, and at least "
                                    "2 with a ci_tolerance");
-    if (cache_enabled && cache_kb / (unit_sectors / 2) < cache_ways)
+    // The tier holds whole sets. kb / (sectors per KB) is unitsForKb()
+    // without its kb * 2, which could overflow.
+    const int64_t cache_units = cache_kb / (unit_sectors / 2);
+    if (cache_enabled && cache_units < cache_ways)
         return fail("cache.kb", "capacity is below one set (kb too small "
                                 "for ways at this unit_sectors)");
+    if (cache_enabled)
+        out.cache_units_ = cache_units - cache_units % cache_ways;
+    if (out.cache_units_ > backend_units)
+        return fail("cache.kb", "a cache of " +
+                                    std::to_string(out.cache_units_) +
+                                    " stripe units exceeds the " +
+                                    std::to_string(backend_units) +
+                                    " data units of the backend");
     if (cache_enabled && !(cache_low >= 0.0 && cache_low <= cache_high &&
                            cache_high <= 1.0))
         return fail("cache.high/cache.low", "need 0 <= low <= high <= 1");

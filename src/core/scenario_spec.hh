@@ -16,20 +16,35 @@
  *
  * Each JSON key is declared once, in the field tables of
  * scenario_spec.cc, with its member, its single-field range rule and
- * when it is written; toJson(), fromJson() and normalize() read those
- * tables, and normalize() adds the rules that span fields.
+ * when it is written; toJson(), fromJson() and compileScenario() read
+ * those tables, and compileScenario() adds the rules that span fields.
+ *
+ * compileScenario() is the one place a spec is checked and built: it
+ * returns a CompiledScenario holding the canonical spec and everything
+ * the checks built -- each distinct layout and device once, the
+ * parsed offset and arrival specs, the placement -- and the run, the
+ * volume and the tuner read that object instead of building again.
  */
 
 #ifndef PDDL_CORE_SCENARIO_SPEC_HH
 #define PDDL_CORE_SCENARIO_SPEC_HH
 
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "traffic/arrival.hh"
+#include "traffic/offset_dist.hh"
 #include "util/json.hh"
 
 namespace pddl {
+
+class CompiledScenario;
+class DeviceModel;
+class Layout;
 
 /** One shard of the scenario's volume, by spec strings. */
 struct ScenarioShard
@@ -178,11 +193,95 @@ struct ScenarioSpec
 
     /**
      * Validate every field and canonicalize the nested spec strings
-     * in place. @return false with a field-anchored `error` when the
-     * spec cannot describe a buildable scenario.
+     * in place: compileScenario() keeping only the spec. @return
+     * false with a field-anchored `error` when the spec cannot
+     * describe a buildable scenario.
      */
     bool normalize(std::string &error);
+
+  private:
+    friend std::optional<CompiledScenario>
+    compileScenario(const ScenarioSpec &spec, std::string &error);
+    /** Check and canonicalize in place, building into `out`. */
+    bool compile(CompiledScenario &out, std::string &error);
 };
+
+/** One shard of a compiled scenario: the objects its array runs on. */
+struct CompiledShard
+{
+    std::shared_ptr<const Layout> layout;
+    std::shared_ptr<const DeviceModel> device;
+    /** Stripe units the shard holds as a bare array. */
+    int64_t data_units = 0;
+};
+
+/**
+ * Build `shard`'s layout and device into `out`, canonicalizing its
+ * strings in place. `specs` and `built` are the shards before it: one
+ * whose canonical layout and disks, or canonical device, equal this
+ * shard's lends its object instead, so each distinct one is built
+ * once. Both are immutable (a layout publishes its lazy map table
+ * under its mutex), so shards, volumes and threads share them. On
+ * failure returns false with the failing key ("layout" or "device")
+ * in `field` and the reason in `why`.
+ */
+bool buildShard(std::span<const ScenarioShard> specs,
+                std::span<const CompiledShard> built, ScenarioShard &shard,
+                CompiledShard &out, const char *&field, std::string &why);
+
+/** Chunk placement as compiled: volume/placement.hh's policies. */
+struct ScenarioPlacement
+{
+    enum Kind : uint8_t { Static, Rotate, Shuffle };
+    Kind kind = Static;
+    uint64_t seed = 0; ///< Shuffle's permutation seed
+};
+
+/**
+ * A spec that passed every check, with what the checks built. Only
+ * compileScenario() makes one, so holding one means the spec is valid
+ * and canonical. Copies share the layouts and devices, and one object
+ * may run on several threads at once.
+ */
+class CompiledScenario
+{
+  public:
+    /** The canonical spec, as normalize() leaves it. */
+    const ScenarioSpec &spec() const { return spec_; }
+    const CompiledShard &shard(int s) const { return shards_[s]; }
+    const traffic::OffsetSpec &offsets() const { return offsets_; }
+    const traffic::ArrivalSpec &arrival() const { return arrival_; }
+    ScenarioPlacement placement() const { return placement_; }
+    /** The cache tier's lines: cache.kb in stripe units, whole sets. */
+    int64_t cacheUnits() const { return cache_units_; }
+
+    /** Redraw a mission's fault timeline (one Monte-Carlo trial);
+     *  std::invalid_argument on a nonzero seed without a mission. */
+    void setFaultSeed(uint64_t seed);
+
+  private:
+    friend struct ScenarioSpec;
+    friend std::optional<CompiledScenario>
+    compileScenario(const ScenarioSpec &spec, std::string &error);
+    CompiledScenario() = default;
+
+    ScenarioSpec spec_;
+    std::vector<CompiledShard> shards_;
+    traffic::OffsetSpec offsets_;
+    traffic::ArrivalSpec arrival_;
+    ScenarioPlacement placement_;
+    int64_t cache_units_ = 0;
+};
+
+/**
+ * Check `spec` and build what it describes: the compiled scenario, or
+ * nothing with a field-anchored `error` ("shards[1].layout: ...").
+ */
+std::optional<CompiledScenario> compileScenario(const ScenarioSpec &spec,
+                                                std::string &error);
+
+/** compileScenario(), or std::runtime_error("scenario: <error>"). */
+CompiledScenario compileOrThrow(const ScenarioSpec &spec);
 
 /**
  * Read `path` and parse it; errors are prefixed with the path. A

@@ -1,7 +1,7 @@
 /**
  * @file
  * What a scenario's backend holds, in stripe units: the rules the
- * volume allocates with and ScenarioSpec::normalize() checks against.
+ * volume allocates with and compileScenario() checks against.
  * (A bare array holds layout/layout.hh's arrayDataUnits().)
  *
  * A volume allocates like Thomasian and Xu's virtual arrays: shards

@@ -10,15 +10,11 @@
 
 #include "array/controller.hh"
 #include "cache/cache_tier.hh"
-#include "core/layout_spec.hh"
 #include "core/volume_capacity.hh"
 #include "disk/device_model.hh"
 #include "fault/fault_scheduler.hh"
 #include "obs/metrics.hh"
 #include "sim/parallel_engine.hh"
-#include "traffic/arrival.hh"
-#include "traffic/offset_dist.hh"
-#include "util/spec_text.hh"
 #include "volume/placement.hh"
 #include "volume/volume_manager.hh"
 #include "workload/closed_loop.hh"
@@ -29,13 +25,6 @@ namespace pddl {
 namespace tune {
 
 namespace {
-
-[[noreturn]] void
-badSpec(const std::string &what)
-{
-    throw std::runtime_error("runScenario: " + what +
-                             " (spec not normalized?)");
-}
 
 /** The controller knobs one shard of the spec asks for. */
 ArrayConfig
@@ -108,9 +97,16 @@ class DegradedResponses : public Target
 } // namespace
 
 ScenarioOutcome
-runScenario(const ScenarioSpec &spec,
+runScenario(const ScenarioSpec &spec, const RunScenarioOptions &options)
+{
+    return runScenario(compileOrThrow(spec), options);
+}
+
+ScenarioOutcome
+runScenario(const CompiledScenario &compiled,
             const RunScenarioOptions &options)
 {
+    const ScenarioSpec &spec = compiled.spec();
     const int shard_count = static_cast<int>(spec.shards.size());
     const bool mission = spec.mission_ms > 0.0;
     const bool replaying =
@@ -126,8 +122,6 @@ runScenario(const ScenarioSpec &spec,
     // built them; otherwise the VolumeManager over the parallel
     // engine's shard lanes. Faults, cache, capture and client only
     // see its queues and its Target.
-    std::unique_ptr<Layout> layout;
-    std::shared_ptr<const DeviceModel> device;
     std::unique_ptr<EventQueue> queue;
     std::unique_ptr<ArrayController> array;
     std::unique_ptr<ParallelEngine> engine;
@@ -135,18 +129,14 @@ runScenario(const ScenarioSpec &spec,
     std::unique_ptr<PlacementPolicy> placement;
     std::unique_ptr<VolumeManager> volume;
     std::vector<const DeviceModel *> devices;
+    for (int s = 0; s < shard_count; ++s)
+        devices.push_back(compiled.shard(s).device.get());
     if (spec.dispatch_ms == 0.0) {
-        if (shard_count != 1)
-            badSpec("dispatch_ms 0 with more than one shard");
-        const ScenarioShard &shard = spec.shards.front();
-        layout = layouts::makeLayout(shard.layout, shard.disks);
-        device = device::makeDevice(shard.device);
-        devices.push_back(device.get());
         queue = std::make_unique<EventQueue>();
         queue->setProbe(options.probe);
         array = std::make_unique<ArrayController>(
-            *queue, *layout, *device,
-            arrayConfig(spec, shard, options.probe));
+            *queue, *compiled.shard(0).layout, *devices.front(),
+            arrayConfig(spec, spec.shards.front(), options.probe));
     } else {
         ParallelEngine::Config engine_config;
         engine_config.lookahead = spec.dispatch_ms;
@@ -154,15 +144,11 @@ runScenario(const ScenarioSpec &spec,
                                                   engine_config);
         engine->hubQueue().setProbe(options.probe);
 
-        std::vector<ShardSpec> shard_specs(spec.shards.size());
+        std::vector<VolumeShard> shards(spec.shards.size());
         for (int s = 0; s < shard_count; ++s) {
             const ScenarioShard &shard = spec.shards[s];
-            shard_specs[s].layout_spec = shard.layout;
-            shard_specs[s].device_spec = shard.device;
-            shard_specs[s].disks = shard.disks;
-            shard_specs[s].tier = shard.tier;
-            shard_specs[s].array =
-                arrayConfig(spec, shard, options.probe);
+            shards[s] = {compiled.shard(s).layout, compiled.shard(s).device,
+                         shard.tier, arrayConfig(spec, shard, options.probe)};
             engine->shardQueue(s).setProbe(options.probe);
         }
 
@@ -172,23 +158,15 @@ runScenario(const ScenarioSpec &spec,
         vconfig.allocation = spec.allocation == "tiered"
                                  ? VolumeAllocation::Tiered
                                  : VolumeAllocation::Striped;
-        uint64_t seed = 0;
-        if (spec.placement == "rotate") {
+        const ScenarioPlacement where = compiled.placement();
+        if (where.kind == ScenarioPlacement::Rotate)
             placement = std::make_unique<RotatedPlacement>();
-        } else if (spec.placement.rfind("shuffle:", 0) == 0 &&
-                   spec_text::parseInt(
-                       std::string_view(spec.placement).substr(8),
-                       seed)) {
-            placement = std::make_unique<ShuffledPlacement>(seed);
-        } else if (spec.placement != "static") {
-            badSpec("unknown placement '" + spec.placement + "'");
-        }
+        else if (where.kind == ScenarioPlacement::Shuffle)
+            placement = std::make_unique<ShuffledPlacement>(where.seed);
         vconfig.placement = placement.get();
         vconfig.probe = options.probe;
-        volume = std::make_unique<VolumeManager>(
-            *engine, std::move(shard_specs), vconfig);
-        for (int s = 0; s < shard_count; ++s)
-            devices.push_back(&volume->shardDevice(s));
+        volume = std::make_unique<VolumeManager>(*engine, std::move(shards),
+                                                 vconfig);
     }
     EventQueue &hub = engine ? engine->hubQueue() : *queue;
     Target &backend =
@@ -283,14 +261,7 @@ runScenario(const ScenarioSpec &spec,
     std::unique_ptr<cache::CacheTier> tier;
     if (spec.cache_enabled) {
         cache::CacheConfig cconfig;
-        // Capacity is budgeted in KB; floor to whole sets so the
-        // constructor's divisibility contract holds at any unit size.
-        int64_t capacity =
-            unitsForKb(spec.cache_kb, spec.unit_sectors);
-        capacity -= capacity % spec.cache_ways;
-        if (capacity < spec.cache_ways)
-            capacity = spec.cache_ways;
-        cconfig.capacity_units = capacity;
+        cconfig.capacity_units = compiled.cacheUnits();
         cconfig.ways = spec.cache_ways;
         cconfig.hit_ms = spec.cache_hit_ms;
         cconfig.high_water = spec.cache_high;
@@ -310,7 +281,6 @@ runScenario(const ScenarioSpec &spec,
         workload_target = capture.get();
     }
 
-    std::string why;
     if (replaying) {
         TraceReplayConfig rconfig;
         rconfig.latency = &latency;
@@ -329,7 +299,7 @@ runScenario(const ScenarioSpec &spec,
         ClosedLoopConfig config;
         config.clients = spec.clients;
         // The closed loop issues one fixed access shape: the one mix
-        // entry normalize() allows, or the spec default 8 KB read.
+        // entry compileScenario() allows, or the spec default 8 KB read.
         const ScenarioMix entry =
             spec.mix.empty() ? ScenarioMix{} : spec.mix.front();
         config.access_units = static_cast<int>(
@@ -352,9 +322,7 @@ runScenario(const ScenarioSpec &spec,
         }
         config.warmup = spec.warmup;
         config.seed = options.seed;
-        if (!traffic::parseOffsetSpec(spec.offsets, config.offsets,
-                                      why))
-            badSpec("offsets: " + why);
+        config.offsets = compiled.offsets();
         config.latency = &latency;
 
         ClosedLoopClient client(config);
@@ -394,12 +362,8 @@ runScenario(const ScenarioSpec &spec,
         config.samples = spec.samples;
         config.warmup = spec.warmup;
         config.seed = options.seed;
-        if (!traffic::parseOffsetSpec(spec.offsets, config.offsets,
-                                      why))
-            badSpec("offsets: " + why);
-        if (!traffic::parseArrivalSpec(spec.arrival, config.arrival,
-                                       why))
-            badSpec("arrival: " + why);
+        config.offsets = compiled.offsets();
+        config.arrival = compiled.arrival();
         config.latency = &latency;
 
         OpenLoopClient client(config);

@@ -1,9 +1,10 @@
 /**
  * @file
- * ScenarioSpec -> one deterministic simulation -> ScenarioOutcome.
+ * CompiledScenario -> one deterministic simulation -> ScenarioOutcome.
  *
  * The one way to run a scenario: it builds the whole simulated
- * system a ScenarioSpec describes (the backend, the optional
+ * system a compiled ScenarioSpec describes, on the layouts and
+ * devices the compile built (the backend, the optional
  * write-back tier, the fault timeline, the open- or closed-loop
  * client), runs it to drain -- or, for a mission, to its fixed length
  * under a drawn fault timeline -- and reports every simulated
@@ -136,10 +137,14 @@ struct RunScenarioOptions
 };
 
 /**
- * Build and run the scenario. The spec must be normalized (built by
- * ScenarioSpec::parse(), or normalize() called); malformed specs
- * throw std::runtime_error rather than simulate garbage.
+ * Build and run a compiled scenario from its layouts, devices and
+ * parsed specs; nothing is parsed or built twice. One compiled
+ * scenario may run on several threads at once.
  */
+ScenarioOutcome runScenario(const CompiledScenario &compiled,
+                            const RunScenarioOptions &options);
+
+/** compileOrThrow(spec), normalized or not, and run it. */
 ScenarioOutcome runScenario(const ScenarioSpec &spec,
                             const RunScenarioOptions &options);
 

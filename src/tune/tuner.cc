@@ -2,11 +2,11 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "core/imbalance.hh"
-#include "core/layout_spec.hh"
 #include "harness/parallel_for.hh"
 #include "util/rng.hh"
 
@@ -33,12 +33,31 @@ pick(Rng &rng, std::initializer_list<T> candidates)
     return *(candidates.begin() + index);
 }
 
-/** Single-fault rebuild-imbalance worst ratio of a layout spec. */
+/** Single-fault rebuild-imbalance worst ratio of a layout. */
 double
-surrogateWorst(const std::string &layout_spec, int disks)
+surrogateWorst(const Layout &layout)
 {
-    auto layout = layouts::makeLayout(layout_spec, disks);
-    return ImbalanceEvaluator::forLayout(*layout).metrics(1).worst;
+    return ImbalanceEvaluator::forLayout(layout).metrics(1).worst;
+}
+
+/** The mean objective of `compiled` over `seeds` (infinite when any
+ *  run is infeasible). */
+double
+score(const CompiledScenario &compiled, const std::vector<uint64_t> &seeds,
+      Objective objective)
+{
+    double total = 0.0;
+    for (uint64_t seed : seeds) {
+        RunScenarioOptions options;
+        options.seed = seed;
+        const double one =
+            objectiveOf(runScenario(compiled, options), objective);
+        if (!std::isfinite(one))
+            return std::numeric_limits<double>::infinity();
+        total += one;
+    }
+    return seeds.empty() ? std::numeric_limits<double>::infinity()
+                         : total / static_cast<double>(seeds.size());
 }
 
 /** The knob families one move can touch. */
@@ -169,7 +188,7 @@ mutateOnce(ScenarioSpec &spec, const ScenarioSpec &baseline, Rng &rng)
 
 struct ChainContext
 {
-    const ScenarioSpec *baseline;
+    const CompiledScenario *baseline;
     const TuneOptions *options;
     double baseline_objective;
 };
@@ -178,7 +197,7 @@ TuneChain
 runChain(int chain, const ChainContext &context)
 {
     const TuneOptions &options = *context.options;
-    const ScenarioSpec &baseline = *context.baseline;
+    const ScenarioSpec &baseline = context.baseline->spec();
 
     TuneChain result;
     result.chain = chain;
@@ -187,7 +206,7 @@ runChain(int chain, const ChainContext &context)
     std::unordered_map<std::string, double> memo;
     memo.emplace(baseline.describe(), context.baseline_objective);
 
-    ScenarioSpec current = baseline;
+    CompiledScenario current = *context.baseline;
     double current_objective = context.baseline_objective;
     result.best = baseline;
     result.best_objective = context.baseline_objective;
@@ -195,34 +214,33 @@ runChain(int chain, const ChainContext &context)
     double temperature = kInitialTemperature;
     for (int move = 0; move < options.moves;
          ++move, temperature *= kCooling) {
-        ScenarioSpec candidate = current;
-        const Move kind = mutateOnce(candidate, baseline, rng);
+        ScenarioSpec mutated = current.spec();
+        const Move kind = mutateOnce(mutated, baseline, rng);
         std::string error;
-        if (!candidate.normalize(error)) {
+        std::optional<CompiledScenario> candidate =
+            compileScenario(mutated, error);
+        if (!candidate) {
             // The mutation proposed an unbuildable combination
             // (mirror over 13 disks, width > disks, ...): skip, the
             // spec's own validator is the constraint oracle.
             ++result.invalid_moves;
             continue;
         }
-        if (candidate == current)
+        if (candidate->spec() == current.spec())
             continue;
 
         if (kind == Move::Layout) {
             // Cheap pre-screen: a layout that rebuilds clearly less
             // evenly than the incumbent is not worth a simulation.
             bool rejected = false;
-            for (size_t s = 0; s < candidate.shards.size(); ++s) {
-                if (candidate.shards[s].layout ==
-                    current.shards[s].layout)
+            for (int s = 0; s < static_cast<int>(mutated.shards.size());
+                 ++s) {
+                if (candidate->spec().shards[s].layout ==
+                    current.spec().shards[s].layout)
                     continue;
-                const double cand = surrogateWorst(
-                    candidate.shards[s].layout,
-                    candidate.shards[s].disks);
-                const double cur = surrogateWorst(
-                    current.shards[s].layout,
-                    current.shards[s].disks);
-                if (cand > cur * kSurrogateSlack) {
+                if (surrogateWorst(*candidate->shard(s).layout) >
+                    surrogateWorst(*current.shard(s).layout) *
+                        kSurrogateSlack) {
                     rejected = true;
                     break;
                 }
@@ -233,15 +251,15 @@ runChain(int chain, const ChainContext &context)
             }
         }
 
-        const std::string key = candidate.describe();
+        const std::string key = candidate->spec().describe();
         double objective;
         auto hit = memo.find(key);
         if (hit != memo.end()) {
             objective = hit->second;
             ++result.memo_hits;
         } else {
-            objective = evaluateScenario(
-                candidate, options.eval_seeds, options.objective, 0, -1);
+            objective =
+                score(*candidate, options.eval_seeds, options.objective);
             memo.emplace(key, objective);
             ++result.evaluated;
         }
@@ -255,11 +273,11 @@ runChain(int chain, const ChainContext &context)
                      std::exp(-relative / temperature);
         }
         if (accept) {
-            current = std::move(candidate);
+            current = std::move(*candidate);
             current_objective = objective;
             ++result.accepted;
             if (current_objective < result.best_objective) {
-                result.best = current;
+                result.best = current.spec();
                 result.best_objective = current_objective;
             }
         }
@@ -280,19 +298,7 @@ evaluateScenario(const ScenarioSpec &spec,
         trimmed.samples = eval_samples;
     if (eval_warmup >= 0)
         trimmed.warmup = eval_warmup;
-
-    double total = 0.0;
-    for (uint64_t seed : seeds) {
-        RunScenarioOptions options;
-        options.seed = seed;
-        const double score =
-            objectiveOf(runScenario(trimmed, options), objective);
-        if (!std::isfinite(score))
-            return std::numeric_limits<double>::infinity();
-        total += score;
-    }
-    return seeds.empty() ? std::numeric_limits<double>::infinity()
-                         : total / static_cast<double>(seeds.size());
+    return score(compileOrThrow(trimmed), seeds, objective);
 }
 
 TuneResult
@@ -303,12 +309,11 @@ tune(const ScenarioSpec &baseline, const TuneOptions &options)
     // The hand-picked starting point is scored with the exact same
     // protocol as every candidate: the accept rule and the final
     // "did tuning help" comparison both read this number.
+    const CompiledScenario compiled = compileOrThrow(baseline);
     result.baseline_objective =
-        evaluateScenario(baseline, options.eval_seeds,
-                         options.objective, 0, -1);
+        score(compiled, options.eval_seeds, options.objective);
 
-    ChainContext context{&baseline, &options,
-                         result.baseline_objective};
+    ChainContext context{&compiled, &options, result.baseline_objective};
     result.chains.resize(static_cast<size_t>(options.chains));
 
     // Chains are fully independent; the thread count only changes
@@ -321,7 +326,7 @@ tune(const ScenarioSpec &baseline, const TuneOptions &options)
                 runChain(static_cast<int>(chain), context);
         });
 
-    result.best = baseline;
+    result.best = compiled.spec();
     result.best_objective = result.baseline_objective;
     for (const TuneChain &chain : result.chains) {
         result.evaluations += chain.evaluated;

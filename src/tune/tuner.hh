@@ -6,9 +6,10 @@
  * The genome is the spec itself (core/scenario_spec.hh); one move
  * mutates one knob family -- layout family + seed, stripe-unit size,
  * chunk size, shard placement policy, SSTF window, cache watermarks
- * and destage geometry, rebuild aggressiveness -- re-normalizes, and
- * evaluates the candidate with a short deterministic simulation
- * (scenario_runner.hh) averaged over a few training seeds. Accepts
+ * and destage geometry, rebuild aggressiveness -- compiles the
+ * candidate once (core/scenario_spec.hh), and evaluates that compiled
+ * scenario with a short deterministic simulation (scenario_runner.hh)
+ * averaged over a few training seeds. Accepts
  * follow the classic annealing rule on the exact objective: always
  * downhill, uphill with probability exp(-relative_delta / T) on a
  * geometric temperature schedule.
@@ -20,10 +21,11 @@
  * index order. The result is therefore byte-identical at every
  * --threads value.
  *
- * Layout moves are pre-screened with the PR-9 ImbalanceEvaluator as
- * a cheap surrogate: a candidate layout whose single-fault rebuild
- * imbalance is clearly worse than the incumbent's is rejected
- * without paying for a simulation. The budget the spec fixes in
+ * Layout moves are pre-screened with the ImbalanceEvaluator as
+ * a cheap surrogate, on the candidate's and the incumbent's compiled
+ * layouts: a candidate layout whose single-fault rebuild imbalance is
+ * clearly worse than the incumbent's is rejected without paying for a
+ * simulation. The budget the spec fixes in
  * bytes (mix KB, cache KB) keeps every candidate comparable; the
  * only knob the tuner may not touch is the scenario's offered
  * workload and hardware, which is the question, not the answer.
@@ -73,7 +75,7 @@ struct TuneChain
     int memo_hits = 0;        ///< candidates scored from the memo
     int accepted = 0;         ///< moves the annealer took
     int surrogate_rejects = 0; ///< layout moves killed pre-sim
-    int invalid_moves = 0;    ///< mutations normalize() refused
+    int invalid_moves = 0;    ///< mutations compileScenario() refused
 };
 
 /** The merged search outcome. */
@@ -88,10 +90,10 @@ struct TuneResult
 };
 
 /**
- * Anneal from `baseline`. The baseline must be normalized; it is
- * always a member of the candidate set, so the result can never be
- * worse than the hand-picked starting point on the training
- * protocol. Byte-identical for every `threads` value.
+ * Anneal from `baseline`, compiled once (an invalid one throws
+ * std::runtime_error). It is always a member of the candidate set, so
+ * the result can never be worse than the hand-picked starting point
+ * on the training protocol. Byte-identical for every `threads` value.
  */
 TuneResult tune(const ScenarioSpec &baseline,
                 const TuneOptions &options);

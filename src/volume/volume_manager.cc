@@ -3,101 +3,93 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "core/layout_spec.hh"
+#include "core/scenario_spec.hh"
 #include "disk/disk.hh"
 #include "sim/parallel_engine.hh"
 
 namespace pddl {
 
+namespace {
+
+/** Resolve shard specs, each distinct layout and device built once. */
+std::vector<VolumeShard>
+resolve(std::vector<ShardSpec> &specs)
+{
+    std::vector<ScenarioShard> canonical(specs.size());
+    std::vector<CompiledShard> built(specs.size());
+    std::vector<VolumeShard> shards(specs.size());
+    for (size_t s = 0; s < specs.size(); ++s) {
+        canonical[s] = {specs[s].layout_spec, specs[s].device_spec,
+                        specs[s].disks, "", -1, false};
+        const char *field = "";
+        std::string why;
+        if (!buildShard({canonical.data(), s}, {built.data(), s},
+                        canonical[s], built[s], field, why))
+            throw std::runtime_error("bad " + std::string(field) +
+                                     " spec: " + why);
+        shards[s] = {built[s].layout, built[s].device,
+                     std::move(specs[s].tier), std::move(specs[s].array)};
+    }
+    return shards;
+}
+
+} // namespace
+
 VolumeManager::VolumeManager(EventQueue &events,
                              std::vector<ShardSpec> shards,
                              VolumeConfig config)
-    : events_(events), config_(std::move(config)),
-      placement_(config_.placement != nullptr ? config_.placement
-                                              : &staticPlacement()),
-      chunk_units_(config_.chunk_units)
+    : VolumeManager(events, nullptr, resolve(shards), std::move(config))
 {
-    shard_events_.assign(shards.size(), &events_);
-    init(shards);
 }
 
 VolumeManager::VolumeManager(ParallelEngine &engine,
                              std::vector<ShardSpec> shards,
                              VolumeConfig config)
-    : events_(engine.hubQueue()), engine_(&engine),
-      config_(std::move(config)),
-      placement_(config_.placement != nullptr ? config_.placement
-                                              : &staticPlacement()),
-      chunk_units_(config_.chunk_units)
+    : VolumeManager(engine, resolve(shards), std::move(config))
 {
-    if (engine.shardLanes() < static_cast<int>(shards.size()))
-        throw std::logic_error(
-            "parallel volume needs one engine lane per shard");
-    if (!(config_.dispatch_ms >= engine.lookahead()))
-        throw std::logic_error(
-            "volume dispatch_ms must cover the engine lookahead: "
-            "a window could otherwise schedule into a lane's past");
-    shard_events_.reserve(shards.size());
-    for (size_t s = 0; s < shards.size(); ++s)
-        shard_events_.push_back(
-            &engine.shardQueue(static_cast<int>(s)));
-    init(shards);
 }
 
-void
-VolumeManager::init(std::vector<ShardSpec> &shards)
+VolumeManager::VolumeManager(ParallelEngine &engine,
+                             std::vector<VolumeShard> shards,
+                             VolumeConfig config)
+    : VolumeManager(engine.hubQueue(), &engine, std::move(shards),
+                    std::move(config))
 {
-    if (shards.empty())
+}
+
+VolumeManager::VolumeManager(EventQueue &events, ParallelEngine *engine,
+                             std::vector<VolumeShard> shards,
+                             VolumeConfig config)
+    : events_(events), engine_(engine), config_(std::move(config)),
+      placement_(config_.placement != nullptr ? config_.placement
+                                              : &staticPlacement()),
+      chunk_units_(config_.chunk_units), objects_(std::move(shards))
+{
+    const int count = static_cast<int>(objects_.size());
+    if (count == 0)
         throw std::logic_error("volume needs at least one shard");
-    if (static_cast<int>(shards.size()) > kMaxVolumeShards)
+    if (count > kMaxVolumeShards)
         throw std::logic_error("volume shard count over kMaxVolumeShards");
     if (chunk_units_ < 1)
         throw std::logic_error("volume chunk_units must be >= 1");
     if (!(config_.dispatch_ms >= 0.0))
         throw std::logic_error("volume dispatch_ms must be >= 0");
+    if (engine != nullptr && engine->shardLanes() < count)
+        throw std::logic_error(
+            "parallel volume needs one engine lane per shard");
+    if (engine != nullptr && !(config_.dispatch_ms >= engine->lookahead()))
+        throw std::logic_error(
+            "volume dispatch_ms must cover the engine lookahead: "
+            "a window could otherwise schedule into a lane's past");
 
-    shards_.reserve(shards.size());
-    devices_.reserve(shards.size());
-    tiers_.reserve(shards.size());
-    // A layout or device is immutable once built (the layout's lazy
-    // map table is published under its mutex), so a shard whose spec
-    // repeats an earlier shard's shares that shard's object -- and
-    // all shards of one layout spec map through one table. The search
-    // scans the earlier shards and allocates nothing.
-    for (size_t s = 0; s < shards.size(); ++s) {
-        const ShardSpec &spec = shards[s];
-
-        // Resolve the layout: an earlier shard's with the same (spec,
-        // disks), else the spec registry builds one the volume owns.
-        const Layout *layout = nullptr;
-        for (size_t e = 0; layout == nullptr && e < s; ++e) {
-            if (shards[e].disks == spec.disks &&
-                shards[e].layout_spec == spec.layout_spec)
-                layout = &shards_[e]->layout();
-        }
-        if (layout == nullptr) {
-            owned_layouts_.push_back(
-                layouts::makeLayout(spec.layout_spec, spec.disks));
-            layout = owned_layouts_.back().get();
-        }
-
-        // Resolve the device: an earlier shard's built from the same
-        // spec, else the spec registry ("hp2247" is its singleton).
-        const DeviceModel *device = nullptr;
-        for (size_t e = 0; device == nullptr && e < s; ++e) {
-            if (shards[e].device_spec == spec.device_spec)
-                device = devices_[e];
-        }
-        if (device == nullptr) {
-            owned_devices_.push_back(
-                pddl::device::makeDevice(spec.device_spec));
-            device = owned_devices_.back().get();
-        }
-
+    shard_events_.reserve(objects_.size());
+    shards_.reserve(objects_.size());
+    for (int s = 0; s < count; ++s) {
+        VolumeShard &shard = objects_[s];
+        shard_events_.push_back(engine ? &engine->shardQueue(s) : &events_);
         shards_.push_back(std::make_unique<ArrayController>(
-            *shard_events_[s], *layout, *device, spec.array));
-        devices_.push_back(device);
-        tiers_.emplace_back(allocationTier(spec.tier, device->kind()));
+            *shard_events_[s], *shard.layout, *shard.device, shard.array));
+        shard.tier = allocationTier(shard.tier, shard.device->kind());
     }
 
     // Assemble allocation groups: the shards of one tier label, in
@@ -108,7 +100,7 @@ VolumeManager::init(std::vector<ShardSpec> &shards)
     const bool tiered = config_.allocation == VolumeAllocation::Tiered;
     const std::string all = "all";
     for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
-        const std::string &tier = tiered ? tiers_[s] : all;
+        const std::string &tier = tiered ? objects_[s].tier : all;
         size_t g = 0;
         while (g < groups_.size() && groups_[g].tier != tier)
             ++g;
@@ -124,7 +116,7 @@ VolumeManager::init(std::vector<ShardSpec> &shards)
             static_cast<int>(shards_.size()), group.shards[0], tiered,
             chunk_units_,
             [this](int s) { return shards_[s]->dataUnits(); },
-            [this](int s) -> const std::string & { return tiers_[s]; });
+            [this](int s) -> const std::string & { return objects_[s].tier; });
         if (group.per_shard_units < chunk_units_)
             throw std::logic_error(
                 "volume shards too small for one chunk");

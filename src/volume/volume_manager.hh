@@ -77,24 +77,17 @@
 namespace pddl {
 
 /**
- * One shard of a volume: the specs it is built from, plus controller
- * knobs. The volume builds and owns every layout and device.
+ * One shard of a volume by specs, plus controller knobs. The volume
+ * builds each distinct layout and device once (buildShard()), so
+ * shards with equal specs share one Layout, and so one map table, and
+ * one DeviceModel; drive state lives in each Disk.
  */
 struct ShardSpec
 {
-    /**
-     * Layout spec (core/layout_spec.hh), built over `disks` drives.
-     * Shards with the same spec and the same `disks` share one
-     * immutable Layout, so they also map through one table.
-     */
+    /** Layout spec (core/layout_spec.hh), built over `disks` drives. */
     std::string layout_spec = "pddl:width=4";
-    /**
-     * Device spec (disk/device_model.hh). Shards with the same spec
-     * share one DeviceModel (immutable; drive state lives in each
-     * Disk), and every "hp2247" shard shares the hp2247() singleton.
-     */
+    /** Device spec (disk/device_model.hh). */
     std::string device_spec = "hp2247";
-    /** Drives in this shard; used when building from layout_spec. */
     int disks = 13;
     /**
      * Tier label grouping shards under Tiered allocation; empty
@@ -103,6 +96,16 @@ struct ShardSpec
     std::string tier;
 
     /** Controller construction knobs (per-shard probe included). */
+    ArrayConfig array;
+};
+
+/** One shard of a volume, resolved: the shared immutable objects its
+ *  array runs on, plus ShardSpec's tier and controller knobs. */
+struct VolumeShard
+{
+    std::shared_ptr<const Layout> layout;
+    std::shared_ptr<const DeviceModel> device;
+    std::string tier;
     ArrayConfig array;
 };
 
@@ -175,6 +178,12 @@ class VolumeManager : public Target
      * window's safety condition).
      */
     VolumeManager(ParallelEngine &engine,
+                  std::vector<VolumeShard> shards,
+                  VolumeConfig config = VolumeConfig{});
+
+    /** The same from specs: each distinct layout and device is built
+     *  once (buildShard()). */
+    VolumeManager(ParallelEngine &engine,
                   std::vector<ShardSpec> shards,
                   VolumeConfig config = VolumeConfig{});
 
@@ -183,10 +192,10 @@ class VolumeManager : public Target
     const ArrayController &shard(int s) const { return *shards_[s]; }
 
     /** Device class backing shard `s`. */
-    const DeviceModel &shardDevice(int s) const { return *devices_[s]; }
+    const DeviceModel &shardDevice(int s) const { return *objects_[s].device; }
 
     /** Tier label of shard `s` (as grouped by Tiered allocation). */
-    const std::string &shardTier(int s) const { return tiers_[s]; }
+    const std::string &shardTier(int s) const { return objects_[s].tier; }
 
     /**
      * Uniform per-shard capacity (chunk-aligned). Meaningful under
@@ -275,7 +284,10 @@ class VolumeManager : public Target
 
     static constexpr uint32_t kNilFlight = ~uint32_t{0};
 
-    void init(std::vector<ShardSpec> &shards);
+    /** Every public constructor lands here (`engine` null: serial). */
+    VolumeManager(EventQueue &events, ParallelEngine *engine,
+                  std::vector<VolumeShard> shards, VolumeConfig config);
+
     uint32_t allocFlight();
     void subComplete(uint32_t handle, int shard);
     void subAccessDone(uint32_t handle, int shard);
@@ -293,16 +305,10 @@ class VolumeManager : public Target
     const PlacementPolicy *placement_;
     int64_t chunk_units_;
 
-    /**
-     * Layouts/devices, one per distinct spec (shards with equal specs
-     * share an entry); must outlive shards_.
-     */
-    std::vector<std::unique_ptr<Layout>> owned_layouts_;
-    std::vector<std::shared_ptr<const DeviceModel>> owned_devices_;
-
+    /** Each shard's objects (must outlive shards_), its tier label
+     *  resolved. */
+    std::vector<VolumeShard> objects_;
     std::vector<std::unique_ptr<ArrayController>> shards_;
-    std::vector<const DeviceModel *> devices_;
-    std::vector<std::string> tiers_;
     std::vector<Group> groups_;
     /** Shard -> its allocation group. */
     std::vector<int> group_of_shard_;

@@ -9,21 +9,25 @@
  * replaced, and for a sharded volume against the stack bench_scaleout
  * once built by hand. Plus the tail columns' independence from the
  * Probe facade (PDDL_OBS=OFF), an observed volume's independence
- * from its thread count, and a failed trace capture.
+ * from its thread count, a failed trace capture, a raw spec compiled
+ * by the run, and one compiled scenario run from four threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "array/controller.hh"
 #include "core/layout_spec.hh"
 #include "core/scenario_spec.hh"
 #include "disk/device_model.hh"
 #include "fault/fault_scheduler.hh"
+#include "harness/parallel_for.hh"
 #include "obs/metrics.hh"
 #include "obs/probe.hh"
 #include "obs/trace.hh"
@@ -270,6 +274,82 @@ TEST(RunScenario, UnwritableCaptureThrows)
     options.capture_path =
         ::testing::TempDir() + "pddl-no-such-dir/sub/t.trace";
     EXPECT_THROW(tune::runScenario(spec, options), std::runtime_error);
+}
+
+TEST(RunScenario, CompilesWhatItIsGiven)
+{
+    // runScenario compiles the spec it is handed: one never
+    // normalized ("pddl", a bare "shuffle") runs exactly as its
+    // normalized copy, and an invalid one throws with the field
+    // anchor normalize() gives.
+    ScenarioSpec raw;
+    raw.shards.assign(2, {"pddl", "hp2247", 13, "", -1, false});
+    raw.placement = "shuffle";
+    raw.samples = 400;
+    raw.warmup = 50;
+    ScenarioSpec normalized = raw;
+    std::string error;
+    ASSERT_TRUE(normalized.normalize(error)) << error;
+    ASSERT_NE(normalized, raw);
+    expectIdentical(viaSpec(normalized, 3), viaSpec(raw, 3));
+
+    raw.placement = "spiral";
+    try {
+        viaSpec(raw, 3);
+        FAIL() << "an invalid placement ran";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "placement: expected static, rotate or shuffle:<seed>"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SharedCompiledScenario, FourThreadsMatchTheSerialRun)
+{
+    // One compiled scenario run from four threads at once, as the
+    // reliability bench runs its trials: the runs share its layouts
+    // and devices (shards 0 and 2 share one of each), and every run
+    // equals the serial one.
+    ScenarioSpec spec;
+    spec.shards = {{}, {"raid5", "hp2247", 13, "", -1, false}, {}};
+    spec.chunk_units = 8;
+    spec.dispatch_ms = 2.0;
+    spec.arrivals_per_s = 300.0;
+    spec.offsets = "zipf:0.99";
+    spec.mix = {{8, true, 0.5}, {32, false, 0.5}};
+    spec.cache_enabled = true;
+    spec.cache_kb = 4096;
+    spec.samples = 800;
+    spec.warmup = 100;
+    spec.faults = {{40.0, 0, 2}};
+    std::string error;
+    const std::optional<CompiledScenario> compiled =
+        compileScenario(spec, error);
+    ASSERT_TRUE(compiled) << error;
+    tune::RunScenarioOptions options;
+    options.seed = 5;
+    const tune::ScenarioOutcome serial = tune::runScenario(*compiled, options);
+    std::vector<tune::ScenarioOutcome> runs(4);
+    harness::parallelFor(4, runs.size(), [&](size_t i) {
+        runs[i] = tune::runScenario(*compiled, options);
+    });
+    for (const tune::ScenarioOutcome &run : runs) {
+        EXPECT_EQ(run.mean_ms, serial.mean_ms);
+        EXPECT_EQ(run.p50_ms, serial.p50_ms);
+        EXPECT_EQ(run.p99_ms, serial.p99_ms);
+        EXPECT_EQ(run.p999_ms, serial.p999_ms);
+        EXPECT_EQ(run.throughput_per_s, serial.throughput_per_s);
+        EXPECT_EQ(run.samples, serial.samples);
+        EXPECT_EQ(run.backend_accesses, serial.backend_accesses);
+        EXPECT_EQ(run.hit_rate, serial.hit_rate);
+        EXPECT_EQ(run.destage_units, serial.destage_units);
+        EXPECT_EQ(run.rebuilds_completed, 1);
+        EXPECT_EQ(run.events_fired, serial.events_fired);
+        EXPECT_EQ(run.sim_ms, serial.sim_ms);
+        EXPECT_EQ(run.sub_accesses, serial.sub_accesses);
+        EXPECT_EQ(run.shard_accesses, serial.shard_accesses);
+    }
 }
 
 TEST(RunScenarioObserved, FourShardsRepeatAndMatchUnobserved)

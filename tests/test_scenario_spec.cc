@@ -290,6 +290,17 @@ TEST(ScenarioSpec, SemanticErrorsAnchorTheField)
               0u)
         << error;
 
+    // A cache of more stripe units than the backend holds: 10^12 KB
+    // once failed to allocate mid-run, and 2^62 KB overflowed the KB
+    // to units conversion into a silent 8-unit cache.
+    for (const char *kb : {"1000000000000", "4611686018427387904"}) {
+        EXPECT_FALSE(ScenarioSpec::parse(
+            std::string("{\"cache\":{\"enabled\":true,\"kb\":") + kb +
+                "}}",
+            spec, error));
+        EXPECT_EQ(error.rfind("cache.kb: a cache of ", 0), 0u) << error;
+    }
+
     // Inverted cache watermarks.
     ScenarioSpec bad;
     bad.cache_enabled = true;

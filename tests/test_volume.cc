@@ -10,13 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/pddl_layout.hh"
+#include "core/scenario_spec.hh"
 #include "layout/mirror.hh"
 #include "layout/raid5.hh"
+#include "sim/parallel_engine.hh"
 #include "volume/volume_manager.hh"
 #include "workload/closed_loop.hh"
 
@@ -516,6 +519,33 @@ TEST(VolumeSharing, ShardsWithEqualSpecsShareOneLayoutAndDevice)
     EXPECT_EQ(&volume.shardDevice(5), &device::hp2247());
     EXPECT_EQ(&volume.shardDevice(4), &device::hp2247());
     EXPECT_EQ(&volume.shardDevice(0), &device::hp2247());
+
+    // A volume built from a compiled scenario runs on the compiled
+    // objects themselves; shards 0 and 2 are equal ("pddl" is
+    // "pddl:width=4" in canonical form), so they share one of each.
+    ScenarioSpec spec;
+    spec.shards = {{"pddl", hdd, 13, "", -1, false},
+                   {"raid5", "hp2247", 13, "", -1, false},
+                   {"pddl:width=4", hdd, 13, "", -1, false}};
+    std::string error;
+    const std::optional<CompiledScenario> compiled =
+        compileScenario(spec, error);
+    ASSERT_TRUE(compiled) << error;
+    ParallelEngine engine(3, {});
+    std::vector<VolumeShard> shards;
+    for (int s = 0; s < 3; ++s)
+        shards.push_back({compiled->shard(s).layout,
+                          compiled->shard(s).device, "", ArrayConfig{}});
+    VolumeManager from_compiled(engine, std::move(shards), config);
+    for (int s = 0; s < 3; ++s) {
+        EXPECT_EQ(&from_compiled.shard(s).layout(),
+                  compiled->shard(s).layout.get());
+        EXPECT_EQ(&from_compiled.shardDevice(s),
+                  compiled->shard(s).device.get());
+    }
+    EXPECT_EQ(compiled->shard(2).layout, compiled->shard(0).layout);
+    EXPECT_EQ(compiled->shard(2).device, compiled->shard(0).device);
+    EXPECT_NE(compiled->shard(1).layout, compiled->shard(0).layout);
 }
 
 TEST(VolumeTiered, DegradedMirrorShardKeepsServingTheFastTier)
