@@ -361,9 +361,9 @@ main(int argc, char **argv)
         experiments);
 
     std::printf("Autotune (%s objective, %d chains x %d moves, %d "
-                "evaluations)\n",
+                "evaluations, %d simulated)\n",
                 tune::objectiveName(objective), toptions.chains,
-                toptions.moves, tuned.evaluations);
+                toptions.moves, tuned.evaluations, tuned.simulations);
     std::printf("%-20s %12s %10s %10s %10s %8s\n", "config",
                 "objective", "p99", "mean", "hit", "stalls");
     bench::printRule(8);

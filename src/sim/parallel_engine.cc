@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -76,7 +77,14 @@ ParallelEngine::run()
         const SimTime start = minNextEventTime();
         if (start == inf)
             break;
-        const SimTime window_end = start + config_.lookahead;
+        // A lookahead below half an ulp of `start` would round the
+        // window to nothing and the loop would spin forever; every
+        // window fires at least the events at `start`. That stays
+        // safe: a hub event at t schedules lane work at
+        // t + dispatch_ms, never below the lane clock.
+        SimTime window_end = start + config_.lookahead;
+        if (window_end == start)
+            window_end = std::nextafter(start, inf);
         in_lanes_ = true;
         for (EventQueue &lane : lanes_)
             lane.runBefore(window_end);

@@ -1,10 +1,13 @@
 #include "tune/tuner.hh"
 
 #include <cmath>
+#include <future>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/imbalance.hh"
 #include "harness/parallel_for.hh"
@@ -59,6 +62,58 @@ score(const CompiledScenario &compiled, const std::vector<uint64_t> &seeds,
     return seeds.empty() ? std::numeric_limits<double>::infinity()
                          : total / static_cast<double>(seeds.size());
 }
+
+/**
+ * The objectives of one tune() call, keyed by canonical describe()
+ * text and shared by all its chains. Each distinct key is simulated
+ * once: the first caller scores it outside the lock, and a chain that
+ * asks for a key still being scored waits on that score's future
+ * (which carries a throwing score's exception to every waiter).
+ */
+class ScoreTable
+{
+  public:
+    explicit ScoreTable(const TuneOptions &options) : options_(options)
+    {
+    }
+
+    /** The objective of `candidate`, whose describe() is `key`. */
+    double
+    get(const std::string &key, const CompiledScenario &candidate)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (auto hit = scores_.find(key); hit != scores_.end()) {
+            const std::shared_future<double> future = hit->second;
+            lock.unlock();
+            return future.get();
+        }
+        std::promise<double> promise;
+        scores_.emplace(key, promise.get_future().share());
+        lock.unlock();
+        try {
+            const double objective = score(
+                candidate, options_.eval_seeds, options_.objective);
+            promise.set_value(objective);
+            return objective;
+        } catch (...) {
+            promise.set_exception(std::current_exception());
+            throw;
+        }
+    }
+
+    /** Distinct keys scored so far. */
+    int
+    simulations() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return static_cast<int>(scores_.size());
+    }
+
+  private:
+    const TuneOptions &options_;
+    mutable std::mutex mutex_;
+    std::unordered_map<std::string, std::shared_future<double>> scores_;
+};
 
 /** The knob families one move can touch. */
 enum class Move
@@ -191,6 +246,7 @@ struct ChainContext
     const CompiledScenario *baseline;
     const TuneOptions *options;
     double baseline_objective;
+    ScoreTable *scores;
 };
 
 TuneChain
@@ -203,8 +259,9 @@ runChain(int chain, const ChainContext &context)
     result.chain = chain;
 
     Rng rng(hashMix64(static_cast<uint64_t>(chain), options.seed));
-    std::unordered_map<std::string, double> memo;
-    memo.emplace(baseline.describe(), context.baseline_objective);
+    // The keys this chain has asked for: its evaluated / memo_hits
+    // split, independent of what other chains have scored.
+    std::unordered_set<std::string> seen = {baseline.describe()};
 
     CompiledScenario current = *context.baseline;
     double current_objective = context.baseline_objective;
@@ -251,18 +308,12 @@ runChain(int chain, const ChainContext &context)
             }
         }
 
-        const std::string key = candidate->spec().describe();
-        double objective;
-        auto hit = memo.find(key);
-        if (hit != memo.end()) {
-            objective = hit->second;
-            ++result.memo_hits;
-        } else {
-            objective =
-                score(*candidate, options.eval_seeds, options.objective);
-            memo.emplace(key, objective);
+        std::string key = candidate->spec().describe();
+        const double objective = context.scores->get(key, *candidate);
+        if (seen.insert(std::move(key)).second)
             ++result.evaluated;
-        }
+        else
+            ++result.memo_hits;
 
         const double delta = objective - current_objective;
         bool accept = delta <= 0.0;
@@ -310,15 +361,20 @@ tune(const ScenarioSpec &baseline, const TuneOptions &options)
     // protocol as every candidate: the accept rule and the final
     // "did tuning help" comparison both read this number.
     const CompiledScenario compiled = compileOrThrow(baseline);
+    ScoreTable scores(options);
     result.baseline_objective =
-        score(compiled, options.eval_seeds, options.objective);
+        scores.get(compiled.spec().describe(), compiled);
 
-    ChainContext context{&compiled, &options, result.baseline_objective};
+    ChainContext context{&compiled, &options, result.baseline_objective,
+                         &scores};
     result.chains.resize(static_cast<size_t>(options.chains));
 
-    // Chains are fully independent; the thread count only changes
-    // wall time. Merging below walks chain index order, so the
-    // outcome is byte-identical for every thread count.
+    // A chain's path depends only on its seed and the scores it reads,
+    // and a score is a pure function of its key, so sharing the table
+    // changes which chain pays for a simulation, never what any chain
+    // sees; the thread count only changes wall time. Merging below
+    // walks chain index order, so the outcome is byte-identical for
+    // every thread count.
     harness::parallelFor(
         options.threads, static_cast<size_t>(options.chains),
         [&](size_t chain) {
@@ -335,6 +391,7 @@ tune(const ScenarioSpec &baseline, const TuneOptions &options)
             result.best_objective = chain.best_objective;
         }
     }
+    result.simulations = scores.simulations();
     return result;
 }
 

@@ -14,11 +14,15 @@
  * downhill, uphill with probability exp(-relative_delta / T) on a
  * geometric temperature schedule.
  *
- * Search structure follows the PR-9 derandomization pattern: chains
- * are fully independent -- chain c's Rng is seeded
- * hashMix64(options.seed, c), its evaluations memoized per chain --
- * and fanned out with harness::parallelFor, then merged in chain
- * index order. The result is therefore byte-identical at every
+ * Chains are independent searches -- chain c's Rng is seeded
+ * hashMix64(options.seed, c) -- fanned out with harness::parallelFor
+ * and merged in chain index order. They share one score table per
+ * tune() call, keyed by the candidate's canonical describe() text, so
+ * each distinct candidate (the baseline included) is simulated once
+ * per call however many chains propose it; a chain that asks for a
+ * candidate another chain is still simulating waits for that score.
+ * A score is a pure function of its key, so what each chain sees,
+ * the result and the simulation count are byte-identical at every
  * --threads value.
  *
  * Layout moves are pre-screened with the ImbalanceEvaluator as
@@ -71,8 +75,8 @@ struct TuneChain
     int chain = 0;
     double best_objective = 0.0;
     ScenarioSpec best;
-    int evaluated = 0;        ///< full simulations paid for
-    int memo_hits = 0;        ///< candidates scored from the memo
+    int evaluated = 0;        ///< scored candidates new to this chain
+    int memo_hits = 0;        ///< scored candidates this chain had seen
     int accepted = 0;         ///< moves the annealer took
     int surrogate_rejects = 0; ///< layout moves killed pre-sim
     int invalid_moves = 0;    ///< mutations compileScenario() refused
@@ -86,7 +90,13 @@ struct TuneResult
     double best_objective = 0.0;
     double baseline_objective = 0.0;
     std::vector<TuneChain> chains;
-    int evaluations = 0; ///< full simulations across all chains
+    /** Sum of the chains' `evaluated`: candidates new to their chain. */
+    int evaluations = 0;
+    /**
+     * Distinct candidates simulated, the baseline included: at most
+     * evaluations + 1, fewer when chains propose the same candidate.
+     */
+    int simulations = 0;
 };
 
 /**

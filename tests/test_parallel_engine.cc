@@ -467,6 +467,28 @@ TEST(ParallelEngine, PostsInterleaveWithHubEventsByTime)
     EXPECT_EQ(trace[2], (std::pair<char, double>{'h', 0.75}));
 }
 
+/** A lookahead below half an ulp of the clock must still advance:
+ * each window fires at least the events at its start. It once spun
+ * forever here (the same event at 1e5 ms fired), so ctest bounds it. */
+TEST(ParallelEngine, LookaheadBelowClockUlpStillAdvances)
+{
+    ParallelEngine::Config config;
+    config.lookahead = 1e-11;
+    ParallelEngine engine(1, config);
+
+    std::vector<double> trace;
+    engine.shardQueue(0).schedule(1e6, [&] {
+        trace.push_back(engine.shardQueue(0).now());
+        engine.post(1e6 + config.lookahead, [&] {
+            trace.push_back(engine.hubQueue().now());
+        });
+    });
+    engine.run();
+    EXPECT_EQ(trace, (std::vector<double>{1e6, 1e6}));
+    EXPECT_EQ(engine.eventsFired(), 1u);
+    EXPECT_EQ(engine.windowsRun(), 1u);
+}
+
 TEST(ParallelEngine, ValidatesConfig)
 {
     ParallelEngine::Config config;

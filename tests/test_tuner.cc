@@ -51,6 +51,7 @@ fingerprint(const tune::TuneResult &result)
     text.append("|").append(std::to_string(result.best_objective));
     text.append("|").append(std::to_string(result.baseline_objective));
     text.append("|").append(std::to_string(result.evaluations));
+    text.append("|").append(std::to_string(result.simulations));
     for (const tune::TuneChain &chain : result.chains) {
         text.append("|").append(std::to_string(chain.chain));
         text.append(":").append(std::to_string(chain.best_objective));
@@ -123,6 +124,30 @@ TEST(Tuner, ChainAccountingIsConsistent)
     // The merged count is the sum over chains (plus the baseline
     // scoring, which tune() accounts once outside the chains).
     EXPECT_GE(result.evaluations, evaluations);
+}
+
+/** Wide, short searches repeat candidates across chains: the shared
+ *  score table simulates each once, at every thread count, and a
+ *  shared score is the one a fresh evaluation computes. */
+TEST(Tuner, ChainsShareScoresExactly)
+{
+    const ScenarioSpec base = baseline();
+    tune::TuneOptions serial;
+    serial.chains = 16;
+    serial.moves = 2;
+    serial.seed = 0xbeef;
+    serial.threads = 1;
+    tune::TuneOptions pooled = serial;
+    pooled.threads = 4;
+
+    const tune::TuneResult a = tune::tune(base, serial);
+    const tune::TuneResult b = tune::tune(base, pooled);
+    EXPECT_EQ(fingerprint(a), fingerprint(b));
+    EXPECT_GT(a.simulations, 0);
+    EXPECT_LT(a.simulations, a.evaluations + 1);
+    EXPECT_EQ(a.best_objective,
+              tune::evaluateScenario(a.best, serial.eval_seeds,
+                                     serial.objective, 0, -1));
 }
 
 TEST(Tuner, EvaluateScenarioIsRepeatable)
