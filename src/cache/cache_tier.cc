@@ -8,7 +8,9 @@ namespace cache {
 
 CacheTier::CacheTier(EventQueue &events, Target &backend,
                      CacheConfig config)
-    : events_(events), backend_(backend), config_(config)
+    : events_(events), backend_(backend), config_(config),
+      // Every dirty unit is a resident line.
+      dirty_(backend.dataUnits(), config.capacity_units)
 {
     assert(config_.ways >= 1);
     assert(config_.capacity_units >= config_.ways);
@@ -29,16 +31,17 @@ CacheTier::CacheTier(EventQueue &events, Target &backend,
     if (low_units_ >= high_units_)
         low_units_ = high_units_ - 1;
     lines_.resize(static_cast<size_t>(config_.capacity_units));
+    tags_.assign(static_cast<size_t>(config_.capacity_units), -1);
 }
 
 CacheTier::Line *
 CacheTier::find(int64_t unit)
 {
-    Line *set = &lines_[static_cast<size_t>((unit % sets_) *
-                                            config_.ways)];
+    const size_t base = static_cast<size_t>((unit % sets_) * config_.ways);
+    const int64_t *tags = &tags_[base];
     for (int w = 0; w < config_.ways; ++w) {
-        if (set[w].valid && set[w].unit == unit)
-            return &set[w];
+        if (tags[w] == unit)
+            return &lines_[base + static_cast<size_t>(w)];
     }
     return nullptr;
 }
@@ -46,26 +49,26 @@ CacheTier::find(int64_t unit)
 CacheTier::Line &
 CacheTier::allocate(int64_t unit)
 {
-    Line *set = &lines_[static_cast<size_t>((unit % sets_) *
-                                            config_.ways)];
-    Line *victim = nullptr;
+    const size_t base = static_cast<size_t>((unit % sets_) * config_.ways);
+    Line *set = &lines_[base];
+    int64_t *tags = &tags_[base];
+    int victim = -1;
     for (int w = 0; w < config_.ways; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
+        if (tags[w] < 0) {
+            victim = w;
             break;
         }
     }
-    if (victim == nullptr) {
+    if (victim < 0) {
         // Prefer the LRU clean line (in-flight destages are clean:
         // their data is already captured by the backend write).
         for (int w = 0; w < config_.ways; ++w) {
             if (set[w].dirty)
                 continue;
-            if (victim == nullptr ||
-                set[w].last_use < victim->last_use)
-                victim = &set[w];
+            if (victim < 0 || set[w].last_use < set[victim].last_use)
+                victim = w;
         }
-        if (victim != nullptr) {
+        if (victim >= 0) {
             ++stats_.evictions_clean;
             config_.probe.count("cache.evict_clean");
         } else {
@@ -73,33 +76,30 @@ CacheTier::allocate(int64_t unit)
             // Issue it fire-and-forget -- the line's data rides in
             // the in-flight write -- and reuse the line immediately.
             for (int w = 0; w < config_.ways; ++w) {
-                if (victim == nullptr ||
-                    set[w].last_use < victim->last_use)
-                    victim = &set[w];
+                if (victim < 0 || set[w].last_use < set[victim].last_use)
+                    victim = w;
             }
-            dirty_.erase(victim->unit);
+            dirty_.erase(tags[victim]);
             --dirty_units_;
             ++stats_.evictions_dirty;
             config_.probe.count("cache.evict_dirty");
-            backend_.access(victim->unit, 1, AccessType::Write,
-                            [] {});
+            backend_.access(tags[victim], 1, AccessType::Write, [] {});
         }
     }
-    victim->unit = unit;
-    victim->valid = true;
-    victim->dirty = false;
-    victim->in_flight = false;
-    touch(*victim);
-    return *victim;
+    tags[victim] = unit;
+    Line &line = set[victim];
+    line.dirty = false;
+    touch(line);
+    return line;
 }
 
 void
-CacheTier::markDirty(Line &line)
+CacheTier::markDirty(Line &line, int64_t unit)
 {
     if (line.dirty)
         return;
     line.dirty = true;
-    dirty_.insert(line.unit);
+    dirty_.insert(unit);
     ++dirty_units_;
 }
 
@@ -201,7 +201,7 @@ CacheTier::serveWrite(int64_t start, int count, InlineCallback done)
             touch(*line);
         // A write during a destage flight just re-dirties the line;
         // the in-flight backend write carries the older data.
-        markDirty(*line);
+        markDirty(*line, unit);
     }
     ++stats_.writes_absorbed;
     config_.probe.count("cache.write_absorb");
@@ -221,8 +221,9 @@ void
 CacheTier::pump()
 {
     if (pump_active_) {
+        // dirty_units_ > low_units_ >= 0, so there is a run to issue.
         while (destage_in_flight_ < config_.destage_width &&
-               dirty_units_ > low_units_ && !dirty_.empty())
+               dirty_units_ > low_units_)
             issueRun();
         if (dirty_units_ <= low_units_)
             pump_active_ = false;
@@ -233,24 +234,23 @@ CacheTier::pump()
 void
 CacheTier::issueRun()
 {
-    assert(!dirty_.empty());
     // Resume the scan where the last run ended (round-robin over the
-    // ordered dirty set), then coalesce the consecutive units that
-    // follow into one contiguous backend write.
-    auto it = dirty_.lower_bound(cursor_);
-    if (it == dirty_.end())
-        it = dirty_.begin();
-    const int64_t run_start = *it;
+    // ordered dirty set, wrapping to its least unit), then coalesce
+    // the consecutive dirty units that follow into one contiguous
+    // backend write.
+    int64_t run_start = dirty_.lowerBound(cursor_);
+    if (run_start == SparseBitmap::kNone)
+        run_start = dirty_.lowerBound(0);
+    assert(run_start != SparseBitmap::kNone);
     int64_t expect = run_start;
     int run_len = 0;
-    while (it != dirty_.end() && *it == expect &&
-           run_len < config_.max_run_units) {
-        it = dirty_.erase(it);
+    while (run_len < config_.max_run_units) {
         Line *line = find(expect);
-        assert(line != nullptr && line->dirty);
+        if (line == nullptr || !line->dirty)
+            break;
         // Clean at issue: the write owns this version of the data.
         line->dirty = false;
-        line->in_flight = true;
+        dirty_.erase(expect);
         --dirty_units_;
         ++run_len;
         ++expect;
@@ -262,17 +262,10 @@ CacheTier::issueRun()
     config_.probe.count("cache.destage_units",
                         static_cast<double>(run_len));
     ++destage_in_flight_;
-    backend_.access(run_start, run_len, AccessType::Write,
-                    [this, run_start, run_len] {
-                        for (int64_t unit = run_start;
-                             unit < run_start + run_len; ++unit) {
-                            Line *line = find(unit);
-                            if (line != nullptr && line->in_flight)
-                                line->in_flight = false;
-                        }
-                        --destage_in_flight_;
-                        pump();
-                    });
+    backend_.access(run_start, run_len, AccessType::Write, [this] {
+        --destage_in_flight_;
+        pump();
+    });
 }
 
 void

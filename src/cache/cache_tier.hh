@@ -16,8 +16,8 @@
  *    consecutive dirty units into contiguous runs (up to
  *    `max_run_units`), issues up to `destage_width` concurrent
  *    backend writes, and drains until the low watermark. Lines go
- *    clean at issue (with an in-flight marker; a write during the
- *    flight simply re-dirties the line);
+ *    clean at issue (the backend write owns that version of the data;
+ *    a write during the flight simply re-dirties the line);
  *  - while the dirty count sits at the high watermark, incoming
  *    writes stall in FIFO order until destaging makes room -- the
  *    mechanism that turns a saturated destage path into visible
@@ -33,11 +33,10 @@
 #define PDDL_CACHE_CACHE_TIER_HH
 
 #include <cstdint>
-#include <memory_resource>
-#include <set>
 #include <vector>
 
 #include "array/target.hh"
+#include "cache/sparse_bitmap.hh"
 #include "obs/probe.hh"
 #include "sim/event_queue.hh"
 #include "util/ring_queue.hh"
@@ -84,9 +83,9 @@ struct CacheStats
 };
 
 /**
- * The write-back tier. Construction is cheap (one vector of line
- * headers); the tier holds references to the queue and backend, which
- * must outlive it.
+ * The write-back tier. Construction is cheap (the line headers, their
+ * tags and the dirty set's index); the tier holds references to the
+ * queue and backend, which must outlive it.
  */
 class CacheTier : public Target
 {
@@ -125,14 +124,11 @@ class CacheTier : public Target
     }
 
   private:
+    /** A line's state; its unit is its entry in tags_. */
     struct Line
     {
-        int64_t unit = -1;
         uint64_t last_use = 0;
-        bool valid = false;
         bool dirty = false;
-        /** A destage write for this unit is in flight. */
-        bool in_flight = false;
     };
 
     struct StalledWrite
@@ -161,7 +157,7 @@ class CacheTier : public Target
     Line *find(int64_t unit);
     void touch(Line &line) { line.last_use = ++tick_; }
     Line &allocate(int64_t unit);
-    void markDirty(Line &line);
+    void markDirty(Line &line, int64_t unit);
     void installRange(int64_t start, int count);
 
     void serveRead(int64_t start, int count, InlineCallback done);
@@ -182,12 +178,12 @@ class CacheTier : public Target
 
     std::vector<Line> lines_;
     /**
-     * Recycles dirty_'s nodes, so the set stops allocating once it
-     * has reached its peak size (at most capacity_units).
+     * Each line's unit, or -1 when the line is invalid, in line order:
+     * find() compares one contiguous row of a set's tags.
      */
-    std::pmr::unsynchronized_pool_resource dirty_pool_;
+    std::vector<int64_t> tags_;
     /** Dirty units, ordered -- the coalescer walks runs off it. */
-    std::pmr::set<int64_t> dirty_{&dirty_pool_};
+    SparseBitmap dirty_;
     int64_t dirty_units_ = 0;
     /** Round-robin scan position of the destage coalescer. */
     int64_t cursor_ = 0;

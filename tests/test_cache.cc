@@ -3,8 +3,11 @@
  * Tests for the write-back cache tier: hit/miss service, write
  * absorption, watermark-driven destage with run coalescing, write
  * stalling at the high watermark, LRU eviction (clean and dirty
- * victims), re-dirty during a destage flight, and determinism of a
- * cached volume workload across parallel-engine thread counts.
+ * victims), re-dirty during a destage flight, the coalescer's edges
+ * (a run across a dirty-set leaf boundary, the cursor's wrap, a run
+ * ending at the last unit, a dirty victim leaving the destage order),
+ * a set count that is not a power of two, and determinism of a cached
+ * volume workload across parallel-engine thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -278,6 +281,134 @@ TEST_F(CacheFixture, WriteDuringDestageFlightRedirtiesTheLine)
     EXPECT_EQ(backend.writesCovering(0), 2);
     EXPECT_EQ(backend.writesCovering(1), 2);
     EXPECT_EQ(tier.dirtyUnits(), 0);
+}
+
+/** Start, length and type of each backend access, in issue order. */
+std::vector<std::vector<int64_t>>
+opList(const ScriptedBackend &backend)
+{
+    std::vector<std::vector<int64_t>> ops;
+    for (const ScriptedBackend::Op &op : backend.ops())
+        ops.push_back({op.start, op.count,
+                       op.type == AccessType::Write ? 1 : 0});
+    return ops;
+}
+
+TEST_F(CacheFixture, RunAcrossADirtySetLeafBoundaryIsOneWrite)
+{
+    // The dirty set keeps 512-unit leaves; units 508..515 straddle the
+    // first boundary and still coalesce into a single backend write.
+    CacheConfig config = smallConfig();
+    config.high_water = 0.125; // pump starts at 8 dirty units
+    config.low_water = 0.0;
+    CacheTier tier(events, backend, config);
+    completeOne(tier, 508, 8, AccessType::Write);
+    EXPECT_EQ(opList(backend),
+              (std::vector<std::vector<int64_t>>{{508, 8, 1}}));
+    EXPECT_EQ(tier.dirtyUnits(), 0);
+}
+
+TEST_F(CacheFixture, CoalescerCursorWrapsToTheLowestDirtyUnit)
+{
+    CacheConfig config = smallConfig();
+    config.high_water = 2.0 / 64.0; // pump starts at 2 dirty units
+    config.low_water = 0.0;
+    config.destage_width = 4;
+    CacheTier tier(events, backend, config);
+    completeOne(tier, 500, 2, AccessType::Write); // run 500..501
+    // The scan resumes at the cursor (502), so unit 600 goes before
+    // the lower unit 5; past 600 nothing is dirty, and the scan wraps.
+    completeOne(tier, 5, 1, AccessType::Write);
+    completeOne(tier, 600, 1, AccessType::Write);
+    EXPECT_EQ(opList(backend), (std::vector<std::vector<int64_t>>{
+                                   {500, 2, 1}, {600, 1, 1}, {5, 1, 1}}));
+}
+
+TEST_F(CacheFixture, RunEndingAtTheLastUnitIsDestagedWhole)
+{
+    // A backend of exactly two dirty-set leaves: the run ends on its
+    // last unit and leaves the cursor one past the end.
+    ScriptedBackend small(events, 1024, 10.0);
+    CacheConfig config = smallConfig();
+    config.high_water = 4.0 / 64.0; // pump starts at 4 dirty units
+    config.low_water = 0.0;
+    CacheTier tier(events, small, config);
+    completeOne(tier, 1020, 4, AccessType::Write);
+    completeOne(tier, 0, 4, AccessType::Write);
+    EXPECT_EQ(opList(small), (std::vector<std::vector<int64_t>>{
+                                 {1020, 4, 1}, {0, 4, 1}}));
+    EXPECT_EQ(tier.dirtyUnits(), 0);
+}
+
+TEST_F(CacheFixture, DirtyVictimLeavesTheDestageOrder)
+{
+    CacheConfig config = smallConfig();
+    config.ways = 2;
+    config.capacity_units = 8; // 4 sets x 2 ways
+    config.high_water = 0.5;   // pump starts at 4 dirty units
+    config.low_water = 0.0;
+    CacheTier tier(events, backend, config);
+    completeOne(tier, 1, 1, AccessType::Write);
+    completeOne(tier, 5, 1, AccessType::Write);
+    completeOne(tier, 9, 1, AccessType::Write); // evicts dirty unit 1
+    EXPECT_EQ(tier.stats().evictions_dirty, 1);
+    // Crossing the watermark drains everything dirty in unit order;
+    // unit 1 left with its own writeback and is not destaged again.
+    completeOne(tier, 2, 2, AccessType::Write);
+    EXPECT_EQ(opList(backend),
+              (std::vector<std::vector<int64_t>>{
+                  {1, 1, 1}, {2, 2, 1}, {5, 1, 1}, {9, 1, 1}}));
+    EXPECT_EQ(tier.dirtyUnits(), 0);
+}
+
+/**
+ * A capacity-sized aligned range, re-read unit by unit, then reads and
+ * a write confined to set 1: the outcome depends on the set count only
+ * through which units share a set.
+ */
+CacheStats
+runSetScript(int64_t sets)
+{
+    EventQueue events;
+    ScriptedBackend backend(events, 1 << 20, 10.0);
+    CacheConfig config;
+    config.ways = 4;
+    config.capacity_units = 4 * sets;
+    config.high_water = 1.0; // the pump never starts
+    config.low_water = 0.5;
+    CacheTier tier(events, backend, config);
+    auto run = [&](int64_t unit, int count, AccessType type) {
+        tier.access(unit, count, type, [] {});
+        events.runUntilEmpty();
+    };
+    // Every set takes exactly four units of the range, so all of it
+    // stays resident.
+    const int64_t base = 1000 * sets;
+    run(base, static_cast<int>(4 * sets), AccessType::Read);
+    for (int64_t unit = base; unit < base + 4 * sets; ++unit)
+        run(unit, 1, AccessType::Read);
+    // Five units of set 1 displace its four range units and then the
+    // first of them; re-reading that one evicts the next-coldest.
+    for (int64_t k = 0; k < 5; ++k)
+        run(1 + k * sets, 1, AccessType::Read);
+    for (int64_t k = 1; k < 5; ++k)
+        run(1 + k * sets, 1, AccessType::Read);
+    run(1, 1, AccessType::Read);
+    run(1 + 4 * sets, 1, AccessType::Write);
+    EXPECT_EQ(tier.dirtyUnits(), 1);
+    return tier.stats();
+}
+
+TEST(CacheSets, NonPowerOfTwoSetCountBehavesLikeSixteenSets)
+{
+    for (int64_t sets : {16, 6}) { // 64 lines, and 24
+        const CacheStats stats = runSetScript(sets);
+        EXPECT_EQ(stats.read_misses, 1 + 5 + 1) << sets << " sets";
+        EXPECT_EQ(stats.read_hits, 4 * sets + 4) << sets << " sets";
+        EXPECT_EQ(stats.evictions_clean, 4 + 1 + 1) << sets << " sets";
+        EXPECT_EQ(stats.evictions_dirty, 0) << sets << " sets";
+        EXPECT_EQ(stats.writes_absorbed, 1) << sets << " sets";
+    }
 }
 
 /**
